@@ -3,7 +3,7 @@ depth-zero representations of GSp(4) over a p-adic field.
 
 Layers, bottom up:
 
-* :mod:`siegelvec.numerics`   root-of-unity arithmetic with integer certification
+* :mod:`siegelvec.numerics`   roots of unity and integer certification
 * :mod:`siegelvec.finitegrp`  finite fields, GL2(q), det-matched pairs GL22(q)
 * :mod:`siegelvec.chars`      cuspidal characters and closed fixed-space dimensions
 * :mod:`siegelvec.models`     brute-force matrix models (the independent oracle)

@@ -22,7 +22,7 @@ from . import __version__
 from .finitegrp import (FqCtx, build_field, subgroup_R, enumerate_gl22,
                         ext_mul, ext_inv, ExtElem, u_action)
 from .chars import (SigmaLabel, omega_trivial_sigma_classes, cuspidal_classes,
-                    sigma_key, make_sigma, sigma_is_reducible, is_self_twisted,
+                    sigma_key, make_sigma, sigma_is_reducible,
                     induced_trace_zero, fixed_dim, fixed_dim_closed,
                     twisted_trace_closed, self_twist_presentations,
                     lambda_omega_class, omega_minus1, BadCase, HypothesisViolated)
@@ -60,6 +60,15 @@ def _check(checks: list, name: str, ok: bool, detail: str = "") -> bool:
 
 # -- suites -------------------------------------------------------------------
 
+def _counts_row(q: int, n: int) -> dict:
+    row = {"n": n}
+    for tag in COSET_TAGS:
+        row[tag] = stratum_count(tag, q, n)
+    row["total"] = total_count(q, n)
+    row["base"] = base_count(q, n)
+    return row
+
+
 def suite_counts(q: int, n_max: int, **_: object) -> tuple[list, list]:
     fq = _field(q)
     rows = []
@@ -69,13 +78,10 @@ def suite_counts(q: int, n_max: int, **_: object) -> tuple[list, list]:
         params = enumerate_support(fq, n)
         by_tag = Counter(p.tag for p in params)
         fixed = Counter(p.tag for p in al_fixed_cosets(fq, n))
-        row = {"n": n}
+        row = _counts_row(q, n)
         for tag in COSET_TAGS:
-            row[tag] = stratum_count(tag, q, n)
             enum_ok &= by_tag.get(tag, 0) == row[tag]
             fixed_ok &= fixed.get(tag, 0) == fixed_stratum_count(tag, q, n)
-        row["total"] = total_count(q, n)
-        row["base"] = base_count(q, n)
         rows.append(row)
         enum_ok &= len(params) == row["total"]
         if q % 2 == 0:
@@ -252,7 +258,7 @@ def suite_induced(q: int, **_: object) -> tuple[list, list]:
     for k1 in cuspidal_classes(ctx):
         for k2 in cuspidal_classes(ctx):
             s = SigmaLabel(k1, k2, "Full")
-            if not is_self_twisted(ctx, s):
+            if not self_twist_presentations(ctx, s):
                 sigma = s
                 break
         if sigma:
@@ -471,6 +477,22 @@ def _render(payload: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
+def _level(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"level must be non-negative, got {n}")
+    return n
+
+
+def _precision(text: str) -> int:
+    from .padic import GUARD
+    prec = int(text)
+    if prec < GUARD:
+        raise argparse.ArgumentTypeError(
+            f"precision must be at least the guard margin {GUARD}, got {prec}")
+    return prec
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -486,21 +508,21 @@ def _build_parser() -> _Parser:
 
     t = sub.add_parser("table", help="coset counts per level")
     t.add_argument("--q", type=int, required=True)
-    t.add_argument("--n-max", type=int, default=20)
+    t.add_argument("--n-max", type=_level, default=20)
     t.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     s = sub.add_parser("support", help="coset parameters of one level")
     s.add_argument("--q", type=int, required=True)
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", type=_level, required=True)
     s.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     v = sub.add_parser("verify", help="run a named check suite")
     v.add_argument("--suite", choices=sorted(SUITES), required=True)
     v.add_argument("--q", type=int, required=True)
-    v.add_argument("--n-max", type=int, default=12)
+    v.add_argument("--n-max", type=_level, default=12)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--draws", type=int, default=100)
-    v.add_argument("--precision", type=int, default=32)
+    v.add_argument("--precision", type=_precision, default=32)
     v.add_argument("--format", choices=("text", "json", "csv"), default="text")
     return ap
 
@@ -508,14 +530,7 @@ def _build_parser() -> _Parser:
 def cmd_table(args) -> int:
     if args.q not in FIELDS:
         raise ConfigError(f"unsupported field size q={args.q}")
-    rows = []
-    for n in range(args.n_max + 1):
-        row = {"n": n}
-        for tag in COSET_TAGS:
-            row[tag] = stratum_count(tag, args.q, n)
-        row["total"] = total_count(args.q, n)
-        row["base"] = base_count(args.q, n)
-        rows.append(row)
+    rows = [_counts_row(args.q, n) for n in range(args.n_max + 1)]
     payload = {"config": {"command": "table", "q": args.q, "n_max": args.n_max},
                "rows": rows, "checks": [], "seed": None, "version": __version__}
     sys.stdout.write(_render(payload, args.format))

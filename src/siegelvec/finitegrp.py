@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional
 
-from .numerics import CharValue, root_of_unity
+from .numerics import root_of_unity
 
 
 class UnsupportedSize(ValueError):
@@ -204,7 +204,7 @@ class FqCtx:
             cur = self.power(cur, self.p)
         return self._fp_value[t]
 
-    def psi(self, a: int) -> CharValue:
+    def psi(self, a: int) -> complex:
         """Fixed nontrivial additive character of F_q."""
         return root_of_unity(self.p, self.trace_to_fp(a))
 
@@ -352,9 +352,6 @@ class SubgroupR:
 
     def __contains__(self, x):
         return x in self.elements
-
-
-SUBGROUP_KINDS = ("Torus", "Unip", "ArtinUnip", "U1", "U2", "Custom")
 
 
 def subgroup_R(kind: str, ctx: FqCtx, params: Optional[Iterable[GL22Elem]] = None) -> SubgroupR:

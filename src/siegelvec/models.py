@@ -21,7 +21,7 @@ from .finitegrp import (
     FqCtx, GL2Elem, GL22Elem, SubgroupR, enumerate_gl2, enumerate_gl22,
     gl2_inv, gl2_mul, u_action,
 )
-from .chars import cuspidal_char_fast, split_restriction
+from .chars import cuspidal_char, split_restriction
 from .numerics import certify_integer
 
 
@@ -93,7 +93,7 @@ class WhittakerSpace:
             u = gl2_mul(ctx, x, gl2_inv(ctx, self.reps[j]))
             # u is upper unitriangular; the phase reads off its corner
             perm[i] = j
-            phase[i] = ctx.psi(u.b).value
+            phase[i] = ctx.psi(u.b)
         out = (perm, phase)
         self._action_cache[g] = out
         return out
@@ -118,7 +118,7 @@ class CuspidalModel:
         scale = (ctx.q - 1) / len(elems)
         for g in elems:
             perm, phase = self.space.action(g)
-            coeff = scale * np.conj(cuspidal_char_fast(ctx, self.k, g))
+            coeff = scale * np.conj(cuspidal_char(ctx, self.k, g))
             if coeff != 0:
                 np.add.at(P, (rows, perm), coeff * phase)
         if np.linalg.norm(P - P.conj().T) > tol * N:
@@ -146,7 +146,7 @@ class CuspidalModel:
     def verify_character(self, sample=None, tol: float = 1e-7) -> None:
         elems = enumerate_gl2(self.ctx) if sample is None else sample
         for g in elems:
-            want = cuspidal_char_fast(self.ctx, self.k, g)
+            want = cuspidal_char(self.ctx, self.k, g)
             if abs(self.char(g) - want) > tol:
                 raise ProjectorRankMismatch(
                     f"character mismatch at {g}: {self.char(g)} vs {want}")

@@ -1,143 +1,39 @@
-"""Character-value arithmetic: complex doubles plus integer certification.
+"""Character values as complex doubles, plus integer certification.
 
 All group orders in this package are at most a few times 1e5, so any
 character average is a sum of at most ~1e5 unit-modulus terms divided by
 the group order.  Double precision keeps the accumulated error many orders
 of magnitude below 0.5, and a strict certification step converts the float
-result into an exact integer or raises.  A CharValue may also carry an
-exact exponent-multiplicity vector (meaning sum of c_k * zeta_m^k) for
-audit output; equality decisions always go through certification, never
-through the exact vector.
+result into an exact integer or raises: within 1e-9 for character
+averages, within 1e-6 for the traces behind model ranks.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 
 
 class NotAnInteger(ArithmeticError):
     """A value that should certify to an integer failed to do so."""
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
-
-
-class CharValue:
-    """A complex number, optionally tagged with exact root-of-unity data.
-
-    ``exact`` maps exponents mod ``order`` to integer multiplicities; the
-    represented value is sum_k exact[k] * exp(2 pi i k / order).
-    """
-
-    __slots__ = ("value", "order", "exact")
-
-    def __init__(self, value: complex, order: int | None = None,
-                 exact: dict[int, int] | None = None):
-        self.value = complex(value)
-        self.order = order
-        self.exact = dict(exact) if exact is not None else None
-
-    # -- helpers -------------------------------------------------------
-
-    @staticmethod
-    def _coerce(other) -> "CharValue":
-        if isinstance(other, CharValue):
-            return other
-        if isinstance(other, int):
-            return CharValue(complex(other), 1, {0: other})
-        if isinstance(other, (float, complex)):
-            return CharValue(complex(other))
-        raise TypeError(f"cannot combine CharValue with {type(other)!r}")
-
-    def _rescaled(self, m: int) -> dict[int, int] | None:
-        if self.exact is None or self.order is None:
-            return None
-        step = m // self.order
-        return {(k * step) % m: c for k, c in self.exact.items()}
-
-    @staticmethod
-    def _merge(a: "CharValue", b: "CharValue", sign: int) -> tuple:
-        if a.exact is None or b.exact is None:
-            return None, None
-        m = _lcm(a.order, b.order)
-        out = dict(a._rescaled(m))
-        for k, c in b._rescaled(m).items():
-            out[k] = out.get(k, 0) + sign * c
-            if out[k] == 0:
-                del out[k]
-        return m, out
-
-    # -- arithmetic ----------------------------------------------------
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        m, exact = self._merge(self, other, +1)
-        return CharValue(self.value + other.value, m, exact)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        m, exact = self._merge(self, other, -1)
-        return CharValue(self.value - other.value, m, exact)
-
-    def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
-
-    def __neg__(self):
-        exact = None if self.exact is None else {k: -c for k, c in self.exact.items()}
-        return CharValue(-self.value, self.order, exact)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        exact = None
-        m = None
-        if self.exact is not None and other.exact is not None:
-            m = _lcm(self.order, other.order)
-            a, b = self._rescaled(m), other._rescaled(m)
-            exact = {}
-            for k1, c1 in a.items():
-                for k2, c2 in b.items():
-                    k = (k1 + k2) % m
-                    exact[k] = exact.get(k, 0) + c1 * c2
-                    if exact[k] == 0:
-                        del exact[k]
-        return CharValue(self.value * other.value, m, exact)
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "CharValue":
-        """Complex conjugate; on exact data this negates every exponent."""
-        exact = None
-        if self.exact is not None:
-            exact = {(-k) % self.order: c for k, c in self.exact.items()}
-        return CharValue(self.value.conjugate(), self.order, exact)
-
-    def __repr__(self):
-        if self.exact is not None:
-            return f"CharValue({self.value:.6g}, order={self.order}, exact={self.exact})"
-        return f"CharValue({self.value:.6g})"
-
-
-def root_of_unity(m: int, k: int) -> CharValue:
-    """exp(2 pi i k / m) with the exact single-exponent tag."""
+def root_of_unity(m: int, k: int) -> complex:
+    """exp(2 pi i k / m)."""
     if m < 1:
         raise ValueError(f"root order must be positive, got {m}")
     k %= m
-    return CharValue(cmath.exp(2j * cmath.pi * k / m), m, {k: 1})
+    return cmath.exp(2j * cmath.pi * k / m)
 
 
-def certify_integer(v, tol: float = 1e-9) -> int:
+def certify_integer(v: complex | float | int, tol: float = 1e-9) -> int:
     """Round ``v`` to the nearest integer, or raise NotAnInteger.
 
-    Accepts a CharValue, complex, float or int.  Certification demands the
-    imaginary part and the real residual both sit strictly below ``tol``.
+    Certification demands the imaginary part and the real residual both
+    sit strictly below ``tol``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    z = v.value if isinstance(v, CharValue) else complex(v)
+    z = complex(v)
     n = round(z.real)
     if abs(z.imag) >= tol or abs(z.real - n) >= tol:
         raise NotAnInteger(f"{z!r} is not within {tol} of an integer")

@@ -500,13 +500,6 @@ def levi(ctx: PadicCtx, a1, a2, a3, a4, lam) -> GSp4Elem:
     return GSp4Elem.make(ctx, rows, mu=lam * (a1 * a4 - a2 * a3))
 
 
-def torus4(ctx: PadicCtx, a, d, mu) -> GSp4Elem:
-    a, d, mu = (_coerce(ctx, v) for v in (a, d, mu))
-    rows = [[a, 0, 0, 0], [0, d, 0, 0],
-            [0, 0, mu * d.inv(), 0], [0, 0, 0, mu * a.inv()]]
-    return GSp4Elem.make(ctx, rows, mu=mu)
-
-
 def u_elem(ctx: PadicCtx, n: int) -> GSp4Elem:
     """The involution-like element with square pi^n * identity."""
     rows = [[0, 0, 1, 0], [0, 0, 0, -1],
@@ -522,9 +515,6 @@ def s1_elem(ctx: PadicCtx) -> GSp4Elem:
 def s2_elem(ctx: PadicCtx) -> GSp4Elem:
     rows = [[1, 0, 0, 0], [0, 0, 1, 0], [0, -1, 0, 0], [0, 0, 0, 1]]
     return GSp4Elem.make(ctx, rows, mu=1)
-
-
-COSET_TAGS = ("I", "II", "IIIa", "IIIb", "IV")
 
 
 def coset_rep(ctx: PadicCtx, tag: str, i: int, j: int,

@@ -9,7 +9,7 @@ from siegelvec.finitegrp import (
 from siegelvec.chars import (
     BadCase, HypothesisViolated, OracleRequired, SigmaLabel,
     all_cuspidal_exponents, canonical_cuspidal, classify_gl2, cuspidal_char,
-    cuspidal_char_fast, cuspidal_classes, fixed_dim, fixed_dim_closed,
+    cuspidal_classes, fixed_dim, fixed_dim_closed,
     fixed_dim_u_twist, induced_trace_zero, is_self_twisted, lambda_omega_class,
     make_sigma, omega_minus1, omega_trivial_sigma_classes, self_twist_presentations,
     sigma_char, sigma_dim, sigma_equiv, sigma_is_reducible, sigma_key,
@@ -43,10 +43,10 @@ def test_char_is_class_function(p, f):
     elems = enumerate_gl2(ctx)
     k = all_cuspidal_exponents(ctx)[0]
     for g in elems[::7]:
-        vg = cuspidal_char(ctx, k, g).value
+        vg = cuspidal_char(ctx, k, g)
         for h in elems[::11]:
             conj = gl2_mul(ctx, gl2_mul(ctx, h, g), gl2_inv(ctx, h))
-            assert abs(cuspidal_char(ctx, k, conj).value - vg) < 1e-9
+            assert abs(cuspidal_char(ctx, k, conj) - vg) < 1e-9
 
 
 def test_char_dimension_is_q_minus_1():
@@ -66,8 +66,8 @@ def test_char_orthogonality(p, f):
         for k2 in classes:
             total = 0.0
             for g in elems:
-                total += cuspidal_char_fast(ctx, k1, g) * \
-                    cuspidal_char_fast(ctx, k2, g).conjugate()
+                total += cuspidal_char(ctx, k1, g) * \
+                    cuspidal_char(ctx, k2, g).conjugate()
             got = certify_integer(total / len(elems))
             assert got == (1 if k1 == k2 else 0)
 
@@ -169,11 +169,13 @@ def test_sigma_key_invariant_under_moves():
 
 def test_self_twist_matches_key_comparison():
     # character comparison, arithmetic presentations, and label equivalence
-    # with the swapped label must all agree
-    for p, f in [(2, 1), (3, 1)]:
+    # with the swapped label must all agree; at q=4, 5 over the class pairs
+    # the induced suite picks its label from
+    for p, f in [(2, 1), (3, 1), (2, 2), (5, 1)]:
         ctx = build_field(p, f)
-        for k1 in all_cuspidal_exponents(ctx):
-            for k2 in all_cuspidal_exponents(ctx):
+        exps = all_cuspidal_exponents(ctx) if ctx.q < 4 else cuspidal_classes(ctx)
+        for k1 in exps:
+            for k2 in exps:
                 s = SigmaLabel(k1, k2, "Full")
                 by_char = is_self_twisted(ctx, s)
                 by_pres = bool(self_twist_presentations(ctx, s))
@@ -366,7 +368,7 @@ def test_sigma_char_identity_and_oracle_gate():
     full = SigmaLabel(2, 6, "Full")
     plus = SigmaLabel(2, 6, "Plus")
     assert certify_integer(sigma_char(ctx, full, ident)) == 4
-    assert abs(sigma_char(ctx, plus, ident).value - 2.0) < 1e-9
+    assert abs(sigma_char(ctx, plus, ident) - 2.0) < 1e-9
     off = GL22Elem(GL2Elem(ctx.one, ctx.one, 0, ctx.one),
                    GL2Elem(ctx.one, ctx.one, 0, ctx.one))
     with pytest.raises(OracleRequired):

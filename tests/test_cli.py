@@ -145,6 +145,14 @@ def test_exit_code_on_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["table"])
     assert exc.value.code == 4
+    for argv in (["support", "--q", "2", "--n", "-3"],
+                 ["table", "--q", "2", "--n-max", "-1"],
+                 ["verify", "--suite", "dims", "--q", "2", "--n-max", "-1"],
+                 ["verify", "--suite", "identities", "--q", "2",
+                  "--precision", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 4
 
 
 def test_version_flag(capsys):

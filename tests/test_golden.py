@@ -1,0 +1,57 @@
+"""Byte-for-byte golden output of the deterministic commands.
+
+``table``, ``support`` and the ``counts``, ``fixed-dims``, ``dims`` and
+``signatures`` suites must print the same ``--format json`` bytes before
+and after any refactor.  The golden files under ``tests/golden/`` were
+captured from the code before the refactor that introduced this test.
+
+To recapture after an intended output change, run
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import pathlib
+import sys
+
+import pytest
+
+from siegelvec.cli import main
+
+GOLDEN = pathlib.Path(__file__).with_name("golden")
+QS = (2, 3, 4, 5)
+
+CASES = {}
+for _q in QS:
+    CASES[f"table-q{_q}"] = ["table", "--q", str(_q), "--n-max", "20"]
+    CASES[f"support-q{_q}"] = ["support", "--q", str(_q), "--n", "9"]
+    CASES[f"counts-q{_q}"] = ["verify", "--suite", "counts", "--q", str(_q),
+                              "--n-max", "20"]
+    CASES[f"fixed-dims-q{_q}"] = ["verify", "--suite", "fixed-dims",
+                                  "--q", str(_q)]
+    for _suite in ("dims", "signatures"):
+        CASES[f"{_suite}-q{_q}"] = ["verify", "--suite", _suite, "--q", str(_q),
+                                    "--n-max", "12"]
+
+
+def _run(argv: list) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(argv + ["--format", "json"])
+    assert rc == 0
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_json_output_matches_golden(name):
+    want = (GOLDEN / f"{name}.json").read_text()
+    assert _run(CASES[name]) == want
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in sorted(CASES.items()):
+        (GOLDEN / f"{name}.json").write_text(_run(argv))
+        print(name, file=sys.stderr)

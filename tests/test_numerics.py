@@ -2,15 +2,14 @@ import cmath
 
 import pytest
 
-from siegelvec.numerics import CharValue, NotAnInteger, certify_integer, root_of_unity
+from siegelvec.numerics import NotAnInteger, certify_integer, root_of_unity
 
 
 def test_root_of_unity_basic_values():
     assert certify_integer(root_of_unity(1, 0)) == 1
     assert certify_integer(root_of_unity(2, 1)) == -1
     z = root_of_unity(4, 1)
-    assert abs(z.value - 1j) < 1e-12
-    assert z.exact == {1: 1}
+    assert abs(z - 1j) < 1e-12
 
 
 def test_root_of_unity_rejects_bad_order():
@@ -31,15 +30,14 @@ def test_certify_rejects_far_values():
 
 
 def test_cube_root_sum_vanishes():
-    # the exact tag keeps {0:1,1:1,2:1}; only certification decides equality
     s = root_of_unity(3, 1) + root_of_unity(3, 2) + 1
     assert certify_integer(s) == 0
-    assert abs(s.value) < 1e-12
+    assert abs(s) < 1e-12
 
 
 def test_full_root_sums_all_orders():
     for m in range(1, 201):
-        total = CharValue(0.0, 1, {})
+        total = 0j
         for k in range(m):
             total = total + root_of_unity(m, k)
         want = 1 if m == 1 else 0
@@ -47,39 +45,34 @@ def test_full_root_sums_all_orders():
 
 
 def test_certify_idempotent_on_integers():
-    v = CharValue(5.0, 1, {0: 5})
+    v = 5.0 + 0j
     assert certify_integer(v) == 5
     assert certify_integer(certify_integer(v)) == 5
 
 
 def test_conjugate_negates_exponents():
     v = root_of_unity(7, 2) + root_of_unity(7, 3)
-    w = v.conjugate()
-    assert w.exact == {5: 1, 4: 1}
-    assert abs(w.value - v.value.conjugate()) < 1e-12
+    w = root_of_unity(7, 5) + root_of_unity(7, 4)
+    assert abs(w - v.conjugate()) < 1e-12
 
 
 def test_product_convolves_exponents():
     v = root_of_unity(5, 2) * root_of_unity(5, 4)
-    assert v.exact == {1: 1}
-    assert abs(v.value - cmath.exp(2j * cmath.pi / 5)) < 1e-12
+    assert abs(v - cmath.exp(2j * cmath.pi / 5)) < 1e-12
 
 
 def test_mixed_orders_rescale_to_lcm():
     v = root_of_unity(2, 1) * root_of_unity(3, 1)
-    assert v.order == 6
-    assert v.exact == {5: 1}
+    assert abs(v - cmath.exp(2j * cmath.pi * 5 / 6)) < 1e-12
 
 
 def test_modulus_bounded_by_total_multiplicity():
-    v = CharValue(0.0, 1, {})
+    v = 0j
     for k in range(6):
         v = v + root_of_unity(9, (2 * k) % 9)
-    bound = sum(abs(c) for c in v.exact.values()) if v.exact else 0
-    assert abs(v.value) <= bound + 1e-9
+    assert abs(v) <= 6 + 1e-9
 
 
 def test_scalar_mixing_drops_exact_tag():
     v = root_of_unity(4, 1) * 0.5
-    assert v.exact is None
-    assert abs(v.value - 0.5j) < 1e-12
+    assert abs(v - 0.5j) < 1e-12
