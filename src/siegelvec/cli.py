@@ -4,7 +4,8 @@ Three subcommands: ``table`` prints coset counts per level, ``support``
 lists the coset parameters of one level, and ``verify`` runs a named
 check suite and reports pass/fail per check.  Output formats are text,
 json (stable key order) and csv.  Exit status: 0 all checks pass, 2 a
-check failed, 3 unusable configuration, 4 usage error.
+check failed, 3 unusable configuration or a numerical result the oracle
+refuses to certify, 4 usage error.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from .chars import (SigmaLabel, omega_trivial_sigma_classes, cuspidal_classes,
                     twisted_trace_closed, self_twist_presentations,
                     lambda_omega_class, omega_minus1, BadCase, HypothesisViolated)
 from .models import (TensorModel, model_for_sigma, swap_operator,
-                     ww_operator, twisted_trace)
+                     ww_operator, twisted_trace, NoIntertwiner,
+                     ProjectorRankMismatch, UncertifiedNullity)
 from .support import (COSET_TAGS, enumerate_support, stratum_count, total_count,
                       base_count, al_partner, al_fixed_cosets, fixed_stratum_count,
                       coset_R_type, classify_pairing, dim_formula, assemble_dim,
@@ -572,7 +574,8 @@ def main(argv=None) -> int:
         if args.command == "support":
             return cmd_support(args)
         return cmd_verify(args)
-    except (ConfigError, BadCase) as exc:
+    except (ConfigError, BadCase, UncertifiedNullity, ProjectorRankMismatch,
+            NoIntertwiner) as exc:
         print(f"siegel: {exc}", file=sys.stderr)
         return 3
 

@@ -11,15 +11,30 @@ Tensor models pair two cuspidal models, optionally twisted by a power of
 the determinant character on the first factor; they serve as the oracle
 for everything the character formulas cannot see: constituent splitting,
 twist intertwiners, and traces of twist operators on fixed subspaces.
+Their characters, and so their fixed ranks, are products of the two
+factors' traces; the Kronecker-product matrices are built only where an
+operator needs them.
+
+Commutants and intertwiners are kernels of linear systems X A = B X over
+a generating set.  The stacked system is never formed: its Hermitian Gram
+matrix is accumulated one generator at a time (one Kronecker product
+each, valid because every generator matrix is checked to be unitary) and
+its kernel is read from an eigendecomposition.  The nullity is certified
+twice: by a spectral gap between the null eigenvalues and the rest (an
+ambiguous eigenvalue raises UncertifiedNullity instead of being guessed),
+and, for the commutant behind a constituent split, against the character
+norm <chi, chi> computed from the cuspidal models' own traces.
 """
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 
 from .finitegrp import (
-    FqCtx, GL2Elem, GL22Elem, SubgroupR, enumerate_gl2, enumerate_gl22,
-    gl2_inv, gl2_mul, u_action,
+    FqCtx, GL2Elem, GL22Elem, SubgroupR, enumerate_gl2, gl2_det, gl2_inv,
+    gl2_mul, iter_gl22, u_action,
 )
 from .chars import cuspidal_char, split_restriction
 from .numerics import certify_integer
@@ -37,14 +52,59 @@ class NotNormalizing(ValueError):
     """The operator does not preserve the averaged subgroup projector."""
 
 
+class UncertifiedNullity(ArithmeticError):
+    """A kernel dimension could not be certified: a generator matrix is not
+    unitary, no spectral gap separates the null eigenvalues from the rest,
+    or the nullity disagrees with the character norm."""
+
+
 _TOL = 1e-8
 
 
-def _nullspace(M: np.ndarray, tol: float = _TOL) -> list[np.ndarray]:
-    _, s, vh = np.linalg.svd(M)
-    cut = tol * max(1.0, s[0] if len(s) else 0.0)
-    null = [vh[i].conj() for i in range(len(vh)) if i >= len(s) or s[i] < cut]
-    return null
+def _nullspace(pairs, tol: float = _TOL) -> list[np.ndarray]:
+    """Orthonormal basis of {vec(X) : X A = B X for every (A, B) in pairs},
+    with vec stacking columns.
+
+    The system stacks the blocks A^T (x) I - I (x) B.  For unitary A and B
+    each block has block^H block = 2I - K - K^H with K = kron(conj(A), B),
+    so the Gram matrix G of the stack costs one kron per pair and no
+    matmul; the stack itself is never built.  With s = max(1, lambda_max),
+    the eigenvectors of G with eigenvalue below tol * s span the kernel.
+    Any eigenvalue between that cut and sqrt(tol) * s leaves the nullity
+    ambiguous and raises UncertifiedNullity, as does a non-unitary A or B."""
+    G = None
+    for A, B in pairs:
+        n = A.shape[0]
+        for U in (A, B):
+            if np.linalg.norm(U.conj().T @ U - np.eye(n)) > tol * n:
+                raise UncertifiedNullity("generator matrix is not unitary")
+        K = np.kron(A.conj(), B)
+        if G is None:
+            G = np.zeros_like(K)
+        G -= K
+        G -= K.conj().T
+        G[np.diag_indices_from(G)] += 2.0
+    vals, vecs = np.linalg.eigh(G)
+    scale = max(1.0, vals[-1])
+    null = vals < tol * scale
+    if np.any(~null & (vals < np.sqrt(tol) * scale)):
+        raise UncertifiedNullity(
+            f"no spectral gap above the cut {tol * scale:.3g}: eigenvalues "
+            f"{vals[~null][:3]} against lambda_max {vals[-1]:.3g}")
+    return list(vecs[:, null].T)
+
+
+def _gl22_order(ctx: FqCtx) -> int:
+    """|H| for the det-matched subgroup H of GL2(q) x GL2(q)."""
+    q = ctx.q
+    return ((q * q - 1) * (q * q - q)) ** 2 // (q - 1)
+
+
+def _fixed_rank(model, R: SubgroupR, twisted: bool = False) -> int:
+    """dim of the R-fixed (or u-twisted R-fixed) subspace of a model: the
+    average of its character over R, certified to an integer."""
+    elems = [u_action(model.ctx, r) for r in R] if twisted else R
+    return certify_integer(sum(model.char(x) for x in elems) / len(R), tol=1e-6)
 
 
 # -- the induced signed-permutation model -----------------------------------
@@ -204,16 +264,14 @@ class TensorModel:
         return hit
 
     def char(self, x: GL22Elem) -> complex:
-        return complex(np.trace(self.mat(x)))
+        return complex(self._det_phase(x.first) * self.m1.char(x.first)
+                       * self.m2.char(x.second))
 
     def fixed_rank(self, R: SubgroupR) -> int:
-        return certify_integer(
-            sum(np.trace(self.mat(r)) for r in R) / len(R), tol=1e-6)
+        return _fixed_rank(self, R)
 
     def fixed_rank_twisted(self, R: SubgroupR) -> int:
-        return certify_integer(
-            sum(np.trace(self.mat(u_action(self.ctx, r))) for r in R) / len(R),
-            tol=1e-6)
+        return _fixed_rank(self, R, twisted=True)
 
     def fixed_projector(self, R: SubgroupR) -> np.ndarray:
         P = np.zeros((self.dim, self.dim), dtype=np.complex128)
@@ -238,17 +296,28 @@ def _gl22_generators(ctx: FqCtx) -> list[GL22Elem]:
 
 def commutant_dim(tm: TensorModel, tol: float = _TOL) -> tuple[int, list[np.ndarray]]:
     """Dimension and basis of the algebra commuting with the det-matched
-    restriction, from the stacked kernel over a generating set."""
+    restriction, from the gap-certified kernel over a generating set."""
     n = tm.dim
-    eye = np.eye(n)
-    blocks = []
-    for x in _gl22_generators(tm.ctx):
-        A = tm.mat(x)
-        blocks.append(np.kron(A.T, eye) - np.kron(eye, A))
-    M = np.vstack(blocks)
-    null = _nullspace(M, tol)
+    null = _nullspace([(tm.mat(x), tm.mat(x)) for x in _gl22_generators(tm.ctx)], tol)
     mats = [v.reshape((n, n), order="F") for v in null]
     return len(mats), mats
+
+
+def _character_norm(tm: TensorModel) -> int:
+    """<chi, chi> of the det-matched restriction, read from the cuspidal
+    models' own traces: sum_d S1(d) S2(d) / |H| with S_i(d) the sum of
+    |tr m_i(g)|^2 over g in GL2(q) with det g = d.  The det twist has
+    modulus one and drops out."""
+    ctx = tm.ctx
+    sums = []
+    for m in (tm.m1, tm.m2):
+        S: dict[int, float] = {}
+        for g in enumerate_gl2(ctx):
+            d = gl2_det(ctx, g)
+            S[d] = S.get(d, 0.0) + abs(m.char(g)) ** 2
+        sums.append(S)
+    total = sum(s1 * sums[1][d] for d, s1 in sums[0].items())
+    return certify_integer(total / _gl22_order(ctx), tol=1e-6)
 
 
 def _probe_traces(tm: TensorModel, B: np.ndarray, elems) -> tuple:
@@ -282,13 +351,10 @@ class ConstituentModel:
         return complex(np.trace(self.mat(x)))
 
     def fixed_rank(self, R: SubgroupR) -> int:
-        return certify_integer(
-            sum(np.trace(self.mat(r)) for r in R) / len(R), tol=1e-6)
+        return _fixed_rank(self, R)
 
     def fixed_rank_twisted(self, R: SubgroupR) -> int:
-        return certify_integer(
-            sum(np.trace(self.mat(u_action(self.ctx, r))) for r in R) / len(R),
-            tol=1e-6)
+        return _fixed_rank(self, R, twisted=True)
 
     def fixed_projector(self, R: SubgroupR) -> np.ndarray:
         P = np.zeros((self.dim, self.dim), dtype=np.complex128)
@@ -301,10 +367,16 @@ def decompose(tm: TensorModel, seed: int = 0, tol: float = _TOL) -> list[Constit
     """Split a reducible det-matched restriction into its two constituents.
 
     Requires a two-dimensional commutant (q odd, both factors with split
-    restriction); raises ValueError otherwise.  The Plus/Minus naming is a
-    deterministic probe-trace convention, nothing intrinsic."""
+    restriction); raises ValueError otherwise.  The commutant nullity must
+    equal the character norm <chi, chi>, or UncertifiedNullity is raised.
+    The Plus/Minus naming is a deterministic probe-trace convention,
+    nothing intrinsic."""
     ctx = tm.ctx
     dim_c, mats = commutant_dim(tm, tol)
+    norm = _character_norm(tm)
+    if dim_c != norm:
+        raise UncertifiedNullity(
+            f"commutant nullity {dim_c} disagrees with <chi, chi> = {norm}")
     if dim_c == 1:
         raise ValueError("restriction is irreducible")
     if dim_c != 2:
@@ -336,13 +408,15 @@ def decompose(tm: TensorModel, seed: int = 0, tol: float = _TOL) -> list[Constit
     P1 = parts[1] @ parts[1].conj().T
     if np.linalg.norm(D @ P0 @ np.linalg.inv(D) - P1) > 1e-6 * tm.dim:
         raise ValueError("outer element does not swap the constituents")
-    # deterministic naming by probe traces
-    all_elems = enumerate_gl22(ctx)
+    # deterministic naming by probe traces on a growing prefix of GL22
+    elems = iter_gl22(ctx)
+    probe: list[GL22Elem] = []
     width = 24
     t0 = t1 = ()
-    while t0 == t1 and width <= 2 * len(all_elems):
-        t0 = _probe_traces(tm, parts[0], all_elems[:width])
-        t1 = _probe_traces(tm, parts[1], all_elems[:width])
+    while t0 == t1 and width <= 2 * _gl22_order(ctx):
+        probe += islice(elems, width - len(probe))
+        t0 = _probe_traces(tm, parts[0], probe)
+        t1 = _probe_traces(tm, parts[1], probe)
         width *= 4
     if t0 == t1:
         raise ValueError("constituent characters coincide on the whole group")
@@ -409,13 +483,8 @@ def u_intertwiner(tm: TensorModel, tol: float = _TOL) -> tuple[int, list[np.ndar
     raw basis."""
     ctx = tm.ctx
     n = tm.dim
-    eye = np.eye(n)
-    blocks = []
-    for x in _gl22_generators(ctx):
-        A = tm.mat(x)
-        B = tm.mat(u_action(ctx, x))
-        blocks.append(np.kron(A.T, eye) - np.kron(eye, B))
-    null = _nullspace(np.vstack(blocks), tol)
+    null = _nullspace([(tm.mat(x), tm.mat(u_action(ctx, x)))
+                       for x in _gl22_generators(ctx)], tol)
     if not null:
         raise NoIntertwiner("no twist intertwiner: label is not self-twisted")
     mats = [v.reshape((n, n), order="F") for v in null]

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import siegelvec
 from siegelvec import __version__
-from siegelvec import cli
+from siegelvec import cli, models
 from siegelvec.cli import main
 from siegelvec.finitegrp import build_field
 from siegelvec.support import (COSET_TAGS, stratum_count, total_count,
@@ -136,6 +140,29 @@ def test_exit_code_on_bad_field(capsys):
     assert main(["table", "--q", "6"]) == 3
     assert main(["verify", "--suite", "rg", "--q", "3"]) == 3
     capsys.readouterr()
+
+
+def test_exit_code_on_numerical_refusal(capsys, monkeypatch):
+    def refuse(*_):
+        raise models.UncertifiedNullity("no spectral gap")
+    monkeypatch.setattr(models, "_nullspace", refuse)
+    monkeypatch.setattr(models, "_DECOMP_CACHE", {})
+    assert main(["verify", "--suite", "oracle", "--q", "3"]) == 3
+    err = capsys.readouterr().err
+    assert err == "siegel: no spectral gap\n"
+
+
+def test_oracle_q5_peak_memory(tmp_path):
+    src = os.path.dirname(os.path.dirname(siegelvec.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    with open(tmp_path / "out.json", "w") as out:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "siegelvec.cli", "verify", "--suite",
+             "oracle", "--q", "5", "--format", "json"], stdout=out, env=env)
+        _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4
+    assert child.returncode == 0
+    assert usage.ru_maxrss / 1024 < 150  # ru_maxrss is in KiB on Linux
 
 
 def test_exit_code_on_usage_error():

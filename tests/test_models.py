@@ -11,10 +11,12 @@ from siegelvec.chars import (
     SigmaLabel, cuspidal_char, cuspidal_classes, fixed_dim,
     twisted_trace_closed,
 )
+from siegelvec import models
 from siegelvec.models import (
-    ConstituentModel, NoIntertwiner, NotNormalizing,
-    TensorModel, WhittakerSpace, commutant_dim, cuspidal_model, decompose,
-    model_for_sigma, swap_operator, twisted_trace, u_intertwiner, ww_operator,
+    ConstituentModel, NoIntertwiner, NotNormalizing, TensorModel,
+    UncertifiedNullity, WhittakerSpace, commutant_dim, cuspidal_model,
+    decompose, model_for_sigma, swap_operator, twisted_trace, u_intertwiner,
+    ww_operator,
 )
 
 
@@ -111,6 +113,104 @@ def test_commutant_dimensions():
     ctx = build_field(3, 1)
     assert commutant_dim(TensorModel(ctx, 1, 2))[0] == 1
     assert commutant_dim(TensorModel(ctx, 2, 6))[0] == 2
+
+
+# -- differential checks against the stacked-SVD reference -------------------
+
+def _nullspace_svd(M, tol=1e-8):
+    """Reference kernel of a stacked system M: right singular vectors whose
+    singular value falls below tol * sigma_max.  For a tall M the reduced
+    SVD has the same right factor as the full one."""
+    assert M.shape[0] >= M.shape[1]
+    _, s, vh = np.linalg.svd(M, full_matrices=False)
+    cut = tol * max(1.0, s[0])
+    return [vh[i].conj() for i in range(len(vh)) if s[i] < cut]
+
+
+def _stacked_system(tm, twisted):
+    n = tm.dim
+    eye = np.eye(n)
+    blocks = []
+    for x in models._gl22_generators(tm.ctx):
+        A = tm.mat(x)
+        B = tm.mat(u_action(tm.ctx, x)) if twisted else A
+        blocks.append(np.kron(A.T, eye) - np.kron(eye, B))
+    return np.vstack(blocks)
+
+
+def _projector(vecs):
+    Q, _ = np.linalg.qr(np.column_stack(vecs))
+    return Q @ Q.conj().T
+
+
+def _vec(mats):
+    return [X.reshape(-1, order="F") for X in mats]
+
+
+def _differential_pairs():
+    q3 = build_field(3, 1)
+    q5 = build_field(5, 1)
+    pairs = [(q3, k1, k2) for k1 in cuspidal_classes(q3)
+             for k2 in cuspidal_classes(q3)]
+    return pairs + [(q5, 3, 3), (q5, 1, 2)]
+
+
+@pytest.mark.parametrize("ctx,k1,k2", _differential_pairs(),
+                         ids=lambda v: str(getattr(v, "q", v)))
+def test_kernels_match_stacked_svd_reference(ctx, k1, k2):
+    tm = TensorModel(ctx, k1, k2)
+    ref = _nullspace_svd(_stacked_system(tm, twisted=False))
+    dim, mats = commutant_dim(tm)
+    assert dim == len(ref) == models._character_norm(tm)
+    assert np.allclose(_projector(_vec(mats)), _projector(ref), atol=1e-8)
+
+    ref = _nullspace_svd(_stacked_system(tm, twisted=True))
+    if not ref:
+        with pytest.raises(NoIntertwiner):
+            u_intertwiner(tm)
+        return
+    nullity, mats = u_intertwiner(tm)
+    assert nullity == len(ref)
+    assert np.allclose(_projector(_vec(mats)), _projector(ref), atol=1e-8)
+
+
+def test_nullspace_refuses_an_ambiguous_gap():
+    # X A = X has a two-dimensional kernel, but A - I is only 1e-3 away
+    # from zero, so the next Gram eigenvalue (about 1e-6) sits in the band
+    A = np.diag([1.0, np.exp(1e-3j)])
+    with pytest.raises(UncertifiedNullity):
+        models._nullspace([(A, np.eye(2))])
+    assert len(models._nullspace([(np.diag([1.0, 1j]), np.eye(2))])) == 2
+
+
+def test_nullspace_refuses_a_non_unitary_generator():
+    with pytest.raises(UncertifiedNullity):
+        models._nullspace([(np.diag([1.0, 2.0]), np.eye(2))])
+
+
+def test_decompose_refuses_a_nullity_off_the_character_norm(monkeypatch):
+    real = models._nullspace
+    monkeypatch.setattr(models, "_nullspace", lambda *a: real(*a)[:1])
+    with pytest.raises(UncertifiedNullity):
+        decompose(TensorModel(build_field(3, 1), 2, 6))
+
+
+@pytest.mark.parametrize("p,f,labels", [
+    (3, 1, [(1, 2, 0), (2, 6, 0), (6, 2, 1)]),
+    (2, 2, [(1, 1, 2), (1, 2, 0), (3, 1, 1)]),
+])
+def test_fixed_rank_matches_trace_of_kron_average(p, f, labels):
+    ctx = build_field(p, f)
+    for k1, k2, lam in labels:
+        tm = TensorModel(ctx, k1, k2, lam_exp=lam)
+        for kind in ("Torus", "Unip", "U1"):
+            R = subgroup_R(kind, ctx)
+            plain = sum(np.trace(tm.mat(r)) for r in R) / len(R)
+            twisted = sum(np.trace(tm.mat(u_action(ctx, r))) for r in R) / len(R)
+            assert tm.fixed_rank(R) == round(plain.real)
+            assert tm.fixed_rank_twisted(R) == round(twisted.real)
+            assert abs(plain - round(plain.real)) < 1e-6
+            assert abs(twisted - round(twisted.real)) < 1e-6
 
 
 def test_decompose_split_pair():
