@@ -181,11 +181,6 @@ def sigma_is_reducible(ctx: FqCtx, sigma: SigmaLabel) -> bool:
             and split_restriction(ctx, sigma.k2))
 
 
-def sigma_dim(ctx: FqCtx, sigma: SigmaLabel) -> int:
-    d = (ctx.q - 1) ** 2
-    return d if sigma.constituent == "Full" else d // 2
-
-
 def sigma_omega_trivial(ctx: FqCtx, sigma: SigmaLabel) -> bool:
     """Triviality of the central character on the full center of GL22(q).
 
@@ -219,15 +214,6 @@ def sigma_key(ctx: FqCtx, sigma: SigmaLabel):
             if nxt not in seen:
                 frontier.append(nxt)
     return (min(seen), sigma.constituent)
-
-
-def sigma_equiv(ctx: FqCtx, s1: SigmaLabel, s2: SigmaLabel) -> bool:
-    return sigma_key(ctx, s1) == sigma_key(ctx, s2)
-
-
-def u1_twist(ctx: FqCtx, sigma: SigmaLabel) -> SigmaLabel:
-    """Label of the composition with the u-action (factor swap + w-conj)."""
-    return SigmaLabel(sigma.k2, sigma.k1, sigma.constituent)
 
 
 def is_self_twisted(ctx: FqCtx, sigma: SigmaLabel) -> bool:
@@ -304,27 +290,6 @@ def lambda_omega_class(ctx: FqCtx, sigma: SigmaLabel,
 # -- characters and fixed dimensions ---------------------------------------
 
 _SWAP_STABLE_LABELS = ("Torus", "U1", "U2")
-
-
-def _diag_pair(x: GL22Elem) -> bool:
-    return x.first.b == 0 and x.first.c == 0 and x.second.b == 0 and x.second.c == 0
-
-
-def sigma_char(ctx: FqCtx, sigma: SigmaLabel, x: GL22Elem, oracle=None) -> complex:
-    """Character value of the labeled representation at x.
-
-    Full labels multiply the two cuspidal characters.  Constituents are
-    computed in closed form on diagonal pairs (where the two constituents
-    agree, each contributing half the full value) and otherwise require
-    the oracle handle."""
-    full = cuspidal_char(ctx, sigma.k1, x.first) * cuspidal_char(ctx, sigma.k2, x.second)
-    if sigma.constituent == "Full":
-        return full
-    if _diag_pair(x):
-        return full / 2.0
-    if oracle is None:
-        raise OracleRequired("constituent character off the diagonal needs the oracle")
-    return complex(oracle.char(x))
 
 
 def _swap_conj(ctx: FqCtx, x: GL22Elem) -> GL22Elem:

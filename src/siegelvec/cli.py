@@ -27,7 +27,7 @@ from .chars import (SigmaLabel, omega_trivial_sigma_classes, cuspidal_classes,
                     induced_trace_zero, fixed_dim, fixed_dim_closed,
                     twisted_trace_closed, self_twist_presentations,
                     lambda_omega_class, omega_minus1, BadCase, HypothesisViolated)
-from .models import (TensorModel, model_for_sigma, swap_operator,
+from .models import (TensorModel, decompose, model_for_sigma, swap_operator,
                      ww_operator, twisted_trace, NoIntertwiner,
                      ProjectorRankMismatch, UncertifiedNullity)
 from .support import (COSET_TAGS, enumerate_support, stratum_count, total_count,
@@ -55,9 +55,13 @@ def _sigma_str(s: SigmaLabel) -> str:
     return f"{s.k1},{s.k2},{s.constituent}"
 
 
-def _check(checks: list, name: str, ok: bool, detail: str = "") -> bool:
-    checks.append({"name": name, "ok": bool(ok), "detail": detail})
-    return bool(ok)
+def _check(checks: list, name: str, ok: bool, detail: str = "",
+           compared: int | None = None) -> bool:
+    """Record one check.  A check that states how many cases it compared
+    fails when that number is zero: comparing nothing proves nothing."""
+    ok = bool(ok) and compared != 0
+    checks.append({"name": name, "ok": ok, "detail": detail})
+    return ok
 
 
 # -- suites -------------------------------------------------------------------
@@ -161,8 +165,7 @@ def suite_oracle(q: int, **_: object) -> tuple[list, list]:
             ok &= fd == rk
         if sigma_is_reducible(ctx, sigma):
             seen_constituent = True
-            parts = [model_for_sigma(ctx, make_sigma(ctx, sigma.k1, sigma.k2, c))
-                     for c in ("Plus", "Minus")]
+            parts = decompose(model)
             for R in _standard_groups(ctx):
                 ranks = [m.fixed_rank(R) for m in parts]
                 full = model.fixed_rank(R)
@@ -171,8 +174,8 @@ def suite_oracle(q: int, **_: object) -> tuple[list, list]:
                 sum_ok &= sum(ranks) == full
                 if R.label == "Unip" and full == q - 1:
                     unip_ok &= sorted(ranks) == [0, q - 1]
-                for cm, c in zip(parts, ("Plus", "Minus")):
-                    lab = make_sigma(ctx, sigma.k1, sigma.k2, c)
+                for cm in parts:
+                    lab = make_sigma(ctx, sigma.k1, sigma.k2, cm.tag)
                     fd = fixed_dim(ctx, lab, R, oracle=cm)
                     ok &= fd == cm.fixed_rank(R)
     checks: list = []
@@ -230,10 +233,7 @@ def suite_twists(q: int, **_: object) -> tuple[list, list]:
                     tested += 1
     checks: list = []
     _check(checks, "twist operator traces match closed values", ok,
-           f"{tested} comparisons")
-    if tested == 0:
-        checks[-1]["ok"] = False
-        checks[-1]["detail"] = "no admissible presentation found"
+           f"{tested} comparisons", compared=tested)
     return rows, checks
 
 
@@ -305,10 +305,9 @@ def suite_induced(q: int, **_: object) -> tuple[list, list]:
                      "normalizers": len(norm), "rejected": rejected,
                      "max_abs_trace": worst})
         ok &= worst < 1e-8
-    ok &= total > 0
     checks: list = []
     _check(checks, "induced traces vanish on every normalizing coset element",
-           ok, f"{total} elements, label {_sigma_str(sigma)}")
+           ok, f"{total} elements, label {_sigma_str(sigma)}", compared=total)
     _check(checks, "non-normalizing coset elements are refused", gate_ok)
     return rows, checks
 
@@ -326,7 +325,8 @@ def suite_identities(q: int, seed: int, draws: int, precision: int,
         ok &= done == draws
     checks: list = []
     _check(checks, "matrix identities hold on random parameters", ok,
-           f"{len(rows)} identities x {draws} draws, p={p} f={f}")
+           f"{len(rows)} identities x {draws} draws, p={p} f={f}",
+           compared=len(rows) * draws)
     return rows, checks
 
 
@@ -382,8 +382,9 @@ def suite_rg(q: int, seed: int, n_max: int, precision: int,
             break
     checks: list = []
     _check(checks, "witness subgroups conjugate to table kinds", ok_w,
-           f"{len(rows)} cosets")
-    _check(checks, "sampled subgroups equal witnessed subgroups", ok_s)
+           f"{len(rows)} cosets", compared=len(rows))
+    _check(checks, "sampled subgroups equal witnessed subgroups", ok_s,
+           compared=len(rows))
     _check(checks, "off-support cosets show a radical obstruction", ok_off,
            f"{count_off} parameter triples")
     return rows, checks
@@ -431,7 +432,7 @@ def suite_signatures(q: int, n_max: int, **_: object) -> tuple[list, list]:
                 ok &= got == want
     checks: list = []
     _check(checks, "assembled involution traces match the closed formula", ok,
-           f"{len(rows)} (label, level, sign) triples")
+           f"{len(rows)} (label, level, sign) triples", compared=len(rows))
     return rows, checks
 
 
@@ -486,6 +487,13 @@ def _level(text: str) -> int:
     return n
 
 
+def _draws(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"draws must be at least 1, got {n}")
+    return n
+
+
 def _precision(text: str) -> int:
     from .padic import GUARD
     prec = int(text)
@@ -523,7 +531,7 @@ def _build_parser() -> _Parser:
     v.add_argument("--q", type=int, required=True)
     v.add_argument("--n-max", type=_level, default=12)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--draws", type=int, default=100)
+    v.add_argument("--draws", type=_draws, default=100)
     v.add_argument("--precision", type=_precision, default=32)
     v.add_argument("--format", choices=("text", "json", "csv"), default="text")
     return ap

@@ -192,10 +192,6 @@ class FqCtx:
         """Trace F_{q^2} -> F_q, t -> t + t^q."""
         return self.add(a, self.frob_q(a))
 
-    def fp_value(self, a: int) -> int:
-        """Integer in [0,p) for an element of the prime subfield."""
-        return self._fp_value[a]
-
     def trace_to_fp(self, a: int) -> int:
         """Absolute trace F_q -> F_p as an integer, for a in F_q."""
         t, cur = 0, a
@@ -207,14 +203,6 @@ class FqCtx:
     def psi(self, a: int) -> complex:
         """Fixed nontrivial additive character of F_q."""
         return root_of_unity(self.p, self.trace_to_fp(a))
-
-    def is_square_unit(self, a: int) -> bool:
-        """Squareness in F_q^x (q odd); every unit is a square at q even."""
-        if not self.in_fq(a) or a == 0:
-            raise ValueError("expected a unit of F_q")
-        if self.q % 2 == 0:
-            return True
-        return ((a - 1) // (self.q + 1)) % 2 == 0
 
 
 _FIELD_CACHE: dict[tuple, FqCtx] = {}

@@ -12,8 +12,9 @@ the determinant character on the first factor; they serve as the oracle
 for everything the character formulas cannot see: constituent splitting,
 twist intertwiners, and traces of twist operators on fixed subspaces.
 Their characters, and so their fixed ranks, are products of the two
-factors' traces; the Kronecker-product matrices are built only where an
-operator needs them.
+factors' traces.  Tensor and constituent matrices are computed on demand
+and never stored: only the Whittaker action table and the small cuspidal
+matrices, which every model of a field shares, are cached.
 
 Commutants and intertwiners are kernels of linear systems X A = B X over
 a generating set.  The stacked system is never formed: its Hermitian Gram
@@ -33,10 +34,10 @@ from itertools import islice
 import numpy as np
 
 from .finitegrp import (
-    FqCtx, GL2Elem, GL22Elem, SubgroupR, enumerate_gl2, gl2_det, gl2_inv,
-    gl2_mul, iter_gl22, u_action,
+    FqCtx, GL2Elem, GL22Elem, SubgroupR, enumerate_gl2, gl2_det, gl2_mul,
+    iter_gl22, u_action,
 )
-from .chars import cuspidal_char, split_restriction
+from .chars import cuspidal_char, sigma_is_reducible
 from .numerics import certify_integer
 
 
@@ -61,7 +62,7 @@ class UncertifiedNullity(ArithmeticError):
 _TOL = 1e-8
 
 
-def _nullspace(pairs, tol: float = _TOL) -> list[np.ndarray]:
+def _nullspace(pairs) -> list[np.ndarray]:
     """Orthonormal basis of {vec(X) : X A = B X for every (A, B) in pairs},
     with vec stacking columns.
 
@@ -69,14 +70,14 @@ def _nullspace(pairs, tol: float = _TOL) -> list[np.ndarray]:
     each block has block^H block = 2I - K - K^H with K = kron(conj(A), B),
     so the Gram matrix G of the stack costs one kron per pair and no
     matmul; the stack itself is never built.  With s = max(1, lambda_max),
-    the eigenvectors of G with eigenvalue below tol * s span the kernel.
-    Any eigenvalue between that cut and sqrt(tol) * s leaves the nullity
+    the eigenvectors of G with eigenvalue below _TOL * s span the kernel.
+    Any eigenvalue between that cut and sqrt(_TOL) * s leaves the nullity
     ambiguous and raises UncertifiedNullity, as does a non-unitary A or B."""
     G = None
     for A, B in pairs:
         n = A.shape[0]
         for U in (A, B):
-            if np.linalg.norm(U.conj().T @ U - np.eye(n)) > tol * n:
+            if np.linalg.norm(U.conj().T @ U - np.eye(n)) > _TOL * n:
                 raise UncertifiedNullity("generator matrix is not unitary")
         K = np.kron(A.conj(), B)
         if G is None:
@@ -86,10 +87,10 @@ def _nullspace(pairs, tol: float = _TOL) -> list[np.ndarray]:
         G[np.diag_indices_from(G)] += 2.0
     vals, vecs = np.linalg.eigh(G)
     scale = max(1.0, vals[-1])
-    null = vals < tol * scale
-    if np.any(~null & (vals < np.sqrt(tol) * scale)):
+    null = vals < _TOL * scale
+    if np.any(~null & (vals < np.sqrt(_TOL) * scale)):
         raise UncertifiedNullity(
-            f"no spectral gap above the cut {tol * scale:.3g}: eigenvalues "
+            f"no spectral gap above the cut {_TOL * scale:.3g}: eigenvalues "
             f"{vals[~null][:3]} against lambda_max {vals[-1]:.3g}")
     return list(vecs[:, null].T)
 
@@ -134,13 +135,15 @@ class WhittakerSpace:
         self._action_cache: dict[GL2Elem, tuple[np.ndarray, np.ndarray]] = {}
 
     def _coset_key(self, g: GL2Elem):
-        ctx = self.ctx
-        delta = ctx.sub(ctx.mul(g.a, g.d), ctx.mul(g.b, g.c))
-        return (g.c, g.d, delta)
+        return (g.c, g.d, gl2_det(self.ctx, g))
 
     def action(self, g: GL2Elem) -> tuple[np.ndarray, np.ndarray]:
         """Right translation by g: (perm, phase) with
-        (M v)[r] = phase[r] * v[perm[r]]."""
+        (M v)[r] = phase[r] * v[perm[r]].
+
+        Row r goes to the coset of x = r g, and x = [[1, t], [0, 1]] reps[j]
+        with phase psi(t).  A representative with c != 0 has a = 0 and one
+        with c = 0 has b = 0, so t = x.a / x.c, or x.b / x.d when x.c = 0."""
         hit = self._action_cache.get(g)
         if hit is not None:
             return hit
@@ -149,11 +152,12 @@ class WhittakerSpace:
         phase = np.empty(self.dim, dtype=np.complex128)
         for i, r in enumerate(self.reps):
             x = gl2_mul(ctx, r, g)
-            j = self.index[self._coset_key(x)]
-            u = gl2_mul(ctx, x, gl2_inv(ctx, self.reps[j]))
-            # u is upper unitriangular; the phase reads off its corner
-            perm[i] = j
-            phase[i] = ctx.psi(u.b)
+            perm[i] = self.index[self._coset_key(x)]
+            if x.c:
+                t = ctx.mul(x.a, ctx.inv(x.c))
+            else:
+                t = ctx.mul(x.b, ctx.inv(x.d))
+            phase[i] = ctx.psi(t)
         out = (perm, phase)
         self._action_cache[g] = out
         return out
@@ -166,7 +170,7 @@ class WhittakerSpace:
 class CuspidalModel:
     """Unitary (q-1) x (q-1) matrices for one cuspidal exponent."""
 
-    def __init__(self, ctx: FqCtx, k: int, tol: float = _TOL):
+    def __init__(self, ctx: FqCtx, k: int):
         self.ctx = ctx
         self.k = k % (ctx.q2 - 1)
         self.space = _whittaker_space(ctx)
@@ -181,9 +185,9 @@ class CuspidalModel:
             coeff = scale * np.conj(cuspidal_char(ctx, self.k, g))
             if coeff != 0:
                 np.add.at(P, (rows, perm), coeff * phase)
-        if np.linalg.norm(P - P.conj().T) > tol * N:
+        if np.linalg.norm(P - P.conj().T) > _TOL * N:
             raise ProjectorRankMismatch("projector is not Hermitian")
-        if np.linalg.norm(P @ P - P) > tol * N:
+        if np.linalg.norm(P @ P - P) > _TOL * N:
             raise ProjectorRankMismatch("projector is not idempotent")
         tr = certify_integer(np.trace(P), tol=1e-6)
         if tr != ctx.q - 1:
@@ -203,11 +207,11 @@ class CuspidalModel:
     def char(self, g: GL2Elem) -> complex:
         return complex(np.trace(self.mat(g)))
 
-    def verify_character(self, sample=None, tol: float = 1e-7) -> None:
+    def verify_character(self, sample=None) -> None:
         elems = enumerate_gl2(self.ctx) if sample is None else sample
         for g in elems:
             want = cuspidal_char(self.ctx, self.k, g)
-            if abs(self.char(g) - want) > tol:
+            if abs(self.char(g) - want) > 1e-7:
                 raise ProjectorRankMismatch(
                     f"character mismatch at {g}: {self.char(g)} vs {want}")
 
@@ -245,7 +249,6 @@ class TensorModel:
         self.m1 = cuspidal_model(ctx, k1)
         self.m2 = cuspidal_model(ctx, k2)
         self.dim = self.m1.dim * self.m2.dim
-        self._cache: dict[GL22Elem, np.ndarray] = {}
 
     def _det_phase(self, g: GL2Elem) -> complex:
         if self.lam_exp == 0:
@@ -256,12 +259,8 @@ class TensorModel:
         return np.exp(2j * np.pi * self.lam_exp * j / (ctx.q - 1))
 
     def mat(self, x: GL22Elem) -> np.ndarray:
-        hit = self._cache.get(x)
-        if hit is None:
-            hit = self._det_phase(x.first) * np.kron(
-                self.m1.mat(x.first), self.m2.mat(x.second))
-            self._cache[x] = hit
-        return hit
+        return self._det_phase(x.first) * np.kron(
+            self.m1.mat(x.first), self.m2.mat(x.second))
 
     def char(self, x: GL22Elem) -> complex:
         return complex(self._det_phase(x.first) * self.m1.char(x.first)
@@ -272,12 +271,6 @@ class TensorModel:
 
     def fixed_rank_twisted(self, R: SubgroupR) -> int:
         return _fixed_rank(self, R, twisted=True)
-
-    def fixed_projector(self, R: SubgroupR) -> np.ndarray:
-        P = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for r in R:
-            P += self.mat(r)
-        return P / len(R)
 
 
 def _gl22_generators(ctx: FqCtx) -> list[GL22Elem]:
@@ -294,11 +287,11 @@ def _gl22_generators(ctx: FqCtx) -> list[GL22Elem]:
     return gens
 
 
-def commutant_dim(tm: TensorModel, tol: float = _TOL) -> tuple[int, list[np.ndarray]]:
+def commutant_dim(tm: TensorModel) -> tuple[int, list[np.ndarray]]:
     """Dimension and basis of the algebra commuting with the det-matched
     restriction, from the gap-certified kernel over a generating set."""
     n = tm.dim
-    null = _nullspace([(tm.mat(x), tm.mat(x)) for x in _gl22_generators(tm.ctx)], tol)
+    null = _nullspace([(A, A) for A in map(tm.mat, _gl22_generators(tm.ctx))])
     mats = [v.reshape((n, n), order="F") for v in null]
     return len(mats), mats
 
@@ -320,12 +313,15 @@ def _character_norm(tm: TensorModel) -> int:
     return certify_integer(total / _gl22_order(ctx), tol=1e-6)
 
 
-def _probe_traces(tm: TensorModel, B: np.ndarray, elems) -> tuple:
-    out = []
+def _probe_traces(tm: TensorModel, parts, elems) -> list[tuple]:
+    """Traces of each part's compression on the probe elements, rounded."""
+    out = [[] for _ in parts]
     for x in elems:
-        t = np.trace(B.conj().T @ tm.mat(x) @ B)
-        out.append((round(t.real, 6), round(t.imag, 6)))
-    return tuple(out)
+        A = tm.mat(x)
+        for traces, B in zip(out, parts):
+            t = np.trace(B.conj().T @ A @ B)
+            traces.append((round(t.real, 6), round(t.imag, 6)))
+    return [tuple(t) for t in out]
 
 
 class ConstituentModel:
@@ -338,14 +334,9 @@ class ConstituentModel:
         self.basis = basis
         self.tag = tag
         self.dim = basis.shape[1]
-        self._cache: dict[GL22Elem, np.ndarray] = {}
 
     def mat(self, x: GL22Elem) -> np.ndarray:
-        hit = self._cache.get(x)
-        if hit is None:
-            hit = self.basis.conj().T @ self.tm.mat(x) @ self.basis
-            self._cache[x] = hit
-        return hit
+        return self.basis.conj().T @ self.tm.mat(x) @ self.basis
 
     def char(self, x: GL22Elem) -> complex:
         return complex(np.trace(self.mat(x)))
@@ -356,14 +347,8 @@ class ConstituentModel:
     def fixed_rank_twisted(self, R: SubgroupR) -> int:
         return _fixed_rank(self, R, twisted=True)
 
-    def fixed_projector(self, R: SubgroupR) -> np.ndarray:
-        P = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for r in R:
-            P += self.mat(r)
-        return P / len(R)
 
-
-def decompose(tm: TensorModel, seed: int = 0, tol: float = _TOL) -> list[ConstituentModel]:
+def decompose(tm: TensorModel) -> list[ConstituentModel]:
     """Split a reducible det-matched restriction into its two constituents.
 
     Requires a two-dimensional commutant (q odd, both factors with split
@@ -372,7 +357,7 @@ def decompose(tm: TensorModel, seed: int = 0, tol: float = _TOL) -> list[Constit
     The Plus/Minus naming is a deterministic probe-trace convention,
     nothing intrinsic."""
     ctx = tm.ctx
-    dim_c, mats = commutant_dim(tm, tol)
+    dim_c, mats = commutant_dim(tm)
     norm = _character_norm(tm)
     if dim_c != norm:
         raise UncertifiedNullity(
@@ -381,7 +366,7 @@ def decompose(tm: TensorModel, seed: int = 0, tol: float = _TOL) -> list[Constit
         raise ValueError("restriction is irreducible")
     if dim_c != 2:
         raise ValueError(f"unexpected commutant dimension {dim_c}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     H = np.zeros((tm.dim, tm.dim), dtype=np.complex128)
     for X in mats:
         c = rng.standard_normal() + 1j * rng.standard_normal()
@@ -394,19 +379,15 @@ def decompose(tm: TensorModel, seed: int = 0, tol: float = _TOL) -> list[Constit
     parts = [vecs[:, :cut], vecs[:, cut:]]
     if parts[0].shape[1] != parts[1].shape[1]:
         raise ValueError("constituents are not equidimensional")
-    for B in parts:
-        P = B @ B.conj().T
-        for x in _gl22_generators(ctx):
-            A = tm.mat(x)
-            if np.linalg.norm(P @ A - A @ P) > 1e-6 * tm.dim:
-                raise ValueError("cluster projector fails to commute")
+    projs = [B @ B.conj().T for B in parts]
+    for A in map(tm.mat, _gl22_generators(ctx)):
+        if any(np.linalg.norm(P @ A - A @ P) > 1e-6 * tm.dim for P in projs):
+            raise ValueError("cluster projector fails to commute")
     # the swap element with unequal determinants exchanges the two summands
     sw = GL22Elem(GL2Elem(ctx.fq_gen, 0, 0, ctx.one),
                   GL2Elem(ctx.one, 0, 0, ctx.one))
     D = tm.mat(sw)
-    P0 = parts[0] @ parts[0].conj().T
-    P1 = parts[1] @ parts[1].conj().T
-    if np.linalg.norm(D @ P0 @ np.linalg.inv(D) - P1) > 1e-6 * tm.dim:
+    if np.linalg.norm(D @ projs[0] @ np.linalg.inv(D) - projs[1]) > 1e-6 * tm.dim:
         raise ValueError("outer element does not swap the constituents")
     # deterministic naming by probe traces on a growing prefix of GL22
     elems = iter_gl22(ctx)
@@ -415,8 +396,7 @@ def decompose(tm: TensorModel, seed: int = 0, tol: float = _TOL) -> list[Constit
     t0 = t1 = ()
     while t0 == t1 and width <= 2 * _gl22_order(ctx):
         probe += islice(elems, width - len(probe))
-        t0 = _probe_traces(tm, parts[0], probe)
-        t1 = _probe_traces(tm, parts[1], probe)
+        t0, t1 = _probe_traces(tm, parts, probe)
         width *= 4
     if t0 == t1:
         raise ValueError("constituent characters coincide on the whole group")
@@ -428,26 +408,15 @@ def decompose(tm: TensorModel, seed: int = 0, tol: float = _TOL) -> list[Constit
             ConstituentModel(tm, minus, "Minus")]
 
 
-_DECOMP_CACHE: dict[tuple, list] = {}
-
-
-def decompose_cached(ctx: FqCtx, k1: int, k2: int, seed: int = 0):
-    key = (ctx.p, ctx.f, k1 % (ctx.q2 - 1), k2 % (ctx.q2 - 1), seed)
-    if key not in _DECOMP_CACHE:
-        _DECOMP_CACHE[key] = decompose(TensorModel(ctx, k1, k2), seed=seed)
-    return _DECOMP_CACHE[key]
-
-
-def model_for_sigma(ctx: FqCtx, sigma, seed: int = 0):
+def model_for_sigma(ctx: FqCtx, sigma):
     """Oracle handle for a label: the tensor model for Full, or the matching
-    constituent of the decomposition for Plus/Minus."""
+    constituent of a fresh decomposition for Plus/Minus."""
     tm = TensorModel(ctx, sigma.k1, sigma.k2)
     if sigma.constituent == "Full":
         return tm
-    if not (ctx.q % 2 == 1 and split_restriction(ctx, sigma.k1)
-            and split_restriction(ctx, sigma.k2)):
+    if not sigma_is_reducible(ctx, sigma):
         raise ValueError("label has no constituents")
-    for c in decompose_cached(ctx, sigma.k1, sigma.k2, seed=seed):
+    for c in decompose(tm):
         if c.tag == sigma.constituent:
             return c
     raise ValueError("constituent tag not found")
@@ -474,7 +443,7 @@ def ww_operator(tm: TensorModel) -> np.ndarray:
     return np.kron(tm.m1.mat(w), tm.m2.mat(w))
 
 
-def u_intertwiner(tm: TensorModel, tol: float = _TOL) -> tuple[int, list[np.ndarray]]:
+def u_intertwiner(tm: TensorModel) -> tuple[int, list[np.ndarray]]:
     """Solve T rep(x) = rep(u(x)) T over the det-matched generators.
 
     Returns (nullity, basis).  Nullity 0 raises NoIntertwiner; nullity 1
@@ -484,14 +453,14 @@ def u_intertwiner(tm: TensorModel, tol: float = _TOL) -> tuple[int, list[np.ndar
     ctx = tm.ctx
     n = tm.dim
     null = _nullspace([(tm.mat(x), tm.mat(u_action(ctx, x)))
-                       for x in _gl22_generators(ctx)], tol)
+                       for x in _gl22_generators(ctx)])
     if not null:
         raise NoIntertwiner("no twist intertwiner: label is not self-twisted")
     mats = [v.reshape((n, n), order="F") for v in null]
     if len(mats) == 1:
         T = mats[0]
         c = np.trace(T @ T) / n
-        if abs(c) < tol:
+        if abs(c) < _TOL:
             raise NoIntertwiner("intertwiner squares to zero")
         if np.linalg.norm(T @ T - c * np.eye(n)) > 1e-6 * n:
             raise NoIntertwiner("intertwiner square is not scalar")
@@ -499,20 +468,24 @@ def u_intertwiner(tm: TensorModel, tol: float = _TOL) -> tuple[int, list[np.ndar
         # fix the sign so the first sizable entry has positive real part
         flat = T.ravel()
         idx = int(np.argmax(np.abs(flat)))
-        if flat[idx].real < 0 or (abs(flat[idx].real) < tol and flat[idx].imag < 0):
+        if flat[idx].real < 0 or (abs(flat[idx].real) < _TOL and flat[idx].imag < 0):
             T = -T
         return 1, [T]
     return len(mats), mats
 
 
-def twisted_trace(tm, operator: np.ndarray, R: SubgroupR,
-                  tol: float = 1e-6) -> int:
-    """Trace of a twist operator compressed to the R-fixed subspace.
+def twisted_trace(model, operator: np.ndarray, R: SubgroupR) -> int:
+    """Trace of a twist operator compressed to the R-fixed subspace of a
+    tensor or constituent model.
 
-    The operator must normalize the averaged projector; otherwise the
-    compression is meaningless and NotNormalizing is raised."""
-    P = tm.fixed_projector(R)
+    The projector onto that subspace is the average of the model's matrices
+    over R.  The operator must normalize it; otherwise the compression is
+    meaningless and NotNormalizing is raised."""
+    P = np.zeros((model.dim, model.dim), dtype=np.complex128)
+    for r in R:
+        P += model.mat(r)
+    P /= len(R)
     conj = operator @ P @ np.linalg.inv(operator)
-    if np.linalg.norm(conj - P) > tol * max(1, P.shape[0]):
+    if np.linalg.norm(conj - P) > 1e-6 * max(1, P.shape[0]):
         raise NotNormalizing("operator does not normalize the fixed projector")
-    return certify_integer(np.trace(operator @ P), tol=tol)
+    return certify_integer(np.trace(operator @ P), tol=1e-6)

@@ -114,6 +114,17 @@ class PadicCtx:
         if len(decode) != p ** f:
             raise AssertionError("residue basis is degenerate")
         self._decode = decode
+        # rand_unit draws digits uniformly below p^(prec-1): in one int64
+        # draw when the bound allows, else as base-p^k chunks below 2^63
+        top = p ** (prec - 1)
+        if top <= 1 << 63:
+            self._digit_bounds = (top,)
+        else:
+            k = 1
+            while p ** (k + 1) <= 1 << 63:
+                k += 1
+            whole, rest = divmod(prec - 1, k)
+            self._digit_bounds = (p ** k,) * whole + ((p ** rest,) if rest else ())
         self.zero_s = PadicScalar(self, "zero", 0, (), 0, 0)
         self._int_cache: dict = {}
         self.one_s = self.from_int(1)
@@ -167,12 +178,6 @@ class PadicScalar:
         self.aprec = aprec
 
     # -- queries -----------------------------------------------------------
-
-    def is_unit_kind(self) -> bool:
-        return self.kind == "unit"
-
-    def is_zero_like(self) -> bool:
-        return self.kind != "unit"
 
     def val_exact(self) -> int:
         if self.kind == "unit":
@@ -293,18 +298,6 @@ class PadicScalar:
             two_minus = [(2 if k == 0 else 0) - c for k, c in enumerate(ux)]
             x = list(_pmulmod(ctx, x, two_minus, known))
         return PadicScalar(ctx, "unit", -self.val, tuple(x), self.rel, 0)
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inv() ** (-e)
-        out = self.ctx.one_s
-        base, k = self, e
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def __repr__(self):
         if self.kind == "zero":
@@ -507,11 +500,6 @@ def u_elem(ctx: PadicCtx, n: int) -> GSp4Elem:
     return GSp4Elem.make(ctx, rows, mu=ctx.pi(n))
 
 
-def s1_elem(ctx: PadicCtx) -> GSp4Elem:
-    rows = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
-    return GSp4Elem.make(ctx, rows, mu=1)
-
-
 def s2_elem(ctx: PadicCtx) -> GSp4Elem:
     rows = [[1, 0, 0, 0], [0, 0, 1, 0], [0, -1, 0, 0], [0, 0, 0, 1]]
     return GSp4Elem.make(ctx, rows, mu=1)
@@ -610,9 +598,13 @@ def in_Si(g: GSp4Elem, n: int) -> bool:
 
 def rand_unit(ctx: PadicCtx, rng: np.random.Generator) -> PadicScalar:
     code = ctx.fq.fq_units[rng.integers(0, ctx.q - 1)]
-    base = ctx._decode[code]
-    top = ctx.p ** (ctx.prec - 1)
-    coeffs = [b + ctx.p * int(rng.integers(0, top)) for b in base]
+    coeffs = []
+    for b in ctx._decode[code]:
+        # uniform below p^(prec-1), one mixed-radix chunk at a time
+        digits = 0
+        for bound in ctx._digit_bounds:
+            digits = digits * bound + int(rng.integers(0, bound))
+        coeffs.append(b + ctx.p * digits)
     return ctx.unit(0, coeffs)
 
 

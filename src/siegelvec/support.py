@@ -115,15 +115,6 @@ def enumerate_support(fq: FqCtx, n: int) -> list[CosetParam]:
     return out
 
 
-def in_support(q: int, param: CosetParam, n: int) -> bool:
-    """Whether the parameter indexes a stratum coset at level n."""
-    if param.tag not in COSET_TAGS:
-        return False
-    if q % 2 == 1 and param.tag != "I":
-        return False
-    return param.i >= 0 and _JMIN[param.tag] <= param.j <= n - 2 - 2 * param.i
-
-
 def al_partner(param: CosetParam, n: int) -> CosetParam:
     """Image of a coset under the level involution: reflect j, keep u."""
     j2 = n - 2 * param.i - param.j + _AL_SHIFT[param.tag]
@@ -203,7 +194,26 @@ class DimReport(NamedTuple):
     total: int
 
 
-def assemble_dim(ctx: FqCtx, sigma: SigmaLabel, n: int, oracle=None) -> DimReport:
+_KIND_DIMS: dict[tuple, tuple[int, int]] = {}
+
+
+def _kind_dims(ctx: FqCtx, sigma: SigmaLabel, kind: str) -> tuple[int, int]:
+    """(fixed dim, twisted fixed dim) of a label on one subgroup kind,
+    computed once per label and kind.  The twisted dimension counts only
+    for a label not isomorphic to its twist, where the induced pair adds
+    it; it is 0 otherwise."""
+    key = (ctx.p, ctx.f, sigma, kind)
+    hit = _KIND_DIMS.get(key)
+    if hit is None:
+        R = subgroup_R(kind, ctx)
+        fd = fixed_dim(ctx, sigma, R)
+        distinct = classify_pairing(ctx, sigma) == "distinct"
+        tw = fixed_dim_u_twist(ctx, sigma, R) if distinct else 0
+        hit = _KIND_DIMS[key] = (fd, tw)
+    return hit
+
+
+def assemble_dim(ctx: FqCtx, sigma: SigmaLabel, n: int) -> DimReport:
     """Sum per-coset fixed dimensions over the level-n support.
 
     Each coset of a stratum contributes the fixed dimension of the
@@ -213,16 +223,13 @@ def assemble_dim(ctx: FqCtx, sigma: SigmaLabel, n: int, oracle=None) -> DimRepor
     and vanishes otherwise."""
     q = ctx.q
     pairing = classify_pairing(ctx, sigma)
-    self_tw = pairing != "distinct"
     rows = []
     total = 0
     for tag in COSET_TAGS:
         cnt = stratum_count(tag, q, n)
         if cnt == 0:
             continue
-        R = subgroup_R(COSET_R_TYPE[tag], ctx)
-        fd = fixed_dim(ctx, sigma, R, oracle=oracle)
-        tw = 0 if self_tw else fixed_dim_u_twist(ctx, sigma, R, oracle=oracle)
+        fd, tw = _kind_dims(ctx, sigma, COSET_R_TYPE[tag])
         rows.append((tag, cnt, fd, tw, cnt * (fd + tw)))
         total += cnt * (fd + tw)
     return DimReport(q, n, sigma, pairing, tuple(rows), total)
@@ -272,8 +279,7 @@ class ALReport(NamedTuple):
 
 
 def assemble_al(ctx: FqCtx, sigma: SigmaLabel, n: int, ext_sign: int = 1,
-                presentation: Optional[tuple[int, int]] = None,
-                oracle=None) -> ALReport:
+                presentation: Optional[tuple[int, int]] = None) -> ALReport:
     """Sum the involution trace over its fixed cosets at level n.
 
     Fixed cosets of the plain strata (II, IV) contribute their fixed
@@ -292,20 +298,17 @@ def assemble_al(ctx: FqCtx, sigma: SigmaLabel, n: int, ext_sign: int = 1,
         cnt = fixed_stratum_count(tag, q, n)
         if cnt == 0:
             continue
-        R = subgroup_R(COSET_R_TYPE[tag], ctx)
         if tag in _TWISTED_TAGS:
             if pairing == "distinct":
                 val = 0
             elif pairing == "constituent":
                 val = ext_sign
             else:
+                R = subgroup_R(COSET_R_TYPE[tag], ctx)
                 val = ext_sign * twisted_trace_closed(ctx, sigma, "swap", R,
                                                       presentation=presentation)
         else:
-            fd = fixed_dim(ctx, sigma, R, oracle=oracle)
-            tw = 0 if pairing != "distinct" else \
-                fixed_dim_u_twist(ctx, sigma, R, oracle=oracle)
-            val = fd + tw
+            val = sum(_kind_dims(ctx, sigma, COSET_R_TYPE[tag]))
         rows.append((tag, cnt, val, cnt * val))
         total += cnt * val
     return ALReport(q, n, sigma, ext_sign, tuple(rows), total)

@@ -12,11 +12,47 @@ from siegelvec.chars import (
     cuspidal_classes, fixed_dim, fixed_dim_closed,
     fixed_dim_u_twist, induced_trace_zero, is_self_twisted, lambda_omega_class,
     make_sigma, omega_minus1, omega_trivial_sigma_classes, self_twist_presentations,
-    sigma_char, sigma_dim, sigma_equiv, sigma_is_reducible, sigma_key,
-    sigma_omega_trivial, split_restriction, twisted_trace_closed, u1_twist,
-    valid_cuspidal,
+    sigma_is_reducible, sigma_key, sigma_omega_trivial, split_restriction,
+    twisted_trace_closed, valid_cuspidal,
 )
 from siegelvec.numerics import certify_integer
+
+
+# -- label helpers used only by these tests -----------------------------------
+
+def sigma_dim(ctx, sigma):
+    d = (ctx.q - 1) ** 2
+    return d if sigma.constituent == "Full" else d // 2
+
+
+def sigma_equiv(ctx, s1, s2):
+    return sigma_key(ctx, s1) == sigma_key(ctx, s2)
+
+
+def u1_twist(ctx, sigma):
+    """Label of the composition with the u-action (factor swap + w-conj)."""
+    return SigmaLabel(sigma.k2, sigma.k1, sigma.constituent)
+
+
+def _diag_pair(x):
+    return x.first.b == 0 and x.first.c == 0 and x.second.b == 0 and x.second.c == 0
+
+
+def sigma_char(ctx, sigma, x, oracle=None):
+    """Character value of the labeled representation at x.
+
+    Full labels multiply the two cuspidal characters.  Constituents are
+    computed in closed form on diagonal pairs (where the two constituents
+    agree, each contributing half the full value) and otherwise require
+    the oracle handle."""
+    full = cuspidal_char(ctx, sigma.k1, x.first) * cuspidal_char(ctx, sigma.k2, x.second)
+    if sigma.constituent == "Full":
+        return full
+    if _diag_pair(x):
+        return full / 2.0
+    if oracle is None:
+        raise OracleRequired("constituent character off the diagonal needs the oracle")
+    return complex(oracle.char(x))
 
 
 # -- cuspidal labels and characters ----------------------------------------

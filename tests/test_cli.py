@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
 import siegelvec
 from siegelvec import __version__
-from siegelvec import cli, models
+from siegelvec import cli, models, padic
 from siegelvec.cli import main
 from siegelvec.finitegrp import build_field
 from siegelvec.support import (COSET_TAGS, stratum_count, total_count,
@@ -146,7 +147,6 @@ def test_exit_code_on_numerical_refusal(capsys, monkeypatch):
     def refuse(*_):
         raise models.UncertifiedNullity("no spectral gap")
     monkeypatch.setattr(models, "_nullspace", refuse)
-    monkeypatch.setattr(models, "_DECOMP_CACHE", {})
     assert main(["verify", "--suite", "oracle", "--q", "3"]) == 3
     err = capsys.readouterr().err
     assert err == "siegel: no spectral gap\n"
@@ -176,10 +176,31 @@ def test_exit_code_on_usage_error():
                  ["table", "--q", "2", "--n-max", "-1"],
                  ["verify", "--suite", "dims", "--q", "2", "--n-max", "-1"],
                  ["verify", "--suite", "identities", "--q", "2",
-                  "--precision", "3"]):
+                  "--precision", "3"],
+                 ["verify", "--suite", "identities", "--q", "2", "--draws", "0"],
+                 ["verify", "--suite", "identities", "--q", "2", "--draws", "-3"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 4
+
+
+def test_exit_code_when_a_check_compares_nothing(capsys, monkeypatch):
+    # below level 3 there are no signature triples and no sampled cosets;
+    # the off-support sampling of rg is stubbed, it is not what is checked
+    monkeypatch.setattr(padic, "compute_Rg",
+                        lambda g, n, seed=0: types.SimpleNamespace(group=None))
+    monkeypatch.setattr(padic, "radical_obstruction", lambda fq, grp: True)
+    for argv, failed in (
+            (["verify", "--suite", "signatures", "--q", "2", "--n-max", "2"],
+             ["assembled involution traces match the closed formula"]),
+            (["verify", "--suite", "rg", "--q", "2", "--n-max", "2"],
+             ["witness subgroups conjugate to table kinds",
+              "sampled subgroups equal witnessed subgroups"])):
+        rc, out = run(capsys, argv + ["--format", "json"])
+        assert rc == 2
+        payload = json.loads(out)
+        assert payload["rows"] == []
+        assert [c["name"] for c in payload["checks"] if not c["ok"]] == failed
 
 
 def test_version_flag(capsys):

@@ -1,9 +1,11 @@
 """Byte-for-byte golden output of the deterministic commands.
 
-``table``, ``support`` and the ``counts``, ``fixed-dims``, ``dims`` and
-``signatures`` suites must print the same ``--format json`` bytes before
-and after any refactor.  The golden files under ``tests/golden/`` were
-captured from the code before the refactor that introduced this test.
+``table``, ``support`` and the ``counts``, ``fixed-dims``, ``dims``,
+``signatures``, ``oracle`` and ``twists`` suites must print the same
+``--format json`` bytes before and after any refactor.  The golden files
+under ``tests/golden/`` were captured from the code before the refactors
+that introduced them (the oracle and twists files before the matrix-model
+oracle lost its per-element caches).
 
 To recapture after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -31,6 +33,8 @@ for _q in QS:
                               "--n-max", "20"]
     CASES[f"fixed-dims-q{_q}"] = ["verify", "--suite", "fixed-dims",
                                   "--q", str(_q)]
+    for _suite in ("oracle", "twists"):
+        CASES[f"{_suite}-q{_q}"] = ["verify", "--suite", _suite, "--q", str(_q)]
     for _suite in ("dims", "signatures"):
         CASES[f"{_suite}-q{_q}"] = ["verify", "--suite", _suite, "--q", str(_q),
                                     "--n-max", "12"]

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from siegelvec.finitegrp import (
-    GL2Elem, GL22Elem, build_field, enumerate_gl2, enumerate_gl22, gl2_mul,
-    gl22_mul, subgroup_R, u_action,
+    GL2Elem, GL22Elem, build_field, enumerate_gl2, enumerate_gl22, gl2_inv,
+    gl2_mul, gl22_mul, subgroup_R, u_action,
 )
 from siegelvec.chars import (
     SigmaLabel, cuspidal_char, cuspidal_classes, fixed_dim,
@@ -31,6 +31,33 @@ def _dense(space, g):
 def test_whittaker_dim(p, f, dim):
     ctx = build_field(p, f)
     assert WhittakerSpace(ctx).dim == dim == (ctx.q ** 2 - 1) * (ctx.q - 1)
+
+
+def _action_reference(space, g):
+    """Right translation by g the long way: u = (r g) reps[j]^-1 is upper
+    unitriangular and the row's phase is psi of its corner."""
+    ctx = space.ctx
+    perm = np.empty(space.dim, dtype=np.int64)
+    phase = np.empty(space.dim, dtype=np.complex128)
+    for i, r in enumerate(space.reps):
+        x = gl2_mul(ctx, r, g)
+        j = space.index[space._coset_key(x)]
+        u = gl2_mul(ctx, x, gl2_inv(ctx, space.reps[j]))
+        assert (u.a, u.c, u.d) == (ctx.one, 0, ctx.one)
+        perm[i] = j
+        phase[i] = ctx.psi(u.b)
+    return perm, phase
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_whittaker_action_matches_reference_bit_for_bit(p, f):
+    ctx = build_field(p, f)
+    space = WhittakerSpace(ctx)
+    for g in enumerate_gl2(ctx):
+        perm, phase = space.action(g)
+        ref_perm, ref_phase = _action_reference(space, g)
+        assert np.array_equal(perm, ref_perm)
+        assert phase.tobytes() == ref_phase.tobytes()
 
 
 def test_whittaker_action_is_homomorphism():

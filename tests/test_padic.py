@@ -1,6 +1,8 @@
 """Scalar precision semantics, symplectic matrix layer, K membership and
 reduction, the identity suite, and the subgroup extraction machinery."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -30,9 +32,9 @@ from siegelvec.padic import (
     mat_mul,
     radical_obstruction,
     rand_K,
+    rand_unit,
     reduce_K,
     run_identity,
-    s1_elem,
     s2_elem,
     s_lower,
     s_upper,
@@ -42,6 +44,12 @@ from siegelvec.padic import (
     u_elem,
     witness_Rg,
 )
+
+
+def s1_elem(ctx):
+    """The permutation matrix swapping e1 with e2 and e3 with e4."""
+    rows = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+    return GSp4Elem.make(ctx, rows, mu=1)
 
 
 # -- scalars -----------------------------------------------------------------
@@ -206,6 +214,38 @@ def test_identity_rejects_unknown_tag():
     ctx = PadicCtx(2, 1)
     with pytest.raises(ValueError):
         run_identity(ctx, "no-such-tag", draws=1)
+
+
+@pytest.mark.parametrize("p,prec", [(3, 48), (2, 80)])
+def test_rand_unit_beyond_int64(p, prec):
+    # p^(prec-1) exceeds the int64 range of a single numpy draw
+    ctx = PadicCtx(p, 1, prec=prec)
+    assert ctx.p ** (prec - 1) > 1 << 63
+    assert math.prod(ctx._digit_bounds) == p ** (prec - 1)
+    rng = np.random.default_rng(5)
+    tops = []
+    for _ in range(20):
+        u = rand_unit(ctx, rng)
+        assert u.val_exact() == 0 and u.residue() != 0
+        assert 0 < u.coeffs[0] < p ** prec
+        tops.append(u.coeffs[0])
+    assert max(tops) > 1 << 63
+    for tag in IDENTITY_TAGS:
+        assert run_identity(ctx, tag, draws=3, seed=11) == 3
+
+
+@pytest.mark.parametrize("p,f,prec", [(2, 1, 32), (3, 1, 32), (2, 2, 40), (2, 1, 64)])
+def test_rand_unit_stream_unchanged_within_int64(p, f, prec):
+    # one draw per digit block, exactly as before the chunked path existed
+    ctx = PadicCtx(p, f, prec=prec)
+    assert ctx._digit_bounds == (p ** (prec - 1),)
+    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+    for _ in range(50):
+        got = rand_unit(ctx, rng).coeffs
+        base = ctx._decode[ctx.fq.fq_units[ref.integers(0, ctx.q - 1)]]
+        want = ctx.unit(0, [b + p * int(ref.integers(0, p ** (prec - 1)))
+                            for b in base]).coeffs
+        assert got == want
 
 
 # -- subgroup extraction ---------------------------------------------------------

@@ -18,10 +18,11 @@ from siegelvec.support import (
     dim_formula,
     enumerate_support,
     fixed_stratum_count,
-    in_support,
     stratum_count,
     total_count,
 )
+from siegelvec import support
+from siegelvec.support import _JMIN
 
 FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1)}
 
@@ -29,6 +30,15 @@ FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1)}
 def _ctx(q):
     p, f = FIELDS[q]
     return build_field(p, f)
+
+
+def in_support(q, param, n):
+    """Whether the parameter indexes a stratum coset at level n."""
+    if param.tag not in COSET_TAGS:
+        return False
+    if q % 2 == 1 and param.tag != "I":
+        return False
+    return param.i >= 0 and _JMIN[param.tag] <= param.j <= n - 2 - 2 * param.i
 
 
 # -- enumeration and closed counts ------------------------------------------
@@ -206,6 +216,34 @@ def test_assemble_dim_nontrivial_center_vanishes():
     sigma = SigmaLabel(1, 2, "Full")
     for n in range(9):
         assert assemble_dim(ctx, sigma, n).total == 0
+
+
+def test_kind_dims_computed_once_per_label(monkeypatch):
+    # every level reuses the per-kind fixed dims of the first one
+    calls = collections.Counter()
+    real_fd, real_tw = support.fixed_dim, support.fixed_dim_u_twist
+
+    def fd(ctx, sigma, R):
+        calls["fd", sigma, R.label] += 1
+        return real_fd(ctx, sigma, R)
+
+    def tw(ctx, sigma, R):
+        calls["tw", sigma, R.label] += 1
+        return real_tw(ctx, sigma, R)
+
+    monkeypatch.setattr(support, "_KIND_DIMS", {})
+    monkeypatch.setattr(support, "fixed_dim", fd)
+    monkeypatch.setattr(support, "fixed_dim_u_twist", tw)
+    ctx = _ctx(4)
+    labels = omega_trivial_sigma_classes(ctx)
+    for sigma in labels:
+        for n in range(13):
+            assert assemble_dim(ctx, sigma, n).total == \
+                dim_formula(4, n, classify_pairing(ctx, sigma))
+            for sg in (1, -1):
+                assemble_al(ctx, sigma, n, sg)
+    assert calls and set(calls.values()) == {1}
+    assert {key[1] for key in calls} == set(labels)
 
 
 def test_assemble_dim_report_rows():
