@@ -19,19 +19,18 @@ of the two equidimensional constituents Plus/Minus.  Constituent
 characters have no global closed form.  Conjugation by the outer element
 s = (diag(e,1), 1), e a nonsquare, exchanges the two constituents, so on
 any subset stable under s-conjugation their character sums agree and
-fixed dimensions halve the full average; the torus and the two radical
-columns are stable, the unipotent family is not (there the split is
-{q-1, 0} and only the matrix-model oracle sees it).
+fixed dimensions halve the full average.  Stability is computed per set
+(the torus and the two radical columns are stable; the unipotent family,
+where the split is {q-1, 0}, is not) and an unstable set raises
+OracleRequired: this module never calls a matrix model.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .finitegrp import (
-    FqCtx, GL2Elem, GL22Elem, ExtElem, SubgroupR, enumerate_gl22, ext_inv,
-    ext_mul, gl2_det, gl2_inv, gl2_mul, u_action,
-)
+from .finitegrp import (FqCtx, GL2Elem, GL22Elem, ExtElem, SubgroupR,
+                        enumerate_gl22, ext_inv, ext_mul, gl2_det, u_action)
 from .numerics import certify_integer, root_of_unity
 
 
@@ -289,54 +288,36 @@ def lambda_omega_class(ctx: FqCtx, sigma: SigmaLabel,
 
 # -- characters and fixed dimensions ---------------------------------------
 
-_SWAP_STABLE_LABELS = ("Torus", "U1", "U2")
-
-
-def _swap_conj(ctx: FqCtx, x: GL22Elem) -> GL22Elem:
-    """Conjugation by the constituent-swapping element (diag(e,1), 1)."""
-    e = ctx.fq_gen
-    d = GL2Elem(e, 0, 0, ctx.one)
-    first = gl2_mul(ctx, gl2_mul(ctx, d, x.first), gl2_inv(ctx, d))
-    return GL22Elem(first, x.second)
-
-
-def _swap_stable_set(ctx: FqCtx, elems: frozenset) -> bool:
-    return all(_swap_conj(ctx, x) in elems for x in elems)
-
-
-def _full_average(ctx: FqCtx, sigma: SigmaLabel, elems) -> complex:
+def _average_dim(ctx: FqCtx, sigma: SigmaLabel, elems: frozenset) -> int:
+    """Average of the label's character over a subgroup, certified to an
+    integer.  A constituent takes half the full average, valid only when
+    conjugation by s = (diag(e,1), 1) maps the set to itself; otherwise
+    OracleRequired is raised."""
+    if sigma.constituent == "Full":
+        share = 1.0
+    else:
+        # s conjugates (g, h) to ([[a, e b], [c / e, d]], h) for g = [[a, b], [c, d]]
+        e, ei = ctx.fq_gen, ctx.inv(ctx.fq_gen)
+        if not all(GL22Elem(GL2Elem(g.a, ctx.mul(e, g.b), ctx.mul(ei, g.c), g.d), h)
+                   in elems for g, h in elems):
+            raise OracleRequired("constituent fixed dim on a subgroup that is "
+                                 "not swap-stable needs the matrix-model oracle")
+        share = 2.0
     total = 0.0
     for r in elems:
         total += (cuspidal_char(ctx, sigma.k1, r.first)
                   * cuspidal_char(ctx, sigma.k2, r.second))
-    return total / len(elems)
+    return certify_integer(total / len(elems) / share)
 
 
-def fixed_dim(ctx: FqCtx, sigma: SigmaLabel, R: SubgroupR, oracle=None) -> int:
-    """dim of the R-fixed subspace, by averaging the character over R.
-
-    For a constituent the average halves the full one whenever R is stable
-    under conjugation by the swapping element (diag(e,1), 1); the unipotent
-    family is not stable, and there the oracle computes the rank."""
-    if sigma.constituent == "Full":
-        return certify_integer(_full_average(ctx, sigma, R))
-    if R.label in _SWAP_STABLE_LABELS or _swap_stable_set(ctx, R.elements):
-        return certify_integer(_full_average(ctx, sigma, R) / 2.0)
-    if oracle is None:
-        raise OracleRequired("constituent fixed dim on this subgroup needs the oracle")
-    return oracle.fixed_rank(R)
+def fixed_dim(ctx: FqCtx, sigma: SigmaLabel, R: SubgroupR) -> int:
+    """dim of the R-fixed subspace, by averaging the character over R."""
+    return _average_dim(ctx, sigma, R.elements)
 
 
-def fixed_dim_u_twist(ctx: FqCtx, sigma: SigmaLabel, R: SubgroupR, oracle=None) -> int:
+def fixed_dim_u_twist(ctx: FqCtx, sigma: SigmaLabel, R: SubgroupR) -> int:
     """Fixed dimension of the u-twisted representation on the same R."""
-    twisted = [u_action(ctx, r) for r in R]
-    if sigma.constituent == "Full":
-        return certify_integer(_full_average(ctx, sigma, twisted))
-    if _swap_stable_set(ctx, frozenset(twisted)):
-        return certify_integer(_full_average(ctx, sigma, twisted) / 2.0)
-    if oracle is None:
-        raise OracleRequired("constituent fixed dim on this subgroup needs the oracle")
-    return oracle.fixed_rank_twisted(R)
+    return _average_dim(ctx, sigma, frozenset(u_action(ctx, r) for r in R))
 
 
 def fixed_dim_closed(case: str, q: int, omega_sign: int | None = None) -> int:

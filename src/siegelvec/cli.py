@@ -4,8 +4,9 @@ Three subcommands: ``table`` prints coset counts per level, ``support``
 lists the coset parameters of one level, and ``verify`` runs a named
 check suite and reports pass/fail per check.  Output formats are text,
 json (stable key order) and csv.  Exit status: 0 all checks pass, 2 a
-check failed, 3 unusable configuration or a numerical result the oracle
-refuses to certify, 4 usage error.
+check failed, 3 unusable configuration, a numerical result the oracle
+refuses to certify, or a p-adic precision or sampling budget too small to
+decide, 4 usage error.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import io
 import json
 import sys
 from collections import Counter
+from itertools import islice
 
 import numpy as np
 
@@ -158,7 +160,7 @@ def suite_oracle(q: int, **_: object) -> tuple[list, list]:
     for sigma in labels:
         model = model_for_sigma(ctx, sigma)
         for R in _standard_groups(ctx):
-            fd = fixed_dim(ctx, sigma, R, oracle=model)
+            fd = fixed_dim(ctx, sigma, R)
             rk = model.fixed_rank(R)
             rows.append({"sigma": _sigma_str(sigma), "group": R.label,
                          "average": fd, "rank": rk})
@@ -172,12 +174,12 @@ def suite_oracle(q: int, **_: object) -> tuple[list, list]:
                 rows.append({"sigma": _sigma_str(sigma), "group": R.label,
                              "average": full, "rank": sum(ranks)})
                 sum_ok &= sum(ranks) == full
-                if R.label == "Unip" and full == q - 1:
-                    unip_ok &= sorted(ranks) == [0, q - 1]
-                for cm in parts:
+                if R.label == "Unip":  # no constituent value in chars here
+                    unip_ok &= full != q - 1 or sorted(ranks) == [0, q - 1]
+                    continue
+                for cm, rk in zip(parts, ranks):
                     lab = make_sigma(ctx, sigma.k1, sigma.k2, cm.tag)
-                    fd = fixed_dim(ctx, lab, R, oracle=cm)
-                    ok &= fd == cm.fixed_rank(R)
+                    ok &= fixed_dim(ctx, lab, R) == rk
     checks: list = []
     _check(checks, "character averages match model ranks", ok,
            f"{len(labels)} labels")
@@ -314,18 +316,21 @@ def suite_induced(q: int, **_: object) -> tuple[list, list]:
 
 def suite_identities(q: int, seed: int, draws: int, precision: int,
                      **_: object) -> tuple[list, list]:
-    from .padic import PadicCtx, IDENTITY_TAGS, run_identity
-    p, f = FIELDS[q]
-    ctx = PadicCtx(p, f, prec=precision)
-    rows = []
-    ok = True
+    from .padic import PadicCtx, IDENTITY_TAGS, IdentityFailure, run_identity
+    fq = _field(q)
+    ctx = PadicCtx(fq.p, fq.f, prec=precision)
+    rows, failed = [], []
     for tag in sorted(IDENTITY_TAGS):
-        done = run_identity(ctx, tag, draws=draws, seed=seed)
+        try:
+            done = run_identity(ctx, tag, draws=draws, seed=seed)
+        except IdentityFailure as exc:
+            failed.append(f"{tag} failed ({exc})")
+            done = exc.draws
         rows.append({"identity": tag, "draws": done})
-        ok &= done == draws
     checks: list = []
-    _check(checks, "matrix identities hold on random parameters", ok,
-           f"{len(rows)} identities x {draws} draws, p={p} f={f}",
+    _check(checks, "matrix identities hold on random parameters", not failed,
+           "; ".join([f"{len(rows)} identities x {draws} draws, p={fq.p} f={fq.f}"]
+                     + failed),
            compared=len(rows) * draws)
     return rows, checks
 
@@ -337,9 +342,8 @@ def suite_rg(q: int, seed: int, n_max: int, precision: int,
     from .finitegrp import conjugate_subgroups
     if q != 2:
         raise ConfigError("transversal sampling suite runs at q=2 only")
-    p, f = FIELDS[q]
-    pctx = PadicCtx(p, f, prec=precision)
     fq = _field(q)
+    pctx = PadicCtx(fq.p, fq.f, prec=precision)
     rows = []
     ok_w = ok_s = True
     for n in range(3, n_max + 1):
@@ -365,28 +369,19 @@ def suite_rg(q: int, seed: int, n_max: int, precision: int,
             ok_s &= same
     ok_off = True
     count_off = 0
-    for n in (3, 4, 5, 6):
-        for i in range(3):
-            for j in range(n - 1 - 2 * i, n + 2 - 2 * i):
-                if j < 1:
-                    continue
-                g = coset_rep(pctx, "I", i, j)
-                grp = compute_Rg(g, n, seed=seed).group
-                ok_off &= radical_obstruction(fq, grp)
-                count_off += 1
-                if count_off >= 20:
-                    break
-            if count_off >= 20:
-                break
-        if count_off >= 20:
-            break
+    off_support = ((n, i, j) for n in range(3, n_max + 1) for i in range(3)
+                   for j in range(max(1, n - 1 - 2 * i), n + 2 - 2 * i))
+    for n, i, j in islice(off_support, 20):
+        grp = compute_Rg(coset_rep(pctx, "I", i, j), n, seed=seed).group
+        ok_off &= radical_obstruction(fq, grp)
+        count_off += 1
     checks: list = []
     _check(checks, "witness subgroups conjugate to table kinds", ok_w,
            f"{len(rows)} cosets", compared=len(rows))
     _check(checks, "sampled subgroups equal witnessed subgroups", ok_s,
            compared=len(rows))
     _check(checks, "off-support cosets show a radical obstruction", ok_off,
-           f"{count_off} parameter triples")
+           f"{count_off} parameter triples", compared=count_off)
     return rows, checks
 
 
@@ -582,8 +577,13 @@ def main(argv=None) -> int:
         if args.command == "support":
             return cmd_support(args)
         return cmd_verify(args)
-    except (ConfigError, BadCase, UncertifiedNullity, ProjectorRankMismatch,
-            NoIntertwiner) as exc:
+    except Exception as exc:
+        # padic, the largest module, is imported only by the suites that use it
+        from .padic import PrecisionExhausted, StabilizationFailure
+        if not isinstance(exc, (ConfigError, BadCase, UncertifiedNullity,
+                                ProjectorRankMismatch, NoIntertwiner,
+                                PrecisionExhausted, StabilizationFailure)):
+            raise
         print(f"siegel: {exc}", file=sys.stderr)
         return 3
 

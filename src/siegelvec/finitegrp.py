@@ -14,7 +14,7 @@ swap the two factors, then conjugate both by w = [[0,1],[-1,0]].
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .numerics import root_of_unity
 
@@ -305,21 +305,15 @@ def enumerate_gl2(ctx: FqCtx) -> list[GL2Elem]:
     return out
 
 
-def iter_gl22(ctx: FqCtx) -> Iterator[GL22Elem]:
-    """The det-matched pairs one at a time, in the order of enumerate_gl22."""
+def enumerate_gl22(ctx: FqCtx) -> list[GL22Elem]:
+    """The det-matched pairs, grouped by determinant in field-unit order."""
+    if ctx.q > 9:
+        raise UnsupportedSize(f"full GL22 enumeration capped at q = 9, got {ctx.q}")
     by_det: dict[int, list[GL2Elem]] = {}
     for g in enumerate_gl2(ctx):
         by_det.setdefault(gl2_det(ctx, g), []).append(g)
-    for det in ctx.fq_units:
-        for g in by_det[det]:
-            for h in by_det[det]:
-                yield GL22Elem(g, h)
-
-
-def enumerate_gl22(ctx: FqCtx) -> list[GL22Elem]:
-    if ctx.q > 9:
-        raise UnsupportedSize(f"full GL22 enumeration capped at q = 9, got {ctx.q}")
-    return list(iter_gl22(ctx))
+    return [GL22Elem(g, h) for det in ctx.fq_units
+            for g in by_det[det] for h in by_det[det]]
 
 
 def artin_schreier_set(ctx: FqCtx) -> list[int]:

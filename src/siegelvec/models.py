@@ -25,17 +25,20 @@ twice: by a spectral gap between the null eigenvalues and the rest (an
 ambiguous eigenvalue raises UncertifiedNullity instead of being guessed),
 and, for the commutant behind a constituent split, against the character
 norm <chi, chi> computed from the cuspidal models' own traces.
+
+The two constituents of a split are named intrinsically by a certified
+rank: Plus has q-1 vectors fixed by the diagonal unipotent pairs
+(n(u), n(u)), n(u) = [[1, 0], [u, 1]], and Minus has none.  The oracle
+reads the character layer, never the reverse.
 """
 
 from __future__ import annotations
-
-from itertools import islice
 
 import numpy as np
 
 from .finitegrp import (
     FqCtx, GL2Elem, GL22Elem, SubgroupR, enumerate_gl2, gl2_det, gl2_mul,
-    iter_gl22, u_action,
+    u_action,
 )
 from .chars import cuspidal_char, sigma_is_reducible
 from .numerics import certify_integer
@@ -93,12 +96,6 @@ def _nullspace(pairs) -> list[np.ndarray]:
             f"no spectral gap above the cut {_TOL * scale:.3g}: eigenvalues "
             f"{vals[~null][:3]} against lambda_max {vals[-1]:.3g}")
     return list(vecs[:, null].T)
-
-
-def _gl22_order(ctx: FqCtx) -> int:
-    """|H| for the det-matched subgroup H of GL2(q) x GL2(q)."""
-    q = ctx.q
-    return ((q * q - 1) * (q * q - q)) ** 2 // (q - 1)
 
 
 def _fixed_rank(model, R: SubgroupR, twisted: bool = False) -> int:
@@ -310,18 +307,9 @@ def _character_norm(tm: TensorModel) -> int:
             S[d] = S.get(d, 0.0) + abs(m.char(g)) ** 2
         sums.append(S)
     total = sum(s1 * sums[1][d] for d, s1 in sums[0].items())
-    return certify_integer(total / _gl22_order(ctx), tol=1e-6)
-
-
-def _probe_traces(tm: TensorModel, parts, elems) -> list[tuple]:
-    """Traces of each part's compression on the probe elements, rounded."""
-    out = [[] for _ in parts]
-    for x in elems:
-        A = tm.mat(x)
-        for traces, B in zip(out, parts):
-            t = np.trace(B.conj().T @ A @ B)
-            traces.append((round(t.real, 6), round(t.imag, 6)))
-    return [tuple(t) for t in out]
+    q = ctx.q
+    order = ((q * q - 1) * (q * q - q)) ** 2 // (q - 1)
+    return certify_integer(total / order, tol=1e-6)
 
 
 class ConstituentModel:
@@ -344,9 +332,6 @@ class ConstituentModel:
     def fixed_rank(self, R: SubgroupR) -> int:
         return _fixed_rank(self, R)
 
-    def fixed_rank_twisted(self, R: SubgroupR) -> int:
-        return _fixed_rank(self, R, twisted=True)
-
 
 def decompose(tm: TensorModel) -> list[ConstituentModel]:
     """Split a reducible det-matched restriction into its two constituents.
@@ -354,8 +339,9 @@ def decompose(tm: TensorModel) -> list[ConstituentModel]:
     Requires a two-dimensional commutant (q odd, both factors with split
     restriction); raises ValueError otherwise.  The commutant nullity must
     equal the character norm <chi, chi>, or UncertifiedNullity is raised.
-    The Plus/Minus naming is a deterministic probe-trace convention,
-    nothing intrinsic."""
+    Plus and Minus are named by their certified ranks q-1 and 0 on the
+    diagonal unipotents N = {(n(u), n(u))}; other ranks raise
+    UncertifiedNullity."""
     ctx = tm.ctx
     dim_c, mats = commutant_dim(tm)
     norm = _character_norm(tm)
@@ -389,23 +375,18 @@ def decompose(tm: TensorModel) -> list[ConstituentModel]:
     D = tm.mat(sw)
     if np.linalg.norm(D @ projs[0] @ np.linalg.inv(D) - projs[1]) > 1e-6 * tm.dim:
         raise ValueError("outer element does not swap the constituents")
-    # deterministic naming by probe traces on a growing prefix of GL22
-    elems = iter_gl22(ctx)
-    probe: list[GL22Elem] = []
-    width = 24
-    t0 = t1 = ()
-    while t0 == t1 and width <= 2 * _gl22_order(ctx):
-        probe += islice(elems, width - len(probe))
-        t0, t1 = _probe_traces(tm, parts, probe)
-        width *= 4
-    if t0 == t1:
-        raise ValueError("constituent characters coincide on the whole group")
-    if t0 >= t1:
-        plus, minus = parts[0], parts[1]
-    else:
-        plus, minus = parts[1], parts[0]
-    return [ConstituentModel(tm, plus, "Plus"),
-            ConstituentModel(tm, minus, "Minus")]
+    n = [GL2Elem(ctx.one, 0, u, ctx.one) for u in ctx.fq_elements]
+    N = SubgroupR(ctx, [GL22Elem(x, x) for x in n], "DiagUnip")
+    out = [ConstituentModel(tm, B, "") for B in parts]
+    ranks = [c.fixed_rank(N) for c in out]
+    if sorted(ranks) != [0, ctx.q - 1]:
+        raise UncertifiedNullity(
+            f"constituent ranks {ranks} on the diagonal unipotents, "
+            f"expected q-1 = {ctx.q - 1} and 0")
+    if ranks[0] == 0:
+        out.reverse()
+    out[0].tag, out[1].tag = "Plus", "Minus"
+    return out
 
 
 def model_for_sigma(ctx: FqCtx, sigma):
@@ -416,10 +397,7 @@ def model_for_sigma(ctx: FqCtx, sigma):
         return tm
     if not sigma_is_reducible(ctx, sigma):
         raise ValueError("label has no constituents")
-    for c in decompose(tm):
-        if c.tag == sigma.constituent:
-            return c
-    raise ValueError("constituent tag not found")
+    return {c.tag: c for c in decompose(tm)}[sigma.constituent]
 
 
 # -- twist operators ----------------------------------------------------------

@@ -14,6 +14,7 @@ a bound cannot be certified at the working precision.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -55,7 +56,9 @@ class StabilizationFailure(RuntimeError):
 
 
 class IdentityFailure(AssertionError):
-    """A matrix identity check found a mismatching entry."""
+    """A matrix identity check found a certified mismatch after ``draws``
+    passing draws."""
+    draws = 0
 
 
 def _valp(n: int, p: int) -> int:
@@ -350,15 +353,34 @@ def _pmulmod(ctx: PadicCtx, a, b, rel: int):
     return tuple(c % pk for c in out[:f])
 
 
-def scalars_close(a: PadicScalar, b: PadicScalar, guard: int = GUARD) -> bool:
-    """Difference vanishes to at least ``guard`` digits past the data scale."""
+def _decide(a: PadicScalar, b: PadicScalar) -> Optional[bool]:
+    """Whether a - b vanishes to GUARD digits past the data scale: True,
+    False when it is certifiably nonzero, None when an O(p^A) difference
+    cannot decide."""
     d = a - b
-    if d.kind == "zero":
-        return True
-    if d.kind == "unit":
-        return False
+    if d.kind != "eps":
+        return d.kind == "zero"
     base = min((x.val for x in (a, b) if x.kind == "unit"), default=0)
-    return d.aprec >= base + guard
+    return True if d.aprec >= base + GUARD else None
+
+
+def _all_close(pairs) -> bool:
+    """False when any pair certifiably differs, True when every pair is
+    decided equal, otherwise PrecisionExhausted."""
+    found = [_decide(a, b) for a, b in pairs]
+    if False in found:
+        return False
+    if None in found:
+        raise PrecisionExhausted(
+            f"{found.count(None)} of {len(found)} comparisons undecided at "
+            "the working precision")
+    return True
+
+
+def scalars_close(a: PadicScalar, b: PadicScalar) -> bool:
+    """Three-valued equality: True or False when decided, otherwise
+    PrecisionExhausted."""
+    return _all_close([(a, b)])
 
 
 # -- 4x4 matrices -----------------------------------------------------------
@@ -392,9 +414,8 @@ def mat_scal(ctx: PadicCtx, c, A):
     return tuple(tuple(c * e for e in row) for row in A)
 
 
-def mat_close(A, B, guard: int = GUARD) -> bool:
-    return all(scalars_close(A[i][j], B[i][j], guard)
-               for i in range(4) for j in range(4))
+def mat_close(A, B) -> bool:
+    return _all_close(zip(chain(*A), chain(*B)))
 
 
 def mat_identity(ctx: PadicCtx):
@@ -402,17 +423,16 @@ def mat_identity(ctx: PadicCtx):
 
 
 def similitude_of(ctx: PadicCtx, A):
-    """Similitude factor of A, raising NotSymplectic on a bad Gram matrix."""
+    """Similitude factor of A.  NotSymplectic means a certified mismatch of
+    the Gram matrix; an undecidable factor or entry raises
+    PrecisionExhausted."""
     Jm = mat_from(ctx, J_ROWS)
     T = mat_mul(ctx, mat_transpose(A), mat_mul(ctx, Jm, A))
     mu = T[0][3]
-    if mu.kind != "unit":
-        raise NotSymplectic("similitude factor not resolved")
-    for i in range(4):
-        for j in range(4):
-            want = mu * J_ROWS[i][j]
-            if not scalars_close(T[i][j], want):
-                raise NotSymplectic(f"Gram mismatch at {(i, j)}")
+    if mu.kind == "eps":
+        raise PrecisionExhausted("similitude factor not resolved")
+    if mu.kind == "zero" or not mat_close(T, mat_scal(ctx, mu, J_ROWS)):
+        raise NotSymplectic("Gram matrix is not a multiple of J")
     return mu
 
 
@@ -454,8 +474,8 @@ class GSp4Elem:
         return f"GSp4Elem(mu={self.mu!r})"
 
 
-def gsp_close(a: GSp4Elem, b: GSp4Elem, guard: int = GUARD) -> bool:
-    return mat_close(a.m, b.m, guard) and scalars_close(a.mu, b.mu, guard)
+def gsp_close(a: GSp4Elem, b: GSp4Elem) -> bool:
+    return _all_close(zip((a.mu, *chain(*a.m)), (b.mu, *chain(*b.m))))
 
 
 # -- element builders --------------------------------------------------------
@@ -1101,12 +1121,18 @@ def run_identity(ctx: PadicCtx, tag: str, draws: int = 100, seed: int = 0,
     """Run one identity tag for the given number of random draws.
 
     Returns the number of draws performed; raises IdentityFailure with the
-    offending parameters on the first mismatch.
+    offending parameters, and the count of draws that passed, on the first
+    certified mismatch, and PrecisionExhausted when the working precision
+    cannot decide an entry.
     """
     if tag not in IDENTITY_TAGS:
         raise ValueError(f"unknown identity tag {tag!r}")
     rng = np.random.default_rng(seed)
     fn = IDENTITY_TAGS[tag]
-    for _ in range(draws):
-        fn(ctx, rng, i_max, j_max, n_max)
+    for done in range(draws):
+        try:
+            fn(ctx, rng, i_max, j_max, n_max)
+        except IdentityFailure as exc:
+            exc.draws = done
+            raise
     return draws

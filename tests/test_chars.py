@@ -346,6 +346,22 @@ def test_constituent_fixed_dims_by_halving():
             fixed_dim(ctx, plus, U)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_swap_stability_is_computed(p):
+    ctx = build_field(p, 1)
+    k = (ctx.q + 1) // 2                  # a label with split restriction
+    plus = SigmaLabel(k, k, "Plus")
+    full = SigmaLabel(k, k, "Full")
+    for kind in ("Torus", "U1", "U2"):
+        R = subgroup_R(kind, ctx)
+        assert 2 * fixed_dim(ctx, plus, R) == fixed_dim(ctx, full, R)
+        assert 2 * fixed_dim_u_twist(ctx, plus, R) == fixed_dim_u_twist(ctx, full, R)
+    with pytest.raises(OracleRequired):
+        fixed_dim(ctx, plus, subgroup_R("Unip", ctx))
+    with pytest.raises(OracleRequired):
+        fixed_dim_u_twist(ctx, plus, subgroup_R("Unip", ctx))
+
+
 def test_constituent_fixed_dim_q5_closed():
     ctx = build_field(5, 1)
     T = _torus(ctx)

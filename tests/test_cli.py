@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-import types
 
 import pytest
 
@@ -140,6 +139,7 @@ def test_exit_code_on_failed_check(capsys, monkeypatch):
 def test_exit_code_on_bad_field(capsys):
     assert main(["table", "--q", "6"]) == 3
     assert main(["verify", "--suite", "rg", "--q", "3"]) == 3
+    assert main(["verify", "--suite", "identities", "--q", "6"]) == 3
     capsys.readouterr()
 
 
@@ -150,6 +150,14 @@ def test_exit_code_on_numerical_refusal(capsys, monkeypatch):
     assert main(["verify", "--suite", "oracle", "--q", "3"]) == 3
     err = capsys.readouterr().err
     assert err == "siegel: no spectral gap\n"
+
+
+def test_exit_code_on_sampling_budget(capsys, monkeypatch):
+    def exhausted(g, n, seed=0):
+        raise padic.StabilizationFailure("no stable window")
+    monkeypatch.setattr(padic, "compute_Rg", exhausted)
+    assert main(["verify", "--suite", "rg", "--q", "2", "--n-max", "3"]) == 3
+    assert capsys.readouterr().err == "siegel: no stable window\n"
 
 
 def test_oracle_q5_peak_memory(tmp_path):
@@ -184,23 +192,53 @@ def test_exit_code_on_usage_error():
         assert exc.value.code == 4
 
 
-def test_exit_code_when_a_check_compares_nothing(capsys, monkeypatch):
-    # below level 3 there are no signature triples and no sampled cosets;
-    # the off-support sampling of rg is stubbed, it is not what is checked
-    monkeypatch.setattr(padic, "compute_Rg",
-                        lambda g, n, seed=0: types.SimpleNamespace(group=None))
-    monkeypatch.setattr(padic, "radical_obstruction", lambda fq, grp: True)
+def test_exit_code_when_a_check_compares_nothing(capsys):
+    # below level 3 there are no signature triples, no sampled cosets and
+    # no off-support triples
     for argv, failed in (
             (["verify", "--suite", "signatures", "--q", "2", "--n-max", "2"],
              ["assembled involution traces match the closed formula"]),
             (["verify", "--suite", "rg", "--q", "2", "--n-max", "2"],
              ["witness subgroups conjugate to table kinds",
-              "sampled subgroups equal witnessed subgroups"])):
+              "sampled subgroups equal witnessed subgroups",
+              "off-support cosets show a radical obstruction"])):
         rc, out = run(capsys, argv + ["--format", "json"])
         assert rc == 2
         payload = json.loads(out)
         assert payload["rows"] == []
         assert [c["name"] for c in payload["checks"] if not c["ok"]] == failed
+
+
+GRID = [["verify", "--suite", "identities", "--q", q, "--precision", prec,
+         "--draws", "3"]
+        for q in ("2", "3", "4", "6") for prec in ("4", "5", "8", "12")]
+GRID.append(["verify", "--suite", "rg", "--q", "2", "--n-max", "2"])
+
+
+@pytest.mark.parametrize("argv", GRID, ids=" ".join)
+def test_cli_grid_ends_in_a_documented_exit_code(capsys, argv):
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    err = capsys.readouterr().err
+    assert rc in (0, 2, 3, 4)
+    assert "Traceback" not in err
+    if rc == 3:
+        assert err.count("\n") == 1 and err.startswith("siegel: ")
+
+
+def test_identity_failure_fails_the_check(capsys, monkeypatch):
+    def broken(ctx, rng, i_max, j_max, n_max):
+        padic._expect("shear", False, "i=1 j=2")
+    monkeypatch.setitem(padic.IDENTITY_TAGS, "shear", broken)
+    rc, out = run(capsys, ["verify", "--suite", "identities", "--q", "2",
+                           "--draws", "3", "--format", "json"])
+    assert rc == 2
+    payload = json.loads(out)
+    assert {"identity": "shear", "draws": 0} in payload["rows"]
+    (check,) = payload["checks"]
+    assert not check["ok"] and "shear failed (shear: i=1 j=2)" in check["detail"]
 
 
 def test_version_flag(capsys):

@@ -8,8 +8,8 @@ from siegelvec.finitegrp import (
     gl2_mul, gl22_mul, subgroup_R, u_action,
 )
 from siegelvec.chars import (
-    SigmaLabel, cuspidal_char, cuspidal_classes, fixed_dim,
-    twisted_trace_closed,
+    OracleRequired, SigmaLabel, cuspidal_char, cuspidal_classes, fixed_dim,
+    split_restriction, twisted_trace_closed,
 )
 from siegelvec import models
 from siegelvec.models import (
@@ -283,16 +283,61 @@ def test_model_for_sigma_dispatch():
         model_for_sigma(ctx, SigmaLabel(1, 2, "Plus"))
 
 
-def test_constituent_oracle_feeds_fixed_dim():
+def test_constituent_rank_where_the_character_layer_refuses():
     ctx = build_field(5, 1)
     # subgroup not stable under the nonsquare diagonal conjugation
     from siegelvec.finitegrp import subgroup_closure
     w = GL2Elem(0, ctx.one, ctx.neg(ctx.one), 0)
     R = subgroup_closure(ctx, [GL22Elem(w, w)])
     plus = SigmaLabel(3, 3, "Plus")
-    oracle = model_for_sigma(ctx, plus)
-    d = fixed_dim(ctx, plus, R, oracle=oracle)
-    assert d == oracle.fixed_rank(R) >= 0
+    with pytest.raises(OracleRequired):
+        fixed_dim(ctx, plus, R)
+    parts = decompose(TensorModel(ctx, 3, 3))
+    for c in parts:
+        P = sum(c.mat(r) for r in R) / len(R)
+        assert c.fixed_rank(R) == np.linalg.matrix_rank(P, tol=1e-6)
+    full = fixed_dim(ctx, SigmaLabel(3, 3, "Full"), R)
+    assert sum(c.fixed_rank(R) for c in parts) == full
+
+
+def _probe_trace_naming(tm, parts):
+    """The earlier Plus/Minus convention, kept as a reference: compare the
+    two parts' compressed traces, rounded to 6 decimals, over a growing
+    prefix of GL22 until they differ; the larger tuple is Plus."""
+    elems = enumerate_gl22(tm.ctx)
+    width = 24
+    while True:
+        traces = []
+        for c in parts:
+            traces.append(tuple(
+                (round(t.real, 6), round(t.imag, 6))
+                for t in (np.trace(c.mat(x)) for x in elems[:width])))
+        if traces[0] != traces[1] or width >= len(elems):
+            break
+        width *= 4
+    assert traces[0] != traces[1]
+    return ("Plus", "Minus") if traces[0] >= traces[1] else ("Minus", "Plus")
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_rank_naming_agrees_with_probe_trace_reference(p):
+    ctx = build_field(p, 1)
+    split = [k for k in cuspidal_classes(ctx) if split_restriction(ctx, k)]
+    n = [GL2Elem(ctx.one, 0, u, ctx.one) for u in ctx.fq_elements]
+    N = subgroup_R("Custom", ctx, [GL22Elem(x, x) for x in n])
+    for k1 in split:
+        for k2 in split:
+            parts = decompose(TensorModel(ctx, k1, k2))
+            assert [c.tag for c in parts] == ["Plus", "Minus"]
+            assert _probe_trace_naming(parts[0].tm, parts) == ("Plus", "Minus")
+            assert [c.fixed_rank(N) for c in parts] == [ctx.q - 1, 0]
+
+
+def test_decompose_refuses_uncertified_ranks(monkeypatch):
+    ctx = build_field(3, 1)
+    monkeypatch.setattr(ConstituentModel, "fixed_rank", lambda self, R: 1)
+    with pytest.raises(UncertifiedNullity):
+        decompose(TensorModel(ctx, 2, 2))
 
 
 # -- intertwiners and twisted traces ------------------------------------------

@@ -76,6 +76,37 @@ def test_addition_cancellation_degrades_to_bound():
         d.val_le(6)
 
 
+def test_scalar_comparison_is_three_valued():
+    ctx = PadicCtx(3, 1, prec=6)
+    a = ctx.from_int(5)
+    assert scalars_close(a, ctx.from_int(5))          # decided equal
+    assert not scalars_close(a, ctx.from_int(2))      # certified difference
+    rough = a + ctx.eps(2)                             # 5 known mod 3^2 only
+    with pytest.raises(PrecisionExhausted):
+        scalars_close(rough, a)
+    with pytest.raises(PrecisionExhausted):
+        scalars_close(ctx.eps(2), ctx.zero_s)
+
+
+def test_matrix_comparison_prefers_a_certified_mismatch():
+    ctx = PadicCtx(3, 1, prec=6)
+    ident = mat_identity(ctx)
+    rough = [list(row) for row in ident]
+    rough[0][0] = ctx.one_s + ctx.eps(2)
+    with pytest.raises(PrecisionExhausted):
+        mat_close(rough, ident)
+    rough[3][3] = ctx.from_int(2)
+    assert not mat_close(rough, ident)
+
+
+def test_unresolved_similitude_factor_is_a_precision_shortfall():
+    ctx = PadicCtx(3, 1, prec=6)
+    rows = [list(row) for row in mat_identity(ctx)]
+    rows[0][0] = ctx.eps(2)
+    with pytest.raises(PrecisionExhausted):
+        similitude_of(ctx, rows)
+
+
 def test_multiplication_and_inverse_are_lossless():
     ctx = PadicCtx(3, 1, prec=10)
     rng = np.random.default_rng(0)
