@@ -29,8 +29,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .finitegrp import (FqCtx, GL2Elem, GL22Elem, ExtElem, SubgroupR,
-                        enumerate_gl22, ext_inv, ext_mul, gl2_det, u_action)
+from .finitegrp import (FqCtx, GL2Elem, GL22Elem, SubgroupR, conjugates_into,
+                        enumerate_gl22, gl2_det, gl2_identity, u_action)
 from .numerics import certify_integer, root_of_unity
 
 
@@ -296,10 +296,8 @@ def _average_dim(ctx: FqCtx, sigma: SigmaLabel, elems: frozenset) -> int:
     if sigma.constituent == "Full":
         share = 1.0
     else:
-        # s conjugates (g, h) to ([[a, e b], [c / e, d]], h) for g = [[a, b], [c, d]]
-        e, ei = ctx.fq_gen, ctx.inv(ctx.fq_gen)
-        if not all(GL22Elem(GL2Elem(g.a, ctx.mul(e, g.b), ctx.mul(ei, g.c), g.d), h)
-                   in elems for g, h in elems):
+        s = GL22Elem(GL2Elem(ctx.fq_gen, 0, 0, ctx.one), gl2_identity(ctx))
+        if not conjugates_into(ctx, s, elems, elems):
             raise OracleRequired("constituent fixed dim on a subgroup that is "
                                  "not swap-stable needs the matrix-model oracle")
         share = 2.0
@@ -391,21 +389,18 @@ def twisted_trace_closed(ctx: FqCtx, sigma: SigmaLabel, operator: str,
     return {"swap": 0, "ww": 2 * sign, "swap_ww": 0}[operator]
 
 
-def induced_trace_zero(ctx: FqCtx, sigma: SigmaLabel, s: ExtElem, R: SubgroupR) -> int:
+def induced_trace_zero(ctx: FqCtx, sigma: SigmaLabel, x: GL22Elem, R: SubgroupR) -> int:
     """Trace of an induced-extension operator on the R-fixed space: zero.
 
-    Requires a non-self-twisted label, s in the nontrivial coset of the
-    order-2 extension, and s normalizing R; the induced operator is then
-    block antidiagonal for the two twisted summands."""
+    The operator is that of s = x u, the element of the nontrivial coset of
+    the order-2 extension named by x in GL22(q).  Requires a non-self-twisted
+    label and s normalizing R; the induced operator is then block
+    antidiagonal for the two twisted summands.  Since u acts by the
+    involution u_action, s r s^-1 = x u_action(r) x^-1."""
     if self_twist_presentations(ctx, sigma):
         raise HypothesisViolated("label is self-twisted")
-    if s.eps != 1:
-        raise HypothesisViolated("s must lie in the nontrivial extension coset")
-    si = ext_inv(ctx, s)
-    for r in R:
-        conj = ext_mul(ctx, ext_mul(ctx, s, ExtElem(r, 0)), si)
-        if conj.eps != 0 or conj.base not in R.elements:
-            raise HypothesisViolated("s does not normalize R")
+    if not conjugates_into(ctx, x, [u_action(ctx, r) for r in R], R.elements):
+        raise HypothesisViolated("s does not normalize R")
     return 0
 
 

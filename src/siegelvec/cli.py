@@ -4,9 +4,9 @@ Three subcommands: ``table`` prints coset counts per level, ``support``
 lists the coset parameters of one level, and ``verify`` runs a named
 check suite and reports pass/fail per check.  Output formats are text,
 json (stable key order) and csv.  Exit status: 0 all checks pass, 2 a
-check failed, 3 unusable configuration, a numerical result the oracle
-refuses to certify, or a p-adic precision or sampling budget too small to
-decide, 4 usage error.
+check failed, 3 unusable configuration, a numerical result that cannot be
+certified or needs the matrix-model oracle, a p-adic element outside K, or
+a p-adic precision or sampling budget too small to decide, 4 usage error.
 """
 
 from __future__ import annotations
@@ -22,13 +22,15 @@ from itertools import islice
 import numpy as np
 
 from . import __version__
+from .numerics import NotAnInteger
 from .finitegrp import (FqCtx, build_field, subgroup_R, enumerate_gl22,
-                        ext_mul, ext_inv, ExtElem, u_action)
+                        conjugates_into, u_action)
 from .chars import (SigmaLabel, omega_trivial_sigma_classes, cuspidal_classes,
                     sigma_key, make_sigma, sigma_is_reducible,
                     induced_trace_zero, fixed_dim, fixed_dim_closed,
                     twisted_trace_closed, self_twist_presentations,
-                    lambda_omega_class, omega_minus1, BadCase, HypothesisViolated)
+                    lambda_omega_class, omega_minus1, BadCase, HypothesisViolated,
+                    OracleRequired)
 from .models import (TensorModel, decompose, model_for_sigma, swap_operator,
                      ww_operator, twisted_trace, NoIntertwiner,
                      ProjectorRankMismatch, UncertifiedNullity)
@@ -273,38 +275,28 @@ def suite_induced(q: int, **_: object) -> tuple[list, list]:
     rows = []
     ok = gate_ok = True
     total = 0
+    group = enumerate_gl22(ctx)
     for R in _standard_groups(ctx):
         P = sum(_induced_mat(tm, r, 0) for r in R) / len(R)
-        norm = []
-        rejected = sampled_rejects = 0
-        for x in enumerate_gl22(ctx):
-            s = ExtElem(x, 1)
-            si = ext_inv(ctx, s)
-            good = True
-            for r in R:
-                c = ext_mul(ctx, ext_mul(ctx, s, ExtElem(r, 0)), si)
-                if c.eps != 0 or c.base not in R.elements:
-                    good = False
-                    break
-            if good:
-                norm.append(x)
-                continue
-            rejected += 1
-            if sampled_rejects < 16:
-                sampled_rejects += 1
-                try:
-                    induced_trace_zero(ctx, sigma, s, R)
-                    gate_ok = False
-                except HypothesisViolated:
-                    pass
+        # the coset element s = x u conjugates r to x u_action(r) x^-1
+        uR = [u_action(ctx, r) for r in R]
+        norm, rejects = [], []
+        for x in group:
+            (norm if conjugates_into(ctx, x, uR, R.elements) else rejects).append(x)
+        for x in rejects[:16]:
+            try:
+                induced_trace_zero(ctx, sigma, x, R)
+                gate_ok = False
+            except HypothesisViolated:
+                pass
         worst = 0.0
         for pos, x in enumerate(norm):
-            ok &= induced_trace_zero(ctx, sigma, ExtElem(x, 1), R) == 0
+            ok &= induced_trace_zero(ctx, sigma, x, R) == 0
             if pos < 32:
                 worst = max(worst, abs(np.trace(_induced_mat(tm, x, 1) @ P)))
         total += len(norm)
         rows.append({"sigma": _sigma_str(sigma), "group": R.label,
-                     "normalizers": len(norm), "rejected": rejected,
+                     "normalizers": len(norm), "rejected": len(rejects),
                      "max_abs_trace": worst})
         ok &= worst < 1e-8
     checks: list = []
@@ -579,10 +571,11 @@ def main(argv=None) -> int:
         return cmd_verify(args)
     except Exception as exc:
         # padic, the largest module, is imported only by the suites that use it
-        from .padic import PrecisionExhausted, StabilizationFailure
+        from .padic import NotInK, PrecisionExhausted, StabilizationFailure
         if not isinstance(exc, (ConfigError, BadCase, UncertifiedNullity,
-                                ProjectorRankMismatch, NoIntertwiner,
-                                PrecisionExhausted, StabilizationFailure)):
+                                ProjectorRankMismatch, NoIntertwiner, NotAnInteger,
+                                OracleRequired, NotInK, PrecisionExhausted,
+                                StabilizationFailure)):
             raise
         print(f"siegel: {exc}", file=sys.stderr)
         return 3

@@ -14,7 +14,7 @@ swap the two factors, then conjugate both by w = [[0,1],[-1,0]].
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from typing import Container, Iterable, NamedTuple, Optional
 
 from .numerics import root_of_unity
 
@@ -229,11 +229,6 @@ class GL22Elem(NamedTuple):
     second: GL2Elem
 
 
-class ExtElem(NamedTuple):
-    base: GL22Elem
-    eps: int
-
-
 def gl2_identity(ctx: FqCtx) -> GL2Elem:
     return GL2Elem(ctx.one, 0, 0, ctx.one)
 
@@ -282,16 +277,12 @@ def u_action(ctx: FqCtx, x: GL22Elem) -> GL22Elem:
     return GL22Elem(wconj(x.second), wconj(x.first))
 
 
-def ext_mul(ctx: FqCtx, x: ExtElem, y: ExtElem) -> ExtElem:
-    yb = u_action(ctx, y.base) if x.eps else y.base
-    return ExtElem(gl22_mul(ctx, x.base, yb), x.eps ^ y.eps)
-
-
-def ext_inv(ctx: FqCtx, x: ExtElem) -> ExtElem:
-    bi = gl22_inv(ctx, x.base)
-    if x.eps:
-        bi = u_action(ctx, bi)
-    return ExtElem(bi, x.eps)
+def conjugates_into(ctx: FqCtx, x: GL22Elem, A: Iterable[GL22Elem],
+                    B: Container[GL22Elem]) -> bool:
+    """Whether x a x^-1 lies in B for every a in A.  x may be any pair of
+    invertible matrices; its two determinants may differ."""
+    xi = gl22_inv(ctx, x)
+    return all(gl22_mul(ctx, gl22_mul(ctx, x, a), xi) in B for a in A)
 
 
 def enumerate_gl2(ctx: FqCtx) -> list[GL2Elem]:
@@ -339,7 +330,7 @@ class SubgroupR:
         return x in self.elements
 
 
-def subgroup_R(kind: str, ctx: FqCtx, params: Optional[Iterable[GL22Elem]] = None) -> SubgroupR:
+def subgroup_R(kind: str, ctx: FqCtx) -> SubgroupR:
     q = ctx.q
     if kind == "Torus":
         els = [GL22Elem(GL2Elem(a, 0, 0, b),
@@ -361,10 +352,6 @@ def subgroup_R(kind: str, ctx: FqCtx, params: Optional[Iterable[GL22Elem]] = Non
     elif kind == "U2":
         i = gl2_identity(ctx)
         els = [GL22Elem(i, GL2Elem(ctx.one, 0, u, ctx.one)) for u in ctx.fq_elements]
-    elif kind == "Custom":
-        if params is None:
-            raise BadKind("Custom subgroup needs an explicit element list")
-        els = list(params)
     else:
         raise BadKind(f"unknown subgroup kind {kind!r}")
     return SubgroupR(ctx, els, kind)
@@ -392,17 +379,9 @@ def subgroup_closure(ctx: FqCtx, gens: Iterable[GL22Elem], label: str = "Custom"
 
 
 def conjugate_subgroups(A: SubgroupR, B: SubgroupR, ctx: FqCtx) -> Optional[GL22Elem]:
-    """A witness x with x A x^-1 = B, or None."""
+    """The first x of GL22(q), in enumeration order, with x A x^-1 = B, or
+    None.  A and B have equal order, so conjugating A into B is enough."""
     if len(A) != len(B):
         raise ValueError("conjugate subgroups must have equal order")
-    a_els = list(A.elements)
-    for x in enumerate_gl22(ctx):
-        xi = gl22_inv(ctx, x)
-        ok = True
-        for a in a_els:
-            if gl22_mul(ctx, gl22_mul(ctx, x, a), xi) not in B.elements:
-                ok = False
-                break
-        if ok:
-            return x
-    return None
+    return next((x for x in enumerate_gl22(ctx)
+                 if conjugates_into(ctx, x, A.elements, B.elements)), None)

@@ -26,9 +26,9 @@ from .finitegrp import (
     SubgroupR,
     _find_primitive_poly,
     build_field,
+    conjugates_into,
     enumerate_gl22,
     gl22_identity,
-    gl22_inv,
     gl22_mul,
     gl22_valid,
     subgroup_R,
@@ -797,12 +797,7 @@ def radical_obstruction(fq: FqCtx, grp: SubgroupR) -> bool:
     if u1 <= grp.elements:
         return True
     u2 = subgroup_R("U2", fq).elements
-    for x in enumerate_gl22(fq):
-        xi = gl22_inv(fq, x)
-        conj = {gl22_mul(fq, gl22_mul(fq, x, e), xi) for e in u2}
-        if conj <= grp.elements:
-            return True
-    return False
+    return any(conjugates_into(fq, x, u2, grp.elements) for x in enumerate_gl22(fq))
 
 
 # -- the identity suite --------------------------------------------------------
@@ -1122,8 +1117,8 @@ def run_identity(ctx: PadicCtx, tag: str, draws: int = 100, seed: int = 0,
 
     Returns the number of draws performed; raises IdentityFailure with the
     offending parameters, and the count of draws that passed, on the first
-    certified mismatch, and PrecisionExhausted when the working precision
-    cannot decide an entry.
+    certified mismatch, and PrecisionExhausted, naming the tag, the draw
+    and the seed, when the working precision cannot decide an entry.
     """
     if tag not in IDENTITY_TAGS:
         raise ValueError(f"unknown identity tag {tag!r}")
@@ -1135,4 +1130,6 @@ def run_identity(ctx: PadicCtx, tag: str, draws: int = 100, seed: int = 0,
         except IdentityFailure as exc:
             exc.draws = done
             raise
+        except PrecisionExhausted as exc:
+            raise PrecisionExhausted(f"{tag} draw {done} (seed {seed}): {exc}") from exc
     return draws

@@ -3,8 +3,8 @@
 import pytest
 
 from siegelvec.finitegrp import (
-    GL2Elem, GL22Elem, ExtElem, build_field, enumerate_gl2,
-    gl2_mul, gl2_inv, gl22_identity, subgroup_R, subgroup_closure,
+    GL2Elem, GL22Elem, build_field, enumerate_gl2,
+    gl2_mul, gl2_inv, gl22_identity, subgroup_R, subgroup_closure, u_action,
 )
 from siegelvec.chars import (
     BadCase, HypothesisViolated, OracleRequired, SigmaLabel,
@@ -352,14 +352,21 @@ def test_swap_stability_is_computed(p):
     k = (ctx.q + 1) // 2                  # a label with split restriction
     plus = SigmaLabel(k, k, "Plus")
     full = SigmaLabel(k, k, "Full")
-    for kind in ("Torus", "U1", "U2"):
+    e, ei = ctx.fq_gen, ctx.inv(ctx.fq_gen)
+    for kind in ("Torus", "Unip", "U1", "U2"):
         R = subgroup_R(kind, ctx)
-        assert 2 * fixed_dim(ctx, plus, R) == fixed_dim(ctx, full, R)
-        assert 2 * fixed_dim_u_twist(ctx, plus, R) == fixed_dim_u_twist(ctx, full, R)
-    with pytest.raises(OracleRequired):
-        fixed_dim(ctx, plus, subgroup_R("Unip", ctx))
-    with pytest.raises(OracleRequired):
-        fixed_dim_u_twist(ctx, plus, subgroup_R("Unip", ctx))
+        for elems, average in ((R.elements, fixed_dim),
+                               ({u_action(ctx, r) for r in R}, fixed_dim_u_twist)):
+            # reference: s = (diag(e, 1), 1) conjugates (g, h) to
+            # ([[a, e b], [c / e, d]], h) for g = [[a, b], [c, d]]
+            stable = all(GL22Elem(GL2Elem(g.a, ctx.mul(e, g.b), ctx.mul(ei, g.c), g.d), h)
+                         in elems for g, h in elems)
+            assert stable == (kind != "Unip")
+            if stable:
+                assert 2 * average(ctx, plus, R) == average(ctx, full, R)
+            else:
+                with pytest.raises(OracleRequired):
+                    average(ctx, plus, R)
 
 
 def test_constituent_fixed_dim_q5_closed():
@@ -485,14 +492,12 @@ def test_twisted_trace_hypothesis_gates():
 def test_induced_trace_zero_gates():
     ctx = build_field(3, 1)
     s = SigmaLabel(1, 2, "Full")
-    coset = ExtElem(gl22_identity(ctx), 1)
-    assert induced_trace_zero(ctx, s, coset, _torus(ctx)) == 0
+    x = gl22_identity(ctx)
+    assert induced_trace_zero(ctx, s, x, _torus(ctx)) == 0
     with pytest.raises(HypothesisViolated):
-        induced_trace_zero(ctx, s, coset, subgroup_R("U1", ctx))
+        induced_trace_zero(ctx, s, x, subgroup_R("U1", ctx))
     with pytest.raises(HypothesisViolated):
-        induced_trace_zero(ctx, s, ExtElem(gl22_identity(ctx), 0), _torus(ctx))
-    with pytest.raises(HypothesisViolated):
-        induced_trace_zero(ctx, SigmaLabel(2, 6, "Full"), coset, _torus(ctx))
+        induced_trace_zero(ctx, SigmaLabel(2, 6, "Full"), x, _torus(ctx))
 
 
 # -- class inventories --------------------------------------------------------

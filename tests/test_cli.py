@@ -7,7 +7,7 @@ import pytest
 
 import siegelvec
 from siegelvec import __version__
-from siegelvec import cli, models, padic
+from siegelvec import chars, cli, models, numerics, padic
 from siegelvec.cli import main
 from siegelvec.finitegrp import build_field
 from siegelvec.support import (COSET_TAGS, stratum_count, total_count,
@@ -160,6 +160,30 @@ def test_exit_code_on_sampling_budget(capsys, monkeypatch):
     assert capsys.readouterr().err == "siegel: no stable window\n"
 
 
+@pytest.mark.parametrize("module,name,exc,argv", [
+    (chars, "_average_dim", numerics.NotAnInteger("0.5 is not an integer"),
+     ["fixed-dims", "--q", "3"]),
+    (chars, "_average_dim", chars.OracleRequired("needs the oracle"),
+     ["fixed-dims", "--q", "3"]),
+    (padic, "witness_Rg", padic.NotInK("pattern violation"),
+     ["rg", "--q", "2", "--n-max", "3"]),
+], ids=["NotAnInteger", "OracleRequired", "NotInK"])
+def test_exit_code_on_library_refusal(capsys, monkeypatch, module, name, exc, argv):
+    def refuse(*_, **__):
+        raise exc
+    monkeypatch.setattr(module, name, refuse)
+    assert main(["verify", "--suite"] + argv) == 3
+    assert capsys.readouterr().err == f"siegel: {exc}\n"
+
+
+def test_precision_exit_names_the_identity_and_draw(capsys):
+    rc = main(["verify", "--suite", "identities", "--q", "4", "--precision", "16"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.count("\n") == 1
+    assert err.startswith("siegel: row-shear draw ") and "(seed 0)" in err
+
+
 def test_oracle_q5_peak_memory(tmp_path):
     src = os.path.dirname(os.path.dirname(siegelvec.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -212,7 +236,11 @@ def test_exit_code_when_a_check_compares_nothing(capsys):
 GRID = [["verify", "--suite", "identities", "--q", q, "--precision", prec,
          "--draws", "3"]
         for q in ("2", "3", "4", "6") for prec in ("4", "5", "8", "12")]
-GRID.append(["verify", "--suite", "rg", "--q", "2", "--n-max", "2"])
+GRID += [["verify", "--suite", suite, "--q", q, "--n-max", "2", "--draws", "2"]
+         for suite in sorted(cli.SUITES) for q in ("2", "3", "4")]
+GRID += [[cmd, "--q", q, flag, n]
+         for cmd, flag in (("table", "--n-max"), ("support", "--n"))
+         for q in ("2", "3", "4") for n in ("0", "1", "2")]
 
 
 @pytest.mark.parametrize("argv", GRID, ids=" ".join)

@@ -1,13 +1,45 @@
+from typing import NamedTuple
+
 import pytest
 
 from siegelvec.finitegrp import (
-    BadKind, ExtElem, GL22Elem, GL2Elem, UnsupportedSize,
-    artin_schreier_set, build_field, conjugate_subgroups, enumerate_gl2,
-    enumerate_gl22, ext_inv, ext_mul, gl22_identity, gl22_inv, gl22_mul,
+    BadKind, GL22Elem, GL2Elem, SubgroupR, UnsupportedSize,
+    artin_schreier_set, build_field, conjugate_subgroups, conjugates_into,
+    enumerate_gl2, enumerate_gl22, gl22_identity, gl22_inv, gl22_mul,
     gl22_valid, gl2_det, gl2_identity, gl2_inv, gl2_mul, subgroup_R,
     subgroup_closure, u_action,
 )
 from siegelvec.numerics import certify_integer
+
+
+# -- reference: the order-2 extension GL22(q) x| <u> as (base, eps) pairs ----
+
+class ExtElem(NamedTuple):
+    base: GL22Elem
+    eps: int
+
+
+def ext_mul(ctx, x: ExtElem, y: ExtElem) -> ExtElem:
+    yb = u_action(ctx, y.base) if x.eps else y.base
+    return ExtElem(gl22_mul(ctx, x.base, yb), x.eps ^ y.eps)
+
+
+def ext_inv(ctx, x: ExtElem) -> ExtElem:
+    bi = gl22_inv(ctx, x.base)
+    if x.eps:
+        bi = u_action(ctx, bi)
+    return ExtElem(bi, x.eps)
+
+
+def _ext_normalizes(ctx, x: GL22Elem, R) -> bool:
+    """Whether s = (x, 1) normalizes R, by products in the extension."""
+    s = ExtElem(x, 1)
+    si = ext_inv(ctx, s)
+    for r in R:
+        c = ext_mul(ctx, ext_mul(ctx, s, ExtElem(r, 0)), si)
+        if c.eps != 0 or c.base not in R.elements:
+            return False
+    return True
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
 
@@ -174,12 +206,22 @@ def test_conjugate_subgroups_witness_and_absence():
     unip = subgroup_R("Unip", ctx3)
     t = GL22Elem(GL2Elem(ctx3.fq_gen, 0, 0, ctx3.one), GL2Elem(ctx3.fq_gen, 0, 0, ctx3.one))
     ti = gl22_inv(ctx3, t)
-    conj = subgroup_R("Custom", ctx3,
-                      [gl22_mul(ctx3, gl22_mul(ctx3, t, x), ti) for x in unip])
+    conj = SubgroupR(ctx3, [gl22_mul(ctx3, gl22_mul(ctx3, t, x), ti) for x in unip],
+                     "Custom")
     w2 = conjugate_subgroups(unip, conj, ctx3)
     assert w2 is not None
     wi = gl22_inv(ctx3, w2)
     assert all(gl22_mul(ctx3, gl22_mul(ctx3, w2, x), wi) in conj for x in unip)
+
+
+def test_conjugates_into_matches_extension_products():
+    ctx = build_field(3, 1)
+    for kind in ("Torus", "Unip", "U1", "U2"):
+        R = subgroup_R(kind, ctx)
+        uR = [u_action(ctx, r) for r in R]
+        agree = [conjugates_into(ctx, x, uR, R.elements) == _ext_normalizes(ctx, x, R)
+                 for x in enumerate_gl22(ctx)]
+        assert len(agree) == 1152 and all(agree)
 
 
 def test_center_of_gl22_has_equal_scalar_index_two():

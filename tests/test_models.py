@@ -5,7 +5,7 @@ import pytest
 
 from siegelvec.finitegrp import (
     GL2Elem, GL22Elem, build_field, enumerate_gl2, enumerate_gl22, gl2_inv,
-    gl2_mul, gl22_mul, subgroup_R, u_action,
+    gl2_mul, gl22_mul, SubgroupR, subgroup_R, u_action,
 )
 from siegelvec.chars import (
     OracleRequired, SigmaLabel, cuspidal_char, cuspidal_classes, fixed_dim,
@@ -324,7 +324,7 @@ def test_rank_naming_agrees_with_probe_trace_reference(p):
     ctx = build_field(p, 1)
     split = [k for k in cuspidal_classes(ctx) if split_restriction(ctx, k)]
     n = [GL2Elem(ctx.one, 0, u, ctx.one) for u in ctx.fq_elements]
-    N = subgroup_R("Custom", ctx, [GL22Elem(x, x) for x in n])
+    N = SubgroupR(ctx, [GL22Elem(x, x) for x in n], "Custom")
     for k1 in split:
         for k2 in split:
             parts = decompose(TensorModel(ctx, k1, k2))
