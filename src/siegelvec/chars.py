@@ -4,13 +4,15 @@ and closed-form fixed-space dimensions.
 A cuspidal representation of GL2(q) is labeled by an exponent k with
 (q+1) not dividing k: the corresponding character theta of the big
 multiplicative group sends g2^j to zeta_{q^2-1}^{kj}.  Labels k and q*k
-name the same representation.  Character values depend only on the
-conjugacy type:
+name the same representation.  Each character is a table keyed by the
+class key ``finitegrp.gl2_class`` (trace, det, is_scalar), filled once
+per label from the eigenvalues t in F_{q^2}^x:
 
-* scalar aI            -> (q-1) theta(a)
-* non-semisimple, eigenvalue a (repeated, nonscalar) -> -theta(a)
-* split regular diag(a,b), a != b                    -> 0
-* elliptic, eigenvalue t outside F_q                 -> -(theta(t) + theta(t^q))
+* scalar tI                       (2t, t^2, True)      -> (q-1) theta(t)
+* non-semisimple, eigenvalue t    (2t, t^2, False)     -> -theta(t)
+* elliptic, eigenvalues t and t^q (t+t^q, t^(q+1), False)
+                                  -> -(theta(t) + theta(t^q))
+* split regular diag(a,b), a != b: absent from the table -> 0
 
 A SigmaLabel names an irreducible-or-full piece of the restriction of a
 cuspidal pair to the det-matched group GL22(q): either the full
@@ -27,10 +29,11 @@ OracleRequired: this module never calls a matrix model.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple, Optional
 
 from .finitegrp import (FqCtx, GL2Elem, GL22Elem, SubgroupR, conjugates_into,
-                        enumerate_gl22, gl2_det, gl2_identity, u_action)
+                        enumerate_gl22, gl2_class, gl2_identity, u_action)
 from .numerics import certify_integer, root_of_unity
 
 
@@ -70,66 +73,29 @@ def theta_eval(ctx: FqCtx, k: int, a: int) -> complex:
     return root_of_unity(ctx.q2 - 1, k * ctx.dlog(a))
 
 
-def classify_gl2(ctx: FqCtx, g: GL2Elem):
-    """Conjugacy type of g: ('scalar', a), ('nonss', a), ('split', (a, b)),
-    or ('elliptic', t) with t one of the two eigenvalues outside F_q."""
-    if g.b == 0 and g.c == 0 and g.a == g.d:
-        return ("scalar", g.a)
-    tr = ctx.add(g.a, g.d)
-    det = gl2_det(ctx, g)
-    # roots of t^2 - tr t + det over F_{q^2}; both live there
-    roots = _quadratic_roots(ctx, tr, det)
-    r1, r2 = roots
-    if r1 == r2:
-        return ("nonss", r1)
-    if ctx.in_fq(r1):
-        return ("split", (min(r1, r2), max(r1, r2)))
-    return ("elliptic", min(r1, r2))
+@functools.cache
+def _char_table(ctx: FqCtx, k: int) -> dict:
+    """Values of the cuspidal character labeled by k, keyed by gl2_class.
 
-
-_ROOT_CACHE: dict[tuple, tuple] = {}
-
-
-def _quadratic_roots(ctx: FqCtx, tr: int, det: int) -> tuple:
-    key = (ctx.p, ctx.f, tr, det)
-    hit = _ROOT_CACHE.get(key)
-    if hit is not None:
-        return hit
-    roots = []
-    for e in range(ctx.q2):
-        t = e  # codes enumerate all of F_{q^2}
-        val = ctx.add(ctx.sub(ctx.mul(t, t), ctx.mul(tr, t)), det)
-        if val == 0:
-            roots.append(t)
-            if len(roots) == 2:
-                break
-    if len(roots) == 1:
-        roots.append(roots[0])
-    out = tuple(roots)
-    _ROOT_CACHE[key] = out
-    return out
-
-
-_CHAR_CACHE: dict[tuple, complex] = {}
+    Built once per label by running t over F_{q^2}^x.  Split regular
+    classes are absent: the character vanishes there."""
+    table = {}
+    for t in range(1, ctx.q2):
+        theta = theta_eval(ctx, k, t)
+        if ctx.in_fq(t):
+            tr, det = ctx.add(t, t), ctx.mul(t, t)
+            table[(tr, det, True)] = (ctx.q - 1) * theta
+            table[(tr, det, False)] = -theta
+        else:
+            tq = ctx.frob_q(t)
+            key = (ctx.add(t, tq), ctx.mul(t, tq), False)
+            table[key] = -(theta + theta_eval(ctx, k, tq))
+    return table
 
 
 def cuspidal_char(ctx: FqCtx, k: int, g: GL2Elem) -> complex:
-    """Character of the cuspidal representation labeled by k at g, cached
-    by conjugacy type."""
-    kind, data = classify_gl2(ctx, g)
-    if kind == "split":
-        return 0j
-    key = (ctx.p, ctx.f, k % (ctx.q2 - 1), kind, data)
-    hit = _CHAR_CACHE.get(key)
-    if hit is None:
-        if kind == "scalar":
-            hit = (ctx.q - 1) * theta_eval(ctx, k, data)
-        elif kind == "nonss":
-            hit = -theta_eval(ctx, k, data)
-        else:
-            hit = -(theta_eval(ctx, k, data) + theta_eval(ctx, k, ctx.frob_q(data)))
-        _CHAR_CACHE[key] = hit
-    return hit
+    """Character of the cuspidal representation labeled by k at g."""
+    return _char_table(ctx, k % (ctx.q2 - 1)).get(gl2_class(ctx, g), 0j)
 
 
 # -- omega (central character) helpers ------------------------------------

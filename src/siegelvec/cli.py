@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .numerics import NotAnInteger
 from .finitegrp import (FqCtx, build_field, subgroup_R, enumerate_gl22,
-                        conjugates_into, u_action)
+                        conjugates_into, gl2_class, u_action)
 from .chars import (SigmaLabel, omega_trivial_sigma_classes, cuspidal_classes,
                     sigma_key, make_sigma, sigma_is_reducible,
                     induced_trace_zero, fixed_dim, fixed_dim_closed,
@@ -256,6 +256,11 @@ def _induced_mat(tm: TensorModel, x, eps: int) -> np.ndarray:
     return out
 
 
+def _factor_classes(ctx: FqCtx, elems) -> Counter:
+    return Counter((gl2_class(ctx, r.first), gl2_class(ctx, r.second))
+                   for r in elems)
+
+
 def suite_induced(q: int, **_: object) -> tuple[list, list]:
     """Trace of every normalizing u-coset element on the fixed space of a
     non-self-paired label is zero; gate behavior checked on both sides."""
@@ -278,11 +283,14 @@ def suite_induced(q: int, **_: object) -> tuple[list, list]:
     group = enumerate_gl22(ctx)
     for R in _standard_groups(ctx):
         P = sum(_induced_mat(tm, r, 0) for r in R) / len(R)
-        # the coset element s = x u conjugates r to x u_action(r) x^-1
+        # the coset element s = x u conjugates r to x u_action(r) x^-1, and
+        # keeps each factor's class: unequal class counts leave no x to find
         uR = [u_action(ctx, r) for r in R]
-        norm, rejects = [], []
-        for x in group:
-            (norm if conjugates_into(ctx, x, uR, R.elements) else rejects).append(x)
+        norm, rejects = [], group
+        if _factor_classes(ctx, uR) == _factor_classes(ctx, R):
+            rejects = []
+            for x in group:
+                (norm if conjugates_into(ctx, x, uR, R.elements) else rejects).append(x)
         for x in rejects[:16]:
             try:
                 induced_trace_zero(ctx, sigma, x, R)

@@ -131,6 +131,8 @@ class FqCtx:
         for i in range(1, p):
             acc = self._add[acc][1]
             self._fp_value[acc] = i
+        self._psi = {a: root_of_unity(p, self.trace_to_fp(a))
+                     for a in self.fq_elements}
 
     # -- scalar ops ------------------------------------------------------
 
@@ -201,8 +203,8 @@ class FqCtx:
         return self._fp_value[t]
 
     def psi(self, a: int) -> complex:
-        """Fixed nontrivial additive character of F_q."""
-        return root_of_unity(self.p, self.trace_to_fp(a))
+        """Fixed nontrivial additive character of F_q, read from a table."""
+        return self._psi[a]
 
 
 _FIELD_CACHE: dict[tuple, FqCtx] = {}
@@ -235,6 +237,15 @@ def gl2_identity(ctx: FqCtx) -> GL2Elem:
 
 def gl2_det(ctx: FqCtx, m: GL2Elem) -> int:
     return ctx.sub(ctx.mul(m.a, m.d), ctx.mul(m.b, m.c))
+
+
+def gl2_class(ctx: FqCtx, m: GL2Elem) -> tuple[int, int, bool]:
+    """Class key (trace, det, is_scalar) of m: its conjugacy class in
+    GL2(q).  The flag separates aI from the non-semisimple elements with
+    eigenvalue a; every other class is fixed by its characteristic
+    polynomial."""
+    return (ctx.add(m.a, m.d), gl2_det(ctx, m),
+            m.b == 0 and m.c == 0 and m.a == m.d)
 
 
 def gl2_mul(ctx: FqCtx, x: GL2Elem, y: GL2Elem) -> GL2Elem:
@@ -357,7 +368,7 @@ def subgroup_R(kind: str, ctx: FqCtx) -> SubgroupR:
     return SubgroupR(ctx, els, kind)
 
 
-def subgroup_closure(ctx: FqCtx, gens: Iterable[GL22Elem], label: str = "Custom") -> SubgroupR:
+def subgroup_closure(ctx: FqCtx, gens: Iterable[GL22Elem]) -> SubgroupR:
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
@@ -375,7 +386,7 @@ def subgroup_closure(ctx: FqCtx, gens: Iterable[GL22Elem], label: str = "Custom"
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
-    return SubgroupR(ctx, seen, label)
+    return SubgroupR(ctx, seen, "Custom")
 
 
 def conjugate_subgroups(A: SubgroupR, B: SubgroupR, ctx: FqCtx) -> Optional[GL22Elem]:

@@ -13,8 +13,8 @@ for everything the character formulas cannot see: constituent splitting,
 twist intertwiners, and traces of twist operators on fixed subspaces.
 Their characters, and so their fixed ranks, are products of the two
 factors' traces.  Tensor and constituent matrices are computed on demand
-and never stored: only the Whittaker action table and the small cuspidal
-matrices, which every model of a field shares, are cached.
+and never stored: only the Whittaker actions of the elements used and the
+small cuspidal matrices, which every model of a field shares, are cached.
 
 Commutants and intertwiners are kernels of linear systems X A = B X over
 a generating set.  The stacked system is never formed: its Hermitian Gram
@@ -160,8 +160,9 @@ class WhittakerSpace:
         return out
 
     def apply(self, g: GL2Elem, v: np.ndarray) -> np.ndarray:
+        """Right translation by g applied to the columns of v."""
         perm, phase = self.action(g)
-        return phase[:, None] * v[perm] if v.ndim == 2 else phase * v[perm]
+        return phase[:, None] * v[perm]
 
 
 class CuspidalModel:
@@ -178,9 +179,9 @@ class CuspidalModel:
         rows = np.arange(N)
         scale = (ctx.q - 1) / len(elems)
         for g in elems:
-            perm, phase = self.space.action(g)
             coeff = scale * np.conj(cuspidal_char(ctx, self.k, g))
             if coeff != 0:
+                perm, phase = self.space.action(g)
                 np.add.at(P, (rows, perm), coeff * phase)
         if np.linalg.norm(P - P.conj().T) > _TOL * N:
             raise ProjectorRankMismatch("projector is not Hermitian")
@@ -204,9 +205,8 @@ class CuspidalModel:
     def char(self, g: GL2Elem) -> complex:
         return complex(np.trace(self.mat(g)))
 
-    def verify_character(self, sample=None) -> None:
-        elems = enumerate_gl2(self.ctx) if sample is None else sample
-        for g in elems:
+    def verify_character(self) -> None:
+        for g in enumerate_gl2(self.ctx):
             want = cuspidal_char(self.ctx, self.k, g)
             if abs(self.char(g) - want) > 1e-7:
                 raise ProjectorRankMismatch(

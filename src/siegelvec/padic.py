@@ -690,12 +690,14 @@ class RgResult(NamedTuple):
     accepted: int
 
 
-def compute_Rg(g: GSp4Elem, n: int, seed: int = 0, stable_window: int = 200,
-               max_draws: int = 60000) -> RgResult:
+STABLE_WINDOW, MAX_DRAWS = 200, 60000
+
+
+def compute_Rg(g: GSp4Elem, n: int, seed: int = 0) -> RgResult:
     """Sampled reduction image of g Si(n) g^-1 cap K, closed as a subgroup.
 
-    Stops once ``stable_window`` consecutive accepted draws produce no new
-    element; raises StabilizationFailure when the draw budget runs out first.
+    Stops once STABLE_WINDOW consecutive accepted draws produce no new
+    element; raises StabilizationFailure when MAX_DRAWS runs out first.
     """
     ctx = g.ctx
     fq = ctx.fq
@@ -703,7 +705,7 @@ def compute_Rg(g: GSp4Elem, n: int, seed: int = 0, stable_window: int = 200,
     gi = g.inv()
     grp = subgroup_closure(fq, [gl22_identity(fq)])
     draws = accepted = since_growth = 0
-    while draws < max_draws:
+    while draws < MAX_DRAWS:
         draws += 1
         s = rand_Si(ctx, rng, n)
         h = g @ s @ gi
@@ -714,13 +716,13 @@ def compute_Rg(g: GSp4Elem, n: int, seed: int = 0, stable_window: int = 200,
         accepted += 1
         if r in grp:
             since_growth += 1
-            if since_growth >= stable_window:
+            if since_growth >= STABLE_WINDOW:
                 return RgResult(grp, draws, accepted)
         else:
             grp = subgroup_closure(fq, list(grp.elements) + [r])
             since_growth = 0
     raise StabilizationFailure(
-        f"no stable window after {max_draws} draws ({accepted} accepted)")
+        f"no stable window after {MAX_DRAWS} draws ({accepted} accepted)")
 
 
 def witness_Rg(ctx: PadicCtx, tag: str, i: int, j: int, n: int,
@@ -802,13 +804,17 @@ def radical_obstruction(fq: FqCtx, grp: SubgroupR) -> bool:
 
 # -- the identity suite --------------------------------------------------------
 
+# Draw ranges: depths i in [0, I_MAX], j in [1, J_MAX], levels n in [1, N_MAX].
+I_MAX, J_MAX, N_MAX = 3, 5, 10
+
+
 def _expect(name: str, cond: bool, detail: str = ""):
     if not cond:
         raise IdentityFailure(f"{name}: {detail}" if detail else name)
 
 
-def _draw_ij(rng, i_max, j_max):
-    return int(rng.integers(0, i_max + 1)), int(rng.integers(1, j_max + 1))
+def _draw_ij(rng):
+    return int(rng.integers(0, I_MAX + 1)), int(rng.integers(1, J_MAX + 1))
 
 
 def _g_of(ctx, rng, i, j, with_x=True, with_y=True, with_z=True):
@@ -818,8 +824,8 @@ def _g_of(ctx, rng, i, j, with_x=True, with_y=True, with_z=True):
     return t_elem(ctx, i, j) @ s_lower(ctx, x, y, z), x, y, z
 
 
-def _id_shear(ctx, rng, i_max, j_max, n_max):
-    i, j = _draw_ij(rng, i_max, j_max)
+def _id_shear(ctx, rng):
+    i, j = _draw_ij(rng)
     x, y, z = (rand_pow(ctx, rng, -1, 3) for _ in range(3))
     c = rand_pow(ctx, rng, i + 1, i + 4)
     A = levi(ctx, 1, 0, c, 1, 1)
@@ -832,8 +838,8 @@ def _id_shear(ctx, rng, i_max, j_max, n_max):
 
 
 def _id_scale(slot):
-    def run(ctx, rng, i_max, j_max, n_max):
-        i, j = _draw_ij(rng, i_max, j_max)
+    def run(ctx, rng):
+        i, j = _draw_ij(rng)
         v = rand_pow(ctx, rng, -2, 4)
         args = [ctx.zero_s] * 3
         args[slot] = v
@@ -846,8 +852,8 @@ def _id_scale(slot):
     return run
 
 
-def _id_lower_corner(ctx, rng, i_max, j_max, n_max):
-    i, j = _draw_ij(rng, i_max, j_max)
+def _id_lower_corner(ctx, rng):
+    i, j = _draw_ij(rng)
     g, x, y, z = _g_of(ctx, rng, i, j)
     c = rand_pow(ctx, rng, 0, 4)
     lhs = g @ s_lower(ctx, 0, 0, c) @ g.inv()
@@ -855,8 +861,8 @@ def _id_lower_corner(ctx, rng, i_max, j_max, n_max):
     _expect("lower-corner", gsp_close(lhs, rhs), f"i={i} j={j}")
 
 
-def _id_row_shear(ctx, rng, i_max, j_max, n_max):
-    i, j = _draw_ij(rng, i_max, j_max)
+def _id_row_shear(ctx, rng):
+    i, j = _draw_ij(rng)
     g, x, y, z = _g_of(ctx, rng, i, j)
     b = rand_pow(ctx, rng, -1, 3)
     lhs = g @ levi(ctx, 1, b, 0, 1, 1) @ g.inv()
@@ -867,8 +873,8 @@ def _id_row_shear(ctx, rng, i_max, j_max, n_max):
     _expect("row-shear", mat_close(lhs.m, mat_from(ctx, rows)), f"i={i} j={j}")
 
 
-def _id_upper_shear(ctx, rng, i_max, j_max, n_max):
-    i, j = _draw_ij(rng, i_max, j_max)
+def _id_upper_shear(ctx, rng):
+    i, j = _draw_ij(rng)
     g, x, y, z = _g_of(ctx, rng, i, j)
     b = rand_pow(ctx, rng, -1, 3)
     lhs = g @ s_upper(ctx, 0, 0, b) @ g.inv()
@@ -880,8 +886,8 @@ def _id_upper_shear(ctx, rng, i_max, j_max, n_max):
     _expect("upper-shear", mat_close(lhs.m, mat_from(ctx, rows)), f"i={i} j={j}")
 
 
-def _id_det_torus(ctx, rng, i_max, j_max, n_max):
-    i, j = _draw_ij(rng, i_max, j_max)
+def _id_det_torus(ctx, rng):
+    i, j = _draw_ij(rng)
     g, x, y, z = _g_of(ctx, rng, i, j, with_x=False)
     a = rand_unit(ctx, rng)
     lhs = g @ levi(ctx, 1, 0, 0, a, 1) @ g.inv()
@@ -892,8 +898,8 @@ def _id_det_torus(ctx, rng, i_max, j_max, n_max):
     _expect("det-torus", mat_close(lhs.m, mat_from(ctx, rows)), f"i={i} j={j}")
 
 
-def _id_torus_unit(ctx, rng, i_max, j_max, n_max):
-    i, j = _draw_ij(rng, i_max, j_max)
+def _id_torus_unit(ctx, rng):
+    i, j = _draw_ij(rng)
     g, x, y, z = _g_of(ctx, rng, i, j, with_x=False)
     a1, a4, lam = (rand_unit(ctx, rng) for _ in range(3))
     lhs = g @ levi(ctx, a1, 0, 0, a4, lam) @ g.inv()
@@ -904,7 +910,7 @@ def _id_torus_unit(ctx, rng, i_max, j_max, n_max):
     _expect("torus-unit", mat_close(lhs.m, mat_from(ctx, rows)), f"i={i} j={j}")
 
 
-def _id_u1_cert(ctx, rng, i_max, j_max, n_max):
+def _id_u1_cert(ctx, rng):
     u = u_elem(ctx, 1)
     sq = u @ u
     _expect("u1-cert-square", mat_close(sq.m, mat_scal(ctx, ctx.pi(1), mat_identity(ctx))))
@@ -922,8 +928,8 @@ def _levi_expected(ctx, i, j, a1, a2, a3, a4, lam, M):
          -(lam * a3 * ctx.pi(-i)), lam * a4]])
 
 
-def _id_levi_x(ctx, rng, i_max, j_max, n_max):
-    i, j = _draw_ij(rng, i_max, j_max)
+def _id_levi_x(ctx, rng):
+    i, j = _draw_ij(rng)
     g, x, y, z = _g_of(ctx, rng, i, j, with_y=False, with_z=False)
     a1, a4, lam = (rand_unit(ctx, rng) for _ in range(3))
     a2, a3 = rand_pow(ctx, rng, 0, 3), rand_pow(ctx, rng, 0, 3)
@@ -935,8 +941,8 @@ def _id_levi_x(ctx, rng, i_max, j_max, n_max):
     _expect("levi-x", mat_close(lhs.m, rhs), f"i={i} j={j}")
 
 
-def _id_levi_yz(ctx, rng, i_max, j_max, n_max):
-    i, j = _draw_ij(rng, i_max, j_max)
+def _id_levi_yz(ctx, rng):
+    i, j = _draw_ij(rng)
     g, x, y, z = _g_of(ctx, rng, i, j, with_x=False)
     a1, a4, lam = (rand_unit(ctx, rng) for _ in range(3))
     a2, a3 = rand_pow(ctx, rng, 0, 3), rand_pow(ctx, rng, 0, 3)
@@ -947,8 +953,8 @@ def _id_levi_yz(ctx, rng, i_max, j_max, n_max):
     _expect("levi-yz", mat_close(lhs.m, rhs), f"i={i} j={j}")
 
 
-def _id_levi_xyz(ctx, rng, i_max, j_max, n_max):
-    i, j = _draw_ij(rng, i_max, j_max)
+def _id_levi_xyz(ctx, rng):
+    i, j = _draw_ij(rng)
     g, x, y, z = _g_of(ctx, rng, i, j)
     a1, a4, lam = (rand_unit(ctx, rng) for _ in range(3))
     a2, a3 = rand_pow(ctx, rng, 0, 3), rand_pow(ctx, rng, 0, 3)
@@ -962,8 +968,8 @@ def _id_levi_xyz(ctx, rng, i_max, j_max, n_max):
     _expect("levi-xyz", mat_close(lhs.m, rhs), f"i={i} j={j}")
 
 
-def _id_levi_lower(ctx, rng, i_max, j_max, n_max):
-    i, j = _draw_ij(rng, i_max, j_max)
+def _id_levi_lower(ctx, rng):
+    i, j = _draw_ij(rng)
     g, x, y, z = _g_of(ctx, rng, i, j)
     b = rand_pow(ctx, rng, 0, 3)
     lhs = g @ levi(ctx, 1, 0, b, 1, 1) @ g.inv()
@@ -975,17 +981,17 @@ def _id_levi_lower(ctx, rng, i_max, j_max, n_max):
     _expect("levi-lower", mat_close(lhs.m, mat_from(ctx, rows)), f"i={i} j={j}")
 
 
-def _id_al_diag(ctx, rng, i_max, j_max, n_max):
-    i, j = _draw_ij(rng, i_max, j_max)
-    n = int(rng.integers(1, n_max + 1))
+def _id_al_diag(ctx, rng):
+    i, j = _draw_ij(rng)
+    n = int(rng.integers(1, N_MAX + 1))
     lhs = t_elem(ctx, i, j) @ u_elem(ctx, n)
     rhs = (u_elem(ctx, 1) @ t_elem(ctx, i, n - 2 * i - j - 1)).scal(ctx.pi(i + j))
     _expect("al-diag", gsp_close(lhs, rhs), f"i={i} j={j} n={n}")
 
 
-def _id_al_x(ctx, rng, i_max, j_max, n_max):
-    i, j = _draw_ij(rng, i_max, j_max)
-    n = int(rng.integers(1, n_max + 1))
+def _id_al_x(ctx, rng):
+    i, j = _draw_ij(rng)
+    n = int(rng.integers(1, N_MAX + 1))
     k = i + j if rng.random() < 0.5 else int(rng.integers(0, n + 1))
     lhs = t_elem(ctx, i, j) @ s_lower(ctx, ctx.pi(k), 0, 0) @ u_elem(ctx, n)
     W = GSp4Elem.make(ctx, [[-1, 0, ctx.pi(i + j - k), 0],
@@ -1003,9 +1009,9 @@ def _id_al_x(ctx, rng, i_max, j_max, n_max):
         _expect("al-x-reduce", r == want, f"got {r}")
 
 
-def _id_al_yz(ctx, rng, i_max, j_max, n_max):
-    i, j = _draw_ij(rng, i_max, j_max)
-    n = int(rng.integers(1, n_max + 1))
+def _id_al_yz(ctx, rng):
+    i, j = _draw_ij(rng)
+    n = int(rng.integers(1, N_MAX + 1))
     y, z = rand_pow(ctx, rng, -1, 3), rand_pow(ctx, rng, -1, 3)
     lhs = t_elem(ctx, i, j) @ s_lower(ctx, 0, y, z) @ u_elem(ctx, n)
     yi, zi = y.inv(), z.inv()
@@ -1024,9 +1030,9 @@ def _id_al_yz(ctx, rng, i_max, j_max, n_max):
     _expect("al-yz", gsp_close(lhs, rhs), f"i={i} j={j} n={n}")
 
 
-def _id_al_xyz(ctx, rng, i_max, j_max, n_max):
-    i, j = _draw_ij(rng, i_max, j_max)
-    n = int(rng.integers(1, n_max + 1))
+def _id_al_xyz(ctx, rng):
+    i, j = _draw_ij(rng)
+    n = int(rng.integers(1, N_MAX + 1))
     x = rand_pow(ctx, rng, -1, 2)
     vx = x.val_exact()
     y = rand_pow(ctx, rng, vx, vx + 2)
@@ -1055,29 +1061,29 @@ def _id_al_xyz(ctx, rng, i_max, j_max, n_max):
     _expect("al-xyz", gsp_close(lhs, rhs), f"i={i} j={j} n={n}")
 
 
-def _id_al_square(ctx, rng, i_max, j_max, n_max):
-    n = int(rng.integers(1, n_max + 1))
+def _id_al_square(ctx, rng):
+    n = int(rng.integers(1, N_MAX + 1))
     u = u_elem(ctx, n)
     sq = u @ u
     _expect("al-square", mat_close(sq.m, mat_scal(ctx, ctx.pi(n), mat_identity(ctx)))
             and scalars_close(u.mu, ctx.pi(n)), f"n={n}")
 
 
-def _id_al_normalizes(ctx, rng, i_max, j_max, n_max):
+def _id_al_normalizes(ctx, rng):
     u = u_elem(ctx, 1)
     ui = u.inv()
     k = rand_K(ctx, rng)
     _expect("al-normalizes", in_K(u @ k @ ui) and in_K(ui @ k @ u))
 
 
-def _id_reduce_hom(ctx, rng, i_max, j_max, n_max):
+def _id_reduce_hom(ctx, rng):
     k1, k2 = rand_K(ctx, rng), rand_K(ctx, rng)
     lhs = reduce_K(k1 @ k2)
     rhs = gl22_mul(ctx.fq, reduce_K(k1), reduce_K(k2))
     _expect("reduce-hom", lhs == rhs)
 
 
-def _id_u1_conj(ctx, rng, i_max, j_max, n_max):
+def _id_u1_conj(ctx, rng):
     u = u_elem(ctx, 1)
     k = rand_K(ctx, rng)
     lhs = reduce_K(u @ k @ u.inv())
@@ -1111,8 +1117,7 @@ IDENTITY_TAGS = {
 }
 
 
-def run_identity(ctx: PadicCtx, tag: str, draws: int = 100, seed: int = 0,
-                 i_max: int = 3, j_max: int = 5, n_max: int = 10) -> int:
+def run_identity(ctx: PadicCtx, tag: str, draws: int = 100, seed: int = 0) -> int:
     """Run one identity tag for the given number of random draws.
 
     Returns the number of draws performed; raises IdentityFailure with the
@@ -1126,7 +1131,7 @@ def run_identity(ctx: PadicCtx, tag: str, draws: int = 100, seed: int = 0,
     fn = IDENTITY_TAGS[tag]
     for done in range(draws):
         try:
-            fn(ctx, rng, i_max, j_max, n_max)
+            fn(ctx, rng)
         except IdentityFailure as exc:
             exc.draws = done
             raise

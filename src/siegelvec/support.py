@@ -170,10 +170,9 @@ def classify_pairing(ctx: FqCtx, sigma: SigmaLabel) -> str:
     return "self" if self_twist_presentations(ctx, sigma) else "distinct"
 
 
-def dim_formula(q: int, n: int, pairing: str, omega_trivial: bool = True) -> int:
-    """Closed dimension of the level-n fixed space."""
-    if not omega_trivial:
-        return 0
+def dim_formula(q: int, n: int, pairing: str) -> int:
+    """Closed dimension of the level-n fixed space of a label with trivial
+    central character."""
     if q % 2 == 1:
         factor = _DIM_FACTOR_ODD.get(pairing)
     else:

@@ -1,21 +1,65 @@
 """Character layer: cuspidal characters, sigma labels, closed fixed dims."""
 
+import functools
+import struct
+
 import pytest
 
 from siegelvec.finitegrp import (
-    GL2Elem, GL22Elem, build_field, enumerate_gl2,
+    GL2Elem, GL22Elem, build_field, enumerate_gl2, gl2_det,
     gl2_mul, gl2_inv, gl22_identity, subgroup_R, subgroup_closure, u_action,
 )
 from siegelvec.chars import (
     BadCase, HypothesisViolated, OracleRequired, SigmaLabel,
-    all_cuspidal_exponents, canonical_cuspidal, classify_gl2, cuspidal_char,
+    all_cuspidal_exponents, canonical_cuspidal, cuspidal_char,
     cuspidal_classes, fixed_dim, fixed_dim_closed,
     fixed_dim_u_twist, induced_trace_zero, is_self_twisted, lambda_omega_class,
     make_sigma, omega_minus1, omega_trivial_sigma_classes, self_twist_presentations,
     sigma_is_reducible, sigma_key, sigma_omega_trivial, split_restriction,
-    twisted_trace_closed, valid_cuspidal,
+    theta_eval, twisted_trace_closed, valid_cuspidal,
 )
 from siegelvec.numerics import certify_integer
+
+
+# -- reference: conjugacy types by a root search over F_{q^2} -----------------
+#
+# The character tables feed both the closed side and the matrix-model
+# projector, so they are checked against this independent slow path.
+
+@functools.cache
+def _quadratic_roots(ctx, tr, det):
+    """Roots of t^2 - tr t + det in F_{q^2}, a double root listed twice."""
+    roots = [t for t in range(ctx.q2)
+             if ctx.add(ctx.sub(ctx.mul(t, t), ctx.mul(tr, t)), det) == 0]
+    return (roots * 2)[:2]
+
+
+def classify_gl2(ctx, g):
+    """Conjugacy type of g: ('scalar', a), ('nonss', a), ('split', (a, b)),
+    or ('elliptic', t) with t one of the two eigenvalues outside F_q."""
+    if g.b == 0 and g.c == 0 and g.a == g.d:
+        return ("scalar", g.a)
+    r1, r2 = _quadratic_roots(ctx, ctx.add(g.a, g.d), gl2_det(ctx, g))
+    if r1 == r2:
+        return ("nonss", r1)
+    if ctx.in_fq(r1):
+        return ("split", (min(r1, r2), max(r1, r2)))
+    return ("elliptic", min(r1, r2))
+
+
+def cuspidal_char_reference(ctx, k, kind, data):
+    """Character value on a conjugacy type, from the eigenvalues."""
+    if kind == "scalar":
+        return (ctx.q - 1) * theta_eval(ctx, k, data)
+    if kind == "nonss":
+        return -theta_eval(ctx, k, data)
+    if kind == "elliptic":
+        return -(theta_eval(ctx, k, data) + theta_eval(ctx, k, ctx.frob_q(data)))
+    return 0j
+
+
+def _bits(z):
+    return struct.pack("<dd", z.real, z.imag)
 
 
 # -- label helpers used only by these tests -----------------------------------
@@ -106,6 +150,17 @@ def test_char_orthogonality(p, f):
                     cuspidal_char(ctx, k2, g).conjugate()
             got = certify_integer(total / len(elems))
             assert got == (1 if k1 == k2 else 0)
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_cuspidal_char_matches_classifier_reference_bit_for_bit(p, f):
+    ctx = build_field(p, f)
+    elems = enumerate_gl2(ctx)
+    types = [classify_gl2(ctx, g) for g in elems]
+    for k in cuspidal_classes(ctx):
+        for g, (kind, data) in zip(elems, types):
+            assert _bits(cuspidal_char(ctx, k, g)) == \
+                _bits(cuspidal_char_reference(ctx, k, kind, data)), (k, g)
 
 
 def test_classify_types_q3():

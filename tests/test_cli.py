@@ -257,7 +257,7 @@ def test_cli_grid_ends_in_a_documented_exit_code(capsys, argv):
 
 
 def test_identity_failure_fails_the_check(capsys, monkeypatch):
-    def broken(ctx, rng, i_max, j_max, n_max):
+    def broken(ctx, rng):
         padic._expect("shear", False, "i=1 j=2")
     monkeypatch.setitem(padic.IDENTITY_TAGS, "shear", broken)
     rc, out = run(capsys, ["verify", "--suite", "identities", "--q", "2",

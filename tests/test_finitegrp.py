@@ -1,3 +1,5 @@
+import random
+import struct
 from typing import NamedTuple
 
 import pytest
@@ -6,10 +8,10 @@ from siegelvec.finitegrp import (
     BadKind, GL22Elem, GL2Elem, SubgroupR, UnsupportedSize,
     artin_schreier_set, build_field, conjugate_subgroups, conjugates_into,
     enumerate_gl2, enumerate_gl22, gl22_identity, gl22_inv, gl22_mul,
-    gl22_valid, gl2_det, gl2_identity, gl2_inv, gl2_mul, subgroup_R,
+    gl22_valid, gl2_class, gl2_det, gl2_identity, gl2_inv, gl2_mul, subgroup_R,
     subgroup_closure, u_action,
 )
-from siegelvec.numerics import certify_integer
+from siegelvec.numerics import certify_integer, root_of_unity
 
 
 # -- reference: the order-2 extension GL22(q) x| <u> as (base, eps) pairs ----
@@ -91,6 +93,31 @@ def test_psi_nontrivial(p, f):
     total = sum((ctx.psi(x) for x in ctx.fq_elements), 0)
     assert certify_integer(total) == 0
     assert any(ctx.trace_to_fp(x) != 0 for x in ctx.fq_elements)
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_psi_table_is_bit_identical_to_trace_formula(p, f):
+    ctx = build_field(p, f)
+    for a in ctx.fq_elements:
+        want = root_of_unity(p, ctx.trace_to_fp(a))
+        got = ctx.psi(a)
+        assert struct.pack("<dd", got.real, got.imag) == \
+            struct.pack("<dd", want.real, want.imag)
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_gl2_class_counts_classes_and_is_conjugation_invariant(p, f):
+    ctx = build_field(p, f)
+    elems = enumerate_gl2(ctx)
+    # GL2(q) has q^2 - 1 conjugacy classes: q - 1 central, q - 1
+    # non-semisimple, (q-1)(q-2)/2 split and q(q-1)/2 elliptic
+    assert len({gl2_class(ctx, g) for g in elems}) == ctx.q2 - 1
+    rng = random.Random(p * 10 + f)
+    for x in rng.sample(elems, min(8, len(elems))):
+        xi = gl2_inv(ctx, x)
+        for g in elems:
+            assert gl2_class(ctx, gl2_mul(ctx, gl2_mul(ctx, x, g), xi)) == \
+                gl2_class(ctx, g)
 
 
 def test_gl2_orders():

@@ -1,11 +1,13 @@
 """Byte-for-byte golden output of the deterministic commands.
 
 ``table``, ``support`` and the ``counts``, ``fixed-dims``, ``dims``,
-``signatures``, ``oracle`` and ``twists`` suites must print the same
-``--format json`` bytes before and after any refactor.  The golden files
-under ``tests/golden/`` were captured from the code before the refactors
-that introduced them (the oracle and twists files before the matrix-model
-oracle lost its per-element caches).
+``signatures``, ``oracle`` and ``twists`` suites, and the ``induced``
+suite at q = 3 and 4, must print the same ``--format json`` bytes before
+and after any refactor.  The golden files under ``tests/golden/`` were
+captured from the code before the refactors that introduced them (the
+oracle and twists files before the matrix-model oracle lost its
+per-element caches, the induced files before the characters became
+tables keyed by the class key).
 
 To recapture after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -38,6 +40,8 @@ for _q in QS:
     for _suite in ("dims", "signatures"):
         CASES[f"{_suite}-q{_q}"] = ["verify", "--suite", _suite, "--q", str(_q),
                                     "--n-max", "12"]
+for _q in (3, 4):
+    CASES[f"induced-q{_q}"] = ["verify", "--suite", "induced", "--q", str(_q)]
 
 
 def _run(argv: list) -> str:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from siegelvec import padic
 from siegelvec.finitegrp import (
     GL2Elem,
     GL22Elem,
@@ -359,8 +360,10 @@ def test_out_of_range_parameters_trigger_radical_obstruction():
     assert not radical_obstruction(fq, subgroup_R("ArtinUnip", fq))
 
 
-def test_sampler_budget_failure_is_reported():
+def test_sampler_budget_failure_is_reported(monkeypatch):
+    monkeypatch.setattr(padic, "STABLE_WINDOW", 10)
+    monkeypatch.setattr(padic, "MAX_DRAWS", 5)
     ctx = PadicCtx(2, 1)
     g = coset_rep(ctx, "I", 0, 1)
     with pytest.raises(StabilizationFailure):
-        compute_Rg(g, 3, seed=0, stable_window=10, max_draws=5)
+        compute_Rg(g, 3, seed=0)

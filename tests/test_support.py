@@ -182,7 +182,6 @@ def test_dim_formula_factors():
         assert dim_formula(3, n, "self") == 2 * b
         assert dim_formula(3, n, "constituent") == b
         assert dim_formula(4, n, "distinct") == 2 * base_count(4, n)
-    assert dim_formula(5, 9, "self", omega_trivial=False) == 0
     with pytest.raises(BadCase):
         dim_formula(4, 6, "constituent")
     with pytest.raises(ValueError):
