@@ -348,18 +348,11 @@ def suite_rg(q: int, seed: int, n_max: int, precision: int,
     ok_w = ok_s = True
     for n in range(3, n_max + 1):
         for prm in enumerate_support(fq, n):
-            if prm.tag == "IIIb" and n < 7:
-                continue
-            kwargs = {}
-            if prm.tag == "IIIb":
-                kwargs["c_code"] = prm.u
-            elif prm.tag in ("IIIa", "IV"):
-                kwargs["u_code"] = prm.u
-            wit = witness_Rg(pctx, prm.tag, prm.i, prm.j, n, **kwargs).group
+            wit = witness_Rg(pctx, prm.tag, prm.i, prm.j, n, prm.u).group
             table = subgroup_R(coset_R_type(prm.tag), fq)
             conj = (len(wit) == len(table)
                     and conjugate_subgroups(wit, table, fq) is not None)
-            g = coset_rep(pctx, prm.tag, prm.i, prm.j, **kwargs)
+            g = coset_rep(pctx, prm.tag, prm.i, prm.j, prm.u)
             samp = compute_Rg(g, n, seed=seed).group
             same = samp.elements == wit.elements
             rows.append({"tag": prm.tag, "i": prm.i, "j": prm.j, "n": n,

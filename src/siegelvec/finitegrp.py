@@ -38,21 +38,23 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _poly_mul_mod(a, b, mod, p):
+def poly_mul_mod(a, b, mod, m: int) -> tuple:
+    """Product of the coefficient lists a and b (low to high) modulo the
+    monic polynomial mod, with every coefficient reduced modulo the
+    integer m once, at the end: the one polynomial kernel behind F_q and
+    the p-adic units."""
     deg = len(mod) - 1
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    # reduce by the monic modulus
+                out[i + j] += ai * bj
     for i in range(len(out) - 1, deg - 1, -1):
         c = out[i]
         if c:
-            out[i] = 0
             for j in range(deg):
-                out[i - deg + j] = (out[i - deg + j] - c * mod[j]) % p
-    return tuple(out[:deg])
+                out[i - deg + j] -= c * mod[j]
+    return tuple(c % m for c in out[:deg])
 
 
 def _find_primitive_poly(p: int, d: int) -> tuple:
@@ -68,8 +70,8 @@ def _find_primitive_poly(p: int, d: int) -> tuple:
             result, base, k = one, x, e
             while k:
                 if k & 1:
-                    result = _poly_mul_mod(result, base, coeffs, p)
-                base = _poly_mul_mod(base, base, coeffs, p)
+                    result = poly_mul_mod(result, base, coeffs, p)
+                base = poly_mul_mod(base, base, coeffs, p)
                 k >>= 1
             return result
         if powx(order) != one:
@@ -83,8 +85,9 @@ class FqCtx:
     """Arithmetic context for F_q inside F_{q^2}, q = p^f <= 16.
 
     Attributes of note: ``one``, ``gen2`` (generator of the big group),
-    ``fq_gen`` (= gen2^(q+1), generating F_q^x), ``fq_elements`` (zero
-    first, then powers of fq_gen), ``fq_units``.
+    ``fq_gen`` (= gen2^(q+1), generating F_q^x), ``fq_minpoly`` (its
+    monic minimal polynomial over F_p, integer coefficients low to high),
+    ``fq_elements`` (zero first, then powers of fq_gen), ``fq_units``.
     """
 
     def __init__(self, p: int, f: int):
@@ -96,21 +99,20 @@ class FqCtx:
         self.q = p ** f
         self.q2 = self.q ** 2
         d = 2 * f
-        self._modpoly = _find_primitive_poly(p, d)
+        modpoly = _find_primitive_poly(p, d)
         # exp/log tables for F_{q^2}
         one = tuple([1] + [0] * (d - 1))
         x = tuple([0, 1] + [0] * (d - 2))
-        polys = [one]
+        exp = [one]                            # exponent -> poly
         for _ in range(self.q2 - 2):
-            polys.append(_poly_mul_mod(polys[-1], x, self._modpoly, p))
-        self._exp = polys                      # exponent -> poly
-        self._log = {pol: e for e, pol in enumerate(polys)}
+            exp.append(poly_mul_mod(exp[-1], x, modpoly, p))
+        log = {pol: e for e, pol in enumerate(exp)}
         zero_poly = tuple([0] * d)
         # addition table over codes (0 = zero, e = g2^(e-1))
         def code_of(pol):
-            return 0 if pol == zero_poly else self._log[pol] + 1
+            return 0 if pol == zero_poly else log[pol] + 1
         def poly_of(code):
-            return zero_poly if code == 0 else self._exp[code - 1]
+            return zero_poly if code == 0 else exp[code - 1]
         add = [[0] * self.q2 for _ in range(self.q2)]
         for a in range(self.q2):
             pa = poly_of(a)
@@ -131,6 +133,13 @@ class FqCtx:
         for i in range(1, p):
             acc = self._add[acc][1]
             self._fp_value[acc] = i
+        # minimal polynomial of fq_gen over F_p, the product of
+        # (X - fq_gen^(p^k)) over its f conjugates, as integers low to high
+        mp = [self.one]
+        for k in range(f):
+            r = self.neg(self.power(self.fq_gen, p ** k))
+            mp = [self.add(self.mul(r, c), prev) for c, prev in zip(mp + [0], [0] + mp)]
+        self.fq_minpoly = tuple(self._fp_value[c] for c in mp)
         self._psi = {a: root_of_unity(p, self.trace_to_fp(a))
                      for a in self.fq_elements}
 
@@ -185,14 +194,6 @@ class FqCtx:
     def frob_q(self, a: int) -> int:
         """x -> x^q on F_{q^2}."""
         return self.power(a, self.q)
-
-    def norm2(self, a: int) -> int:
-        """Norm F_{q^2} -> F_q, t -> t^(q+1)."""
-        return self.power(a, self.q + 1) if a else 0
-
-    def trace2(self, a: int) -> int:
-        """Trace F_{q^2} -> F_q, t -> t + t^q."""
-        return self.add(a, self.frob_q(a))
 
     def trace_to_fp(self, a: int) -> int:
         """Absolute trace F_q -> F_p as an integer, for a in F_q."""

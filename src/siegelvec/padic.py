@@ -4,8 +4,11 @@ subgroups Si(n), and the conjugation machinery that extracts from a
 double-coset representative g the finite subgroup generated by reducing
 g Si(n) g^-1 cap K.
 
-Scalars are stored as p^val * u with the unit u a polynomial in a fixed
-ring generator, known modulo p^rel.  Multiplication and inversion are
+The ring is o = Z_p[x]/(m), m the minimal polynomial over F_p of the
+generator ``fq_gen`` of the finite-group layer's F_q, so x reduces to
+fq_gen and residues are table lookups.  Scalars are stored as p^val * u
+with the unit u a polynomial in x, known modulo p^rel; units multiply
+through ``finitegrp.poly_mul_mod``.  Multiplication and inversion are
 lossless; addition can cancel leading digits, in which case the result
 degrades to an "O(p^A)" element that only certifies a valuation bound.
 Membership predicates raise PrecisionExhausted instead of guessing when
@@ -24,13 +27,13 @@ from .finitegrp import (
     GL2Elem,
     GL22Elem,
     SubgroupR,
-    _find_primitive_poly,
     build_field,
     conjugates_into,
     enumerate_gl22,
     gl22_identity,
     gl22_mul,
     gl22_valid,
+    poly_mul_mod,
     subgroup_R,
     subgroup_closure,
     u_action,
@@ -70,12 +73,8 @@ def _valp(n: int, p: int) -> int:
 
 
 class PadicCtx:
-    """Unramified extension o of Z_p of residue degree f, uniformizer p.
-
-    Residues are exchanged with the matching FqCtx through a root of the
-    defining polynomial inside F_q, so reduction of matrices lands in the
-    same element codes used by the finite-group layer.
-    """
+    """Unramified extension o of Z_p of residue degree f, uniformizer p,
+    presented as Z_p[x]/(m) with x reducing to ``fq.fq_gen``."""
 
     def __init__(self, p: int, f: int = 1, prec: int = 32):
         if prec < GUARD:
@@ -83,40 +82,17 @@ class PadicCtx:
         self.p, self.f, self.prec = p, f, prec
         self.q = p ** f
         self.fq: FqCtx = build_field(p, f)
-        # monic defining polynomial, coeffs low to high; plain Z_p needs none
-        self.mpoly = (0, 1) if f == 1 else _find_primitive_poly(p, f)
-        fq = self.fq
-        # integer -> prime-subfield code
-        codes = [0]
-        for _ in range(1, p):
-            codes.append(fq.add(codes[-1], fq.one))
-        self._fp_code = codes
-        # root of the defining polynomial inside F_q
-        root = None
-        for r in fq.fq_elements:
-            acc = 0
-            for k, c in enumerate(self.mpoly):
-                acc = fq.add(acc, fq.mul(codes[c % p], fq.power(r, k) if r else (fq.one if k == 0 else 0)))
-            if acc == 0:
-                root = r
-                break
-        if root is None:
-            raise AssertionError("defining polynomial has no residue root")
-        self.res_root = root
-        self._rpow = [fq.one]
-        for _ in range(1, f):
-            self._rpow.append(fq.mul(self._rpow[-1], root))
-        # residue code <-> coefficient tuple over [0, p)
-        decode = {}
-        for mask in range(p ** f):
-            cs = tuple((mask // p ** k) % p for k in range(f))
-            code = 0
-            for c, rp in zip(cs, self._rpow):
-                code = fq.add(code, fq.mul(codes[c], rp))
-            decode[code] = cs
-        if len(decode) != p ** f:
-            raise AssertionError("residue basis is degenerate")
+        # monic defining polynomial, coeffs low to high
+        self.mpoly = self.fq.fq_minpoly
+        # residue code <-> coefficient tuple over [0, p): x^e reduces to
+        # fq_gen^e, the e-th unit code
+        decode = {0: (0,) * f}
+        pol = (1,) + (0,) * (f - 1)
+        for code in self.fq.fq_units:
+            decode[code] = pol
+            pol = poly_mul_mod(pol, (0, 1), self.mpoly, p)
         self._decode = decode
+        self._encode = {cs: code for code, cs in decode.items()}
         # rand_unit draws digits uniformly below p^(prec-1): in one int64
         # draw when the bound allows, else as base-p^k chunks below 2^63
         top = p ** (prec - 1)
@@ -157,11 +133,7 @@ class PadicCtx:
         return self.unit(k, [1] + [0] * (self.f - 1))
 
     def res_code(self, coeffs) -> int:
-        fq = self.fq
-        code = 0
-        for c, rp in zip(coeffs, self._rpow):
-            code = fq.add(code, fq.mul(self._fp_code[c % self.p], rp))
-        return code
+        return self._encode[tuple(c % self.p for c in coeffs)]
 
     def lift(self, code: int, val: int = 0) -> "PadicScalar":
         """Plain lift of a residue code, shifted by pi^val."""
@@ -197,15 +169,6 @@ class PadicScalar:
         if self.aprec >= c:
             return True
         raise PrecisionExhausted(f"cannot certify val >= {c} from O(p^{self.aprec})")
-
-    def val_le(self, c: int) -> bool:
-        if self.kind == "zero":
-            return False
-        if self.kind == "unit":
-            return self.val <= c
-        if self.aprec > c:
-            return False
-        raise PrecisionExhausted(f"cannot decide val <= {c} from O(p^{self.aprec})")
 
     def residue(self) -> int:
         """Image in F_q of an integral element, as a field code."""
@@ -280,7 +243,7 @@ class PadicScalar:
             vb = b.aprec if b.kind == "eps" else b.val
             return self.ctx.eps(va + vb)
         rel = min(a.rel, b.rel)
-        coeffs = _pmulmod(self.ctx, a.coeffs, b.coeffs, rel)
+        coeffs = poly_mul_mod(a.coeffs, b.coeffs, self.ctx.mpoly, self.ctx.p ** rel)
         return PadicScalar(self.ctx, "unit", a.val + b.val, coeffs, rel, 0)
 
     def __rmul__(self, other):
@@ -297,9 +260,10 @@ class PadicScalar:
         known = 1
         while known < self.rel:
             known = min(2 * known, self.rel)
-            ux = _pmulmod(ctx, self.coeffs, x, known)
+            pk = ctx.p ** known
+            ux = poly_mul_mod(self.coeffs, x, ctx.mpoly, pk)
             two_minus = [(2 if k == 0 else 0) - c for k, c in enumerate(ux)]
-            x = list(_pmulmod(ctx, x, two_minus, known))
+            x = list(poly_mul_mod(x, two_minus, ctx.mpoly, pk))
         return PadicScalar(ctx, "unit", -self.val, tuple(x), self.rel, 0)
 
     def __repr__(self):
@@ -332,25 +296,6 @@ def _normalize(ctx: PadicCtx, val: int, coeffs: list, rel: int) -> PadicScalar:
     pk2 = ctx.p ** (rel - t)
     return PadicScalar(ctx, "unit", val + t,
                        tuple((c // sh) % pk2 for c in cm), rel - t, 0)
-
-
-def _pmulmod(ctx: PadicCtx, a, b, rel: int):
-    """Product of two unit polynomials modulo the defining poly and p^rel."""
-    f = ctx.f
-    out = [0] * (2 * f - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    m = ctx.mpoly
-    for k in range(2 * f - 2, f - 1, -1):
-        c = out[k]
-        if c:
-            out[k] = 0
-            for j in range(f):
-                out[k - f + j] -= c * m[j]
-    pk = ctx.p ** rel
-    return tuple(c % pk for c in out[:f])
 
 
 def _decide(a: PadicScalar, b: PadicScalar) -> Optional[bool]:
@@ -422,12 +367,16 @@ def mat_identity(ctx: PadicCtx):
     return mat_from(ctx, [[1 if i == j else 0 for j in range(4)] for i in range(4)])
 
 
+def _j_times(A):
+    """J A for J = J_ROWS: the rows of A reversed, the last two negated."""
+    return (A[3], A[2], tuple(-e for e in A[1]), tuple(-e for e in A[0]))
+
+
 def similitude_of(ctx: PadicCtx, A):
     """Similitude factor of A.  NotSymplectic means a certified mismatch of
     the Gram matrix; an undecidable factor or entry raises
     PrecisionExhausted."""
-    Jm = mat_from(ctx, J_ROWS)
-    T = mat_mul(ctx, mat_transpose(A), mat_mul(ctx, Jm, A))
+    T = mat_mul(ctx, mat_transpose(A), _j_times(A))
     mu = T[0][3]
     if mu.kind == "eps":
         raise PrecisionExhausted("similitude factor not resolved")
@@ -458,12 +407,10 @@ class GSp4Elem:
                         self.mu * other.mu)
 
     def inv(self) -> "GSp4Elem":
-        ctx = self.ctx
-        Jm = mat_from(ctx, J_ROWS)
-        core = mat_mul(ctx, Jm, mat_mul(ctx, mat_transpose(self.m), Jm))
+        # g^-1 = -mu^-1 J g^T J, and J g^T J = -J (J g)^T
         mi = self.mu.inv()
-        m = mat_scal(ctx, -mi, core)
-        return GSp4Elem(ctx, m, mi)
+        m = mat_scal(self.ctx, mi, _j_times(mat_transpose(_j_times(self.m))))
+        return GSp4Elem(self.ctx, m, mi)
 
     def scal(self, c) -> "GSp4Elem":
         c = _coerce(self.ctx, c)
@@ -525,26 +472,34 @@ def s2_elem(ctx: PadicCtx) -> GSp4Elem:
     return GSp4Elem.make(ctx, rows, mu=1)
 
 
+def _residue_unit(ctx: PadicCtx, tag: str, u: Optional[int]) -> PadicScalar:
+    """The unit named by a coset's residue parameter u: the lift of u
+    (default 1) for IIIa and IV, and 1 + u*pi (default u = 0) for IIIb."""
+    if tag == "IIIb":
+        return ctx.one_s + ctx.lift(u) * ctx.pi(1) if u else ctx.one_s
+    return ctx.lift(ctx.fq.one if u is None else u)
+
+
 def coset_rep(ctx: PadicCtx, tag: str, i: int, j: int,
-              u_code: Optional[int] = None, c_code: int = 0) -> GSp4Elem:
+              u: Optional[int] = None) -> GSp4Elem:
     """Canonical double-coset representative for the given stratum.
 
-    u_code is a residue code (types IIIa/IV unit parameter, default 1);
-    c_code refines the depth-one unit 1 + c*pi used by type IIIb.
+    u is the residue code of ``support.CosetParam.u``: the unit parameter
+    of IIIa and IV, the depth-one refinement c of 1 + c*pi for IIIb; I and
+    II ignore it.
     """
     t = t_elem(ctx, i, j)
     if tag == "I":
         return t
     if tag == "II":
         return t @ s_lower(ctx, ctx.pi(i + j), 0, 0)
-    u = ctx.lift(u_code if u_code is not None else ctx.fq.one)
+    y = _residue_unit(ctx, tag, u)
     if tag == "IIIa":
-        return t @ s_lower(ctx, 0, u * ctx.pi(j - 1), ctx.pi(2 * i + j))
+        return t @ s_lower(ctx, 0, y * ctx.pi(j - 1), ctx.pi(2 * i + j))
     if tag == "IIIb":
-        u1 = ctx.one_s + ctx.lift(c_code) * ctx.pi(1) if c_code else ctx.one_s
-        return t @ s_lower(ctx, 0, u1 * ctx.pi(j - 2), ctx.pi(2 * i + j - 1))
+        return t @ s_lower(ctx, 0, y * ctx.pi(j - 2), ctx.pi(2 * i + j - 1))
     if tag == "IV":
-        return t @ s_lower(ctx, ctx.pi(i + j - 1), u * ctx.pi(j - 1), ctx.pi(2 * i + j))
+        return t @ s_lower(ctx, ctx.pi(i + j - 1), y * ctx.pi(j - 1), ctx.pi(2 * i + j))
     raise ValueError(f"unknown coset tag {tag!r}")
 
 
@@ -553,13 +508,13 @@ def coset_rep(ctx: PadicCtx, tag: str, i: int, j: int,
 _K_FLOOR = ((0, 0, 0, -1), (1, 0, 0, 0), (1, 0, 0, 0), (1, 1, 1, 0))
 
 
-def _pattern_ok(g: GSp4Elem) -> bool:
+def _meets_floor(g: GSp4Elem, floor) -> bool:
+    """Whether mu is a unit and every entry's valuation reaches its floor."""
     if g.mu.kind != "unit" or g.mu.val != 0:
         return False
-    m = g.m
-    for i in range(4):
-        for j in range(4):
-            if not m[i][j].val_ge(_K_FLOOR[i][j]):
+    for row, lows in zip(g.m, floor):
+        for e, low in zip(row, lows):
+            if not e.val_ge(low):
                 return False
     return True
 
@@ -570,7 +525,7 @@ def reduce_K(g: GSp4Elem) -> GL22Elem:
     First factor from the corner pattern (g11, pi*g14; g41/pi, g44),
     second from the central block (g22, g23; g32, g33).
     """
-    if not _pattern_ok(g):
+    if not _meets_floor(g, _K_FLOOR):
         raise NotInK("pattern violation")
     ctx, m = g.ctx, g.m
     pi1 = ctx.pi(1)
@@ -603,15 +558,7 @@ def in_Si(g: GSp4Elem, n: int) -> bool:
     """Membership in the depth-n block congruence subgroup."""
     if n < 1:
         raise ValueError("depth must be at least 1")
-    if g.mu.kind != "unit" or g.mu.val != 0:
-        return False
-    m = g.m
-    for i in range(4):
-        for j in range(4):
-            floor = n if (i >= 2 and j <= 1) else 0
-            if not m[i][j].val_ge(floor):
-                return False
-    return True
+    return _meets_floor(g, ((0, 0, 0, 0), (0, 0, 0, 0), (n, n, 0, 0), (n, n, 0, 0)))
 
 
 # -- random sampling ----------------------------------------------------------
@@ -726,14 +673,15 @@ def compute_Rg(g: GSp4Elem, n: int, seed: int = 0) -> RgResult:
 
 
 def witness_Rg(ctx: PadicCtx, tag: str, i: int, j: int, n: int,
-               u_code: Optional[int] = None, c_code: int = 0) -> RgResult:
+               u: Optional[int] = None) -> RgResult:
     """Exhaustive residue-parameterized witness family for one stratum.
 
-    Every family member is checked to lie in Si(n) and to conjugate into K;
-    the returned subgroup is generated by the verified reductions.
+    u is the residue parameter of ``coset_rep``.  Every family member is
+    checked to lie in Si(n) and to conjugate into K; the returned subgroup
+    is generated by the verified reductions.
     """
     fq = ctx.fq
-    g = coset_rep(ctx, tag, i, j, u_code=u_code, c_code=c_code)
+    g = coset_rep(ctx, tag, i, j, u)
     gi = g.inv()
     units = fq.fq_units
     allres = fq.fq_elements
@@ -746,8 +694,7 @@ def witness_Rg(ctx: PadicCtx, tag: str, i: int, j: int, n: int,
                     members.append(levi(ctx, ctx.lift(a1), 0, 0,
                                         ctx.lift(a4), ctx.lift(lam)))
     elif tag == "IIIa":
-        y = ctx.lift(u_code if u_code is not None else fq.one) * ctx.pi(j - 1)
-        yi = y.inv()
+        yi = (_residue_unit(ctx, tag, u) * ctx.pi(j - 1)).inv()
         for a1c in units:
             for uc in allres:
                 a1 = ctx.lift(a1c)
@@ -756,8 +703,7 @@ def witness_Rg(ctx: PadicCtx, tag: str, i: int, j: int, n: int,
     elif tag == "IIIb":
         if ctx.p != 2:
             raise ValueError("stratum needs even residue characteristic")
-        uu = ctx.one_s + ctx.lift(c_code) * ctx.pi(1) if c_code else ctx.one_s
-        ui = uu.inv()
+        ui = _residue_unit(ctx, tag, u).inv()
         for a1c in units:
             for tc in allres:
                 for wc in allres:
@@ -769,9 +715,8 @@ def witness_Rg(ctx: PadicCtx, tag: str, i: int, j: int, n: int,
         if ctx.p != 2:
             raise ValueError("stratum needs even residue characteristic")
         x = ctx.pi(i + j - 1)
-        y = ctx.lift(u_code if u_code is not None else fq.one) * ctx.pi(j - 1)
         z = ctx.pi(2 * i + j)
-        yi = y.inv()
+        yi = (_residue_unit(ctx, tag, u) * ctx.pi(j - 1)).inv()
         for a1c in units:
             for a2c in allres:
                 for wc in allres:

@@ -150,10 +150,10 @@ def test_first_artin_stratum_level7():
     pctx = PadicCtx(2, 1, prec=32)
     fq = build_field(2, 1)
     table = subgroup_R(coset_R_type("IIIb"), fq)
-    for c_code in (0, 1):
-        wit = witness_Rg(pctx, "IIIb", 0, 5, 7, c_code=c_code).group
+    for u in (0, 1):
+        wit = witness_Rg(pctx, "IIIb", 0, 5, 7, u=u).group
         assert len(wit) == len(table)
         assert conjugate_subgroups(wit, table, fq) is not None
-        g = coset_rep(pctx, "IIIb", 0, 5, c_code=c_code)
+        g = coset_rep(pctx, "IIIb", 0, 5, u=u)
         samp = compute_Rg(g, 7, seed=0).group
         assert samp.elements == wit.elements
