@@ -475,6 +475,13 @@ def _level(text: str) -> int:
     return n
 
 
+def _seed(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {n}")
+    return n
+
+
 def _draws(text: str) -> int:
     n = int(text)
     if n < 1:
@@ -518,7 +525,7 @@ def _build_parser() -> _Parser:
     v.add_argument("--suite", choices=sorted(SUITES), required=True)
     v.add_argument("--q", type=int, required=True)
     v.add_argument("--n-max", type=_level, default=12)
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=_seed, default=0)
     v.add_argument("--draws", type=_draws, default=100)
     v.add_argument("--precision", type=_precision, default=32)
     v.add_argument("--format", choices=("text", "json", "csv"), default="text")

@@ -563,7 +563,8 @@ def in_Si(g: GSp4Elem, n: int) -> bool:
 
 # -- random sampling ----------------------------------------------------------
 
-def rand_unit(ctx: PadicCtx, rng: np.random.Generator) -> PadicScalar:
+def _unit_coeffs(ctx: PadicCtx, rng: np.random.Generator) -> tuple:
+    """Coefficients, below p^prec, of a uniformly random unit."""
     code = ctx.fq.fq_units[rng.integers(0, ctx.q - 1)]
     coeffs = []
     for b in ctx._decode[code]:
@@ -572,15 +573,29 @@ def rand_unit(ctx: PadicCtx, rng: np.random.Generator) -> PadicScalar:
         for bound in ctx._digit_bounds:
             digits = digits * bound + int(rng.integers(0, bound))
         coeffs.append(b + ctx.p * digits)
-    return ctx.unit(0, coeffs)
+    return tuple(coeffs)
+
+
+def rand_unit(ctx: PadicCtx, rng: np.random.Generator) -> PadicScalar:
+    return ctx.unit(0, _unit_coeffs(ctx, rng))
+
+
+def _elem_param(ctx: PadicCtx, rng: np.random.Generator, vmin: int = 0,
+                zero_p: float = 0.0, geom: float = 0.5):
+    """One ``rand_elem`` draw as None (zero) or (valuation, unit coefficients)."""
+    if zero_p and rng.random() < zero_p:
+        return None
+    v = vmin + int(rng.geometric(geom)) - 1
+    return v, _unit_coeffs(ctx, rng)
+
+
+def _scalar(ctx: PadicCtx, prm) -> PadicScalar:
+    return ctx.zero_s if prm is None else ctx.unit(*prm)
 
 
 def rand_elem(ctx: PadicCtx, rng: np.random.Generator, vmin: int = 0,
               zero_p: float = 0.0, geom: float = 0.5) -> PadicScalar:
-    if zero_p and rng.random() < zero_p:
-        return ctx.zero_s
-    v = vmin + int(rng.geometric(geom)) - 1
-    return ctx.pi(v) * rand_unit(ctx, rng)
+    return _scalar(ctx, _elem_param(ctx, rng, vmin, zero_p, geom))
 
 
 def rand_pow(ctx: PadicCtx, rng: np.random.Generator,
@@ -610,23 +625,207 @@ def rand_K(ctx: PadicCtx, rng: np.random.Generator) -> GSp4Elem:
     return g
 
 
-def rand_Si(ctx: PadicCtx, rng: np.random.Generator, n: int) -> GSp4Elem:
-    """Random element of Si(n) with value distributions biased toward the
-    congruence strata that conjugation into K actually selects."""
-    sc = s_lower(ctx, rand_elem(ctx, rng, n, 0.15), rand_elem(ctx, rng, n, 0.15),
-                 rand_elem(ctx, rng, n, 0.15))
+class SiDraw(NamedTuple):
+    """The random scalars of one draw from Si(n), each None (zero) or
+    (valuation, unit coefficients).  The similitude unit is lam itself
+    when lam_depth is 0, else 1 + pi^lam_depth * lam."""
+    x: Optional[tuple]
+    y: Optional[tuple]
+    z: Optional[tuple]
+    lam_depth: int
+    lam: Optional[tuple]
+    a1: tuple
+    a2: Optional[tuple]
+    a3: Optional[tuple]
+    a4: tuple
+    b1: Optional[tuple]
+    b2: Optional[tuple]
+    b3: Optional[tuple]
+
+
+def draw_Si(ctx: PadicCtx, rng: np.random.Generator, n: int) -> SiDraw:
+    """Parameters of a random element of Si(n), with value distributions
+    biased toward the congruence strata that conjugation into K actually
+    selects."""
+    x, y, z = (_elem_param(ctx, rng, n, 0.15) for _ in range(3))
     mode = rng.random()
     if mode < 0.4:
-        lam = rand_unit(ctx, rng)
-    elif mode < 0.7:
-        lam = ctx.one_s + ctx.pi(1) * rand_elem(ctx, rng, 0, 0.2)
+        depth, lam = 0, (0, _unit_coeffs(ctx, rng))
     else:
-        lam = ctx.one_s + ctx.pi(2) * rand_elem(ctx, rng, 0, 0.2)
-    lv = levi(ctx, rand_unit(ctx, rng), rand_elem(ctx, rng, 0, 0.25, 0.45),
-              rand_elem(ctx, rng, 0, 0.25, 0.45), rand_unit(ctx, rng), lam)
-    sb = s_upper(ctx, rand_elem(ctx, rng, 0, 0.25), rand_elem(ctx, rng, 0, 0.25),
-                 rand_elem(ctx, rng, 0, 0.25))
-    return sc @ lv @ sb
+        depth, lam = (1 if mode < 0.7 else 2), _elem_param(ctx, rng, 0, 0.2)
+    a1 = (0, _unit_coeffs(ctx, rng))
+    a2, a3 = (_elem_param(ctx, rng, 0, 0.25, 0.45) for _ in range(2))
+    a4 = (0, _unit_coeffs(ctx, rng))
+    b1, b2, b3 = (_elem_param(ctx, rng, 0, 0.25) for _ in range(3))
+    return SiDraw(x, y, z, depth, lam, a1, a2, a3, a4, b1, b2, b3)
+
+
+def build_Si(ctx: PadicCtx, d: SiDraw) -> GSp4Elem:
+    """The element s_lower(x, y, z) levi(a1, a2, a3, a4, lam) s_upper(b1, b2, b3)
+    of Si(n) named by a draw."""
+    sx, sy, sz, a1, a2, a3, a4, b1, b2, b3 = (
+        _scalar(ctx, prm) for prm in (d.x, d.y, d.z, d.a1, d.a2, d.a3, d.a4,
+                                      d.b1, d.b2, d.b3))
+    lam = _scalar(ctx, d.lam)
+    if d.lam_depth:
+        lam = ctx.one_s + ctx.pi(d.lam_depth) * lam
+    return (s_lower(ctx, sx, sy, sz) @ levi(ctx, a1, a2, a3, a4, lam)
+            @ s_upper(ctx, b1, b2, b3))
+
+
+# -- fixed-point conjugation kernel --------------------------------------------
+
+# The entries reduce_K reads, in the order of its two residue factors; each
+# is read at the digit of its _K_FLOOR valuation.
+_K_READS = ((0, 0), (0, 3), (3, 0), (3, 3), (1, 1), (1, 2), (2, 1), (2, 2))
+
+# RgKernel.reduce's answer for a draw it leaves to the exact path
+UNDECIDED = "undecided"
+
+
+def _fixed_point(ctx: PadicCtx, m):
+    """m as (shift, digits, entries): entry (r, c) of m is p^shift times the
+    integer polynomial entries[r][c] (a coefficient tuple, () for zero or
+    an unresolved O(p^A)), known modulo p^(shift + digits)."""
+    flat = list(chain(*m))
+    shift = min(e.val for e in flat if e.kind == "unit")
+    known = min(e.val + e.rel if e.kind == "unit" else e.aprec
+                for e in flat if e.kind != "zero")
+    entries = [[tuple(c * ctx.p ** (e.val - shift) for c in e.coeffs)
+                if e.kind == "unit" else () for e in row] for row in m]
+    return shift, known - shift, entries
+
+
+class RgKernel:
+    """Fixed-point evaluation of reduce_K(g s g^-1) for the draws s of
+    ``compute_Rg``, in plain Python integers.
+
+    g and g^-1 are converted once to p^sa G and p^sb Gi with integer
+    matrices G and Gi.  An element of o is one int: the coefficients of its
+    polynomial in x packed in slots of B bits (Kronecker substitution), so
+    entries multiply and add as ints.  Draw scalars are reduced modulo
+    p^prec first, which keeps every coefficient non-negative and below
+    2^B; each entry of h = p^(sa+sb) G S Gi is unpacked and reduced modulo
+    m once, through ``poly_mul_mod``.
+
+    The similitude of h is lam (a1 a4 - a2 a3), known to p^prec, so a draw
+    whose similitude is not a unit is rejected before any matrix product.
+    The entries of h are known modulo p^(sa+sb+digits), uniformly.  The
+    exact path knows each entry at least that well (its products and sums
+    keep the least absolute precision of their terms, and every term of an
+    entry carries p^(sa+sb+digits)), so every decision of the kernel is
+    one the exact path makes the same way.  As the precision is uniform,
+    the margin past the deepest digit reduce_K reads is fixed per
+    representative; below GUARD every draw with a unit similitude is
+    UNDECIDED.
+    """
+
+    def __init__(self, g: GSp4Elem, gi: GSp4Elem):
+        ctx = self.ctx = g.ctx
+        p, f, prec = ctx.p, ctx.f, ctx.prec
+        self.P = p ** prec
+        self.pw = [p ** v for v in range(prec)]
+        (sa, dg, G), (sb, dgi, Gi) = _fixed_point(ctx, g.m), _fixed_point(ctx, gi.m)
+        s = self.shift = sa + sb
+        digits = self.digits = min(dg, prec, dgi)
+        self.PN = p ** digits
+        # an entry of G S Gi sums 16 products of three polynomials, with
+        # the coefficients of S below 5 f^2 (P + 1)^3
+        top = max(c for M in (G, Gi) for row in M for e in row for c in e)
+        bound = 16 * f ** 2 * top ** 2 * 5 * f ** 2 * (self.P + 1) ** 3
+        self.B = bound.bit_length() + 1
+        self.shifts = [self.B * i for i in range(f)]
+        self.mask = (1 << self.B) - 1
+        self.g_rows = [[(k, self._pack(e)) for k, e in enumerate(row) if e]
+                       for row in G]
+        self.gi_cols = [[(l, self._pack(Gi[l][j])) for l in range(4) if Gi[l][j]]
+                        for j in range(4)]
+        # per entry of h: p^max(k, 0), with k = floor - (sa + sb) the floor
+        # digit of the shifted entry, and for a read entry its slot and k
+        reads = {rc: slot for slot, rc in enumerate(_K_READS)}
+        self.tests = []
+        need = 0
+        for r in range(4):
+            for c in range(4):
+                k = _K_FLOOR[r][c] - s
+                slot = reads.get((r, c))
+                self.tests.append((r, c, p ** max(k, 0), slot, k))
+                need = max(need, k + (slot is not None))
+        self.decides = digits - need >= GUARD
+
+    def _pack(self, coeffs) -> int:
+        out = 0
+        for c, sh in zip(coeffs, self.shifts):
+            out |= c << sh
+        return out
+
+    def _lift(self, prm, sign: int = 1, depth: int = 0) -> int:
+        """A draw scalar times sign * pi^depth, reduced modulo p^prec."""
+        if prm is None or prm[0] + depth >= len(self.pw):
+            return 0
+        t, P = sign * self.pw[prm[0] + depth], self.P
+        return self._pack([t * c % P for c in prm[1]])
+
+    def _coeffs(self, v: int, modulus: int) -> tuple:
+        """Unpack v and reduce it modulo m and modulus."""
+        if self.ctx.f == 1:
+            return (v % modulus,)
+        B, mask = self.B, self.mask
+        slots = [(v >> (B * i)) & mask for i in range(5 * self.ctx.f - 4)]
+        return poly_mul_mod(slots, (1,), self.ctx.mpoly, modulus)
+
+    def _scalars(self, d: SiDraw) -> tuple:
+        """The draw's scalars x, y, z, lam, a1, a2, a3, a4, -a2, -a3, b1, b2,
+        b3, packed and reduced modulo p^prec."""
+        lift = self._lift
+        lam = (1 + lift(d.lam, depth=d.lam_depth)) if d.lam_depth else lift(d.lam)
+        return (lift(d.x), lift(d.y), lift(d.z), lam, lift(d.a1), lift(d.a2),
+                lift(d.a3), lift(d.a4), lift(d.a2, -1), lift(d.a3, -1),
+                lift(d.b1), lift(d.b2), lift(d.b3))
+
+    def _mu(self, v) -> tuple:
+        """The similitude lam (a1 a4 - a2 a3) of g s g^-1, modulo p^prec."""
+        lam, a1, a3, a4, n2 = v[3], v[4], v[6], v[7], v[8]
+        return self._coeffs(lam * (a1 * a4 + n2 * a3), self.P)
+
+    def _matrix(self, v) -> list:
+        """g s g^-1 as p^shift H, H entry-wise coefficients modulo p^digits."""
+        x, y, z, lam, a1, a2, a3, a4, n2, n3, b1, b2, b3 = v
+        # s = [[A, A B], [X A, X A B + lam A*]] for the blocks of build_Si
+        xa00, xa01 = x * a1 + y * a3, x * a2 + y * a4
+        xa10, xa11 = z * a1 + x * a3, z * a2 + x * a4
+        S = ((a1, a2, a1 * b1 + a2 * b3, a1 * b2 + a2 * b1),
+             (a3, a4, a3 * b1 + a4 * b3, a3 * b2 + a4 * b1),
+             (xa00, xa01, xa00 * b1 + xa01 * b3 + lam * a1,
+              xa00 * b2 + xa01 * b1 + lam * n2),
+             (xa10, xa11, xa10 * b1 + xa11 * b3 + lam * n3,
+              xa10 * b2 + xa11 * b1 + lam * a4))
+        GS = [[sum([e * S[k][l] for k, e in row]) for l in range(4)]
+              for row in self.g_rows]
+        return [[self._coeffs(sum([gs[l] * e for l, e in col]), self.PN)
+                 for col in self.gi_cols] for gs in GS]
+
+    def reduce(self, d: SiDraw):
+        """reduce_K(g s g^-1) for s = build_Si(d): a GL22Elem, None when
+        g s g^-1 is certainly not in K, or UNDECIDED."""
+        p = self.ctx.p
+        v = self._scalars(d)
+        if not any([c % p for c in self._mu(v)]):
+            return None
+        if not self.decides:
+            return UNDECIDED
+        H = self._matrix(v)
+        res = [0] * 8
+        for r, c, low, slot, k in self.tests:
+            cs = H[r][c]
+            for e in cs:
+                if e % low:
+                    return None
+            if slot is not None and k >= 0:
+                pk = self.pw[k]
+                res[slot] = self.ctx._encode[tuple([e // pk % p for e in cs])]
+        out = GL22Elem(GL2Elem(*res[:4]), GL2Elem(*res[4:]))
+        return out if gl22_valid(self.ctx.fq, out) else None
 
 
 # -- the finite subgroup attached to a representative -------------------------
@@ -635,6 +834,7 @@ class RgResult(NamedTuple):
     group: SubgroupR
     draws: int
     accepted: int
+    fallbacks: int = 0
 
 
 STABLE_WINDOW, MAX_DRAWS = 200, 60000
@@ -643,6 +843,8 @@ STABLE_WINDOW, MAX_DRAWS = 200, 60000
 def compute_Rg(g: GSp4Elem, n: int, seed: int = 0) -> RgResult:
     """Sampled reduction image of g Si(n) g^-1 cap K, closed as a subgroup.
 
+    Each draw goes through RgKernel; a draw it leaves undecided is rebuilt
+    as PadicScalars and reduced exactly, and counted in ``fallbacks``.
     Stops once STABLE_WINDOW consecutive accepted draws produce no new
     element; raises StabilizationFailure when MAX_DRAWS runs out first.
     """
@@ -650,21 +852,26 @@ def compute_Rg(g: GSp4Elem, n: int, seed: int = 0) -> RgResult:
     fq = ctx.fq
     rng = np.random.default_rng(seed)
     gi = g.inv()
+    kernel = RgKernel(g, gi)
     grp = subgroup_closure(fq, [gl22_identity(fq)])
-    draws = accepted = since_growth = 0
+    draws = accepted = since_growth = fallbacks = 0
     while draws < MAX_DRAWS:
         draws += 1
-        s = rand_Si(ctx, rng, n)
-        h = g @ s @ gi
-        try:
-            r = reduce_K(h)
-        except (NotInK, PrecisionExhausted):
+        d = draw_Si(ctx, rng, n)
+        r = kernel.reduce(d)
+        if r is UNDECIDED:
+            fallbacks += 1
+            try:
+                r = reduce_K(g @ build_Si(ctx, d) @ gi)
+            except (NotInK, PrecisionExhausted):
+                continue
+        if r is None:
             continue
         accepted += 1
         if r in grp:
             since_growth += 1
             if since_growth >= STABLE_WINDOW:
-                return RgResult(grp, draws, accepted)
+                return RgResult(grp, draws, accepted, fallbacks)
         else:
             grp = subgroup_closure(fq, list(grp.elements) + [r])
             since_growth = 0

@@ -197,6 +197,12 @@ def test_oracle_q5_peak_memory(tmp_path):
     assert usage.ru_maxrss / 1024 < 150  # ru_maxrss is in KiB on Linux
 
 
+NEGATIVE_SEED_RG = ["verify", "--suite", "rg", "--q", "2", "--n-max", "3",
+                    "--seed", "-1"]
+NEGATIVE_SEED_IDENTITIES = ["verify", "--suite", "identities", "--q", "2",
+                            "--seed", "-1", "--draws", "2"]
+
+
 def test_exit_code_on_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nonsense", "--q", "2"])
@@ -210,7 +216,8 @@ def test_exit_code_on_usage_error():
                  ["verify", "--suite", "identities", "--q", "2",
                   "--precision", "3"],
                  ["verify", "--suite", "identities", "--q", "2", "--draws", "0"],
-                 ["verify", "--suite", "identities", "--q", "2", "--draws", "-3"]):
+                 ["verify", "--suite", "identities", "--q", "2", "--draws", "-3"],
+                 NEGATIVE_SEED_RG, NEGATIVE_SEED_IDENTITIES):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 4
@@ -241,6 +248,7 @@ GRID += [["verify", "--suite", suite, "--q", q, "--n-max", "2", "--draws", "2"]
 GRID += [[cmd, "--q", q, flag, n]
          for cmd, flag in (("table", "--n-max"), ("support", "--n"))
          for q in ("2", "3", "4") for n in ("0", "1", "2")]
+GRID += [NEGATIVE_SEED_RG, NEGATIVE_SEED_IDENTITIES]
 
 
 @pytest.mark.parametrize("argv", GRID, ids=" ".join)

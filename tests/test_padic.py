@@ -12,21 +12,28 @@ from siegelvec import padic
 from siegelvec.finitegrp import (
     GL2Elem,
     GL22Elem,
+    build_field,
     conjugate_subgroups,
     gl22_identity,
     poly_mul_mod,
     subgroup_R,
+    subgroup_closure,
 )
 from siegelvec.padic import (
+    GUARD,
     IDENTITY_TAGS,
+    UNDECIDED,
     GSp4Elem,
     NotInK,
     NotSymplectic,
     PadicCtx,
     PrecisionExhausted,
+    RgKernel,
     StabilizationFailure,
+    build_Si,
     compute_Rg,
     coset_rep,
+    draw_Si,
     in_K,
     in_K_plus,
     in_Si,
@@ -48,6 +55,7 @@ from siegelvec.padic import (
     u_elem,
     witness_Rg,
 )
+from siegelvec.support import COSET_TAGS, enumerate_support
 
 
 def s1_elem(ctx):
@@ -415,3 +423,148 @@ def test_sampler_budget_failure_is_reported(monkeypatch):
     g = coset_rep(ctx, "I", 0, 1)
     with pytest.raises(StabilizationFailure):
         compute_Rg(g, 3, seed=0)
+
+
+# -- the fixed-point kernel against the exact path ----------------------------
+
+
+def reference_Si(ctx, rng, n):
+    """A random element of Si(n) built in one pass over the rng, with no
+    parameter record: the reference for draw_Si followed by build_Si."""
+    sc = s_lower(ctx, padic.rand_elem(ctx, rng, n, 0.15),
+                 padic.rand_elem(ctx, rng, n, 0.15), padic.rand_elem(ctx, rng, n, 0.15))
+    mode = rng.random()
+    if mode < 0.4:
+        lam = rand_unit(ctx, rng)
+    elif mode < 0.7:
+        lam = ctx.one_s + ctx.pi(1) * padic.rand_elem(ctx, rng, 0, 0.2)
+    else:
+        lam = ctx.one_s + ctx.pi(2) * padic.rand_elem(ctx, rng, 0, 0.2)
+    lv = levi(ctx, rand_unit(ctx, rng), padic.rand_elem(ctx, rng, 0, 0.25, 0.45),
+              padic.rand_elem(ctx, rng, 0, 0.25, 0.45), rand_unit(ctx, rng), lam)
+    sb = s_upper(ctx, padic.rand_elem(ctx, rng, 0, 0.25),
+                 padic.rand_elem(ctx, rng, 0, 0.25), padic.rand_elem(ctx, rng, 0, 0.25))
+    return sc @ lv @ sb
+
+
+def reference_Rg(g, n, seed=0):
+    """The sampling loop on PadicScalars alone: reference_Si, g s g^-1,
+    reduce_K.  Returns (elements, draws, accepted), or the
+    StabilizationFailure text."""
+    ctx, fq = g.ctx, g.ctx.fq
+    rng = np.random.default_rng(seed)
+    gi = g.inv()
+    grp = subgroup_closure(fq, [gl22_identity(fq)])
+    draws = accepted = since_growth = 0
+    while draws < padic.MAX_DRAWS:
+        draws += 1
+        try:
+            r = reduce_K(g @ reference_Si(ctx, rng, n) @ gi)
+        except (NotInK, PrecisionExhausted):
+            continue
+        accepted += 1
+        if r in grp:
+            since_growth += 1
+            if since_growth >= padic.STABLE_WINDOW:
+                return grp.elements, draws, accepted
+        else:
+            grp = subgroup_closure(fq, list(grp.elements) + [r])
+            since_growth = 0
+    return f"no stable window after {padic.MAX_DRAWS} draws ({accepted} accepted)"
+
+
+def kernel_Rg(g, n, seed=0):
+    """compute_Rg in the shape of reference_Rg, plus its fallback count."""
+    try:
+        res = compute_Rg(g, n, seed=seed)
+    except StabilizationFailure as exc:
+        return str(exc), None
+    return (res.group.elements, res.draws, res.accepted), res.fallbacks
+
+
+ON_SUPPORT = [(prm.tag, prm.i, prm.j, prm.u, n) for n in range(3, 6)
+              for prm in enumerate_support(build_field(2, 1), n)]
+# the first four off-support triples (n, i, j) that `rg` samples
+OFF_SUPPORT = [("I", i, j, None, n) for n, i, j in
+               [(3, 0, 2), (3, 0, 3), (3, 0, 4), (3, 1, 1)]]
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("tag,i,j,u,n", ON_SUPPORT + OFF_SUPPORT)
+def test_compute_Rg_equals_the_reference_loop(tag, i, j, u, n, seed):
+    ctx = PadicCtx(2, 1)
+    g = coset_rep(ctx, tag, i, j, u)
+    got, fallbacks = kernel_Rg(g, n, seed)
+    assert got == reference_Rg(g, n, seed)
+    assert fallbacks == 0
+
+
+def test_compute_Rg_equals_the_reference_loop_at_q4():
+    ctx = PadicCtx(2, 2)
+    g = coset_rep(ctx, "II", 0, 2)
+    got, fallbacks = kernel_Rg(g, 4, seed=7)
+    assert got == reference_Rg(g, 4, seed=7)
+    assert fallbacks == 0
+
+
+def test_short_margin_falls_back_to_the_exact_path(monkeypatch):
+    # t(1, 1) has shift -3 on g^-1: at precision 8 the deepest digit read,
+    # p^1 of g41, leaves 3 < GUARD digits of margin, so every draw whose
+    # similitude is a unit goes through the exact path; a smaller budget
+    # keeps a failure of both loops quick
+    monkeypatch.setattr(padic, "MAX_DRAWS", 3000)
+    ctx = PadicCtx(2, 1, prec=8)
+    g = coset_rep(ctx, "I", 1, 1)
+    assert not RgKernel(g, g.inv()).decides
+    got, fallbacks = kernel_Rg(g, 5, seed=0)
+    assert got == reference_Rg(g, 5, seed=0)
+    assert 0 < fallbacks < got[1]
+
+
+def _coset_params(data, fq):
+    tag = data.draw(st.sampled_from(COSET_TAGS))
+    u = None
+    if tag in ("IIIa", "IV"):
+        u = data.draw(st.sampled_from(fq.fq_units))
+    elif tag == "IIIb":
+        u = data.draw(st.sampled_from(fq.fq_elements))
+    return tag, data.draw(st.integers(0, 2)), data.draw(st.integers(1, 5)), u
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_kernel_matches_exact_product_and_reduction(data):
+    p, f = data.draw(st.sampled_from([(2, 1), (2, 2), (3, 1)]))
+    prec = data.draw(st.integers(GUARD, 80))
+    ctx = PadicCtx(p, f, prec=prec)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    g = coset_rep(ctx, *_coset_params(data, ctx.fq))
+    if data.draw(st.booleans()):
+        g = g.inv()  # negative shift on the kernel's g
+    if data.draw(st.booleans()):
+        # conjugates the image by the reduction of a random element of K,
+        # so that every residue reduce_K reads, p g14 included, varies
+        g = rand_K(ctx, rng) @ g
+    gi = g.inv()
+    kernel = RgKernel(g, gi)
+    n = data.draw(st.integers(1, 7))
+    for _ in range(8):
+        d = draw_Si(ctx, rng, n)
+        h = g @ build_Si(ctx, d) @ gi
+        v = kernel._scalars(d)
+        assert (h.mu - ctx.unit(0, kernel._mu(v))).val_ge(prec)
+        if kernel.decides:
+            top = kernel.shift + kernel.digits
+            for row, hrow in zip(h.m, kernel._matrix(v)):
+                for e, cs in zip(row, hrow):
+                    assert (e - ctx.unit(kernel.shift, cs, rel=kernel.digits)).val_ge(top)
+        got = kernel.reduce(d)
+        try:
+            want = reduce_K(h)
+        except (NotInK, PrecisionExhausted):
+            want = None
+        if got is UNDECIDED:
+            # only a short margin defers a draw, never one mu already rejects
+            assert not kernel.decides and h.mu.kind == "unit" and h.mu.val == 0
+        else:
+            assert got == want
