@@ -154,6 +154,11 @@ def _standard_groups(ctx: FqCtx) -> list:
 
 def suite_oracle(q: int, **_: object) -> tuple[list, list]:
     ctx = _field(q)
+    if q > 8:
+        side = (q - 1) ** 4
+        raise ConfigError(
+            f"oracle runs up to q=8: at q={q} each reducible pair needs a "
+            f"commutant Gram of side {side} ({side * side * 16 // 10**6} MB)")
     rows = []
     ok = sum_ok = unip_ok = True
     labels = [SigmaLabel(k1, k2, "Full")

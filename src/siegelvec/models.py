@@ -1,20 +1,41 @@
 """Matrix models for cuspidal representations and their det-matched tensors.
 
-The cuspidal model lives inside the space of functions on GL2(q)
-transforming under the upper unitriangular group by a fixed nontrivial
-additive character.  Right translation acts there by signed permutations
-(a coset permutation plus a root-of-unity phase per row), the isotypic
-projector for a cuspidal character has rank q-1, and compressing right
-translation to its range gives explicit (q-1) x (q-1) unitary matrices.
+A cuspidal model is the Kirillov model of the representation labeled by
+k: functions on F_q^x, indexed by the log base ``fq_gen``, built from the
+multiplicative character theta_k (``chars.theta_eval``) and the additive
+character psi (``FqCtx.psi``) alone.  With n(t) = [[1, t], [0, 1]] and
+w = [[0, 1], [-1, 0]]:
+
+* rho([[a, b], [0, d]]) f(x) = theta(d) psi(bx/d) f(ax/d);
+* rho(w) = W with W[x, y] = J(xy) theta(y)^-1, where the Bessel function
+  J(u) = -(1/q) sum_{N(t) = u} theta(t) psi(tr t) runs over F_{q^2}^x;
+* for c != 0, g = n(a/c) diag(-det/c, -c) w n(d/c).
+
+So every matrix is a row phase times a row-reindexed W (for c != 0) or
+identity (for c = 0) times a column phase, and ``CuspidalModel.mats``
+builds a whole batch by index arithmetic on unit logs.  Each build
+checks its traces against ``chars.cuspidal_char`` on all of GL2(q): the
+character table is what the matrices are compared with, never an input
+to them (Piatetski-Shapiro, Complex Representations of GL(2, K) for
+Finite Fields K, 1983; Bushnell-Henniart, The Local Langlands Conjecture
+for GL(2), 2006).
+
+``WhittakerSpace``, the induced signed-permutation model of dimension
+(q^2-1)(q-1) that the Kirillov model replaced, stays as the reference
+the tests project onto the cuspidal isotypic part and compare with, and
+as a constructor the benchmark tracer (``perfbench/tracer.py``) wraps;
+no production path builds it.
 
 Tensor models pair two cuspidal models, optionally twisted by a power of
 the determinant character on the first factor; they serve as the oracle
 for everything the character formulas cannot see: constituent splitting,
 twist intertwiners, and traces of twist operators on fixed subspaces.
-Their characters, and so their fixed ranks, are products of the two
-factors' traces.  Tensor and constituent matrices are computed on demand
-and never stored: only the Whittaker actions of the elements used and the
-small cuspidal matrices, which every model of a field shares, are cached.
+The average of a model over a subgroup, the projector onto its fixed
+subspace, is one einsum over the stacked factor matrices, and a fixed
+rank is the certified trace of that average.  Tensor and constituent
+matrices are computed on demand and never stored: only the small
+cuspidal matrices of single elements, which every model of a field
+shares, are cached.
 
 Commutants and intertwiners are kernels of linear systems X A = B X over
 a generating set.  The stacked system is never formed: its Hermitian Gram
@@ -28,11 +49,13 @@ norm <chi, chi> computed from the cuspidal models' own traces.
 
 The two constituents of a split are named intrinsically by a certified
 rank: Plus has q-1 vectors fixed by the diagonal unipotent pairs
-(n(u), n(u)), n(u) = [[1, 0], [u, 1]], and Minus has none.  The oracle
+(v(u), v(u)), v(u) = [[1, 0], [u, 1]], and Minus has none.  The oracle
 reads the character layer, never the reverse.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -40,12 +63,12 @@ from .finitegrp import (
     FqCtx, GL2Elem, GL22Elem, SubgroupR, enumerate_gl2, gl2_det, gl2_mul,
     u_action,
 )
-from .chars import cuspidal_char, sigma_is_reducible
+from .chars import cuspidal_char, sigma_is_reducible, theta_eval
 from .numerics import certify_integer
 
 
 class ProjectorRankMismatch(ArithmeticError):
-    """Isotypic projector trace disagrees with the multiplicity-one rank."""
+    """A cuspidal model's traces disagree with the cuspidal character."""
 
 
 class NoIntertwiner(ArithmeticError):
@@ -100,16 +123,19 @@ def _nullspace(pairs) -> list[np.ndarray]:
 
 def _fixed_rank(model, R: SubgroupR, twisted: bool = False) -> int:
     """dim of the R-fixed (or u-twisted R-fixed) subspace of a model: the
-    average of its character over R, certified to an integer."""
+    trace of its average over R, certified to an integer."""
     elems = [u_action(model.ctx, r) for r in R] if twisted else R
-    return certify_integer(sum(model.char(x) for x in elems) / len(R), tol=1e-6)
+    return certify_integer(np.trace(model.average(elems)), tol=1e-6)
 
 
-# -- the induced signed-permutation model -----------------------------------
+# -- the induced signed-permutation model (test reference) ------------------
 
 class WhittakerSpace:
     """Function model induced from an additive character of the upper
-    unitriangular subgroup, with right translation as signed permutations."""
+    unitriangular subgroup, with right translation as signed permutations.
+
+    The reference the tests compare the Kirillov model with; no production
+    path builds it."""
 
     def __init__(self, ctx: FqCtx):
         self.ctx = ctx
@@ -165,63 +191,108 @@ class WhittakerSpace:
         return phase[:, None] * v[perm]
 
 
+def _unit_log(ctx: FqCtx, codes: np.ndarray) -> np.ndarray:
+    """log base fq_gen of F_q codes; zero codes give -1 and must be masked."""
+    return (codes - 1) // (ctx.q + 1)
+
+
+def _weyl(ctx: FqCtx, k: int) -> np.ndarray:
+    """rho(w) in the Kirillov model: W[x, y] = J(xy) theta(y)^-1 on unit
+    logs x, y, with J the Bessel function of theta over F_{q^2}^x."""
+    m = ctx.q - 1
+    J = np.zeros(m, dtype=np.complex128)
+    for t in range(1, ctx.q2):
+        norm = ctx.power(t, ctx.q + 1)
+        J[_unit_log(ctx, norm)] += (theta_eval(ctx, k, t)
+                                    * ctx.psi(ctx.add(t, ctx.frob_q(t))))
+    J /= -ctx.q
+    theta = np.array([theta_eval(ctx, k, u) for u in ctx.fq_units])
+    x = np.arange(m)
+    return J[(x[:, None] + x) % m] * theta.conj()
+
+
 class CuspidalModel:
-    """Unitary (q-1) x (q-1) matrices for one cuspidal exponent."""
+    """Unitary (q-1) x (q-1) matrices for one cuspidal exponent: the
+    Kirillov model on functions on F_q^x, in the basis of point masses."""
 
     def __init__(self, ctx: FqCtx, k: int):
         self.ctx = ctx
         self.k = k % (ctx.q2 - 1)
-        self.space = _whittaker_space(ctx)
-        self.dim = ctx.q - 1
-        elems = enumerate_gl2(ctx)
-        N = self.space.dim
-        P = np.zeros((N, N), dtype=np.complex128)
-        rows = np.arange(N)
-        scale = (ctx.q - 1) / len(elems)
-        for g in elems:
-            coeff = scale * np.conj(cuspidal_char(ctx, self.k, g))
-            if coeff != 0:
-                perm, phase = self.space.action(g)
-                np.add.at(P, (rows, perm), coeff * phase)
-        if np.linalg.norm(P - P.conj().T) > _TOL * N:
-            raise ProjectorRankMismatch("projector is not Hermitian")
-        if np.linalg.norm(P @ P - P) > _TOL * N:
-            raise ProjectorRankMismatch("projector is not idempotent")
-        tr = certify_integer(np.trace(P), tol=1e-6)
-        if tr != ctx.q - 1:
-            raise ProjectorRankMismatch(
-                f"isotypic rank {tr}, expected {ctx.q - 1}")
-        vals, vecs = np.linalg.eigh(P)
-        self.basis = vecs[:, vals > 0.5]
+        self.dim = m = ctx.q - 1
+        self.basis = np.eye(m)
+        self._theta = np.array([theta_eval(ctx, self.k, u) for u in ctx.fq_units])
+        # psi on the unit logs, and psi(0) = 1 at index m
+        self._psi = np.array([ctx.psi(u) for u in ctx.fq_units] + [1.0])
+        # c = 0 elements re-index the identity, c != 0 ones re-index W
+        self._cores = np.stack([np.eye(m), _weyl(ctx, self.k)])
+        self._neg_one = int(_unit_log(ctx, ctx.neg(ctx.one)))
+        # Zech logs log(1 + x); the entry at x = -1 is never read
+        self._zech = np.array([_unit_log(ctx, ctx.add(ctx.one, u)) % m
+                               for u in ctx.fq_units])
         self._cache: dict[GL2Elem, np.ndarray] = {}
+        self.verify_character()
+
+    def _psi_rows(self, zero: np.ndarray, log: np.ndarray) -> np.ndarray:
+        """psi(t x) for every unit x, one row per t given by its log, or by
+        its zero flag."""
+        m = self.dim
+        idx = (log[:, None] + np.arange(m)) % m
+        idx[zero] = m
+        return self._psi[idx]
+
+    def mats(self, elems) -> np.ndarray:
+        """The matrices of a batch of GL2 elements, shape (N, q-1, q-1).
+
+        [[a, b], [0, d]] maps row x to column x + log(a/d) with phase
+        theta(d) psi(bx/d).  For c != 0 row x of W[x + log(det/c^2)] is
+        scaled by theta(-c) psi(ax/c) and column y by psi(dy/c)."""
+        ctx, m = self.ctx, self.dim
+        n = len(elems)
+        a, b, c, d = np.fromiter(itertools.chain.from_iterable(elems),
+                                 np.int64, 4 * n).reshape(n, 4).T
+        la, lb, lc, ld = (_unit_log(ctx, v) for v in (a, b, c, d))
+        # det = ad + (-bc) = ad (1 + (-bc)/ad) when neither product is zero
+        lad, lbc = la + ld, lb + lc + self._neg_one
+        ldet = np.where((b == 0) | (c == 0), lad,
+                        np.where((a == 0) | (d == 0), lbc,
+                                 lad + self._zech[(lbc - lad) % m]))
+        up = c == 0
+        row_theta = self._theta[np.where(up, ld, lc + self._neg_one) % m]
+        rows = row_theta[:, None] * self._psi_rows(
+            np.where(up, b == 0, a == 0), np.where(up, lb - ld, la - lc))
+        cols = self._psi_rows(up | (d == 0), ld - lc)
+        shift = np.where(up, la - ld, ldet - 2 * lc)
+        core = self._cores[np.where(up, 0, 1)[:, None],
+                           (shift[:, None] + np.arange(m)) % m]
+        return rows[:, :, None] * core * cols[:, None, :]
 
     def mat(self, g: GL2Elem) -> np.ndarray:
         hit = self._cache.get(g)
         if hit is None:
-            hit = self.basis.conj().T @ self.space.apply(g, self.basis)
-            self._cache[g] = hit
+            hit = self._cache[g] = self.mats([g])[0]
         return hit
 
     def char(self, g: GL2Elem) -> complex:
         return complex(np.trace(self.mat(g)))
 
     def verify_character(self) -> None:
-        for g in enumerate_gl2(self.ctx):
-            want = cuspidal_char(self.ctx, self.k, g)
-            if abs(self.char(g) - want) > 1e-7:
-                raise ProjectorRankMismatch(
-                    f"character mismatch at {g}: {self.char(g)} vs {want}")
+        """Compare the traces of the whole of GL2(q) with cuspidal_char;
+        the batch is not cached."""
+        ctx = self.ctx
+        elems = enumerate_gl2(ctx)
+        got = np.trace(self.mats(elems), axis1=1, axis2=2)
+        want = np.array([cuspidal_char(ctx, self.k, g) for g in elems])
+        err = np.abs(got - want)
+        if err.max() > 1e-7:
+            i = int(np.argmax(err))
+            raise ProjectorRankMismatch(
+                f"character mismatch at {elems[i]}: {got[i]} vs {want[i]}")
 
 
+# The Whittaker-space cache of the projector build this module no longer
+# has; kept, always empty, for callers that clear it before a cold build.
 _SPACE_CACHE: dict[tuple, WhittakerSpace] = {}
 _MODEL_CACHE: dict[tuple, CuspidalModel] = {}
-
-
-def _whittaker_space(ctx: FqCtx) -> WhittakerSpace:
-    key = (ctx.p, ctx.f)
-    if key not in _SPACE_CACHE:
-        _SPACE_CACHE[key] = WhittakerSpace(ctx)
-    return _SPACE_CACHE[key]
 
 
 def cuspidal_model(ctx: FqCtx, k: int) -> CuspidalModel:
@@ -258,6 +329,17 @@ class TensorModel:
     def mat(self, x: GL22Elem) -> np.ndarray:
         return self._det_phase(x.first) * np.kron(
             self.m1.mat(x.first), self.m2.mat(x.second))
+
+    def average(self, R) -> np.ndarray:
+        """Mean of the matrices over R, the projector onto the R-fixed
+        subspace: one einsum over the stacked factor matrices."""
+        elems = list(R)
+        phase = np.array([self._det_phase(x.first) for x in elems],
+                         dtype=np.complex128) / len(elems)
+        A = phase[:, None, None] * self.m1.mats([x.first for x in elems])
+        B = self.m2.mats([x.second for x in elems])
+        n = self.dim
+        return np.einsum("rij,rkl->ikjl", A, B, optimize=True).reshape(n, n)
 
     def char(self, x: GL22Elem) -> complex:
         return complex(self._det_phase(x.first) * self.m1.char(x.first)
@@ -299,14 +381,12 @@ def _character_norm(tm: TensorModel) -> int:
     |tr m_i(g)|^2 over g in GL2(q) with det g = d.  The det twist has
     modulus one and drops out."""
     ctx = tm.ctx
-    sums = []
-    for m in (tm.m1, tm.m2):
-        S: dict[int, float] = {}
-        for g in enumerate_gl2(ctx):
-            d = gl2_det(ctx, g)
-            S[d] = S.get(d, 0.0) + abs(m.char(g)) ** 2
-        sums.append(S)
-    total = sum(s1 * sums[1][d] for d, s1 in sums[0].items())
+    elems = enumerate_gl2(ctx)
+    dets = [gl2_det(ctx, g) for g in elems]
+    S1, S2 = (np.bincount(dets, weights=abs(np.trace(m.mats(elems), axis1=1,
+                                                     axis2=2)) ** 2)
+              for m in (tm.m1, tm.m2))
+    total = float(S1 @ S2)
     q = ctx.q
     order = ((q * q - 1) * (q * q - q)) ** 2 // (q - 1)
     return certify_integer(total / order, tol=1e-6)
@@ -325,6 +405,9 @@ class ConstituentModel:
 
     def mat(self, x: GL22Elem) -> np.ndarray:
         return self.basis.conj().T @ self.tm.mat(x) @ self.basis
+
+    def average(self, R) -> np.ndarray:
+        return self.basis.conj().T @ self.tm.average(R) @ self.basis
 
     def char(self, x: GL22Elem) -> complex:
         return complex(np.trace(self.mat(x)))
@@ -459,10 +542,7 @@ def twisted_trace(model, operator: np.ndarray, R: SubgroupR) -> int:
     The projector onto that subspace is the average of the model's matrices
     over R.  The operator must normalize it; otherwise the compression is
     meaningless and NotNormalizing is raised."""
-    P = np.zeros((model.dim, model.dim), dtype=np.complex128)
-    for r in R:
-        P += model.mat(r)
-    P /= len(R)
+    P = model.average(R)
     conj = operator @ P @ np.linalg.inv(operator)
     if np.linalg.norm(conj - P) > 1e-6 * max(1, P.shape[0]):
         raise NotNormalizing("operator does not normalize the fixed projector")

@@ -197,6 +197,20 @@ def test_oracle_q5_peak_memory(tmp_path):
     assert usage.ru_maxrss / 1024 < 150  # ru_maxrss is in KiB on Linux
 
 
+def test_oracle_q9_is_refused_before_any_model_is_built():
+    # without the gate the run builds commutant Grams of side 4096 and
+    # takes minutes; the refusal must come at once
+    src = os.path.dirname(os.path.dirname(siegelvec.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    child = subprocess.run(
+        [sys.executable, "-m", "siegelvec.cli", "verify", "--suite", "oracle",
+         "--q", "9"], env=env, capture_output=True, text=True, timeout=20)
+    assert child.returncode == 3
+    assert child.stdout == ""
+    assert child.stderr.count("\n") == 1
+    assert child.stderr.startswith("siegel: oracle runs up to q=8")
+
+
 NEGATIVE_SEED_RG = ["verify", "--suite", "rg", "--q", "2", "--n-max", "3",
                     "--seed", "-1"]
 NEGATIVE_SEED_IDENTITIES = ["verify", "--suite", "identities", "--q", "2",

@@ -1,23 +1,31 @@
-"""Matrix-model oracle: induced model, projectors, tensors, intertwiners."""
+"""Matrix-model oracle: the Kirillov model against the Whittaker-space
+reference, tensors, constituents, intertwiners."""
+
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siegelvec.finitegrp import (
-    GL2Elem, GL22Elem, build_field, enumerate_gl2, enumerate_gl22, gl2_inv,
-    gl2_mul, gl22_mul, SubgroupR, subgroup_R, u_action,
+    GL2Elem, GL22Elem, build_field, enumerate_gl2, enumerate_gl22, gl2_det,
+    gl2_inv, gl2_mul, gl22_mul, SubgroupR, subgroup_R, u_action,
 )
 from siegelvec.chars import (
     OracleRequired, SigmaLabel, cuspidal_char, cuspidal_classes, fixed_dim,
-    split_restriction, twisted_trace_closed,
+    split_restriction, theta_eval, twisted_trace_closed,
 )
 from siegelvec import models
 from siegelvec.models import (
-    ConstituentModel, NoIntertwiner, NotNormalizing, TensorModel,
-    UncertifiedNullity, WhittakerSpace, commutant_dim, cuspidal_model,
-    decompose, model_for_sigma, swap_operator, twisted_trace, u_intertwiner,
-    ww_operator,
+    ConstituentModel, CuspidalModel, NoIntertwiner, NotNormalizing,
+    ProjectorRankMismatch, TensorModel, UncertifiedNullity, WhittakerSpace,
+    commutant_dim, cuspidal_model, decompose, model_for_sigma, swap_operator,
+    twisted_trace, u_intertwiner, ww_operator,
 )
+
+FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3),
+          9: (3, 2)}
 
 
 def _dense(space, g):
@@ -69,6 +77,100 @@ def test_whittaker_action_is_homomorphism():
             gh = gl2_mul(ctx, g, h)
             assert np.allclose(_dense(space, g) @ _dense(space, h),
                                _dense(space, gh), atol=1e-10)
+
+
+# -- the Whittaker-space reference ---------------------------------------------
+
+@functools.cache
+def _space(ctx):
+    return WhittakerSpace(ctx)
+
+
+def _whittaker_model(ctx, k):
+    """The cuspidal model the long way: the isotypic projector of the
+    character on the Whittaker space, built from cuspidal_char, and an
+    orthonormal basis of its rank-(q-1) range by eigh.  Returns the space
+    and the basis; g acts by basis^H space.apply(g, basis)."""
+    space = _space(ctx)
+    elems = enumerate_gl2(ctx)
+    N = space.dim
+    P = np.zeros((N, N), dtype=np.complex128)
+    rows = np.arange(N)
+    scale = (ctx.q - 1) / len(elems)
+    for g in elems:
+        coeff = scale * np.conj(cuspidal_char(ctx, k, g))
+        if coeff != 0:
+            perm, phase = space.action(g)
+            np.add.at(P, (rows, perm), coeff * phase)
+    assert np.linalg.norm(P - P.conj().T) < 1e-8 * N
+    assert np.linalg.norm(P @ P - P) < 1e-8 * N
+    assert abs(np.trace(P) - (ctx.q - 1)) < 1e-6
+    vals, vecs = np.linalg.eigh(P)
+    return space, vecs[:, vals > 0.5]
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7])
+def test_kirillov_traces_match_the_whittaker_reference(q):
+    ctx = build_field(*FIELDS[q])
+    elems = enumerate_gl2(ctx)
+    for k in cuspidal_classes(ctx):
+        space, B = _whittaker_model(ctx, k)
+        assert B.shape == (space.dim, ctx.q - 1)
+        want = np.array([np.vdot(B, space.apply(g, B)) for g in elems])
+        got = np.trace(CuspidalModel(ctx, k).mats(elems), axis1=1, axis2=2)
+        assert np.abs(got - want).max() < 1e-9
+
+
+# -- the Kirillov model ------------------------------------------------------
+
+def _gl2_in_cell(ctx, lower: bool):
+    """Elements of one Bruhat cell: the Borel (c = 0) or B w B (c != 0)."""
+    field = st.sampled_from(ctx.fq_elements)
+    units = st.sampled_from(ctx.fq_units)
+    if not lower:
+        return st.builds(lambda a, b, d: GL2Elem(a, b, 0, d), units, field, units)
+    return st.builds(GL2Elem, field, field, units, field).filter(
+        lambda g: gl2_det(ctx, g) != 0)
+
+
+@pytest.mark.parametrize("cells", [(False, False), (False, True),
+                                   (True, False), (True, True)],
+                         ids=["BB", "BW", "WB", "WW"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), q=st.sampled_from([3, 4, 5, 7, 8, 9]))
+def test_mats_is_multiplicative_and_unitary(cells, data, q):
+    ctx = build_field(*FIELDS[q])
+    m = cuspidal_model(ctx, data.draw(st.sampled_from(cuspidal_classes(ctx))))
+    g, h = (data.draw(_gl2_in_cell(ctx, lower)) for lower in cells)
+    G, H, GH = m.mats([g, h, gl2_mul(ctx, g, h)])
+    assert np.allclose(G @ H, GH, atol=1e-9)
+    for X in (G, H):
+        assert np.allclose(X.conj().T @ X, np.eye(m.dim), atol=1e-9)
+    assert np.array_equal(m.mat(g), G)
+
+
+@pytest.mark.parametrize("q", sorted(FIELDS))
+def test_weyl_with_theta_in_place_of_its_inverse_is_refused(monkeypatch, q):
+    # J(xy) theta(y) in place of J(xy) theta(y)^-1 differs exactly when
+    # theta is not real on F_q^x, that is when q-1 does not divide 2k: never
+    # at q = 2 or 3, for some classes at every larger q
+    ctx = build_field(*FIELDS[q])
+    real = models._weyl
+
+    def wrong(ctx, k):
+        theta = np.array([theta_eval(ctx, k, u) for u in ctx.fq_units])
+        return real(ctx, k) * theta ** 2
+
+    monkeypatch.setattr(models, "_weyl", wrong)
+    refused = []
+    for k in cuspidal_classes(ctx):
+        if 2 * k % (ctx.q - 1):
+            with pytest.raises(ProjectorRankMismatch):
+                CuspidalModel(ctx, k)
+            refused.append(k)
+        else:
+            CuspidalModel(ctx, k)
+    assert bool(refused) == (q > 3)
 
 
 @pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2)])
