@@ -14,6 +14,10 @@ per label from the eigenvalues t in F_{q^2}^x:
                                   -> -(theta(t) + theta(t^q))
 * split regular diag(a,b), a != b: absent from the table -> 0
 
+``char_values`` reads the table as an array over the class indices of
+``finitegrp.gl2_table``, and every character sum over a set of GL22(q)
+elements indexes it by the class of each factor of their code rows.
+
 A SigmaLabel names an irreducible-or-full piece of the restriction of a
 cuspidal pair to the det-matched group GL22(q): either the full
 restriction, or (q odd, both factors with split restriction to SL2) one
@@ -32,8 +36,11 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple, Optional
 
+import numpy as np
+
 from .finitegrp import (FqCtx, GL2Elem, GL22Elem, SubgroupR, conjugates_into,
-                        enumerate_gl22, gl2_class, gl2_identity, u_action)
+                        gl22_codes, gl22_rows, gl2_classes, gl2_identity,
+                        gl2_table, u_action, u_action_rows, u_image)
 from .numerics import certify_integer, root_of_unity
 
 
@@ -93,9 +100,12 @@ def _char_table(ctx: FqCtx, k: int) -> dict:
     return table
 
 
-def cuspidal_char(ctx: FqCtx, k: int, g: GL2Elem) -> complex:
-    """Character of the cuspidal representation labeled by k at g."""
-    return _char_table(ctx, k % (ctx.q2 - 1)).get(gl2_class(ctx, g), 0j)
+@functools.cache
+def char_values(ctx: FqCtx, k: int) -> np.ndarray:
+    """The cuspidal character labeled by k on each class of
+    ``gl2_table(ctx).classes``, read from the same table."""
+    table = _char_table(ctx, k % (ctx.q2 - 1))
+    return np.array([table.get(c, 0j) for c in gl2_table(ctx).classes])
 
 
 # -- omega (central character) helpers ------------------------------------
@@ -182,7 +192,9 @@ def sigma_key(ctx: FqCtx, sigma: SigmaLabel):
 
 
 def is_self_twisted(ctx: FqCtx, sigma: SigmaLabel) -> bool:
-    """Character comparison chi(x) = chi(u_action(x)) over all of GL22(q).
+    """Character comparison chi(x) = chi(u_action(x)) over all of GL22(q),
+    evaluated on the code array: u_action on its rows, then the class of
+    each factor and the label's value on it.
 
     Reference only: the tests and the benchmark probes check it against
     self_twist_presentations, which makes every self-twist decision on the
@@ -191,14 +203,9 @@ def is_self_twisted(ctx: FqCtx, sigma: SigmaLabel) -> bool:
     restriction type, so a constituent is self-twisted exactly when the
     full label is (cross checked against the oracle intertwiner in the test
     suite)."""
-    k1, k2 = sigma.k1, sigma.k2
-    for x in enumerate_gl22(ctx):
-        y = u_action(ctx, x)
-        lhs = cuspidal_char(ctx, k1, x.first) * cuspidal_char(ctx, k2, x.second)
-        rhs = cuspidal_char(ctx, k1, y.first) * cuspidal_char(ctx, k2, y.second)
-        if abs(lhs - rhs) > 1e-8:
-            return False
-    return True
+    X = gl22_codes(ctx)
+    chi, chi_u = (_label_values(ctx, sigma, Y) for Y in (X, u_action_rows(ctx, X)))
+    return bool(np.abs(chi - chi_u).max() <= 1e-8)
 
 
 def self_twist_presentations(ctx: FqCtx, sigma: SigmaLabel) -> list[tuple[int, int]]:
@@ -254,34 +261,38 @@ def lambda_omega_class(ctx: FqCtx, sigma: SigmaLabel,
 
 # -- characters and fixed dimensions ---------------------------------------
 
-def _average_dim(ctx: FqCtx, sigma: SigmaLabel, elems: frozenset) -> int:
+def _label_values(ctx: FqCtx, sigma: SigmaLabel, rows: np.ndarray) -> np.ndarray:
+    """The full label's character on each row of a GL22 code array, read
+    per class of each factor."""
+    return (char_values(ctx, sigma.k1)[gl2_classes(ctx, rows[:, :4])]
+            * char_values(ctx, sigma.k2)[gl2_classes(ctx, rows[:, 4:])])
+
+
+def _average_dim(ctx: FqCtx, sigma: SigmaLabel, R: SubgroupR) -> int:
     """Average of the label's character over a subgroup, certified to an
     integer.  A constituent takes half the full average, valid only when
-    conjugation by s = (diag(e,1), 1) maps the set to itself; otherwise
-    OracleRequired is raised."""
+    conjugation by s = (diag(e,1), 1) maps R to itself, which is tested on
+    R's generators; otherwise OracleRequired is raised."""
     if sigma.constituent == "Full":
         share = 1.0
     else:
         s = GL22Elem(GL2Elem(ctx.fq_gen, 0, 0, ctx.one), gl2_identity(ctx))
-        if not conjugates_into(ctx, s, elems, elems):
+        if not conjugates_into(ctx, gl22_rows([s]), R.gens, R)[0]:
             raise OracleRequired("constituent fixed dim on a subgroup that is "
                                  "not swap-stable needs the matrix-model oracle")
         share = 2.0
-    total = 0.0
-    for r in elems:
-        total += (cuspidal_char(ctx, sigma.k1, r.first)
-                  * cuspidal_char(ctx, sigma.k2, r.second))
-    return certify_integer(total / len(elems) / share)
+    total = _label_values(ctx, sigma, gl22_rows(R)).sum()
+    return certify_integer(total / len(R) / share)
 
 
 def fixed_dim(ctx: FqCtx, sigma: SigmaLabel, R: SubgroupR) -> int:
     """dim of the R-fixed subspace, by averaging the character over R."""
-    return _average_dim(ctx, sigma, R.elements)
+    return _average_dim(ctx, sigma, R)
 
 
 def fixed_dim_u_twist(ctx: FqCtx, sigma: SigmaLabel, R: SubgroupR) -> int:
     """Fixed dimension of the u-twisted representation on the same R."""
-    return _average_dim(ctx, sigma, frozenset(u_action(ctx, r) for r in R))
+    return _average_dim(ctx, sigma, u_image(ctx, R))
 
 
 def fixed_dim_closed(case: str, q: int, omega_sign: int | None = None) -> int:
@@ -365,7 +376,8 @@ def induced_trace_zero(ctx: FqCtx, sigma: SigmaLabel, x: GL22Elem, R: SubgroupR)
     involution u_action, s r s^-1 = x u_action(r) x^-1."""
     if self_twist_presentations(ctx, sigma):
         raise HypothesisViolated("label is self-twisted")
-    if not conjugates_into(ctx, x, [u_action(ctx, r) for r in R], R.elements):
+    if not conjugates_into(ctx, gl22_rows([x]), [u_action(ctx, g) for g in R.gens],
+                           R)[0]:
         raise HypothesisViolated("s does not normalize R")
     return 0
 

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import __version__
 from .numerics import NotAnInteger
-from .finitegrp import (FqCtx, build_field, subgroup_R, enumerate_gl22,
-                        conjugates_into, gl2_class, u_action)
+from .finitegrp import (FqCtx, build_field, subgroup_R, gl22_codes, gl22_elems,
+                        conjugates_into, gl2_class, u_action, u_image)
 from .chars import (SigmaLabel, omega_trivial_sigma_classes, cuspidal_classes,
                     sigma_key, make_sigma, sigma_is_reducible,
                     induced_trace_zero, fixed_dim, fixed_dim_closed,
@@ -35,7 +35,7 @@ from .models import (TensorModel, decompose, model_for_sigma, swap_operator,
                      ww_operator, twisted_trace, NoIntertwiner,
                      ProjectorRankMismatch, UncertifiedNullity)
 from .support import (COSET_TAGS, enumerate_support, stratum_count, total_count,
-                      base_count, al_partner, al_fixed_cosets, fixed_stratum_count,
+                      base_count, al_partner, is_al_fixed, fixed_stratum_count,
                       coset_R_type, classify_pairing, dim_formula, assemble_dim,
                       al_formula, assemble_al)
 
@@ -87,7 +87,7 @@ def suite_counts(q: int, n_max: int, **_: object) -> tuple[list, list]:
     for n in range(n_max + 1):
         params = enumerate_support(fq, n)
         by_tag = Counter(p.tag for p in params)
-        fixed = Counter(p.tag for p in al_fixed_cosets(fq, n))
+        fixed = Counter(p.tag for p in params if is_al_fixed(p, n))
         row = _counts_row(q, n)
         for tag in COSET_TAGS:
             enum_ok &= by_tag.get(tag, 0) == row[tag]
@@ -164,9 +164,10 @@ def suite_oracle(q: int, **_: object) -> tuple[list, list]:
     labels = [SigmaLabel(k1, k2, "Full")
               for k1 in cuspidal_classes(ctx) for k2 in cuspidal_classes(ctx)]
     seen_constituent = False
+    groups = _standard_groups(ctx)
     for sigma in labels:
         model = model_for_sigma(ctx, sigma)
-        for R in _standard_groups(ctx):
+        for R in groups:
             fd = fixed_dim(ctx, sigma, R)
             rk = model.fixed_rank(R)
             rows.append({"sigma": _sigma_str(sigma), "group": R.label,
@@ -175,7 +176,7 @@ def suite_oracle(q: int, **_: object) -> tuple[list, list]:
         if sigma_is_reducible(ctx, sigma):
             seen_constituent = True
             parts = decompose(model)
-            for R in _standard_groups(ctx):
+            for R in groups:
                 ranks = [m.fixed_rank(R) for m in parts]
                 full = model.fixed_rank(R)
                 rows.append({"sigma": _sigma_str(sigma), "group": R.label,
@@ -285,18 +286,20 @@ def suite_induced(q: int, **_: object) -> tuple[list, list]:
     rows = []
     ok = gate_ok = True
     total = 0
-    group = enumerate_gl22(ctx)
+    group = gl22_codes(ctx)
     for R in _standard_groups(ctx):
         P = sum(_induced_mat(tm, r, 0) for r in R) / len(R)
         # the coset element s = x u conjugates r to x u_action(r) x^-1, and
         # keeps each factor's class: unequal class counts leave no x to find
-        uR = [u_action(ctx, r) for r in R]
-        norm, rejects = [], group
+        uR = u_image(ctx, R)
         if _factor_classes(ctx, uR) == _factor_classes(ctx, R):
-            rejects = []
-            for x in group:
-                (norm if conjugates_into(ctx, x, uR, R.elements) else rejects).append(x)
-        for x in rejects[:16]:
+            hit = conjugates_into(ctx, group, uR.gens, R)
+        else:
+            hit = np.zeros(len(group), dtype=bool)
+        norm = gl22_elems(group[hit])
+        # the first 16 rejects lie among the first len(norm) + 16 rows
+        first = np.flatnonzero(~hit[:len(norm) + 16])[:16]
+        for x in gl22_elems(group[first]):
             try:
                 induced_trace_zero(ctx, sigma, x, R)
                 gate_ok = False
@@ -309,7 +312,7 @@ def suite_induced(q: int, **_: object) -> tuple[list, list]:
                 worst = max(worst, abs(np.trace(_induced_mat(tm, x, 1) @ P)))
         total += len(norm)
         rows.append({"sigma": _sigma_str(sigma), "group": R.label,
-                     "normalizers": len(norm), "rejected": len(rejects),
+                     "normalizers": len(norm), "rejected": len(group) - len(norm),
                      "max_abs_trace": worst})
         ok &= worst < 1e-8
     checks: list = []

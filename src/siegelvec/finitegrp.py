@@ -10,11 +10,22 @@ goes through a precomputed table (a Zech-logarithm table in disguise).
 GL22(q) is the group of pairs of invertible 2x2 matrices over F_q with
 equal determinants.  The order-2 extension acts through ``u_action``:
 swap the two factors, then conjugate both by w = [[0,1],[-1,0]].
+
+Whole-group scans run on integer code arrays: GL2(q) is one cached table
+of (a, b, c, d) codes with class index and determinant (``gl2_table``),
+and GL22(q) one cached (N, 8) uint8 array in ``enumerate_gl22`` order
+(``gl22_codes``).  ``conjugates_into`` tests a batch of rows at once: it
+renumbers F_q as digits 0..q-1 (0 the zero, 1 + j the power fq_gen^j),
+multiplies through q x q digit tables with numpy indexing, and looks the
+products up in the sorted digit keys of the target subgroup.
 """
 
 from __future__ import annotations
 
-from typing import Container, Iterable, NamedTuple, Optional
+import functools
+from typing import Iterable, NamedTuple, Optional
+
+import numpy as np
 
 from .numerics import root_of_unity
 
@@ -258,12 +269,6 @@ def gl2_mul(ctx: FqCtx, x: GL2Elem, y: GL2Elem) -> GL2Elem:
     )
 
 
-def gl2_inv(ctx: FqCtx, m: GL2Elem) -> GL2Elem:
-    di = ctx.inv(gl2_det(ctx, m))
-    return GL2Elem(ctx.mul(di, m.d), ctx.mul(di, ctx.neg(m.b)),
-                   ctx.mul(di, ctx.neg(m.c)), ctx.mul(di, m.a))
-
-
 def gl22_identity(ctx: FqCtx) -> GL22Elem:
     i = gl2_identity(ctx)
     return GL22Elem(i, i)
@@ -271,10 +276,6 @@ def gl22_identity(ctx: FqCtx) -> GL22Elem:
 
 def gl22_mul(ctx: FqCtx, x: GL22Elem, y: GL22Elem) -> GL22Elem:
     return GL22Elem(gl2_mul(ctx, x.first, y.first), gl2_mul(ctx, x.second, y.second))
-
-
-def gl22_inv(ctx: FqCtx, x: GL22Elem) -> GL22Elem:
-    return GL22Elem(gl2_inv(ctx, x.first), gl2_inv(ctx, x.second))
 
 
 def gl22_valid(ctx: FqCtx, x: GL22Elem) -> bool:
@@ -289,34 +290,166 @@ def u_action(ctx: FqCtx, x: GL22Elem) -> GL22Elem:
     return GL22Elem(wconj(x.second), wconj(x.first))
 
 
-def conjugates_into(ctx: FqCtx, x: GL22Elem, A: Iterable[GL22Elem],
-                    B: Container[GL22Elem]) -> bool:
-    """Whether x a x^-1 lies in B for every a in A.  x may be any pair of
-    invertible matrices; its two determinants may differ."""
-    xi = gl22_inv(ctx, x)
-    return all(gl22_mul(ctx, gl22_mul(ctx, x, a), xi) in B for a in A)
+def u_action_rows(ctx: FqCtx, X: np.ndarray) -> np.ndarray:
+    """u_action on every row of an (N, 8) code array."""
+    neg = np.array(ctx._neg, dtype=np.uint8)
+    a, b, c, d, e, f, g, h = X.T
+    return np.stack([h, neg[g], neg[f], e, d, neg[c], neg[b], a], axis=1)
+
+
+# -- integer-coded scans -----------------------------------------------------
+
+class _Digits(NamedTuple):
+    """F_q as digits: the digit of each code, flat q x q sum and product
+    tables, negation and inversion (inv[0] is never read), all on digits."""
+    q: int
+    of_code: np.ndarray
+    add: np.ndarray
+    mul: np.ndarray
+    neg: np.ndarray
+    inv: np.ndarray
+
+
+@functools.cache
+def _digits(ctx: FqCtx) -> _Digits:
+    els = ctx.fq_elements
+    of_code = np.zeros(ctx.q2, dtype=np.intp)
+    of_code[els] = np.arange(ctx.q)
+    return _Digits(ctx.q, of_code,
+                   of_code[[ctx.add(a, b) for a in els for b in els]],
+                   of_code[[ctx.mul(a, b) for a in els for b in els]],
+                   of_code[[ctx.neg(a) for a in els]],
+                   of_code[[0] + [ctx.inv(a) for a in els[1:]]])
+
+
+# rows of the entries that a GL22 product pairs up: (x y)[r] is
+# x[L1[r]] y[R1[r]] + x[L2[r]] y[R2[r]], for both factors at once
+_L1, _R1 = [0, 0, 2, 2, 4, 4, 6, 6], [0, 1, 0, 1, 4, 5, 4, 5]
+_L2, _R2 = [1, 1, 3, 3, 5, 5, 7, 7], [2, 3, 2, 3, 6, 7, 6, 7]
+
+
+def _mul(t: _Digits, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Products of GL22 digit rows, shape (8, n); y may be one (8, 1) row."""
+    q, mul = t.q, t.mul
+    return t.add.take(mul.take(x[_L1] * q + y[_R1]) * q
+                      + mul.take(x[_L2] * q + y[_R2]))
+
+
+def _inv(t: _Digits, x: np.ndarray) -> np.ndarray:
+    """Inverses of GL22 digit rows: adj(m) / det(m) in each factor."""
+    q, mul, neg = t.q, t.mul, t.neg
+    det = t.add.take(mul.take(x[[0, 4]] * q + x[[3, 7]]) * q
+                     + neg.take(mul.take(x[[1, 5]] * q + x[[2, 6]])))
+    adj = x[[3, 1, 2, 0, 7, 5, 6, 4]]
+    adj[[1, 2, 5, 6]] = neg.take(adj[[1, 2, 5, 6]])
+    return mul.take(t.inv.take(det)[[0, 0, 0, 0, 1, 1, 1, 1]] * q + adj)
+
+
+def _keys(t: _Digits, digits: np.ndarray) -> np.ndarray:
+    """Base-q integer key of each column of (4, n) or (8, n) digit rows
+    (below q^8 <= 2^32)."""
+    key = digits[0]
+    for d in digits[1:]:
+        key = key * t.q + d
+    return key
+
+
+def gl22_rows(xs: Iterable[GL22Elem]) -> np.ndarray:
+    """Code rows: a, b, c, d of the first factor, then of the second."""
+    return np.array([x.first + x.second for x in xs], dtype=np.uint8).reshape(-1, 8)
+
+
+def gl22_elems(rows: np.ndarray) -> list[GL22Elem]:
+    return [GL22Elem(GL2Elem(*r[:4]), GL2Elem(*r[4:])) for r in rows.tolist()]
+
+
+# rows per chunk: the working arrays stay in cache (4096 ran fastest of
+# the sizes 2^10..2^16 tried at q = 7 on a 2-vCPU x86-64 host)
+_CHUNK = 1 << 12
+
+
+def conjugates_into(ctx: FqCtx, X: np.ndarray, gens: Iterable[GL22Elem],
+                    B: SubgroupR) -> np.ndarray:
+    """One bool per row x of the code array X: whether x g x^-1 lies in B
+    for every g in gens.  B is a finite group, so this holds exactly when x
+    conjugates the whole group that gens generate into B.  A row may be any
+    pair of invertible matrices; its two determinants may differ.  Rows go
+    in chunks, and each generator tests only the rows that passed the
+    generators before it."""
+    t = _digits(ctx)
+    keys = B.keys
+    gs = t.of_code.take(gl22_rows(gens).T)
+    out = np.zeros(len(X), dtype=bool)
+    for lo in range(0, len(X), _CHUNK):
+        x = t.of_code.take(X[lo:lo + _CHUNK].T)
+        xi = _inv(t, x)
+        live = np.arange(x.shape[1])
+        for g in gs.T:
+            k = _keys(t, _mul(t, _mul(t, x[:, live], g[:, None]), xi[:, live]))
+            pos = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
+            live = live[keys[pos] == k]
+        out[lo + live] = True
+    return out
+
+
+def gl2_classes(ctx: FqCtx, codes: np.ndarray) -> np.ndarray:
+    """The class key gl2_class of each (n, 4) code row, as an index into
+    ``gl2_table(ctx).classes``: (trace digit * q + det digit) * 2 + flag."""
+    t, q = _digits(ctx), ctx.q
+    a, b, c, d = t.of_code.take(codes.T)
+    det = t.add.take(t.mul.take(a * q + d) * q + t.neg.take(t.mul.take(b * q + c)))
+    return (t.add.take(a * q + d) * q + det) * 2 + ((b == 0) & (c == 0) & (a == d))
+
+
+class GL2Table(NamedTuple):
+    """GL2(q) in enumerate_gl2 order: (M, 4) uint8 codes, each element's
+    class index and determinant code, and ``classes``, the gl2_class key
+    of every class index."""
+    codes: np.ndarray
+    cls: np.ndarray
+    det: np.ndarray
+    classes: list
+
+
+@functools.cache
+def gl2_table(ctx: FqCtx) -> GL2Table:
+    q = ctx.q
+    code = np.array(ctx.fq_elements, dtype=np.uint8)
+    every = code[np.indices((q,) * 4).reshape(4, -1).T]    # all rows, in order
+    cls = gl2_classes(ctx, every)
+    keep = cls // 2 % q != 0                               # a nonzero det digit
+    return GL2Table(every[keep], cls[keep], code[cls[keep] // 2 % q].astype(int),
+                    [(int(code[k // 2 // q]), int(code[k // 2 % q]), bool(k % 2))
+                     for k in range(2 * q * q)])
 
 
 def enumerate_gl2(ctx: FqCtx) -> list[GL2Elem]:
-    out = []
-    for a in ctx.fq_elements:
-        for b in ctx.fq_elements:
-            for c in ctx.fq_elements:
-                for d in ctx.fq_elements:
-                    if ctx.sub(ctx.mul(a, d), ctx.mul(b, c)) != 0:
-                        out.append(GL2Elem(a, b, c, d))
+    return [GL2Elem(*r) for r in gl2_table(ctx).codes.tolist()]
+
+
+@functools.cache
+def gl22_codes(ctx: FqCtx) -> np.ndarray:
+    """GL22(q) as a read-only (N, 8) uint8 code array: the det-matched
+    pairs, grouped by determinant in field-unit order, each group in
+    gl2_table order of the first factor, then of the second."""
+    if ctx.q > 9:
+        raise UnsupportedSize(f"full GL22 enumeration capped at q = 9, got {ctx.q}")
+    table = gl2_table(ctx)
+    blocks = [table.codes[table.det == d] for d in ctx.fq_units]
+    out = np.empty((sum(len(b) ** 2 for b in blocks), 8), dtype=np.uint8)
+    pos = 0
+    for b in blocks:
+        n = len(b)
+        out[pos:pos + n * n, :4] = np.repeat(b, n, axis=0)
+        out[pos:pos + n * n, 4:] = np.tile(b, (n, 1))
+        pos += n * n
+    out.flags.writeable = False
     return out
 
 
 def enumerate_gl22(ctx: FqCtx) -> list[GL22Elem]:
-    """The det-matched pairs, grouped by determinant in field-unit order."""
-    if ctx.q > 9:
-        raise UnsupportedSize(f"full GL22 enumeration capped at q = 9, got {ctx.q}")
-    by_det: dict[int, list[GL2Elem]] = {}
-    for g in enumerate_gl2(ctx):
-        by_det.setdefault(gl2_det(ctx, g), []).append(g)
-    return [GL22Elem(g, h) for det in ctx.fq_units
-            for g in by_det[det] for h in by_det[det]]
+    """The rows of gl22_codes as elements."""
+    return gl22_elems(gl22_codes(ctx))
 
 
 def artin_schreier_set(ctx: FqCtx) -> list[int]:
@@ -325,12 +458,15 @@ def artin_schreier_set(ctx: FqCtx) -> list[int]:
 
 
 class SubgroupR:
-    """An explicitly enumerated subgroup of GL22(q)."""
+    """An explicitly enumerated subgroup of GL22(q), with the generators it
+    was built from (all its elements when none are given)."""
 
-    def __init__(self, ctx: FqCtx, elements: Iterable[GL22Elem], label: str):
+    def __init__(self, ctx: FqCtx, elements: Iterable[GL22Elem], label: str,
+                 gens: Optional[Iterable[GL22Elem]] = None):
         self.ctx = ctx
         self.elements = frozenset(elements)
         self.label = label
+        self.gens = tuple(self.elements if gens is None else gens)
 
     def __len__(self):
         return len(self.elements)
@@ -341,16 +477,34 @@ class SubgroupR:
     def __contains__(self, x):
         return x in self.elements
 
+    @functools.cached_property
+    def keys(self) -> np.ndarray:
+        """Sorted digit keys of the elements, the targets of conjugates_into."""
+        t = _digits(self.ctx)
+        keys = _keys(t, t.of_code.take(gl22_rows(self.elements).T))
+        # sorted in Python: numpy's sort would page in about 0.4 MB of
+        # code in every process that scans
+        return np.array(sorted(keys.tolist()))
+
 
 def subgroup_R(kind: str, ctx: FqCtx) -> SubgroupR:
-    q = ctx.q
+    q, one, g = ctx.q, ctx.one, ctx.fq_gen
+    i = gl2_identity(ctx)
+    # 1, g, ..., g^(f-1) is an F_p-basis of F_q: g has degree f over F_p
+    basis = ctx.fq_units[:ctx.f]
+    lower = [GL2Elem(one, 0, e, one) for e in basis]
+    scalar = GL22Elem(GL2Elem(g, 0, 0, g), GL2Elem(g, 0, 0, g))
     if kind == "Torus":
         els = [GL22Elem(GL2Elem(a, 0, 0, b),
                         GL2Elem(c, 0, 0, ctx.mul(ctx.mul(a, b), ctx.inv(c))))
                for a in ctx.fq_units for b in ctx.fq_units for c in ctx.fq_units]
+        gens = [GL22Elem(GL2Elem(g, 0, 0, one), GL2Elem(g, 0, 0, one)),
+                GL22Elem(GL2Elem(one, 0, 0, g), GL2Elem(g, 0, 0, one)),
+                GL22Elem(i, GL2Elem(g, 0, 0, ctx.inv(g)))]
     elif kind == "Unip":
         els = [GL22Elem(GL2Elem(a, 0, u, a), GL2Elem(a, 0, u, a))
                for a in ctx.fq_units for u in ctx.fq_elements]
+        gens = [scalar] + [GL22Elem(v, v) for v in lower]
     elif kind == "ArtinUnip":
         if q % 2 != 0:
             raise BadKind("ArtinUnip subgroup requires q even")
@@ -358,15 +512,25 @@ def subgroup_R(kind: str, ctx: FqCtx) -> SubgroupR:
         els = [GL22Elem(GL2Elem(a, 0, ctx.add(u, ctx.mul(a, s)), a),
                         GL2Elem(a, 0, u, a))
                for a in ctx.fq_units for u in ctx.fq_elements for s in ash]
+        # b -> b^2 + b is F_2-linear onto the Artin-Schreier set, 1 -> 0
+        gens = [scalar] + [GL22Elem(v, v) for v in lower] + [
+            GL22Elem(GL2Elem(one, 0, ctx.add(ctx.mul(b, b), b), one), i)
+            for b in basis[1:]]
     elif kind == "U1":
-        i = gl2_identity(ctx)
-        els = [GL22Elem(GL2Elem(ctx.one, 0, u, ctx.one), i) for u in ctx.fq_elements]
+        els = [GL22Elem(GL2Elem(one, 0, u, one), i) for u in ctx.fq_elements]
+        gens = [GL22Elem(v, i) for v in lower]
     elif kind == "U2":
-        i = gl2_identity(ctx)
-        els = [GL22Elem(i, GL2Elem(ctx.one, 0, u, ctx.one)) for u in ctx.fq_elements]
+        els = [GL22Elem(i, GL2Elem(one, 0, u, one)) for u in ctx.fq_elements]
+        gens = [GL22Elem(i, v) for v in lower]
     else:
         raise BadKind(f"unknown subgroup kind {kind!r}")
-    return SubgroupR(ctx, els, kind)
+    return SubgroupR(ctx, els, kind, gens)
+
+
+def u_image(ctx: FqCtx, R: SubgroupR) -> SubgroupR:
+    """u_action(R), generated by the images of R's generators."""
+    return SubgroupR(ctx, [u_action(ctx, r) for r in R], f"u({R.label})",
+                     [u_action(ctx, g) for g in R.gens])
 
 
 def subgroup_closure(ctx: FqCtx, gens: Iterable[GL22Elem]) -> SubgroupR:
@@ -387,7 +551,7 @@ def subgroup_closure(ctx: FqCtx, gens: Iterable[GL22Elem]) -> SubgroupR:
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
-    return SubgroupR(ctx, seen, "Custom")
+    return SubgroupR(ctx, seen, "Custom", gens)
 
 
 def conjugate_subgroups(A: SubgroupR, B: SubgroupR, ctx: FqCtx) -> Optional[GL22Elem]:
@@ -395,5 +559,6 @@ def conjugate_subgroups(A: SubgroupR, B: SubgroupR, ctx: FqCtx) -> Optional[GL22
     None.  A and B have equal order, so conjugating A into B is enough."""
     if len(A) != len(B):
         raise ValueError("conjugate subgroups must have equal order")
-    return next((x for x in enumerate_gl22(ctx)
-                 if conjugates_into(ctx, x, A.elements, B.elements)), None)
+    X = gl22_codes(ctx)
+    hits = np.flatnonzero(conjugates_into(ctx, X, A.gens, B))
+    return next(iter(gl22_elems(X[hits[:1]])), None)

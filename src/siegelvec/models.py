@@ -14,7 +14,8 @@ w = [[0, 1], [-1, 0]]:
 So every matrix is a row phase times a row-reindexed W (for c != 0) or
 identity (for c = 0) times a column phase, and ``CuspidalModel.mats``
 builds a whole batch by index arithmetic on unit logs.  Each build
-checks its traces against ``chars.cuspidal_char`` on all of GL2(q): the
+checks its traces on all of GL2(q) (``finitegrp.gl2_table``) against
+the character values per class (``chars.char_values``): the
 character table is what the matrices are compared with, never an input
 to them (Piatetski-Shapiro, Complex Representations of GL(2, K) for
 Finite Fields K, 1983; Bushnell-Henniart, The Local Langlands Conjecture
@@ -60,10 +61,9 @@ import itertools
 import numpy as np
 
 from .finitegrp import (
-    FqCtx, GL2Elem, GL22Elem, SubgroupR, enumerate_gl2, gl2_det, gl2_mul,
-    u_action,
+    FqCtx, GL2Elem, GL22Elem, SubgroupR, gl2_det, gl2_mul, gl2_table, u_action,
 )
-from .chars import cuspidal_char, sigma_is_reducible, theta_eval
+from .chars import char_values, sigma_is_reducible, theta_eval
 from .numerics import certify_integer
 
 
@@ -241,15 +241,17 @@ class CuspidalModel:
         return self._psi[idx]
 
     def mats(self, elems) -> np.ndarray:
-        """The matrices of a batch of GL2 elements, shape (N, q-1, q-1).
+        """The matrices of a batch of GL2 elements, or of an (N, 4) code
+        array, shape (N, q-1, q-1).
 
         [[a, b], [0, d]] maps row x to column x + log(a/d) with phase
         theta(d) psi(bx/d).  For c != 0 row x of W[x + log(det/c^2)] is
         scaled by theta(-c) psi(ax/c) and column y by psi(dy/c)."""
         ctx, m = self.ctx, self.dim
         n = len(elems)
-        a, b, c, d = np.fromiter(itertools.chain.from_iterable(elems),
-                                 np.int64, 4 * n).reshape(n, 4).T
+        codes = (elems if isinstance(elems, np.ndarray) else
+                 np.fromiter(itertools.chain.from_iterable(elems), np.int64, 4 * n))
+        a, b, c, d = codes.reshape(n, 4).T.astype(np.int64)
         la, lb, lc, ld = (_unit_log(ctx, v) for v in (a, b, c, d))
         # det = ad + (-bc) = ad (1 + (-bc)/ad) when neither product is zero
         lad, lbc = la + ld, lb + lc + self._neg_one
@@ -276,17 +278,17 @@ class CuspidalModel:
         return complex(np.trace(self.mat(g)))
 
     def verify_character(self) -> None:
-        """Compare the traces of the whole of GL2(q) with cuspidal_char;
-        the batch is not cached."""
-        ctx = self.ctx
-        elems = enumerate_gl2(ctx)
-        got = np.trace(self.mats(elems), axis1=1, axis2=2)
-        want = np.array([cuspidal_char(ctx, self.k, g) for g in elems])
+        """Compare the traces of the whole of GL2(q) with the character
+        table, read per class; the batch is not cached."""
+        table = gl2_table(self.ctx)
+        got = np.trace(self.mats(table.codes), axis1=1, axis2=2)
+        want = char_values(self.ctx, self.k)[table.cls]
         err = np.abs(got - want)
         if err.max() > 1e-7:
             i = int(np.argmax(err))
             raise ProjectorRankMismatch(
-                f"character mismatch at {elems[i]}: {got[i]} vs {want[i]}")
+                f"character mismatch at {GL2Elem(*table.codes[i].tolist())}: "
+                f"{got[i]} vs {want[i]}")
 
 
 # The Whittaker-space cache of the projector build this module no longer
@@ -381,10 +383,9 @@ def _character_norm(tm: TensorModel) -> int:
     |tr m_i(g)|^2 over g in GL2(q) with det g = d.  The det twist has
     modulus one and drops out."""
     ctx = tm.ctx
-    elems = enumerate_gl2(ctx)
-    dets = [gl2_det(ctx, g) for g in elems]
-    S1, S2 = (np.bincount(dets, weights=abs(np.trace(m.mats(elems), axis1=1,
-                                                     axis2=2)) ** 2)
+    table = gl2_table(ctx)
+    S1, S2 = (np.bincount(table.det, weights=abs(np.trace(
+                  m.mats(table.codes), axis1=1, axis2=2)) ** 2)
               for m in (tm.m1, tm.m2))
     total = float(S1 @ S2)
     q = ctx.q

@@ -29,7 +29,7 @@ from .finitegrp import (
     SubgroupR,
     build_field,
     conjugates_into,
-    enumerate_gl22,
+    gl22_codes,
     gl22_identity,
     gl22_mul,
     gl22_valid,
@@ -950,8 +950,8 @@ def radical_obstruction(fq: FqCtx, grp: SubgroupR) -> bool:
     u1 = subgroup_R("U1", fq).elements
     if u1 <= grp.elements:
         return True
-    u2 = subgroup_R("U2", fq).elements
-    return any(conjugates_into(fq, x, u2, grp.elements) for x in enumerate_gl22(fq))
+    u2 = subgroup_R("U2", fq)
+    return bool(conjugates_into(fq, gl22_codes(fq), u2.gens, grp).any())
 
 
 # -- the identity suite --------------------------------------------------------

@@ -115,15 +115,24 @@ def enumerate_support(fq: FqCtx, n: int) -> list[CosetParam]:
     return out
 
 
+def _reflected_j(param: CosetParam, n: int) -> int:
+    return n - 2 * param.i - param.j + _AL_SHIFT[param.tag]
+
+
 def al_partner(param: CosetParam, n: int) -> CosetParam:
     """Image of a coset under the level involution: reflect j, keep u."""
-    j2 = n - 2 * param.i - param.j + _AL_SHIFT[param.tag]
-    return param._replace(j=j2)
+    return param._replace(j=_reflected_j(param, n))
+
+
+def is_al_fixed(param: CosetParam, n: int) -> bool:
+    """Whether the level involution fixes the coset: al_partner(param, n)
+    == param, without building the partner."""
+    return _reflected_j(param, n) == param.j
 
 
 def al_fixed_cosets(fq: FqCtx, n: int) -> list[CosetParam]:
     """Cosets fixed by the level involution."""
-    return [p for p in enumerate_support(fq, n) if al_partner(p, n) == p]
+    return [p for p in enumerate_support(fq, n) if is_al_fixed(p, n)]
 
 
 def fixed_stratum_count(tag: str, q: int, n: int) -> int:

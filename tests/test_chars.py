@@ -7,11 +7,11 @@ import pytest
 
 from siegelvec.finitegrp import (
     GL2Elem, GL22Elem, build_field, enumerate_gl2, gl2_det,
-    gl2_mul, gl2_inv, gl22_identity, subgroup_R, subgroup_closure, u_action,
+    gl2_mul, gl2_table, gl22_identity, subgroup_R, subgroup_closure, u_action,
 )
 from siegelvec.chars import (
     BadCase, HypothesisViolated, OracleRequired, SigmaLabel,
-    all_cuspidal_exponents, canonical_cuspidal, cuspidal_char,
+    all_cuspidal_exponents, canonical_cuspidal, char_values,
     cuspidal_classes, fixed_dim, fixed_dim_closed,
     fixed_dim_u_twist, induced_trace_zero, is_self_twisted, lambda_omega_class,
     make_sigma, omega_minus1, omega_trivial_sigma_classes, self_twist_presentations,
@@ -19,6 +19,8 @@ from siegelvec.chars import (
     theta_eval, twisted_trace_closed, valid_cuspidal,
 )
 from siegelvec.numerics import certify_integer
+
+from reference import cuspidal_char, gl2_inv
 
 
 # -- reference: conjugacy types by a root search over F_{q^2} -----------------
@@ -161,6 +163,37 @@ def test_cuspidal_char_matches_classifier_reference_bit_for_bit(p, f):
         for g, (kind, data) in zip(elems, types):
             assert _bits(cuspidal_char(ctx, k, g)) == \
                 _bits(cuspidal_char_reference(ctx, k, kind, data)), (k, g)
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_char_values_by_class_match_the_scalar_character_bit_for_bit(p, f):
+    ctx = build_field(p, f)
+    table = gl2_table(ctx)
+    elems = enumerate_gl2(ctx)
+    for k in cuspidal_classes(ctx):
+        got = char_values(ctx, k)[table.cls]
+        assert [_bits(v) for v in got.tolist()] == \
+            [_bits(cuspidal_char(ctx, k, g)) for g in elems], k
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (2, 2), (5, 1)])
+def test_fixed_dims_match_the_per_element_average(p, f):
+    # the class-indexed sum against one character value per element
+    ctx = build_field(p, f)
+    kinds = ["Torus", "Unip", "U1", "U2"] + (["ArtinUnip"] if ctx.q % 2 == 0 else [])
+    groups = [subgroup_R(kind, ctx) for kind in kinds]
+    for s in omega_trivial_sigma_classes(ctx)[:6] + [SigmaLabel(1, 2, "Full")]:
+        for R in groups:
+            for fd, elems in ((fixed_dim, list(R)),
+                              (fixed_dim_u_twist, [u_action(ctx, r) for r in R])):
+                try:
+                    got = fd(ctx, s, R)
+                except OracleRequired:
+                    continue
+                share = 1 if s.constituent == "Full" else 2
+                total = sum(cuspidal_char(ctx, s.k1, r.first)
+                            * cuspidal_char(ctx, s.k2, r.second) for r in elems)
+                assert got == certify_integer(total / len(elems) / share)
 
 
 def test_classify_types_q3():

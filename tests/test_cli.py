@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -195,6 +196,28 @@ def test_oracle_q5_peak_memory(tmp_path):
     child.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4
     assert child.returncode == 0
     assert usage.ru_maxrss / 1024 < 150  # ru_maxrss is in KiB on Linux
+
+
+def test_induced_q9_scans_gl22_within_a_minute_and_200_mb(tmp_path):
+    # GL22(9) has 4,147,200 elements; the scan holds them as one uint8 code
+    # array and tests them in chunks, so the run needs no gate
+    src = os.path.dirname(os.path.dirname(siegelvec.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.perf_counter()
+    with open(tmp_path / "out.json", "w") as out:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "siegelvec.cli", "verify", "--suite",
+             "induced", "--q", "9", "--format", "json"], stdout=out, env=env)
+        _, status, usage = os.wait4(child.pid, 0)
+    wall = time.perf_counter() - start
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert wall < 60
+    assert usage.ru_maxrss / 1024 < 200  # ru_maxrss is in KiB on Linux
+    rows = json.loads((tmp_path / "out.json").read_text())["rows"]
+    # |N(T)| = 4 (q-1)^3 for the torus, 2 q^2 (q-1)^2 for the diagonal
+    # unipotent family; the radical lines have no normalizing coset element
+    assert [r["normalizers"] for r in rows] == [2048, 10368, 0, 0]
+    assert all(r["normalizers"] + r["rejected"] == 4147200 for r in rows)
 
 
 def test_oracle_q9_is_refused_before_any_model_is_built():

@@ -1,17 +1,46 @@
+import functools
 import random
 import struct
 from typing import NamedTuple
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siegelvec.finitegrp import (
     BadKind, GL22Elem, GL2Elem, SubgroupR, UnsupportedSize,
     artin_schreier_set, build_field, conjugate_subgroups, conjugates_into,
-    enumerate_gl2, enumerate_gl22, gl22_identity, gl22_inv, gl22_mul,
-    gl22_valid, gl2_class, gl2_det, gl2_identity, gl2_inv, gl2_mul, subgroup_R,
-    subgroup_closure, u_action,
+    enumerate_gl2, enumerate_gl22, gl22_codes, gl22_elems, gl22_identity,
+    gl22_mul, gl22_rows, gl22_valid, gl2_class, gl2_classes, gl2_det,
+    gl2_identity, gl2_mul, gl2_table, subgroup_R, subgroup_closure,
+    u_action, u_action_rows, u_image,
 )
 from siegelvec.numerics import certify_integer, root_of_unity
+
+from reference import gl22_inv, gl2_inv
+
+
+# -- reference: the scalar conjugation predicate and enumerations -----------
+
+def conjugates_into_ref(ctx, x: GL22Elem, A, B) -> bool:
+    """Whether x a x^-1 lies in B for every a in A, one product at a time."""
+    xi = gl22_inv(ctx, x)
+    return all(gl22_mul(ctx, gl22_mul(ctx, x, a), xi) in B for a in A)
+
+
+def enumerate_gl2_ref(ctx) -> list:
+    els = ctx.fq_elements
+    return [GL2Elem(a, b, c, d) for a in els for b in els for c in els for d in els
+            if ctx.sub(ctx.mul(a, d), ctx.mul(b, c)) != 0]
+
+
+def enumerate_gl22_ref(ctx) -> list:
+    by_det: dict = {}
+    for g in enumerate_gl2_ref(ctx):
+        by_det.setdefault(gl2_det(ctx, g), []).append(g)
+    return [GL22Elem(g, h) for det in ctx.fq_units
+            for g in by_det[det] for h in by_det[det]]
 
 
 # -- reference: the order-2 extension GL22(q) x| <u> as (base, eps) pairs ----
@@ -252,12 +281,11 @@ def test_conjugate_subgroups_witness_and_absence():
 
 def test_conjugates_into_matches_extension_products():
     ctx = build_field(3, 1)
+    group = enumerate_gl22(ctx)
     for kind in ("Torus", "Unip", "U1", "U2"):
         R = subgroup_R(kind, ctx)
-        uR = [u_action(ctx, r) for r in R]
-        agree = [conjugates_into(ctx, x, uR, R.elements) == _ext_normalizes(ctx, x, R)
-                 for x in enumerate_gl22(ctx)]
-        assert len(agree) == 1152 and all(agree)
+        got = conjugates_into(ctx, gl22_codes(ctx), u_image(ctx, R).gens, R)
+        assert got.tolist() == [_ext_normalizes(ctx, x, R) for x in group]
 
 
 def test_center_of_gl22_has_equal_scalar_index_two():
@@ -272,3 +300,107 @@ def test_center_of_gl22_has_equal_scalar_index_two():
     m1 = ctx.neg(ctx.one)
     rep = GL22Elem(gl2_identity(ctx), GL2Elem(m1, 0, 0, m1))
     assert rep in center and rep not in diag_scalars
+
+
+# -- integer-coded tables and the batched predicate -------------------------
+
+SUPPORTED = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
+SMALL = [(2, 1), (3, 1), (2, 2), (5, 1)]
+KINDS = ("Torus", "Unip", "ArtinUnip", "U1", "U2")
+
+
+def _kinds(ctx):
+    return [k for k in KINDS if k != "ArtinUnip" or ctx.q % 2 == 0]
+
+
+@pytest.mark.parametrize("p,f", SMALL[:3])
+def test_code_arrays_follow_the_scalar_enumerations(p, f):
+    ctx = build_field(p, f)
+    assert enumerate_gl2(ctx) == enumerate_gl2_ref(ctx)
+    assert enumerate_gl22(ctx) == enumerate_gl22_ref(ctx)
+    X = gl22_codes(ctx)
+    assert X.dtype == np.uint8 and not X.flags.writeable
+    assert gl22_elems(gl22_rows(enumerate_gl22(ctx))) == enumerate_gl22(ctx)
+
+
+@pytest.mark.parametrize("p,f", SUPPORTED)
+def test_gl2_table_classes_and_dets_match_the_scalar_keys(p, f):
+    ctx = build_field(p, f)
+    table = gl2_table(ctx)
+    elems = enumerate_gl2(ctx)
+    assert [table.classes[c] for c in table.cls.tolist()] == \
+        [gl2_class(ctx, g) for g in elems]
+    assert table.det.tolist() == [gl2_det(ctx, g) for g in elems]
+    assert len(set(table.cls.tolist())) == ctx.q2 - 1
+    assert gl2_classes(ctx, table.codes[::-1]).tolist() == table.cls[::-1].tolist()
+
+
+@pytest.mark.parametrize("p,f", SMALL)
+def test_u_action_rows_match_u_action(p, f):
+    ctx = build_field(p, f)
+    X = gl22_codes(ctx)[::5]
+    assert gl22_elems(u_action_rows(ctx, X)) == [u_action(ctx, x) for x in gl22_elems(X)]
+
+
+@pytest.mark.parametrize("p,f", SUPPORTED)
+def test_subgroup_generators_close_to_exactly_the_elements(p, f):
+    ctx = build_field(p, f)
+    for kind in _kinds(ctx):
+        R = subgroup_R(kind, ctx)
+        assert subgroup_closure(ctx, R.gens).elements == R.elements, kind
+        uR = u_image(ctx, R)
+        assert subgroup_closure(ctx, uR.gens).elements == uR.elements, kind
+
+
+@functools.cache
+def _group(p, f):
+    return enumerate_gl22(build_field(p, f))
+
+
+def _conj(ctx, y, g):
+    return gl22_mul(ctx, gl22_mul(ctx, y, g), gl22_inv(ctx, y))
+
+
+@st.composite
+def _subgroups(draw, ctx):
+    """A standard kind, its u-image, a cyclic subgroup, or the closure of
+    one or two elements of a kind conjugated by a random element."""
+    group = _group(ctx.p, ctx.f)
+    R = subgroup_R(draw(st.sampled_from(_kinds(ctx))), ctx)
+    how = draw(st.sampled_from(["kind", "u", "cyclic", "conjugate"]))
+    if how == "kind":
+        return R
+    if how == "u":
+        return u_image(ctx, R)
+    if how == "cyclic":
+        return subgroup_closure(ctx, [draw(st.sampled_from(group))])
+    y = draw(st.sampled_from(group))
+    gens = draw(st.lists(st.sampled_from(sorted(R.elements)), min_size=1, max_size=2))
+    return subgroup_closure(ctx, [_conj(ctx, y, g) for g in gens])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_batched_conjugates_into_matches_the_scalar_reference(data):
+    ctx = build_field(*data.draw(st.sampled_from(SMALL)))
+    group = _group(ctx.p, ctx.f)
+    A = data.draw(_subgroups(ctx))
+    rows = data.draw(st.lists(st.integers(0, len(group) - 1), min_size=1, max_size=24))
+    if data.draw(st.booleans()):
+        # a target that the first row conjugates A onto
+        B = subgroup_closure(ctx, [_conj(ctx, group[rows[0]], g) for g in A.gens])
+    else:
+        B = data.draw(_subgroups(ctx))
+    got = conjugates_into(ctx, gl22_codes(ctx)[rows], A.gens, B)
+    assert got.tolist() == [conjugates_into_ref(ctx, group[i], A.elements, B.elements)
+                            for i in rows]
+
+
+def test_conjugates_into_takes_rows_with_unequal_determinants():
+    ctx = build_field(5, 1)
+    R = subgroup_R("Torus", ctx)
+    s = GL22Elem(GL2Elem(ctx.fq_gen, 0, 0, ctx.one), gl2_identity(ctx))
+    assert conjugates_into(ctx, gl22_rows([s]), R.gens, R).tolist() == [True]
+    unip = subgroup_R("Unip", ctx)
+    assert conjugates_into(ctx, gl22_rows([s]), unip.gens, unip).tolist() == [False]
+    assert conjugates_into_ref(ctx, s, unip.elements, unip.elements) is False

@@ -2,14 +2,15 @@
 
 ``table``, ``support`` and the ``counts``, ``fixed-dims``, ``dims``,
 ``signatures``, ``oracle`` and ``twists`` suites, the ``induced`` suite at
-q = 3 and 4, and ``twists`` at q = 7, 8 and 9 must print the same
+q = 3, 4 and 5, and ``twists`` at q = 7, 8 and 9 must print the same
 ``--format json`` bytes before and after any refactor.  The golden files
 under ``tests/golden/`` were captured from the code before the refactors
 that introduced them (the oracle and twists files before the matrix-model
 oracle lost its per-element caches, the induced files before the
 characters became tables keyed by the class key, the twists files at
 q = 7, 8 and 9 from the Whittaker-projector cuspidal models, before the
-Kirillov model replaced them).
+Kirillov model replaced them, and ``induced-q5`` before the group scans
+moved to integer code arrays).
 
 To recapture after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -42,7 +43,7 @@ for _q in QS:
     for _suite in ("dims", "signatures"):
         CASES[f"{_suite}-q{_q}"] = ["verify", "--suite", _suite, "--q", str(_q),
                                     "--n-max", "12"]
-for _q in (3, 4):
+for _q in (3, 4, 5):
     CASES[f"induced-q{_q}"] = ["verify", "--suite", "induced", "--q", str(_q)]
 for _q in (7, 8, 9):
     CASES[f"twists-q{_q}"] = ["verify", "--suite", "twists", "--q", str(_q)]

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from siegelvec.finitegrp import (
     GL2Elem, GL22Elem, build_field, enumerate_gl2, enumerate_gl22, gl2_det,
-    gl2_inv, gl2_mul, gl22_mul, SubgroupR, subgroup_R, u_action,
+    gl2_mul, gl22_mul, SubgroupR, subgroup_R, u_action,
 )
 from siegelvec.chars import (
-    OracleRequired, SigmaLabel, cuspidal_char, cuspidal_classes, fixed_dim,
+    OracleRequired, SigmaLabel, cuspidal_classes, fixed_dim,
     split_restriction, theta_eval, twisted_trace_closed,
 )
 from siegelvec import models
@@ -23,6 +23,8 @@ from siegelvec.models import (
     commutant_dim, cuspidal_model, decompose, model_for_sigma, swap_operator,
     twisted_trace, u_intertwiner, ww_operator,
 )
+
+from reference import cuspidal_char, gl2_inv
 
 FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3),
           9: (3, 2)}

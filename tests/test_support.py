@@ -18,6 +18,7 @@ from siegelvec.support import (
     dim_formula,
     enumerate_support,
     fixed_stratum_count,
+    is_al_fixed,
     stratum_count,
     total_count,
 )
@@ -154,6 +155,14 @@ def test_fixed_coset_examples():
     assert {p.tag for p in fixed8} == {"II", "IV"}
     assert fixed_stratum_count("II", 2, 8) == 3
     assert fixed_stratum_count("IV", 2, 8) == 2
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2), (2, 3)])
+def test_fixed_test_agrees_with_the_partner(p, f):
+    fq = build_field(p, f)
+    for n in range(21):
+        for prm in enumerate_support(fq, n):
+            assert is_al_fixed(prm, n) == (al_partner(prm, n) == prm)
 
 
 def test_fixed_count_q8():
