@@ -366,18 +366,20 @@ def twisted_trace_closed(ctx: FqCtx, sigma: SigmaLabel, operator: str,
     return {"swap": 0, "ww": 2 * sign, "swap_ww": 0}[operator]
 
 
-def induced_trace_zero(ctx: FqCtx, sigma: SigmaLabel, x: GL22Elem, R: SubgroupR) -> int:
-    """Trace of an induced-extension operator on the R-fixed space: zero.
+def induced_trace_zero(ctx: FqCtx, sigma: SigmaLabel, X: np.ndarray,
+                       R: SubgroupR) -> int:
+    """Trace of an induced-extension operator on the R-fixed space: zero,
+    for every code row x of the (N, 8) array X.
 
     The operator is that of s = x u, the element of the nontrivial coset of
     the order-2 extension named by x in GL22(q).  Requires a non-self-twisted
-    label and s normalizing R; the induced operator is then block
-    antidiagonal for the two twisted summands.  Since u acts by the
-    involution u_action, s r s^-1 = x u_action(r) x^-1."""
+    label and every such s normalizing R, else HypothesisViolated; the
+    induced operator is then block antidiagonal for the two twisted
+    summands.  Since u acts by the involution u_action,
+    s r s^-1 = x u_action(r) x^-1."""
     if self_twist_presentations(ctx, sigma):
         raise HypothesisViolated("label is self-twisted")
-    if not conjugates_into(ctx, gl22_rows([x]), [u_action(ctx, g) for g in R.gens],
-                           R)[0]:
+    if not conjugates_into(ctx, X, [u_action(ctx, g) for g in R.gens], R).all():
         raise HypothesisViolated("s does not normalize R")
     return 0
 

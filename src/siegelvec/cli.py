@@ -296,20 +296,18 @@ def suite_induced(q: int, **_: object) -> tuple[list, list]:
             hit = conjugates_into(ctx, group, uR.gens, R)
         else:
             hit = np.zeros(len(group), dtype=bool)
-        norm = gl22_elems(group[hit])
+        norm = group[hit]
         # the first 16 rejects lie among the first len(norm) + 16 rows
-        first = np.flatnonzero(~hit[:len(norm) + 16])[:16]
-        for x in gl22_elems(group[first]):
+        for pos in np.flatnonzero(~hit[:len(norm) + 16])[:16]:
             try:
-                induced_trace_zero(ctx, sigma, x, R)
+                induced_trace_zero(ctx, sigma, group[pos:pos + 1], R)
                 gate_ok = False
             except HypothesisViolated:
                 pass
+        ok &= induced_trace_zero(ctx, sigma, norm, R) == 0
         worst = 0.0
-        for pos, x in enumerate(norm):
-            ok &= induced_trace_zero(ctx, sigma, x, R) == 0
-            if pos < 32:
-                worst = max(worst, abs(np.trace(_induced_mat(tm, x, 1) @ P)))
+        for x in gl22_elems(norm[:32]):
+            worst = max(worst, abs(np.trace(_induced_mat(tm, x, 1) @ P)))
         total += len(norm)
         rows.append({"sigma": _sigma_str(sigma), "group": R.label,
                      "normalizers": len(norm), "rejected": len(group) - len(norm),

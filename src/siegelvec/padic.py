@@ -17,7 +17,8 @@ a bound cannot be certified at the working precision.
 
 from __future__ import annotations
 
-from itertools import chain
+from collections import namedtuple
+from itertools import chain, product
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -29,7 +30,9 @@ from .finitegrp import (
     SubgroupR,
     build_field,
     conjugates_into,
+    gl2_classes,
     gl22_codes,
+    gl22_elems,
     gl22_identity,
     gl22_mul,
     gl22_valid,
@@ -580,22 +583,13 @@ def rand_unit(ctx: PadicCtx, rng: np.random.Generator) -> PadicScalar:
     return ctx.unit(0, _unit_coeffs(ctx, rng))
 
 
-def _elem_param(ctx: PadicCtx, rng: np.random.Generator, vmin: int = 0,
-                zero_p: float = 0.0, geom: float = 0.5):
-    """One ``rand_elem`` draw as None (zero) or (valuation, unit coefficients)."""
-    if zero_p and rng.random() < zero_p:
-        return None
-    v = vmin + int(rng.geometric(geom)) - 1
-    return v, _unit_coeffs(ctx, rng)
-
-
-def _scalar(ctx: PadicCtx, prm) -> PadicScalar:
-    return ctx.zero_s if prm is None else ctx.unit(*prm)
-
-
 def rand_elem(ctx: PadicCtx, rng: np.random.Generator, vmin: int = 0,
               zero_p: float = 0.0, geom: float = 0.5) -> PadicScalar:
-    return _scalar(ctx, _elem_param(ctx, rng, vmin, zero_p, geom))
+    """Zero with probability zero_p, else a random unit times
+    pi^(vmin + a geometric count)."""
+    if zero_p and rng.random() < zero_p:
+        return ctx.zero_s
+    return ctx.unit(vmin + int(rng.geometric(geom)) - 1, _unit_coeffs(ctx, rng))
 
 
 def rand_pow(ctx: PadicCtx, rng: np.random.Generator,
@@ -625,50 +619,66 @@ def rand_K(ctx: PadicCtx, rng: np.random.Generator) -> GSp4Elem:
     return g
 
 
-class SiDraw(NamedTuple):
-    """The random scalars of one draw from Si(n), each None (zero) or
-    (valuation, unit coefficients).  The similitude unit is lam itself
-    when lam_depth is 0, else 1 + pi^lam_depth * lam."""
-    x: Optional[tuple]
-    y: Optional[tuple]
-    z: Optional[tuple]
-    lam_depth: int
-    lam: Optional[tuple]
-    a1: tuple
-    a2: Optional[tuple]
-    a3: Optional[tuple]
-    a4: tuple
-    b1: Optional[tuple]
-    b2: Optional[tuple]
-    b3: Optional[tuple]
+# One draw scalar over a batch of rows: a zero mask, the valuations, and
+# the (rows, f) unit coefficients below p^prec.
+Draws = namedtuple("Draws", "zero val coeffs")
 
 
-def draw_Si(ctx: PadicCtx, rng: np.random.Generator, n: int) -> SiDraw:
-    """Parameters of a random element of Si(n), with value distributions
-    biased toward the congruence strata that conjugation into K actually
-    selects."""
-    x, y, z = (_elem_param(ctx, rng, n, 0.15) for _ in range(3))
-    mode = rng.random()
-    if mode < 0.4:
-        depth, lam = 0, (0, _unit_coeffs(ctx, rng))
+# The random scalars of a batch of draws from Si(n), one Draws each but
+# lam_depth, an array: the similitude unit of a row is lam itself where
+# lam_depth is 0, else 1 + pi^lam_depth * lam.
+SiDraws = namedtuple("SiDraws", "x y z lam_depth lam a1 a2 a3 a4 b1 b2 b3")
+
+
+def _unit_batch(ctx: PadicCtx, rng: np.random.Generator, rows: int) -> np.ndarray:
+    """Coefficients (rows, f) of uniformly random units, distributed as
+    ``_unit_coeffs``: int64 when p^prec fits, else Python ints."""
+    residues = np.array([ctx._decode[c] for c in ctx.fq.fq_units])
+    out = residues[rng.integers(0, ctx.q - 1, rows)]
+    wide = ctx.p ** ctx.prec > 1 << 63
+    digits = 0
+    for bound in ctx._digit_bounds:
+        chunk = rng.integers(0, bound, (rows, ctx.f))
+        digits = digits * bound + (chunk.astype(object) if wide else chunk)
+    return out + ctx.p * digits
+
+
+def _batch(ctx: PadicCtx, rng: np.random.Generator, rows: int,
+           vmin: Optional[int] = None, zero_p: float = 0.0, geom: float = 0.5) -> Draws:
+    """``rows`` draws distributed as ``rand_elem``, or ``rand_unit`` if vmin is None."""
+    if vmin is None:
+        zero, val = np.zeros(rows, bool), np.zeros(rows, np.int64)
     else:
-        depth, lam = (1 if mode < 0.7 else 2), _elem_param(ctx, rng, 0, 0.2)
-    a1 = (0, _unit_coeffs(ctx, rng))
-    a2, a3 = (_elem_param(ctx, rng, 0, 0.25, 0.45) for _ in range(2))
-    a4 = (0, _unit_coeffs(ctx, rng))
-    b1, b2, b3 = (_elem_param(ctx, rng, 0, 0.25) for _ in range(3))
-    return SiDraw(x, y, z, depth, lam, a1, a2, a3, a4, b1, b2, b3)
+        zero, val = rng.random(rows) < zero_p, vmin - 1 + rng.geometric(geom, rows)
+    return Draws(zero, val, _unit_batch(ctx, rng, rows))
 
 
-def build_Si(ctx: PadicCtx, d: SiDraw) -> GSp4Elem:
+def draw_Si(ctx: PadicCtx, rng: np.random.Generator, n: int, rows: int) -> SiDraws:
+    """Parameters of ``rows`` random elements of Si(n), with value
+    distributions biased toward the congruence strata that conjugation into
+    K actually selects.  Each scalar is drawn for all rows at once."""
+    x, y, z = (_batch(ctx, rng, rows, n, 0.15) for _ in range(3))
+    mode = rng.random(rows)
+    depth = (mode >= 0.4) + (mode >= 0.7).astype(np.int64)
+    lam = _batch(ctx, rng, rows, 0, 0.2)
+    unit = depth == 0
+    lam = Draws(lam.zero & ~unit, np.where(unit, 0, lam.val), lam.coeffs)
+    a1 = _batch(ctx, rng, rows)
+    a2, a3 = (_batch(ctx, rng, rows, 0, 0.25, 0.45) for _ in range(2))
+    a4 = _batch(ctx, rng, rows)
+    b1, b2, b3 = (_batch(ctx, rng, rows, 0, 0.25) for _ in range(3))
+    return SiDraws(x, y, z, depth, lam, a1, a2, a3, a4, b1, b2, b3)
+
+
+def build_Si(ctx: PadicCtx, d: SiDraws, row: int) -> GSp4Elem:
     """The element s_lower(x, y, z) levi(a1, a2, a3, a4, lam) s_upper(b1, b2, b3)
-    of Si(n) named by a draw."""
-    sx, sy, sz, a1, a2, a3, a4, b1, b2, b3 = (
-        _scalar(ctx, prm) for prm in (d.x, d.y, d.z, d.a1, d.a2, d.a3, d.a4,
-                                      d.b1, d.b2, d.b3))
-    lam = _scalar(ctx, d.lam)
-    if d.lam_depth:
-        lam = ctx.one_s + ctx.pi(d.lam_depth) * lam
+    of Si(n) named by one row of a batch."""
+    sx, sy, sz, lam, a1, a2, a3, a4, b1, b2, b3 = (
+        ctx.zero_s if s.zero[row] else ctx.unit(int(s.val[row]), s.coeffs[row].tolist())
+        for s in d[:3] + d[4:])
+    depth = int(d.lam_depth[row])
+    if depth:
+        lam = ctx.one_s + ctx.pi(depth) * lam
     return (s_lower(ctx, sx, sy, sz) @ levi(ctx, a1, a2, a3, a4, lam)
             @ s_upper(ctx, b1, b2, b3))
 
@@ -678,9 +688,10 @@ def build_Si(ctx: PadicCtx, d: SiDraw) -> GSp4Elem:
 # The entries reduce_K reads, in the order of its two residue factors; each
 # is read at the digit of its _K_FLOOR valuation.
 _K_READS = ((0, 0), (0, 3), (3, 0), (3, 3), (1, 1), (1, 2), (2, 1), (2, 2))
+_READ_R, _READ_C = zip(*_K_READS)
 
-# RgKernel.reduce's answer for a draw it leaves to the exact path
-UNDECIDED = "undecided"
+# RgKernel.reduce's verdicts: not in K, in K, left to the exact path
+REJECT, ACCEPT, UNDECIDED = 0, 1, 2
 
 
 def _fixed_point(ctx: PadicCtx, m):
@@ -697,99 +708,100 @@ def _fixed_point(ctx: PadicCtx, m):
 
 
 class RgKernel:
-    """Fixed-point evaluation of reduce_K(g s g^-1) for the draws s of
-    ``compute_Rg``, in plain Python integers.
+    """Fixed-point evaluation of reduce_K(g s g^-1) on a batch of draws s
+    of ``compute_Rg``, one array element per draw.
 
-    g and g^-1 are converted once to p^sa G and p^sb Gi with integer
-    matrices G and Gi.  An element of o is one int: the coefficients of its
-    polynomial in x packed in slots of B bits (Kronecker substitution), so
-    entries multiply and add as ints.  Draw scalars are reduced modulo
-    p^prec first, which keeps every coefficient non-negative and below
-    2^B; each entry of h = p^(sa+sb) G S Gi is unpacked and reduced modulo
-    m once, through ``poly_mul_mod``.
+    g and g^-1 become p^sa G and p^sb Gi with integer matrices G and Gi.
+    An element of o is one integer: its coefficients packed in slots of B
+    bits (Kronecker substitution), so entries multiply and add as integers;
+    draw scalars are reduced modulo p^prec first, which keeps every slot
+    non-negative and below 2^B.  The element type is np.uint64 when f = 1,
+    p = 2 and p^prec <= 2^32, where arithmetic modulo 2^64 is exact modulo
+    every p^k read; otherwise Python ints in object arrays, through the
+    same code.
 
-    The similitude of h is lam (a1 a4 - a2 a3), known to p^prec, so a draw
-    whose similitude is not a unit is rejected before any matrix product.
-    The entries of h are known modulo p^(sa+sb+digits), uniformly.  The
-    exact path knows each entry at least that well (its products and sums
-    keep the least absolute precision of their terms, and every term of an
-    entry carries p^(sa+sb+digits)), so every decision of the kernel is
-    one the exact path makes the same way.  As the precision is uniform,
-    the margin past the deepest digit reduce_K reads is fixed per
-    representative; below GUARD every draw with a unit similitude is
-    UNDECIDED.
+    The similitude lam (a1 a4 - a2 a3) of h = g s g^-1 is known to p^prec,
+    so a draw whose similitude is not a unit is rejected first.  The
+    entries of h are known modulo p^(sa+sb+digits), uniformly, and the
+    exact path knows each at least that well (its sums and products keep
+    the least absolute precision of their terms, and every term carries
+    p^(sa+sb+digits)), so every decision of the kernel is one the exact
+    path makes the same way.  The margin past the deepest digit reduce_K
+    reads is fixed per representative; below GUARD every draw with a unit
+    similitude is UNDECIDED.
     """
 
     def __init__(self, g: GSp4Elem, gi: GSp4Elem):
         ctx = self.ctx = g.ctx
         p, f, prec = ctx.p, ctx.f, ctx.prec
         self.P = p ** prec
-        self.pw = [p ** v for v in range(prec)]
         (sa, dg, G), (sb, dgi, Gi) = _fixed_point(ctx, g.m), _fixed_point(ctx, gi.m)
         s = self.shift = sa + sb
         digits = self.digits = min(dg, prec, dgi)
         self.PN = p ** digits
+        self.dtype = np.uint64 if (p, f) == (2, 1) and prec <= 32 else object
+        G, Gi = ([[[c % self.PN for c in e] for e in row] for row in M] for M in (G, Gi))
         # an entry of G S Gi sums 16 products of three polynomials, with
         # the coefficients of S below 5 f^2 (P + 1)^3
         top = max(c for M in (G, Gi) for row in M for e in row for c in e)
-        bound = 16 * f ** 2 * top ** 2 * 5 * f ** 2 * (self.P + 1) ** 3
-        self.B = bound.bit_length() + 1
-        self.shifts = [self.B * i for i in range(f)]
-        self.mask = (1 << self.B) - 1
-        self.g_rows = [[(k, self._pack(e)) for k, e in enumerate(row) if e]
-                       for row in G]
-        self.gi_cols = [[(l, self._pack(Gi[l][j])) for l in range(4) if Gi[l][j]]
-                        for j in range(4)]
-        # per entry of h: p^max(k, 0), with k = floor - (sa + sb) the floor
-        # digit of the shifted entry, and for a read entry its slot and k
-        reads = {rc: slot for slot, rc in enumerate(_K_READS)}
-        self.tests = []
-        need = 0
-        for r in range(4):
-            for c in range(4):
-                k = _K_FLOOR[r][c] - s
-                slot = reads.get((r, c))
-                self.tests.append((r, c, p ** max(k, 0), slot, k))
-                need = max(need, k + (slot is not None))
-        self.decides = digits - need >= GUARD
+        self.B = (80 * f ** 4 * top ** 2 * (self.P + 1) ** 3).bit_length() + 1
+        self.G, self.Gi = (np.array([[self._pack(e) for e in row] for row in M],
+                                    dtype=self.dtype) for M in (G, Gi))
+        self.pw = np.array([p ** v for v in range(prec)], dtype=self.dtype)
+        # per entry of h the floor digit k = floor - (sa + sb) of the shifted
+        # entry: it must vanish modulo p^max(k, 0), and a read entry's
+        # residue is its digit k (0 when k < 0)
+        self.tests = [[_K_FLOOR[r][c] - s for c in range(4)] for r in range(4)]
+        reads = [self.tests[r][c] for r, c in _K_READS]
+        self.low, self.read_div = ((p ** np.maximum(np.array(ks, object), 0))
+                                   .astype(self.dtype)[..., None]
+                                   for ks in (self.tests, reads))
+        self.read_live = np.array(reads) >= 0
+        self.decides = digits - max(max(map(max, self.tests)), max(reads) + 1) >= GUARD
+        # residue code of each coefficient tuple over [0, p), by its base-p value
+        self.radix = p ** np.arange(f)
+        self.code_of = np.zeros(ctx.q, np.uint8)
+        for cs, code in ctx._encode.items():
+            self.code_of[np.dot(cs, self.radix)] = code
 
-    def _pack(self, coeffs) -> int:
-        out = 0
-        for c, sh in zip(coeffs, self.shifts):
-            out |= c << sh
-        return out
+    def _pack(self, cs):
+        """Coefficients, ints or arrays, low to high, packed in B-bit slots."""
+        return sum(c << self.B * i for i, c in enumerate(cs))
 
-    def _lift(self, prm, sign: int = 1, depth: int = 0) -> int:
-        """A draw scalar times sign * pi^depth, reduced modulo p^prec."""
-        if prm is None or prm[0] + depth >= len(self.pw):
-            return 0
-        t, P = sign * self.pw[prm[0] + depth], self.P
-        return self._pack([t * c % P for c in prm[1]])
+    def _lift(self, s: Draws, neg: bool = False, depth=0) -> np.ndarray:
+        """A draw scalar times (-1 if neg) pi^depth, packed, modulo p^prec."""
+        v = s.val + depth
+        live = ~s.zero & (v < len(self.pw))
+        c = self.pw[np.where(live, v, 0)] * live * s.coeffs.T.astype(self.dtype) % self.P
+        return self._pack((self.P - c) % self.P if neg else c)
 
-    def _coeffs(self, v: int, modulus: int) -> tuple:
-        """Unpack v and reduce it modulo m and modulus."""
-        if self.ctx.f == 1:
-            return (v % modulus,)
-        B, mask = self.B, self.mask
-        slots = [(v >> (B * i)) & mask for i in range(5 * self.ctx.f - 4)]
-        return poly_mul_mod(slots, (1,), self.ctx.mpoly, modulus)
+    def _coeffs(self, V: np.ndarray, modulus: int) -> np.ndarray:
+        """The coefficients (..., f) of packed V, reduced modulo m and modulus."""
+        f, m, B = self.ctx.f, self.ctx.mpoly, self.B
+        if f == 1:
+            return (V % modulus)[..., None]
+        slots = [V >> B * i & (1 << B) - 1 for i in range(5 * f - 4)]
+        for top in range(len(slots) - 1, f - 1, -1):
+            for k in range(f):
+                slots[top - f + k] = slots[top - f + k] - slots[top] * m[k]
+        return np.stack(slots[:f], -1) % modulus
 
-    def _scalars(self, d: SiDraw) -> tuple:
-        """The draw's scalars x, y, z, lam, a1, a2, a3, a4, -a2, -a3, b1, b2,
-        b3, packed and reduced modulo p^prec."""
+    def _scalars(self, d: SiDraws) -> tuple:
+        """The batch's scalars x, y, z, lam, a1, a2, a3, a4, -a2, -a3, b1,
+        b2, b3, packed and reduced modulo p^prec."""
         lift = self._lift
-        lam = (1 + lift(d.lam, depth=d.lam_depth)) if d.lam_depth else lift(d.lam)
+        lam = lift(d.lam, depth=d.lam_depth) + (d.lam_depth > 0).astype(self.dtype)
         return (lift(d.x), lift(d.y), lift(d.z), lam, lift(d.a1), lift(d.a2),
-                lift(d.a3), lift(d.a4), lift(d.a2, -1), lift(d.a3, -1),
+                lift(d.a3), lift(d.a4), lift(d.a2, True), lift(d.a3, True),
                 lift(d.b1), lift(d.b2), lift(d.b3))
 
-    def _mu(self, v) -> tuple:
-        """The similitude lam (a1 a4 - a2 a3) of g s g^-1, modulo p^prec."""
+    def _mu(self, v) -> np.ndarray:
+        """The similitude lam (a1 a4 - a2 a3) of g s g^-1, (rows, f) mod p^prec."""
         lam, a1, a3, a4, n2 = v[3], v[4], v[6], v[7], v[8]
         return self._coeffs(lam * (a1 * a4 + n2 * a3), self.P)
 
-    def _matrix(self, v) -> list:
-        """g s g^-1 as p^shift H, H entry-wise coefficients modulo p^digits."""
+    def _matrix(self, v) -> np.ndarray:
+        """g s g^-1 as p^shift H, H as (rows, 4, 4, f) coefficients mod p^digits."""
         x, y, z, lam, a1, a2, a3, a4, n2, n3, b1, b2, b3 = v
         # s = [[A, A B], [X A, X A B + lam A*]] for the blocks of build_Si
         xa00, xa01 = x * a1 + y * a3, x * a2 + y * a4
@@ -800,32 +812,28 @@ class RgKernel:
               xa00 * b2 + xa01 * b1 + lam * n2),
              (xa10, xa11, xa10 * b1 + xa11 * b3 + lam * n3,
               xa10 * b2 + xa11 * b1 + lam * a4))
-        GS = [[sum([e * S[k][l] for k, e in row]) for l in range(4)]
-              for row in self.g_rows]
-        return [[self._coeffs(sum([gs[l] * e for l, e in col]), self.PN)
-                 for col in self.gi_cols] for gs in GS]
+        S = np.stack([np.stack(row, -1) for row in S], -2)
+        return self._coeffs(self.G @ S @ self.Gi, self.PN)
 
-    def reduce(self, d: SiDraw):
-        """reduce_K(g s g^-1) for s = build_Si(d): a GL22Elem, None when
-        g s g^-1 is certainly not in K, or UNDECIDED."""
-        p = self.ctx.p
+    def reduce(self, d: SiDraws):
+        """reduce_K(g s g^-1) for s = build_Si(d, row) on every row: the
+        verdicts (REJECT, ACCEPT or UNDECIDED) and an (rows, 8) code array
+        that holds the images on the ACCEPT rows."""
+        ctx, p = self.ctx, self.ctx.p
         v = self._scalars(d)
-        if not any([c % p for c in self._mu(v)]):
-            return None
+        unit = (self._mu(v) % p != 0).any(-1)
+        verdict = np.where(unit, UNDECIDED, REJECT)
+        codes = np.zeros((len(unit), 8), np.uint8)
         if not self.decides:
-            return UNDECIDED
-        H = self._matrix(v)
-        res = [0] * 8
-        for r, c, low, slot, k in self.tests:
-            cs = H[r][c]
-            for e in cs:
-                if e % low:
-                    return None
-            if slot is not None and k >= 0:
-                pk = self.pw[k]
-                res[slot] = self.ctx._encode[tuple([e // pk % p for e in cs])]
-        out = GL22Elem(GL2Elem(*res[:4]), GL2Elem(*res[4:]))
-        return out if gl22_valid(self.ctx.fq, out) else None
+            return verdict, codes
+        H = self._matrix([e[unit] for e in v])
+        floor = (H % self.low == 0).all((1, 2, 3))
+        digit = (H[:, _READ_R, _READ_C] // self.read_div % p).astype(np.intp)
+        res = (self.code_of[digit @ self.radix] * self.read_live).astype(np.uint8)
+        det1, det2 = (gl2_classes(ctx.fq, res[:, k:k + 4]) // 2 % ctx.q for k in (0, 4))
+        verdict[unit] = np.where(floor & (det1 != 0) & (det1 == det2), ACCEPT, REJECT)
+        codes[unit] = res
+        return verdict, codes
 
 
 # -- the finite subgroup attached to a representative -------------------------
@@ -838,15 +846,19 @@ class RgResult(NamedTuple):
 
 
 STABLE_WINDOW, MAX_DRAWS = 200, 60000
+# draws per call of draw_Si and RgKernel.reduce (128 to 512 timed the same)
+BATCH = 256
 
 
 def compute_Rg(g: GSp4Elem, n: int, seed: int = 0) -> RgResult:
     """Sampled reduction image of g Si(n) g^-1 cap K, closed as a subgroup.
 
-    Each draw goes through RgKernel; a draw it leaves undecided is rebuilt
-    as PadicScalars and reduced exactly, and counted in ``fallbacks``.
-    Stops once STABLE_WINDOW consecutive accepted draws produce no new
-    element; raises StabilizationFailure when MAX_DRAWS runs out first.
+    Draws come in batches of BATCH through RgKernel and are consumed in
+    order; a draw it leaves undecided is rebuilt as PadicScalars and reduced
+    exactly, and counted in ``fallbacks``.  Stops once STABLE_WINDOW
+    consecutive accepted draws produce no new element, counting only the
+    draws consumed; raises StabilizationFailure when MAX_DRAWS runs out
+    first.
     """
     ctx = g.ctx
     fq = ctx.fq
@@ -856,25 +868,29 @@ def compute_Rg(g: GSp4Elem, n: int, seed: int = 0) -> RgResult:
     grp = subgroup_closure(fq, [gl22_identity(fq)])
     draws = accepted = since_growth = fallbacks = 0
     while draws < MAX_DRAWS:
-        draws += 1
-        d = draw_Si(ctx, rng, n)
-        r = kernel.reduce(d)
-        if r is UNDECIDED:
-            fallbacks += 1
-            try:
-                r = reduce_K(g @ build_Si(ctx, d) @ gi)
-            except (NotInK, PrecisionExhausted):
+        batch = draw_Si(ctx, rng, n, min(BATCH, MAX_DRAWS - draws))
+        verdict, codes = kernel.reduce(batch)
+        images = iter(gl22_elems(codes[verdict == ACCEPT]))
+        for row, v in enumerate(verdict.tolist()):
+            draws += 1
+            if v == UNDECIDED:
+                fallbacks += 1
+                try:
+                    r = reduce_K(g @ build_Si(ctx, batch, row) @ gi)
+                except (NotInK, PrecisionExhausted):
+                    continue
+            elif v == ACCEPT:
+                r = next(images)
+            else:
                 continue
-        if r is None:
-            continue
-        accepted += 1
-        if r in grp:
-            since_growth += 1
-            if since_growth >= STABLE_WINDOW:
-                return RgResult(grp, draws, accepted, fallbacks)
-        else:
-            grp = subgroup_closure(fq, list(grp.elements) + [r])
-            since_growth = 0
+            accepted += 1
+            if r in grp:
+                since_growth += 1
+                if since_growth >= STABLE_WINDOW:
+                    return RgResult(grp, draws, accepted, fallbacks)
+            else:
+                grp = subgroup_closure(fq, list(grp.elements) + [r])
+                since_growth = 0
     raise StabilizationFailure(
         f"no stable window after {MAX_DRAWS} draws ({accepted} accepted)")
 
@@ -895,45 +911,36 @@ def witness_Rg(ctx: PadicCtx, tag: str, i: int, j: int, n: int,
     members = []
     if tag in ("I", "II"):
         lams = units if tag == "I" else [fq.one]
-        for a1 in units:
-            for a4 in units:
-                for lam in lams:
-                    members.append(levi(ctx, ctx.lift(a1), 0, 0,
-                                        ctx.lift(a4), ctx.lift(lam)))
+        for a1, a4, lam in product(units, units, lams):
+            members.append(levi(ctx, ctx.lift(a1), 0, 0, ctx.lift(a4), ctx.lift(lam)))
     elif tag == "IIIa":
         yi = (_residue_unit(ctx, tag, u) * ctx.pi(j - 1)).inv()
-        for a1c in units:
-            for uc in allres:
-                a1 = ctx.lift(a1c)
-                a4 = a1 + ctx.lift(uc) * ctx.pi(j) * yi
-                members.append(levi(ctx, a1, 0, 0, a4, 1))
+        for a1c, uc in product(units, allres):
+            a1 = ctx.lift(a1c)
+            a4 = a1 + ctx.lift(uc) * ctx.pi(j) * yi
+            members.append(levi(ctx, a1, 0, 0, a4, 1))
     elif tag == "IIIb":
         if ctx.p != 2:
             raise ValueError("stratum needs even residue characteristic")
         ui = _residue_unit(ctx, tag, u).inv()
-        for a1c in units:
-            for tc in allres:
-                for wc in allres:
-                    a1 = ctx.lift(a1c)
-                    lam = ctx.one_s + ctx.pi(1) * ctx.lift(wc)
-                    a4 = lam * a1 + ui * ctx.lift(tc) * ctx.pi(2)
-                    members.append(levi(ctx, a1, 0, 0, a4, lam))
+        for a1c, tc, wc in product(units, allres, allres):
+            a1 = ctx.lift(a1c)
+            lam = ctx.one_s + ctx.pi(1) * ctx.lift(wc)
+            a4 = lam * a1 + ui * ctx.lift(tc) * ctx.pi(2)
+            members.append(levi(ctx, a1, 0, 0, a4, lam))
     elif tag == "IV":
         if ctx.p != 2:
             raise ValueError("stratum needs even residue characteristic")
         x = ctx.pi(i + j - 1)
         z = ctx.pi(2 * i + j)
         yi = (_residue_unit(ctx, tag, u) * ctx.pi(j - 1)).inv()
-        for a1c in units:
-            for a2c in allres:
-                for wc in allres:
-                    for uc in allres:
-                        a1, a2 = ctx.lift(a1c), ctx.lift(a2c)
-                        lam = ctx.one_s + ctx.pi(1) * ctx.lift(wc)
-                        ut = ctx.lift(uc)
-                        a4 = lam * a1 + (ctx.pi(j) * ut - x * a2 * (ctx.one_s + lam)) * yi
-                        a3 = -(x * a1 * (ctx.one_s - lam) + z * lam * a2) * yi
-                        members.append(levi(ctx, a1, a2, a3, a4, lam))
+        for a1c, a2c, wc, uc in product(units, allres, allres, allres):
+            a1, a2 = ctx.lift(a1c), ctx.lift(a2c)
+            lam = ctx.one_s + ctx.pi(1) * ctx.lift(wc)
+            ut = ctx.lift(uc)
+            a4 = lam * a1 + (ctx.pi(j) * ut - x * a2 * (ctx.one_s + lam)) * yi
+            a3 = -(x * a1 * (ctx.one_s - lam) + z * lam * a2) * yi
+            members.append(levi(ctx, a1, a2, a3, a4, lam))
     else:
         raise ValueError(f"unknown coset tag {tag!r}")
     reds = []
@@ -969,11 +976,13 @@ def _draw_ij(rng):
     return int(rng.integers(0, I_MAX + 1)), int(rng.integers(1, J_MAX + 1))
 
 
-def _g_of(ctx, rng, i, j, with_x=True, with_y=True, with_z=True):
+def _g_of(ctx, rng, with_x=True, with_y=True, with_z=True):
+    """Draw i, j, then g = t(i, j) s_lower(x, y, z): returns i, j, g, x, y, z."""
+    i, j = _draw_ij(rng)
     x = rand_pow(ctx, rng, -2, 3) if with_x else ctx.zero_s
     y = rand_pow(ctx, rng, -2, 3) if with_y else ctx.zero_s
     z = rand_pow(ctx, rng, -2, 3) if with_z else ctx.zero_s
-    return t_elem(ctx, i, j) @ s_lower(ctx, x, y, z), x, y, z
+    return i, j, t_elem(ctx, i, j) @ s_lower(ctx, x, y, z), x, y, z
 
 
 def _id_shear(ctx, rng):
@@ -1005,8 +1014,7 @@ def _id_scale(slot):
 
 
 def _id_lower_corner(ctx, rng):
-    i, j = _draw_ij(rng)
-    g, x, y, z = _g_of(ctx, rng, i, j)
+    i, j, g, x, y, z = _g_of(ctx, rng)
     c = rand_pow(ctx, rng, 0, 4)
     lhs = g @ s_lower(ctx, 0, 0, c) @ g.inv()
     rhs = s_lower(ctx, 0, 0, c * ctx.pi(-2 * i - j))
@@ -1014,8 +1022,7 @@ def _id_lower_corner(ctx, rng):
 
 
 def _id_row_shear(ctx, rng):
-    i, j = _draw_ij(rng)
-    g, x, y, z = _g_of(ctx, rng, i, j)
+    i, j, g, x, y, z = _g_of(ctx, rng)
     b = rand_pow(ctx, rng, -1, 3)
     lhs = g @ levi(ctx, 1, b, 0, 1, 1) @ g.inv()
     rows = [[1, b * ctx.pi(i), 0, 0],
@@ -1026,8 +1033,7 @@ def _id_row_shear(ctx, rng):
 
 
 def _id_upper_shear(ctx, rng):
-    i, j = _draw_ij(rng)
-    g, x, y, z = _g_of(ctx, rng, i, j)
+    i, j, g, x, y, z = _g_of(ctx, rng)
     b = rand_pow(ctx, rng, -1, 3)
     lhs = g @ s_upper(ctx, 0, 0, b) @ g.inv()
     rows = [[1, 0, 0, 0],
@@ -1039,8 +1045,7 @@ def _id_upper_shear(ctx, rng):
 
 
 def _id_det_torus(ctx, rng):
-    i, j = _draw_ij(rng)
-    g, x, y, z = _g_of(ctx, rng, i, j, with_x=False)
+    i, j, g, x, y, z = _g_of(ctx, rng, with_x=False)
     a = rand_unit(ctx, rng)
     lhs = g @ levi(ctx, 1, 0, 0, a, 1) @ g.inv()
     rows = [[1, 0, 0, 0],
@@ -1051,8 +1056,7 @@ def _id_det_torus(ctx, rng):
 
 
 def _id_torus_unit(ctx, rng):
-    i, j = _draw_ij(rng)
-    g, x, y, z = _g_of(ctx, rng, i, j, with_x=False)
+    i, j, g, x, y, z = _g_of(ctx, rng, with_x=False)
     a1, a4, lam = (rand_unit(ctx, rng) for _ in range(3))
     lhs = g @ levi(ctx, a1, 0, 0, a4, lam) @ g.inv()
     rows = [[a1, 0, 0, 0],
@@ -1081,8 +1085,7 @@ def _levi_expected(ctx, i, j, a1, a2, a3, a4, lam, M):
 
 
 def _id_levi_x(ctx, rng):
-    i, j = _draw_ij(rng)
-    g, x, y, z = _g_of(ctx, rng, i, j, with_y=False, with_z=False)
+    i, j, g, x, y, z = _g_of(ctx, rng, with_y=False, with_z=False)
     a1, a4, lam = (rand_unit(ctx, rng) for _ in range(3))
     a2, a3 = rand_pow(ctx, rng, 0, 3), rand_pow(ctx, rng, 0, 3)
     lhs = g @ levi(ctx, a1, a2, a3, a4, lam) @ g.inv()
@@ -1094,8 +1097,7 @@ def _id_levi_x(ctx, rng):
 
 
 def _id_levi_yz(ctx, rng):
-    i, j = _draw_ij(rng)
-    g, x, y, z = _g_of(ctx, rng, i, j, with_x=False)
+    i, j, g, x, y, z = _g_of(ctx, rng, with_x=False)
     a1, a4, lam = (rand_unit(ctx, rng) for _ in range(3))
     a2, a3 = rand_pow(ctx, rng, 0, 3), rand_pow(ctx, rng, 0, 3)
     lhs = g @ levi(ctx, a1, a2, a3, a4, lam) @ g.inv()
@@ -1106,8 +1108,7 @@ def _id_levi_yz(ctx, rng):
 
 
 def _id_levi_xyz(ctx, rng):
-    i, j = _draw_ij(rng)
-    g, x, y, z = _g_of(ctx, rng, i, j)
+    i, j, g, x, y, z = _g_of(ctx, rng)
     a1, a4, lam = (rand_unit(ctx, rng) for _ in range(3))
     a2, a3 = rand_pow(ctx, rng, 0, 3), rand_pow(ctx, rng, 0, 3)
     lhs = g @ levi(ctx, a1, a2, a3, a4, lam) @ g.inv()
@@ -1121,8 +1122,7 @@ def _id_levi_xyz(ctx, rng):
 
 
 def _id_levi_lower(ctx, rng):
-    i, j = _draw_ij(rng)
-    g, x, y, z = _g_of(ctx, rng, i, j)
+    i, j, g, x, y, z = _g_of(ctx, rng)
     b = rand_pow(ctx, rng, 0, 3)
     lhs = g @ levi(ctx, 1, 0, b, 1, 1) @ g.inv()
     rows = [[1, 0, 0, 0],

@@ -3,11 +3,12 @@
 import functools
 import struct
 
+import numpy as np
 import pytest
 
 from siegelvec.finitegrp import (
     GL2Elem, GL22Elem, build_field, enumerate_gl2, gl2_det,
-    gl2_mul, gl2_table, gl22_identity, subgroup_R, subgroup_closure, u_action,
+    gl2_mul, gl2_table, gl22_identity, gl22_rows, subgroup_R, subgroup_closure, u_action,
 )
 from siegelvec.chars import (
     BadCase, HypothesisViolated, OracleRequired, SigmaLabel,
@@ -580,12 +581,17 @@ def test_twisted_trace_hypothesis_gates():
 def test_induced_trace_zero_gates():
     ctx = build_field(3, 1)
     s = SigmaLabel(1, 2, "Full")
-    x = gl22_identity(ctx)
+    x = gl22_rows([gl22_identity(ctx)])
     assert induced_trace_zero(ctx, s, x, _torus(ctx)) == 0
     with pytest.raises(HypothesisViolated):
         induced_trace_zero(ctx, s, x, subgroup_R("U1", ctx))
     with pytest.raises(HypothesisViolated):
         induced_trace_zero(ctx, SigmaLabel(2, 6, "Full"), x, _torus(ctx))
+    # a batch passes only when every row normalizes: one shear row fails it
+    shear = GL22Elem(GL2Elem(1, 1, 0, 1), GL2Elem(1, 0, 0, 1))
+    assert induced_trace_zero(ctx, s, np.repeat(x, 3, axis=0), _torus(ctx)) == 0
+    with pytest.raises(HypothesisViolated):
+        induced_trace_zero(ctx, s, gl22_rows([gl22_identity(ctx), shear]), _torus(ctx))
 
 
 # -- class inventories --------------------------------------------------------

@@ -122,6 +122,14 @@ def test_verify_identities_small_draws(capsys):
     assert all(r["draws"] == 3 for r in payload["rows"])
 
 
+def test_rg_rows_and_checks_do_not_depend_on_the_seed():
+    # the seed moves every per-coset draw count, never a row or a check
+    runs = [cli.suite_rg(q=2, seed=seed, n_max=6, precision=32) for seed in (0, 1, 2)]
+    rows, checks = runs[0]
+    assert len(rows) == 24 and all(c["ok"] for c in checks)
+    assert all(run == runs[0] for run in runs[1:])
+
+
 def test_text_format_reports_checks(capsys):
     rc, out = run(capsys, ["verify", "--suite", "counts", "--q", "2"])
     assert rc == 0

@@ -14,12 +14,14 @@ from siegelvec.finitegrp import (
     GL22Elem,
     build_field,
     conjugate_subgroups,
+    gl22_elems,
     gl22_identity,
     poly_mul_mod,
     subgroup_R,
     subgroup_closure,
 )
 from siegelvec.padic import (
+    ACCEPT,
     GUARD,
     IDENTITY_TAGS,
     UNDECIDED,
@@ -56,6 +58,8 @@ from siegelvec.padic import (
     witness_Rg,
 )
 from siegelvec.support import COSET_TAGS, enumerate_support
+
+from reference import ScalarRgKernel
 
 
 def s1_elem(ctx):
@@ -417,59 +421,97 @@ def test_out_of_range_parameters_trigger_radical_obstruction():
 
 
 def test_sampler_budget_failure_is_reported(monkeypatch):
+    # the last batch is capped at MAX_DRAWS - draws, so a budget smaller
+    # than one batch draws exactly that many rows
     monkeypatch.setattr(padic, "STABLE_WINDOW", 10)
     monkeypatch.setattr(padic, "MAX_DRAWS", 5)
+    asked = []
+
+    def spy(ctx, rng, n, rows):
+        asked.append(rows)
+        return draw_Si(ctx, rng, n, rows)
+
+    monkeypatch.setattr(padic, "draw_Si", spy)
     ctx = PadicCtx(2, 1)
     g = coset_rep(ctx, "I", 0, 1)
-    with pytest.raises(StabilizationFailure):
+    with pytest.raises(StabilizationFailure, match="after 5 draws"):
         compute_Rg(g, 3, seed=0)
+    assert asked == [5]
+
+
+# -- the batched draw stream ----------------------------------------------------
+
+
+@pytest.mark.parametrize("p,f,prec", [(2, 1, 32), (3, 1, 48), (2, 2, 80)])
+def test_draw_stream_scalars_have_their_documented_ranges(p, f, prec):
+    ctx = PadicCtx(p, f, prec=prec)
+    rows, n = 4000, 3
+    d = draw_Si(ctx, np.random.default_rng(11), n, rows)
+
+    def near(share, want):
+        # five standard deviations of a share over `rows` draws
+        return abs(share - want) < 5 * math.sqrt(want * (1 - want) / rows)
+
+    for s, vmin, zero_p in [(d.x, n, 0.15), (d.y, n, 0.15), (d.z, n, 0.15),
+                            (d.a1, 0, 0), (d.a2, 0, 0.25), (d.a3, 0, 0.25),
+                            (d.a4, 0, 0), (d.b1, 0, 0.25), (d.b2, 0, 0.25),
+                            (d.b3, 0, 0.25)]:
+        assert s.zero.shape == s.val.shape == (rows,) and s.coeffs.shape == (rows, f)
+        assert (s.val[~s.zero] >= vmin).all()
+        assert near(s.zero.mean(), zero_p) if zero_p else not s.zero.any()
+        if not zero_p:
+            assert (s.val == 0).all()
+        for cs in s.coeffs[:200].tolist():
+            assert all(0 <= c < p ** prec for c in cs)
+            assert ctx.res_code(cs) in ctx.fq.fq_units
+    # geometric(0.5) above vmin has mean 1, geometric(0.45) mean 1/0.45 - 1
+    assert abs(d.b1.val[~d.b1.zero].mean() - 1) < 0.1
+    assert abs(d.a2.val[~d.a2.zero].mean() - (1 / 0.45 - 1)) < 0.12
+    depth = d.lam_depth
+    assert set(depth.tolist()) == {0, 1, 2}
+    assert near((depth == 0).mean(), 0.4) and near((depth == 1).mean(), 0.3)
+    unit = depth == 0
+    assert not d.lam.zero[unit].any() and (d.lam.val[unit] == 0).all()
+    assert abs(d.lam.zero[~unit].mean() - 0.2) < 5 * math.sqrt(0.16 / (~unit).sum())
+
+
+def test_kernel_element_type_is_uint64_only_where_exact():
+    for (p, f, prec), want in [((2, 1, 32), np.uint64), ((2, 1, 33), object),
+                               ((2, 2, 16), object), ((3, 1, 16), object)]:
+        ctx = PadicCtx(p, f, prec=prec)
+        g = coset_rep(ctx, "I", 0, 2)
+        assert RgKernel(g, g.inv()).dtype is want
 
 
 # -- the fixed-point kernel against the exact path ----------------------------
 
 
-def reference_Si(ctx, rng, n):
-    """A random element of Si(n) built in one pass over the rng, with no
-    parameter record: the reference for draw_Si followed by build_Si."""
-    sc = s_lower(ctx, padic.rand_elem(ctx, rng, n, 0.15),
-                 padic.rand_elem(ctx, rng, n, 0.15), padic.rand_elem(ctx, rng, n, 0.15))
-    mode = rng.random()
-    if mode < 0.4:
-        lam = rand_unit(ctx, rng)
-    elif mode < 0.7:
-        lam = ctx.one_s + ctx.pi(1) * padic.rand_elem(ctx, rng, 0, 0.2)
-    else:
-        lam = ctx.one_s + ctx.pi(2) * padic.rand_elem(ctx, rng, 0, 0.2)
-    lv = levi(ctx, rand_unit(ctx, rng), padic.rand_elem(ctx, rng, 0, 0.25, 0.45),
-              padic.rand_elem(ctx, rng, 0, 0.25, 0.45), rand_unit(ctx, rng), lam)
-    sb = s_upper(ctx, padic.rand_elem(ctx, rng, 0, 0.25),
-                 padic.rand_elem(ctx, rng, 0, 0.25), padic.rand_elem(ctx, rng, 0, 0.25))
-    return sc @ lv @ sb
-
-
 def reference_Rg(g, n, seed=0):
-    """The sampling loop on PadicScalars alone: reference_Si, g s g^-1,
-    reduce_K.  Returns (elements, draws, accepted), or the
-    StabilizationFailure text."""
+    """The sampling loop on PadicScalars alone: the batches of draw_Si, every
+    row built by build_Si, g s g^-1 and reduce_K, with no kernel.  Returns
+    (elements, draws, accepted), or the StabilizationFailure text."""
     ctx, fq = g.ctx, g.ctx.fq
     rng = np.random.default_rng(seed)
     gi = g.inv()
     grp = subgroup_closure(fq, [gl22_identity(fq)])
     draws = accepted = since_growth = 0
     while draws < padic.MAX_DRAWS:
-        draws += 1
-        try:
-            r = reduce_K(g @ reference_Si(ctx, rng, n) @ gi)
-        except (NotInK, PrecisionExhausted):
-            continue
-        accepted += 1
-        if r in grp:
-            since_growth += 1
-            if since_growth >= padic.STABLE_WINDOW:
-                return grp.elements, draws, accepted
-        else:
-            grp = subgroup_closure(fq, list(grp.elements) + [r])
-            since_growth = 0
+        rows = min(padic.BATCH, padic.MAX_DRAWS - draws)
+        batch = draw_Si(ctx, rng, n, rows)
+        for row in range(rows):
+            draws += 1
+            try:
+                r = reduce_K(g @ build_Si(ctx, batch, row) @ gi)
+            except (NotInK, PrecisionExhausted):
+                continue
+            accepted += 1
+            if r in grp:
+                since_growth += 1
+                if since_growth >= padic.STABLE_WINDOW:
+                    return grp.elements, draws, accepted
+            else:
+                grp = subgroup_closure(fq, list(grp.elements) + [r])
+                since_growth = 0
     return f"no stable window after {padic.MAX_DRAWS} draws ({accepted} accepted)"
 
 
@@ -535,7 +577,8 @@ def _coset_params(data, fq):
 @given(st.data())
 def test_kernel_matches_exact_product_and_reduction(data):
     p, f = data.draw(st.sampled_from([(2, 1), (2, 2), (3, 1)]))
-    prec = data.draw(st.integers(GUARD, 80))
+    # 32 and 33 straddle the uint64 element type at p = 2, f = 1
+    prec = data.draw(st.one_of(st.integers(GUARD, 80), st.sampled_from([32, 33])))
     ctx = PadicCtx(p, f, prec=prec)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     g = coset_rep(ctx, *_coset_params(data, ctx.fq))
@@ -548,23 +591,44 @@ def test_kernel_matches_exact_product_and_reduction(data):
     gi = g.inv()
     kernel = RgKernel(g, gi)
     n = data.draw(st.integers(1, 7))
-    for _ in range(8):
-        d = draw_Si(ctx, rng, n)
-        h = g @ build_Si(ctx, d) @ gi
-        v = kernel._scalars(d)
-        assert (h.mu - ctx.unit(0, kernel._mu(v))).val_ge(prec)
+    d = draw_Si(ctx, rng, n, 8)
+    v = kernel._scalars(d)
+    mu = kernel._mu(v)
+    H = kernel._matrix(v) if kernel.decides else None
+    verdict, codes = kernel.reduce(d)
+    for row in range(8):
+        h = g @ build_Si(ctx, d, row) @ gi
+        assert (h.mu - ctx.unit(0, mu[row].tolist())).val_ge(prec)
         if kernel.decides:
             top = kernel.shift + kernel.digits
-            for row, hrow in zip(h.m, kernel._matrix(v)):
-                for e, cs in zip(row, hrow):
-                    assert (e - ctx.unit(kernel.shift, cs, rel=kernel.digits)).val_ge(top)
-        got = kernel.reduce(d)
+            for hrow, krow in zip(h.m, H[row]):
+                for e, cs in zip(hrow, krow):
+                    assert (e - ctx.unit(kernel.shift, cs.tolist(),
+                                         rel=kernel.digits)).val_ge(top)
         try:
             want = reduce_K(h)
         except (NotInK, PrecisionExhausted):
             want = None
-        if got is UNDECIDED:
+        if verdict[row] == UNDECIDED:
             # only a short margin defers a draw, never one mu already rejects
             assert not kernel.decides and h.mu.kind == "unit" and h.mu.val == 0
         else:
+            got = gl22_elems(codes[row:row + 1])[0] if verdict[row] == ACCEPT else None
             assert got == want
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_batched_kernel_matches_the_per_draw_reference(n):
+    ctx = PadicCtx(2, 1)
+    rng = np.random.default_rng(n)
+    hits = 0
+    for prm in enumerate_support(ctx.fq, n):
+        g = coset_rep(ctx, prm.tag, prm.i, prm.j, prm.u)
+        kernel, slow = RgKernel(g, g.inv()), ScalarRgKernel(g, g.inv())
+        d = draw_Si(ctx, rng, n, 384)
+        verdict, codes = kernel.reduce(d)
+        for row, (v, code) in enumerate(zip(verdict, gl22_elems(codes))):
+            want = slow.reduce_row(d, row)
+            assert (code if v == ACCEPT else None) == want
+            hits += want is not None
+    assert hits > 0
