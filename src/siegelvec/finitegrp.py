@@ -54,6 +54,9 @@ def poly_mul_mod(a, b, mod, m: int) -> tuple:
     monic polynomial mod, with every coefficient reduced modulo the
     integer m once, at the end: the one polynomial kernel behind F_q and
     the p-adic units."""
+    if len(a) == len(b) == 1:
+        # what the loop below returns for constant factors, mod of degree >= 1
+        return ((a[0] * b[0]) % m,)
     deg = len(mod) - 1
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):

@@ -110,6 +110,7 @@ class PadicCtx:
         self.zero_s = PadicScalar(self, "zero", 0, (), 0, 0)
         self._int_cache: dict = {}
         self.one_s = self.from_int(1)
+        self._pi_cache = {0: self.one_s}
 
     # -- scalar constructors ---------------------------------------------
 
@@ -133,7 +134,9 @@ class PadicCtx:
         return s
 
     def pi(self, k: int = 1) -> "PadicScalar":
-        return self.unit(k, [1] + [0] * (self.f - 1))
+        if k not in self._pi_cache:
+            self._pi_cache[k] = self.unit(k, [1] + [0] * (self.f - 1))
+        return self._pi_cache[k]
 
     def res_code(self, coeffs) -> int:
         return self._encode[tuple(c % self.p for c in coeffs)]
@@ -197,8 +200,7 @@ class PadicScalar:
                            tuple((-c) % pk for c in self.coeffs), self.rel, 0)
 
     def __add__(self, other):
-        other = _coerce(self.ctx, other)
-        a, b = self, other
+        a, b = self, other if type(other) is PadicScalar else _coerce(self.ctx, other)
         if a.kind == "zero":
             return b
         if b.kind == "zero":
@@ -237,8 +239,13 @@ class PadicScalar:
         return (-self).__add__(_coerce(self.ctx, other))
 
     def __mul__(self, other):
-        other = _coerce(self.ctx, other)
-        a, b = self, other
+        """Lossless product.  x * one_s and one_s * x return x itself, as the
+        product would: a unit's f coefficients are reduced mod p^rel, rel <= prec."""
+        a, b = self, other if type(other) is PadicScalar else _coerce(self.ctx, other)
+        if b is self.ctx.one_s:
+            return a
+        if a is self.ctx.one_s:
+            return b
         if a.kind == "zero" or b.kind == "zero":
             return self.ctx.zero_s
         if a.kind == "eps" or b.kind == "eps":
@@ -341,15 +348,22 @@ def mat_from(ctx: PadicCtx, rows):
 
 
 def mat_mul(ctx: PadicCtx, A, B):
+    """A B over the pairs of entries that are not exact zeros, in the order
+    of k: exact, since zero * x is zero_s and acc + zero_s is acc (the dense
+    sum is ``tests/reference.py``'s ``dense_mat_mul``)."""
+    cols = [[(k, B[k][j]) for k in range(4) if B[k][j].kind != "zero"]
+            for j in range(4)]
     out = []
-    for i in range(4):
-        row = []
-        for j in range(4):
+    for row in A:
+        live = [a.kind != "zero" for a in row]
+        r = []
+        for col in cols:
             acc = ctx.zero_s
-            for k in range(4):
-                acc = acc + A[i][k] * B[k][j]
-            row.append(acc)
-        out.append(tuple(row))
+            for k, b in col:
+                if live[k]:
+                    acc = acc + row[k] * b
+            r.append(acc)
+        out.append(tuple(r))
     return tuple(out)
 
 
@@ -729,6 +743,13 @@ class RgKernel:
     path makes the same way.  The margin past the deepest digit reduce_K
     reads is fixed per representative; below GUARD every draw with a unit
     similitude is UNDECIDED.
+
+    All 16 floor tests are needed: the anti-diagonal ones, symplecticity and
+    the determinant check pass draws only the other 12 reject (see
+    ``test_off_anti_diagonal_floors_decide_draws_the_others_pass``).  The 12
+    overlap, so dropping one alone can go unnoticed: with the other floors,
+    h10 or h20 off its floor zeroes a row of the second residue factor and
+    fails the determinant check (columns 0, 1 and 0, 2 of h pair to 0 by J).
     """
 
     def __init__(self, g: GSp4Elem, gi: GSp4Elem):

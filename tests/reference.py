@@ -1,8 +1,10 @@
-"""Scalar references shared by the tests: one inverse, one character
-value or one sampler draw at a time.  The package computes these in
-batches on integer code arrays (``finitegrp.conjugates_into``,
-``chars.char_values``) and on arrays of draws (``padic.RgKernel``); the
-tests compare the batches with these."""
+"""Slow references shared by the tests: one inverse, one character
+value or one sampler draw at a time, and the dense exact 4x4 product.
+The package computes the first three in batches on integer code arrays
+(``finitegrp.conjugates_into``, ``chars.char_values``) and on arrays of
+draws (``padic.RgKernel``), and ``padic.mat_mul`` skips exact zeros where
+``dense_mat_mul`` multiplies all 64 pairs; the tests compare the fast
+paths with these."""
 
 from siegelvec.chars import _char_table
 from siegelvec.finitegrp import (GL2Elem, GL22Elem, gl2_class, gl2_det, gl22_valid,
@@ -82,3 +84,18 @@ class ScalarRgKernel(RgKernel):
                         tuple(e // p ** k % p for e in h)]
         out = GL22Elem(GL2Elem(*res[:4]), GL2Elem(*res[4:]))
         return out if gl22_valid(ctx.fq, out) else None
+
+
+def dense_mat_mul(ctx, A, B):
+    """The 4x4 product of PadicScalar matrices over all 64 pairs of
+    entries, each entry summed from ``ctx.zero_s`` in the order of k."""
+    out = []
+    for i in range(4):
+        row = []
+        for j in range(4):
+            acc = ctx.zero_s
+            for k in range(4):
+                acc = acc + A[i][k] * B[k][j]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)

@@ -24,6 +24,7 @@ from siegelvec.padic import (
     ACCEPT,
     GUARD,
     IDENTITY_TAGS,
+    REJECT,
     UNDECIDED,
     GSp4Elem,
     NotInK,
@@ -59,7 +60,7 @@ from siegelvec.padic import (
 )
 from siegelvec.support import COSET_TAGS, enumerate_support
 
-from reference import ScalarRgKernel
+from reference import ScalarRgKernel, dense_mat_mul
 
 
 def s1_elem(ctx):
@@ -178,16 +179,17 @@ SUPPORTED = [(p, f) for p in (2, 3, 5, 7, 11, 13) for f in range(1, 5)
 
 
 def pmulmod_reference(ctx, a, b, rel):
-    """Reference unit product, written for residue degree f: reduce by the
-    defining polynomial over the integers, then modulo p^rel."""
+    """Reference unit product, written for residue degree f and any lengths
+    of a and b: reduce by the defining polynomial over the integers, then
+    modulo p^rel."""
     f = ctx.f
-    out = [0] * (2 * f - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
     m = ctx.mpoly
-    for k in range(2 * f - 2, f - 1, -1):
+    for k in range(len(out) - 1, f - 1, -1):
         c = out[k]
         if c:
             out[k] = 0
@@ -208,6 +210,53 @@ def test_poly_mul_mod_matches_reference_kernel(data):
     coeffs = st.lists(st.integers(-pk, pk - 1), min_size=f, max_size=f)
     a, b = data.draw(coeffs), data.draw(coeffs)
     assert poly_mul_mod(a, b, ctx.mpoly, pk) == pmulmod_reference(ctx, a, b, rel)
+
+
+def _fields(s):
+    return s.kind, s.val, s.coeffs, s.rel, s.aprec
+
+
+def _sparse_scalar(data, ctx):
+    """Mostly exact zeros, as in t_elem, s_lower, levi and u_elem; else the
+    shared one_s, a cached pi(k) or small integer, an O(p^A), or a unit of
+    negative, zero or positive valuation known to a random rel."""
+    kind = data.draw(st.sampled_from(["zero"] * 4 + ["one", "pi", "int", "eps", "unit"]))
+    if kind == "zero":
+        return ctx.zero_s
+    if kind == "one":
+        return ctx.one_s
+    if kind == "pi":
+        return ctx.pi(data.draw(st.integers(-3, 5)))
+    if kind == "int":
+        return ctx.from_int(data.draw(st.integers(-8, 8)))
+    if kind == "eps":
+        return ctx.eps(data.draw(st.integers(0, ctx.prec)))
+    rel = data.draw(st.integers(1, ctx.prec))
+    pk = ctx.p ** rel
+    coeffs = data.draw(st.lists(st.integers(0, pk - 1), min_size=ctx.f, max_size=ctx.f))
+    return ctx.unit(data.draw(st.integers(-3, 3)), coeffs, rel)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sparse_products_match_the_dense_reference(data):
+    p, f = data.draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)]))
+    ctx = PadicCtx(p, f, prec=data.draw(st.integers(GUARD, 80)))
+    A, B = ([[_sparse_scalar(data, ctx) for _ in range(4)] for _ in range(4)]
+            for _ in range(2))
+    for got, want in zip(mat_mul(ctx, A, B), dense_mat_mul(ctx, A, B)):
+        assert list(map(_fields, got)) == list(map(_fields, want))
+    # a copy of one_s is not ctx.one_s, so products with it take the
+    # general path the shortcut skips
+    one = padic.PadicScalar(ctx, "unit", 0, ctx.one_s.coeffs, ctx.one_s.rel, 0)
+    for x in A[0] + B[0]:
+        assert _fields(x * ctx.one_s) == _fields(x * one) == _fields(x)
+        assert _fields(ctx.one_s * x) == _fields(one * x) == _fields(x)
+    # constant factors take poly_mul_mod's one-coefficient shortcut
+    rel = data.draw(st.integers(1, ctx.prec))
+    a, b = (data.draw(st.integers(-p ** rel, p ** rel - 1)) for _ in range(2))
+    assert poly_mul_mod((a,), (b,), ctx.mpoly, p ** rel) == pmulmod_reference(
+        ctx, (a,), (b,), rel)
 
 
 def test_unresolved_elements_refuse_inversion():
@@ -300,6 +349,24 @@ def test_identity_suite_small_draws(p, f):
     ctx = PadicCtx(p, f)
     for tag in IDENTITY_TAGS:
         assert run_identity(ctx, tag, draws=6, seed=11) == 6
+
+
+def test_shared_cached_scalars_are_never_changed():
+    # pi(k), from_int(n) and one_s hand every caller the same object, and
+    # products return a factor itself when the other is one_s: an in-place
+    # update anywhere would corrupt every later use
+    ctx = PadicCtx(2, 2)
+    for tag in IDENTITY_TAGS:
+        assert run_identity(ctx, tag, draws=20, seed=3) == 20
+    fresh = PadicCtx(2, 2)
+    assert len(ctx._pi_cache) > 10 and {-1, 1, 2} <= set(ctx._int_cache)
+    for k, s in ctx._pi_cache.items():
+        assert _fields(s) == _fields(fresh.pi(k))
+    for n, s in ctx._int_cache.items():
+        assert _fields(s) == _fields(fresh.from_int(n))
+    assert ctx.one_s is ctx.pi(0) is ctx.from_int(1)
+    assert _fields(ctx.one_s) == _fields(fresh.one_s)
+    assert _fields(ctx.zero_s) == _fields(fresh.zero_s)
 
 
 def test_identity_rejects_unknown_tag():
@@ -632,3 +699,37 @@ def test_batched_kernel_matches_the_per_draw_reference(n):
             assert (code if v == ACCEPT else None) == want
             hits += want is not None
     assert hits > 0
+
+
+def test_off_anti_diagonal_floors_decide_draws_the_others_pass():
+    # t(0, 4) conjugates s_lower(x, 0, 0), x of valuation n = 3, to
+    # s_lower(x / p^4, 0, 0): its anti-diagonal is zero and both residue
+    # factors are the identity, so only the floors of (2, 0) and (3, 1),
+    # which it misses by two digits, keep it out of K
+    ctx = PadicCtx(2, 1)
+    g = coset_rep(ctx, "I", 0, 4)
+    def one(val=None):
+        """A one-row draw scalar: p^val, or an exact zero for None."""
+        return padic.Draws(np.array([val is None]), np.array([val or 0]),
+                           np.ones((1, 1), np.int64))
+    d = padic.SiDraws(x=one(3), y=one(), z=one(), lam_depth=np.zeros(1, np.int64),
+                      lam=one(0), a1=one(0), a2=one(), a3=one(), a4=one(0),
+                      b1=one(), b2=one(), b3=one())
+    s = build_Si(ctx, d, 0)
+    assert in_Si(s, 3)
+    with pytest.raises(NotInK):
+        reduce_K(g @ s @ g.inv())
+    kernel = RgKernel(g, g.inv())
+    assert kernel.reduce(d)[0].tolist() == [REJECT]
+    others = [(r, c) for r in range(4) for c in range(4) if r + c != 3]
+    for keep in ([], [(2, 0)], [(3, 1)]):
+        kernel = RgKernel(g, g.inv())
+        for r, c in others:
+            if (r, c) not in keep:
+                kernel.low[r, c] = 1
+        verdict, codes = kernel.reduce(d)
+        if keep:
+            assert verdict.tolist() == [REJECT]
+        else:
+            assert verdict.tolist() == [ACCEPT]
+            assert gl22_elems(codes) == [gl22_identity(ctx.fq)]
