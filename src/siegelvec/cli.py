@@ -7,6 +7,10 @@ json (stable key order) and csv.  Exit status: 0 all checks pass, 2 a
 check failed, 3 unusable configuration, a numerical result that cannot be
 certified or needs the matrix-model oracle, a p-adic element outside K, or
 a p-adic precision or sampling budget too small to decide, 4 usage error.
+
+The ``identities`` suite runs its tags in forked worker processes, one per
+CPU in the process's affinity mask (in this process when that is one CPU).
+Its output is byte-identical to a one-CPU run, and there is no setting.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from collections import Counter
 from itertools import islice
@@ -320,19 +325,65 @@ def suite_induced(q: int, **_: object) -> tuple[list, list]:
     return rows, checks
 
 
+# set in each forked worker by _fan_out, never in the parent process
+_WORKER: tuple = ()
+
+
+def _worker_init(fn, shared) -> None:
+    global _WORKER
+    _WORKER = (fn, shared)
+
+
+def _worker_call(item):
+    fn, shared = _WORKER
+    return fn(shared, item)
+
+
+def _fan_out(fn, shared, items: list) -> list:
+    """[fn(shared, x) for x in items], in input order, over forked worker
+    processes, one per CPU in the affinity mask; in this process when that
+    is one CPU or there is one item.  Only the items and the results pass
+    through the pipe: fn and shared reach the workers by fork, unpickled.
+    The first exception in input order is raised, as in the loop, and
+    every worker is reaped before the call returns or raises."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, len(items))
+    if workers < 2:
+        return [fn(shared, x) for x in items]
+    import multiprocessing
+    # fork, not spawn: a spawned worker would re-import the package and could
+    # not see fn or shared (nor a monkeypatched module); the only other
+    # threads here are BLAS's, and the identity tags make no BLAS call
+    with multiprocessing.get_context("fork").Pool(
+            workers, initializer=_worker_init, initargs=(fn, shared)) as pool:
+        out = list(pool.imap(_worker_call, items, chunksize=1))
+        pool.close()
+        pool.join()
+    return out
+
+
+def _identity_job(job: tuple, tag: str) -> tuple[int, str | None]:
+    """(draws done, failure text or None) for one identity tag."""
+    from .padic import IdentityFailure, run_identity
+    ctx, draws, seed = job
+    try:
+        return run_identity(ctx, tag, draws=draws, seed=seed), None
+    except IdentityFailure as exc:
+        return exc.draws, f"{tag} failed ({exc})"
+
+
 def suite_identities(q: int, seed: int, draws: int, precision: int,
                      **_: object) -> tuple[list, list]:
-    from .padic import PadicCtx, IDENTITY_TAGS, IdentityFailure, run_identity
+    from .padic import PadicCtx, IDENTITY_TAGS
     fq = _field(q)
     ctx = PadicCtx(fq.p, fq.f, prec=precision)
-    rows, failed = [], []
-    for tag in sorted(IDENTITY_TAGS):
-        try:
-            done = run_identity(ctx, tag, draws=draws, seed=seed)
-        except IdentityFailure as exc:
-            failed.append(f"{tag} failed ({exc})")
-            done = exc.draws
-        rows.append({"identity": tag, "draws": done})
+    tags = sorted(IDENTITY_TAGS)
+    results = _fan_out(_identity_job, (ctx, draws, seed), tags)
+    rows = [{"identity": tag, "draws": done} for tag, (done, _) in zip(tags, results)]
+    failed = [text for _, text in results if text]
     checks: list = []
     _check(checks, "matrix identities hold on random parameters", not failed,
            "; ".join([f"{len(rows)} identities x {draws} draws, p={fq.p} f={fq.f}"]

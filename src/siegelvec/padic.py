@@ -108,7 +108,7 @@ class PadicCtx:
             whole, rest = divmod(prec - 1, k)
             self._digit_bounds = (p ** k,) * whole + ((p ** rest,) if rest else ())
         self.zero_s = PadicScalar(self, "zero", 0, (), 0, 0)
-        self._int_cache: dict = {}
+        self._int_cache: dict = {0: self.zero_s}
         self.one_s = self.from_int(1)
         self._pi_cache = {0: self.one_s}
 
@@ -122,8 +122,6 @@ class PadicCtx:
         return PadicScalar(self, "eps", 0, (), 0, aprec)
 
     def from_int(self, n: int) -> "PadicScalar":
-        if n == 0:
-            return self.zero_s
         if n in self._int_cache:
             return self._int_cache[n]
         v = _valp(abs(n), self.p)
@@ -233,10 +231,11 @@ class PadicScalar:
         return self.__add__(other)
 
     def __sub__(self, other):
-        return self.__add__(-_coerce(self.ctx, other))
+        return self.__add__(-(other if type(other) is PadicScalar
+                              else _coerce(self.ctx, other)))
 
     def __rsub__(self, other):
-        return (-self).__add__(_coerce(self.ctx, other))
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         """Lossless product.  x * one_s and one_s * x return x itself, as the
@@ -285,6 +284,8 @@ class PadicScalar:
 
 
 def _coerce(ctx: PadicCtx, x) -> PadicScalar:
+    if type(x) is int:
+        return ctx.from_int(x)
     if isinstance(x, PadicScalar):
         return x
     if isinstance(x, (int, np.integer)):
@@ -344,7 +345,8 @@ J_ROWS = ((0, 0, 0, 1), (0, 0, 1, 0), (0, -1, 0, 0), (-1, 0, 0, 0))
 
 
 def mat_from(ctx: PadicCtx, rows):
-    return tuple(tuple(_coerce(ctx, e) for e in row) for row in rows)
+    return tuple(tuple(e if type(e) is PadicScalar else _coerce(ctx, e)
+                       for e in row) for row in rows)
 
 
 def mat_mul(ctx: PadicCtx, A, B):

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -332,6 +333,91 @@ def test_identity_failure_fails_the_check(capsys, monkeypatch):
     assert {"identity": "shear", "draws": 0} in payload["rows"]
     (check,) = payload["checks"]
     assert not check["ok"] and "shear failed (shear: i=1 j=2)" in check["detail"]
+
+
+# the identity tags run in forked workers, one per CPU in the affinity
+# mask; a mask of one CPU runs them in this process
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_identities_are_the_same_on_one_and_two_cpus(monkeypatch, q, seed):
+    runs = []
+    for n in (1, 2):
+        _cpus(monkeypatch, n)
+        runs.append(cli.suite_identities(q=q, seed=seed, draws=10, precision=32))
+        assert multiprocessing.active_children() == []
+    assert runs[0] == runs[1]
+    rows, checks = runs[0]
+    assert len(rows) == 22 and all(c["ok"] for c in checks)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_identity_failures_are_listed_in_tag_order(monkeypatch, cpus):
+    # the failure text carries the pid of the process that ran the tag
+    def broken(ctx, rng):
+        padic._expect("broken", False, f"pid {os.getpid()}")
+    _cpus(monkeypatch, cpus)
+    monkeypatch.setitem(padic.IDENTITY_TAGS, "shear", broken)
+    monkeypatch.setitem(padic.IDENTITY_TAGS, "al-x", broken)
+    rows, (check,) = cli.suite_identities(q=2, seed=0, draws=3, precision=32)
+    assert multiprocessing.active_children() == []
+    assert not check["ok"]
+    failed = check["detail"].split("; ")[1:]
+    assert [f.split(" ")[0] for f in failed] == ["al-x", "shear"]
+    pids = {f.rsplit(" ", 1)[1].rstrip(")") for f in failed}
+    assert (pids == {str(os.getpid())}) == (cpus == 1)
+    assert {r["identity"]: r["draws"] for r in rows if r["draws"] != 3} == {
+        "al-x": 0, "shear": 0}
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_first_precision_exit_in_tag_order_wins(capsys, monkeypatch, cpus):
+    # levi-x sorts before levi-xyz, and the two run side by side on two
+    # CPUs; levi-x raises last, but its message is the one reported
+    def slow(ctx, rng):
+        time.sleep(0.2)
+        raise padic.PrecisionExhausted("slow")
+
+    def fast(ctx, rng):
+        raise padic.PrecisionExhausted("fast")
+    _cpus(monkeypatch, cpus)
+    monkeypatch.setitem(padic.IDENTITY_TAGS, "levi-x", slow)
+    monkeypatch.setitem(padic.IDENTITY_TAGS, "levi-xyz", fast)
+    assert main(["verify", "--suite", "identities", "--q", "2"]) == 3
+    assert multiprocessing.active_children() == []
+    assert capsys.readouterr().err == "siegel: levi-x draw 0 (seed 0): slow\n"
+
+
+def test_identities_leave_no_process_behind(tmp_path):
+    # the command is the leader of its own process group: once it is reaped,
+    # any worker still alive would keep the group in existence
+    src = os.path.dirname(os.path.dirname(siegelvec.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    with open(tmp_path / "out.json", "w") as out:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "siegelvec.cli", "verify", "--suite",
+             "identities", "--q", "2", "--format", "json"],
+            stdout=out, env=env, start_new_session=True)
+        _, status, _ = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4
+    assert child.returncode == 0
+    with pytest.raises(ProcessLookupError):
+        os.killpg(child.pid, 0)
+    assert len(json.loads((tmp_path / "out.json").read_text())["rows"]) == 22
+
+
+def test_importing_the_cli_does_not_import_multiprocessing():
+    src = os.path.dirname(os.path.dirname(siegelvec.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, siegelvec.cli; print('multiprocessing' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0 and child.stdout == "False\n"
 
 
 def test_version_flag(capsys):

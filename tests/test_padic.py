@@ -369,6 +369,25 @@ def test_shared_cached_scalars_are_never_changed():
     assert _fields(ctx.zero_s) == _fields(fresh.zero_s)
 
 
+def test_literal_matrix_entries_are_the_cached_scalars():
+    # mat_from sends literal 0, 1 and -1 to the cached scalars (numpy and
+    # bool integers too) and passes PadicScalar entries through unchanged
+    ctx = PadicCtx(3, 2)
+    cached = {0: ctx.zero_s, 1: ctx.one_s, -1: ctx.from_int(-1)}
+    s2_rows = [[1, 0, 0, 0], [0, 0, 1, 0], [0, -1, 0, 0], [0, 0, 0, 1]]
+    for got, want in zip(s2_elem(ctx).m, s2_rows):
+        assert all(g is cached[w] for g, w in zip(got, want))
+    u = u_elem(ctx, 3).m
+    assert u[0][2] is ctx.one_s and u[1][3] is cached[-1] and u[2][0] is ctx.pi(3)
+    assert sum(e is ctx.zero_s for row in u for e in row) == 12
+    x = ctx.unit(1, [2, 1])
+    (row,) = padic.mat_from(ctx, [[x, np.int64(-1), True, 0]])
+    assert all(g is w for g, w in zip(row, (x, cached[-1], ctx.one_s, ctx.zero_s)))
+    assert _fields(x - 1) == _fields(x + cached[-1])
+    assert _fields(1 - x) == _fields(-x + ctx.one_s)
+    assert _fields(x - x) == _fields(x + (-x))
+
+
 def test_identity_rejects_unknown_tag():
     ctx = PadicCtx(2, 1)
     with pytest.raises(ValueError):
