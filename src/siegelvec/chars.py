@@ -173,22 +173,14 @@ def sigma_key(ctx: FqCtx, sigma: SigmaLabel):
     """Canonical key for the isomorphism class of the label.
 
     Moves: relabel either factor by Frobenius (k -> qk), and shift a
-    determinant twist between the factors (k1 + l(q+1), k2 - l(q+1))."""
-    m = ctx.q2 - 1
-    seen = set()
-    frontier = [(sigma.k1 % m, sigma.k2 % m)]
-    while frontier:
-        cur = frontier.pop()
-        if cur in seen:
-            continue
-        seen.add(cur)
-        a, b = cur
-        for nxt in (((ctx.q * a) % m, b), (a, (ctx.q * b) % m),
-                    ((a + ctx.q + 1) % m, (b - ctx.q - 1) % m),
-                    ((a - ctx.q - 1) % m, (b + ctx.q + 1) % m)):
-            if nxt not in seen:
-                frontier.append(nxt)
-    return (min(seen), sigma.constituent)
+    determinant twist between the factors (k1 + l(q+1), k2 - l(q+1)).
+    They commute, since q(q+1) = q+1 mod q^2-1, so the orbit is every
+    (q^e1 k1 + l(q+1), q^e2 k2 - l(q+1)) with e1, e2 in {0, 1} and
+    0 <= l < q-1, and the key is its least pair."""
+    q, m = ctx.q, ctx.q2 - 1
+    orbit = (((q ** e1 * sigma.k1 + l * (q + 1)) % m, (q ** e2 * sigma.k2 - l * (q + 1)) % m)
+             for e1 in (0, 1) for e2 in (0, 1) for l in range(q - 1))
+    return (min(orbit), sigma.constituent)
 
 
 def is_self_twisted(ctx: FqCtx, sigma: SigmaLabel) -> bool:

@@ -61,7 +61,7 @@ import itertools
 import numpy as np
 
 from .finitegrp import (
-    FqCtx, GL2Elem, GL22Elem, SubgroupR, gl2_det, gl2_mul, gl2_table, u_action,
+    FqCtx, GL2Elem, GL22Elem, SubgroupR, gl2_det, gl2_mul, gl2_table, u_action, u_image,
 )
 from .chars import char_values, sigma_is_reducible, theta_eval
 from .numerics import certify_integer
@@ -121,11 +121,10 @@ def _nullspace(pairs) -> list[np.ndarray]:
     return list(vecs[:, null].T)
 
 
-def _fixed_rank(model, R: SubgroupR, twisted: bool = False) -> int:
-    """dim of the R-fixed (or u-twisted R-fixed) subspace of a model: the
-    trace of its average over R, certified to an integer."""
-    elems = [u_action(model.ctx, r) for r in R] if twisted else R
-    return certify_integer(np.trace(model.average(elems)), tol=1e-6)
+def _fixed_rank(model, R: SubgroupR) -> int:
+    """dim of the R-fixed subspace of a model: the trace of its average
+    over R, certified to an integer."""
+    return certify_integer(np.trace(model.average(R)), tol=1e-6)
 
 
 # -- the induced signed-permutation model (test reference) ------------------
@@ -351,7 +350,7 @@ class TensorModel:
         return _fixed_rank(self, R)
 
     def fixed_rank_twisted(self, R: SubgroupR) -> int:
-        return _fixed_rank(self, R, twisted=True)
+        return _fixed_rank(self, u_image(self.ctx, R))
 
 
 def _gl22_generators(ctx: FqCtx) -> list[GL22Elem]:

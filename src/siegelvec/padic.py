@@ -999,12 +999,12 @@ def _draw_ij(rng):
     return int(rng.integers(0, I_MAX + 1)), int(rng.integers(1, J_MAX + 1))
 
 
-def _g_of(ctx, rng, with_x=True, with_y=True, with_z=True):
-    """Draw i, j, then g = t(i, j) s_lower(x, y, z): returns i, j, g, x, y, z."""
+def _g_of(ctx, rng, slots="xyz"):
+    """Draw i, j, then g = t(i, j) s_lower(x, y, z) with each of x, y, z
+    drawn when slots names it and exact zero otherwise: returns i, j, g,
+    x, y, z."""
     i, j = _draw_ij(rng)
-    x = rand_pow(ctx, rng, -2, 3) if with_x else ctx.zero_s
-    y = rand_pow(ctx, rng, -2, 3) if with_y else ctx.zero_s
-    z = rand_pow(ctx, rng, -2, 3) if with_z else ctx.zero_s
+    x, y, z = (rand_pow(ctx, rng, -2, 3) if s in slots else ctx.zero_s for s in "xyz")
     return i, j, t_elem(ctx, i, j) @ s_lower(ctx, x, y, z), x, y, z
 
 
@@ -1021,27 +1021,19 @@ def _id_shear(ctx, rng):
     _expect("shear-depth", in_K_plus(t @ A @ t.inv()), f"i={i} j={j}")
 
 
-def _id_scale(slot):
+def _id_scale(tag, slot, slots, lo, hi):
+    """g s_lower(.., v, ..) g^-1 with v = pi^[lo, hi] * unit in the given
+    slot of (x, y, z) is s_lower with v scaled by t(i, j) alone, for g as
+    in _g_of(slots)."""
     def run(ctx, rng):
-        i, j = _draw_ij(rng)
-        v = rand_pow(ctx, rng, -2, 4)
+        i, j, g, *_ = _g_of(ctx, rng, slots)
+        v = rand_pow(ctx, rng, lo, hi)
         args = [ctx.zero_s] * 3
         args[slot] = v
-        t = t_elem(ctx, i, j)
-        lhs = t @ s_lower(ctx, *args) @ t.inv()
-        shift = (-i - j, -j, -2 * i - j)[slot]
-        args[slot] = v * ctx.pi(shift)
-        rhs = s_lower(ctx, *args)
-        _expect(f"scale-{'xyz'[slot]}", gsp_close(lhs, rhs), f"i={i} j={j}")
+        lhs = g @ s_lower(ctx, *args) @ g.inv()
+        args[slot] = v * ctx.pi((-i - j, -j, -2 * i - j)[slot])
+        _expect(tag, gsp_close(lhs, s_lower(ctx, *args)), f"i={i} j={j}")
     return run
-
-
-def _id_lower_corner(ctx, rng):
-    i, j, g, x, y, z = _g_of(ctx, rng)
-    c = rand_pow(ctx, rng, 0, 4)
-    lhs = g @ s_lower(ctx, 0, 0, c) @ g.inv()
-    rhs = s_lower(ctx, 0, 0, c * ctx.pi(-2 * i - j))
-    _expect("lower-corner", gsp_close(lhs, rhs), f"i={i} j={j}")
 
 
 def _id_row_shear(ctx, rng):
@@ -1067,28 +1059,6 @@ def _id_upper_shear(ctx, rng):
     _expect("upper-shear", mat_close(lhs.m, mat_from(ctx, rows)), f"i={i} j={j}")
 
 
-def _id_det_torus(ctx, rng):
-    i, j, g, x, y, z = _g_of(ctx, rng, with_x=False)
-    a = rand_unit(ctx, rng)
-    lhs = g @ levi(ctx, 1, 0, 0, a, 1) @ g.inv()
-    rows = [[1, 0, 0, 0],
-            [0, a, 0, 0],
-            [0, y * (a - 1) * ctx.pi(-j), 1, 0],
-            [z * (1 - a) * ctx.pi(-2 * i - j), 0, 0, a]]
-    _expect("det-torus", mat_close(lhs.m, mat_from(ctx, rows)), f"i={i} j={j}")
-
-
-def _id_torus_unit(ctx, rng):
-    i, j, g, x, y, z = _g_of(ctx, rng, with_x=False)
-    a1, a4, lam = (rand_unit(ctx, rng) for _ in range(3))
-    lhs = g @ levi(ctx, a1, 0, 0, a4, lam) @ g.inv()
-    rows = [[a1, 0, 0, 0],
-            [0, a4, 0, 0],
-            [0, y * (a4 - lam * a1) * ctx.pi(-j), lam * a1, 0],
-            [z * (a1 - lam * a4) * ctx.pi(-2 * i - j), 0, 0, lam * a4]]
-    _expect("torus-unit", mat_close(lhs.m, mat_from(ctx, rows)), f"i={i} j={j}")
-
-
 def _id_u1_cert(ctx, rng):
     u = u_elem(ctx, 1)
     sq = u @ u
@@ -1097,51 +1067,43 @@ def _id_u1_cert(ctx, rng):
     _expect("u1-cert-inv", mat_close(mat_mul(ctx, u.m, u.inv().m), mat_identity(ctx)))
 
 
-def _levi_expected(ctx, i, j, a1, a2, a3, a4, lam, M):
-    """Conjugated Levi block layout with radical block M already scaled."""
-    return mat_from(ctx, [
-        [a1, a2 * ctx.pi(i), 0, 0],
-        [a3 * ctx.pi(-i), a4, 0, 0],
-        [M[0][0] * ctx.pi(-i - j), M[0][1] * ctx.pi(-j), lam * a1, -(lam * a2 * ctx.pi(i))],
-        [M[1][0] * ctx.pi(-2 * i - j), M[1][1] * ctx.pi(-i - j),
-         -(lam * a3 * ctx.pi(-i)), lam * a4]])
+def _id_levi(tag, slots, params):
+    """g levi(a1, a2, a3, a4, lam) g^-1 for g as in _g_of(slots) and
+    (a1, a2, a3, a4, lam) = params(ctx, rng), against the conjugated Levi
+    block layout with its radical block in x, y, z.  row-shear and levi-lower
+    keep their own layouts: with x drawn and lam = 1 this one has O(p^prec)
+    for one - lam, not an exact zero, and at p = 2 one + lam is one digit
+    less precise than the literal 2, so their scalars and exits would move."""
+    def run(ctx, rng):
+        i, j, g, x, y, z = _g_of(ctx, rng, slots)
+        a1, a2, a3, a4, lam = params(ctx, rng)
+        lhs = g @ levi(ctx, a1, a2, a3, a4, lam) @ g.inv()
+        one, pi = ctx.one_s, ctx.pi
+        rhs = mat_from(ctx, [
+            [a1, a2 * pi(i), 0, 0],
+            [a3 * pi(-i), a4, 0, 0],
+            [(x * a1 * (one - lam) + y * a3 + z * lam * a2) * pi(-i - j),
+             (x * a2 * (one + lam) + y * (a4 - lam * a1)) * pi(-j),
+             lam * a1, -(lam * a2 * pi(i))],
+            [(x * a3 * (one + lam) + z * (a1 - lam * a4)) * pi(-2 * i - j),
+             (x * a4 * (one - lam) + lam * y * a3 + z * a2) * pi(-i - j),
+             -(lam * a3 * pi(-i)), lam * a4]])
+        _expect(tag, mat_close(lhs.m, rhs), f"i={i} j={j}")
+    return run
 
 
-def _id_levi_x(ctx, rng):
-    i, j, g, x, y, z = _g_of(ctx, rng, with_y=False, with_z=False)
+def _det_torus_params(ctx, rng):
+    return ctx.one_s, ctx.zero_s, ctx.zero_s, rand_unit(ctx, rng), ctx.one_s
+
+
+def _torus_params(ctx, rng):
     a1, a4, lam = (rand_unit(ctx, rng) for _ in range(3))
-    a2, a3 = rand_pow(ctx, rng, 0, 3), rand_pow(ctx, rng, 0, 3)
-    lhs = g @ levi(ctx, a1, a2, a3, a4, lam) @ g.inv()
-    one = ctx.one_s
-    M = ((x * a1 * (one - lam), x * a2 * (one + lam)),
-         (x * a3 * (one + lam), x * a4 * (one - lam)))
-    rhs = _levi_expected(ctx, i, j, a1, a2, a3, a4, lam, M)
-    _expect("levi-x", mat_close(lhs.m, rhs), f"i={i} j={j}")
+    return a1, ctx.zero_s, ctx.zero_s, a4, lam
 
 
-def _id_levi_yz(ctx, rng):
-    i, j, g, x, y, z = _g_of(ctx, rng, with_x=False)
+def _levi_params(ctx, rng):
     a1, a4, lam = (rand_unit(ctx, rng) for _ in range(3))
-    a2, a3 = rand_pow(ctx, rng, 0, 3), rand_pow(ctx, rng, 0, 3)
-    lhs = g @ levi(ctx, a1, a2, a3, a4, lam) @ g.inv()
-    M = ((y * a3 + lam * z * a2, y * (a4 - lam * a1)),
-         (z * (a1 - lam * a4), z * a2 + lam * y * a3))
-    rhs = _levi_expected(ctx, i, j, a1, a2, a3, a4, lam, M)
-    _expect("levi-yz", mat_close(lhs.m, rhs), f"i={i} j={j}")
-
-
-def _id_levi_xyz(ctx, rng):
-    i, j, g, x, y, z = _g_of(ctx, rng)
-    a1, a4, lam = (rand_unit(ctx, rng) for _ in range(3))
-    a2, a3 = rand_pow(ctx, rng, 0, 3), rand_pow(ctx, rng, 0, 3)
-    lhs = g @ levi(ctx, a1, a2, a3, a4, lam) @ g.inv()
-    one = ctx.one_s
-    M = ((x * a1 * (one - lam) + y * a3 + z * lam * a2,
-          x * a2 * (one + lam) + y * (a4 - lam * a1)),
-         (x * a3 * (one + lam) + z * (a1 - lam * a4),
-          x * a4 * (one - lam) + lam * y * a3 + z * a2))
-    rhs = _levi_expected(ctx, i, j, a1, a2, a3, a4, lam, M)
-    _expect("levi-xyz", mat_close(lhs.m, rhs), f"i={i} j={j}")
+    return a1, rand_pow(ctx, rng, 0, 3), rand_pow(ctx, rng, 0, 3), a4, lam
 
 
 def _id_levi_lower(ctx, rng):
@@ -1268,18 +1230,18 @@ def _id_u1_conj(ctx, rng):
 
 IDENTITY_TAGS = {
     "shear": _id_shear,
-    "scale-x": _id_scale(0),
-    "scale-y": _id_scale(1),
-    "scale-z": _id_scale(2),
-    "lower-corner": _id_lower_corner,
+    "scale-x": _id_scale("scale-x", 0, "", -2, 4),
+    "scale-y": _id_scale("scale-y", 1, "", -2, 4),
+    "scale-z": _id_scale("scale-z", 2, "", -2, 4),
+    "lower-corner": _id_scale("lower-corner", 2, "xyz", 0, 4),
     "row-shear": _id_row_shear,
     "upper-shear": _id_upper_shear,
-    "det-torus": _id_det_torus,
-    "torus-unit": _id_torus_unit,
+    "det-torus": _id_levi("det-torus", "yz", _det_torus_params),
+    "torus-unit": _id_levi("torus-unit", "yz", _torus_params),
     "u1-cert": _id_u1_cert,
-    "levi-x": _id_levi_x,
-    "levi-yz": _id_levi_yz,
-    "levi-xyz": _id_levi_xyz,
+    "levi-x": _id_levi("levi-x", "x", _levi_params),
+    "levi-yz": _id_levi("levi-yz", "yz", _levi_params),
+    "levi-xyz": _id_levi("levi-xyz", "xyz", _levi_params),
     "levi-lower": _id_levi_lower,
     "al-diag": _id_al_diag,
     "al-x": _id_al_x,

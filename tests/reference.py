@@ -1,10 +1,12 @@
 """Slow references shared by the tests: one inverse, one character
-value or one sampler draw at a time, and the dense exact 4x4 product.
+value or one sampler draw at a time, the dense exact 4x4 product, and
+the label key by a search over its orbit.
 The package computes the first three in batches on integer code arrays
 (``finitegrp.conjugates_into``, ``chars.char_values``) and on arrays of
 draws (``padic.RgKernel``), and ``padic.mat_mul`` skips exact zeros where
 ``dense_mat_mul`` multiplies all 64 pairs; the tests compare the fast
-paths with these."""
+paths with these, and ``chars.sigma_key`` writes the orbit that
+``sigma_key_search`` walks in closed form."""
 
 from siegelvec.chars import _char_table
 from siegelvec.finitegrp import (GL2Elem, GL22Elem, gl2_class, gl2_det, gl22_valid,
@@ -99,3 +101,24 @@ def dense_mat_mul(ctx, A, B):
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
+
+
+def sigma_key_search(ctx, sigma):
+    """The least pair reachable from (k1, k2) by the label moves, with the
+    constituent: relabel either factor by Frobenius (k -> qk), and shift a
+    determinant twist between the factors (k1 + l(q+1), k2 - l(q+1))."""
+    m = ctx.q2 - 1
+    seen = set()
+    frontier = [(sigma.k1 % m, sigma.k2 % m)]
+    while frontier:
+        cur = frontier.pop()
+        if cur in seen:
+            continue
+        seen.add(cur)
+        a, b = cur
+        for nxt in (((ctx.q * a) % m, b), (a, (ctx.q * b) % m),
+                    ((a + ctx.q + 1) % m, (b - ctx.q - 1) % m),
+                    ((a - ctx.q - 1) % m, (b + ctx.q + 1) % m)):
+            if nxt not in seen:
+                frontier.append(nxt)
+    return (min(seen), sigma.constituent)

@@ -21,7 +21,7 @@ from siegelvec.chars import (
 )
 from siegelvec.numerics import certify_integer
 
-from reference import cuspidal_char, gl2_inv
+from reference import cuspidal_char, gl2_inv, sigma_key_search
 
 
 # -- reference: conjugacy types by a root search over F_{q^2} -----------------
@@ -290,6 +290,16 @@ def test_sigma_key_invariant_under_moves():
             assert sigma_key(ctx, SigmaLabel(k1 % m, (q * k2) % m, "Full")) == key
             assert sigma_key(
                 ctx, SigmaLabel((k1 + q + 1) % m, (k2 - q - 1) % m, "Full")) == key
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_sigma_key_is_the_least_pair_of_the_searched_orbit(p, f):
+    ctx = build_field(p, f)
+    m = ctx.q2 - 1
+    for k1 in range(m):
+        for k2 in range(m):
+            s = SigmaLabel(k1, k2, ("Full", "Plus", "Minus")[(k1 + k2) % 3])
+            assert sigma_key(ctx, s) == sigma_key_search(ctx, s)
 
 
 def test_self_twist_matches_key_comparison():

@@ -113,13 +113,23 @@ def test_verify_signatures_passes(capsys):
     assert all(c["ok"] for c in json.loads(out)["checks"])
 
 
+# the 22 identity tags, sorted: the rows name exactly these, so a dropped or
+# renamed tag fails here and not only in a benchmark run
+IDENTITY_TAGS = [
+    "al-diag", "al-normalizes", "al-square", "al-x", "al-xyz", "al-yz",
+    "det-torus", "levi-lower", "levi-x", "levi-xyz", "levi-yz", "lower-corner",
+    "reduce-hom", "row-shear", "scale-x", "scale-y", "scale-z", "shear",
+    "torus-unit", "u1-cert", "u1-conj", "upper-shear",
+]
+
+
 def test_verify_identities_small_draws(capsys):
     rc, out = run(capsys, ["verify", "--suite", "identities", "--q", "2",
                            "--draws", "3", "--format", "json"])
     assert rc == 0
     payload = json.loads(out)
     assert payload["seed"] == 0
-    assert len(payload["rows"]) == 22
+    assert [r["identity"] for r in payload["rows"]] == IDENTITY_TAGS
     assert all(r["draws"] == 3 for r in payload["rows"])
 
 

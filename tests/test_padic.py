@@ -388,6 +388,28 @@ def test_literal_matrix_entries_are_the_cached_scalars():
     assert _fields(x - x) == _fields(x + (-x))
 
 
+# one precision exit per tag that _id_levi or _id_scale builds, at q = 4: a
+# change to a tag's draws or to the order of its arithmetic passes every
+# identity check but moves its exit.  The scale tags never run out, since
+# conjugating by the diagonal t only scales entries
+FACTORY_EXITS = [
+    ("lower-corner", 12, 0, "draw 24 (seed 0): 2 of 17"),
+    ("det-torus", 8, 1, "draw 17 (seed 1): 2 of 16"),
+    ("torus-unit", 8, 0, "draw 54 (seed 0): 1 of 16"),
+    ("levi-x", 8, 0, "draw 55 (seed 0): 2 of 16"),
+    ("levi-yz", 8, 0, "draw 38 (seed 0): 1 of 16"),
+    ("levi-xyz", 8, 2, "draw 30 (seed 2): 1 of 16"),
+]
+
+
+@pytest.mark.parametrize("tag,prec,seed,where", FACTORY_EXITS)
+def test_factory_tags_keep_their_precision_exit(tag, prec, seed, where):
+    with pytest.raises(PrecisionExhausted) as exc:
+        run_identity(PadicCtx(2, 2, prec), tag, draws=100, seed=seed)
+    assert str(exc.value) == (
+        f"{tag} {where} comparisons undecided at the working precision")
+
+
 def test_identity_rejects_unknown_tag():
     ctx = PadicCtx(2, 1)
     with pytest.raises(ValueError):
