@@ -10,6 +10,15 @@ Layers, bottom up:
 * :mod:`siegelvec.padic`      fixed-precision unramified p-adics and GSp4 matrices
 * :mod:`siegelvec.support`    double-coset support, counts, dimension and signature assembly
 * :mod:`siegelvec.cli`        command line surface
+
+Importing the package pins OpenBLAS to one thread unless the caller has
+set ``OPENBLAS_NUM_THREADS``: every BLAS call here is small enough that a
+second thread only burns CPU.  The pin must precede the first numpy
+import, which is why it lives in the package root.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"

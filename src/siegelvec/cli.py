@@ -159,11 +159,6 @@ def _standard_groups(ctx: FqCtx) -> list:
 
 def suite_oracle(q: int, **_: object) -> tuple[list, list]:
     ctx = _field(q)
-    if q > 8:
-        side = (q - 1) ** 4
-        raise ConfigError(
-            f"oracle runs up to q=8: at q={q} each reducible pair needs a "
-            f"commutant Gram of side {side} ({side * side * 16 // 10**6} MB)")
     rows = []
     ok = sum_ok = unip_ok = True
     labels = [SigmaLabel(k1, k2, "Full")
@@ -355,8 +350,9 @@ def _fan_out(fn, shared, items: list) -> list:
         return [fn(shared, x) for x in items]
     import multiprocessing
     # fork, not spawn: a spawned worker would re-import the package and could
-    # not see fn or shared (nor a monkeypatched module); the only other
-    # threads here are BLAS's, and the identity tags make no BLAS call
+    # not see fn or shared (nor a monkeypatched module); the package root
+    # pins BLAS to one thread, so unless the user sets OPENBLAS_NUM_THREADS
+    # there is no other thread, and the identity tags make no BLAS call
     with multiprocessing.get_context("fork").Pool(
             workers, initializer=_worker_init, initargs=(fn, shared)) as pool:
         out = list(pool.imap(_worker_call, items, chunksize=1))

@@ -42,11 +42,17 @@ Commutants and intertwiners are kernels of linear systems X A = B X over
 a generating set.  The stacked system is never formed: its Hermitian Gram
 matrix is accumulated one generator at a time (one Kronecker product
 each, valid because every generator matrix is checked to be unitary) and
-its kernel is read from an eigendecomposition.  The nullity is certified
-twice: by a spectral gap between the null eigenvalues and the rest (an
-ambiguous eigenvalue raises UncertifiedNullity instead of being guessed),
-and, for the commutant behind a constituent split, against the character
-norm <chi, chi> computed from the cuspidal models' own traces.
+its kernel is read from an eigendecomposition.  The commutant of a tensor
+model is built factorwise: End_{SL2 x SL2}(V1 (x) V2) = End_{SL2}(V1) (x)
+End_{SL2}(V2) (Serre, Linear Representations of Finite Groups, 3.2), each
+factor a kernel of Gram side (q-1)^2 over the unipotent generators of
+SL2, and the det-matched group adds one condition, for t = (diag(e, 1),
+diag(e, 1)), on at most four coefficients.  Every nullity is certified
+twice: by one spectral-gap rule shared by all kernels (an eigenvalue
+between the null ones and the rest raises UncertifiedNullity instead of
+being guessed), and, for the commutant behind a constituent split,
+against the character norm <chi, chi> computed from the cuspidal models'
+own traces.
 
 The two constituents of a split are named intrinsically by a certified
 rank: Plus has q-1 vectors fixed by the diagonal unipotent pairs
@@ -88,29 +94,20 @@ class UncertifiedNullity(ArithmeticError):
 _TOL = 1e-8
 
 
-def _nullspace(pairs) -> list[np.ndarray]:
-    """Orthonormal basis of {vec(X) : X A = B X for every (A, B) in pairs},
-    with vec stacking columns.
+def _require_unitary(U: np.ndarray, what: str) -> None:
+    n = U.shape[0]
+    if np.linalg.norm(U.conj().T @ U - np.eye(n)) > _TOL * n:
+        raise UncertifiedNullity(f"{what} is not unitary")
 
-    The system stacks the blocks A^T (x) I - I (x) B.  For unitary A and B
-    each block has block^H block = 2I - K - K^H with K = kron(conj(A), B),
-    so the Gram matrix G of the stack costs one kron per pair and no
-    matmul; the stack itself is never built.  With s = max(1, lambda_max),
-    the eigenvectors of G with eigenvalue below _TOL * s span the kernel.
-    Any eigenvalue between that cut and sqrt(_TOL) * s leaves the nullity
-    ambiguous and raises UncertifiedNullity, as does a non-unitary A or B."""
-    G = None
-    for A, B in pairs:
-        n = A.shape[0]
-        for U in (A, B):
-            if np.linalg.norm(U.conj().T @ U - np.eye(n)) > _TOL * n:
-                raise UncertifiedNullity("generator matrix is not unitary")
-        K = np.kron(A.conj(), B)
-        if G is None:
-            G = np.zeros_like(K)
-        G -= K
-        G -= K.conj().T
-        G[np.diag_indices_from(G)] += 2.0
+
+def _gap_kernel(G: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the kernel of a positive semidefinite
+    Hermitian G, certified by a spectral gap.
+
+    With s = max(1, lambda_max), the eigenvectors with eigenvalue below
+    _TOL * s span the kernel.  Any eigenvalue between that cut and
+    sqrt(_TOL) * s leaves the nullity ambiguous and raises
+    UncertifiedNullity."""
     vals, vecs = np.linalg.eigh(G)
     scale = max(1.0, vals[-1])
     null = vals < _TOL * scale
@@ -118,7 +115,29 @@ def _nullspace(pairs) -> list[np.ndarray]:
         raise UncertifiedNullity(
             f"no spectral gap above the cut {_TOL * scale:.3g}: eigenvalues "
             f"{vals[~null][:3]} against lambda_max {vals[-1]:.3g}")
-    return list(vecs[:, null].T)
+    return vecs[:, null]
+
+
+def _nullspace(pairs) -> list[np.ndarray]:
+    """Orthonormal basis of {vec(X) : X A = B X for every (A, B) in pairs},
+    with vec stacking columns.
+
+    The system stacks the blocks A^T (x) I - I (x) B.  For unitary A and B
+    each block has block^H block = 2I - K - K^H with K = kron(conj(A), B),
+    so the Gram matrix G of the stack costs one kron per pair and no
+    matmul; the stack itself is never built.  Its kernel is certified by
+    _gap_kernel; a non-unitary A or B raises UncertifiedNullity."""
+    G = None
+    for A, B in pairs:
+        _require_unitary(A, "generator matrix")
+        _require_unitary(B, "generator matrix")
+        K = np.kron(A.conj(), B)
+        if G is None:
+            G = np.zeros_like(K)
+        G -= K
+        G -= K.conj().T
+        G[np.diag_indices_from(G)] += 2.0
+    return list(_gap_kernel(G).T)
 
 
 def _fixed_rank(model, R: SubgroupR) -> int:
@@ -353,26 +372,60 @@ class TensorModel:
         return _fixed_rank(self, u_image(self.ctx, R))
 
 
-def _gl22_generators(ctx: FqCtx) -> list[GL22Elem]:
+def _sl2_generators(ctx: FqCtx) -> list[GL2Elem]:
+    """n(u) and v(u) for every unit u, which generate SL2(q)."""
     one = ctx.one
-    ident = GL2Elem(one, 0, 0, one)
-    gens = []
-    for u in ctx.fq_units:
-        gens.append(GL22Elem(GL2Elem(one, u, 0, one), ident))
-        gens.append(GL22Elem(GL2Elem(one, 0, u, one), ident))
-        gens.append(GL22Elem(ident, GL2Elem(one, u, 0, one)))
-        gens.append(GL22Elem(ident, GL2Elem(one, 0, u, one)))
-    g = ctx.fq_gen
-    gens.append(GL22Elem(GL2Elem(g, 0, 0, one), GL2Elem(g, 0, 0, one)))
-    return gens
+    return [g for u in ctx.fq_units
+            for g in (GL2Elem(one, u, 0, one), GL2Elem(one, 0, u, one))]
+
+
+def _t_generator(ctx: FqCtx) -> GL2Elem:
+    """diag(e, 1) for the field generator e: the pair (t, t) and SL2 x SL2
+    generate the det-matched group."""
+    return GL2Elem(ctx.fq_gen, 0, 0, ctx.one)
+
+
+def _gl22_generators(ctx: FqCtx) -> list[GL22Elem]:
+    ident = GL2Elem(ctx.one, 0, 0, ctx.one)
+    sl2 = _sl2_generators(ctx)
+    t = _t_generator(ctx)
+    return ([GL22Elem(g, ident) for g in sl2] + [GL22Elem(ident, g) for g in sl2]
+            + [GL22Elem(t, t)])
+
+
+def _factor_commutant(m: CuspidalModel) -> np.ndarray:
+    """Orthonormal basis of End_{SL2}(m), shape (d, q-1, q-1), d = 1 or 2:
+    the gap-certified kernel over the unipotent generators of SL2."""
+    n = m.dim
+    null = _nullspace([(A, A) for A in m.mats(_sl2_generators(m.ctx))])
+    return np.array([v.reshape((n, n), order="F") for v in null]).reshape(-1, n, n)
+
+
+def _conjugation_action(basis: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """M[k, i] = <basis_k, T basis_i T^H>: conjugation by the unitary T on
+    the span of an orthonormal stack of matrices.  M is unitary exactly
+    when T preserves the span."""
+    return np.einsum("kab,iab->ki", basis.conj(), T @ basis @ T.conj().T)
 
 
 def commutant_dim(tm: TensorModel) -> tuple[int, list[np.ndarray]]:
-    """Dimension and basis of the algebra commuting with the det-matched
-    restriction, from the gap-certified kernel over a generating set."""
+    """Dimension and orthonormal basis of the algebra commuting with the
+    det-matched restriction.
+
+    The SL2 x SL2 commutant is C1 (x) C2 with C_i = End_{SL2}(m_i).
+    Conjugation by t = (diag(e, 1), diag(e, 1)) acts on it by M1 (x) M2,
+    and the commutant is its fixed space: the gap-certified kernel of
+    (M - I)^H (M - I), on at most four coefficients."""
+    t = _t_generator(tm.ctx)
+    C1, C2 = (_factor_commutant(m) for m in (tm.m1, tm.m2))
+    M = np.kron(_conjugation_action(C1, tm.m1.mat(t)),
+                _conjugation_action(C2, tm.m2.mat(t)))
+    _require_unitary(M, "conjugation by t on the factor commutants")
+    G = 2 * np.eye(len(M)) - M - M.conj().T
+    coeffs = _gap_kernel(G).T.reshape(-1, len(C1), len(C2))
     n = tm.dim
-    null = _nullspace([(A, A) for A in map(tm.mat, _gl22_generators(tm.ctx))])
-    mats = [v.reshape((n, n), order="F") for v in null]
+    mats = [np.einsum("ij,iab,jcd->acbd", c, C1, C2).reshape(n, n)
+            for c in coeffs]
     return len(mats), mats
 
 

@@ -1,16 +1,20 @@
 """Slow references shared by the tests: one inverse, one character
-value or one sampler draw at a time, the dense exact 4x4 product, and
-the label key by a search over its orbit.
+value or one sampler draw at a time, the dense exact 4x4 product, the
+label key by a search over its orbit, and the commutant of a tensor model
+as one kernel over all its generators.
 The package computes the first three in batches on integer code arrays
 (``finitegrp.conjugates_into``, ``chars.char_values``) and on arrays of
 draws (``padic.RgKernel``), and ``padic.mat_mul`` skips exact zeros where
 ``dense_mat_mul`` multiplies all 64 pairs; the tests compare the fast
 paths with these, and ``chars.sigma_key`` writes the orbit that
-``sigma_key_search`` walks in closed form."""
+``sigma_key_search`` walks in closed form, and ``models.commutant_dim``
+solves factor by factor where ``full_gram_commutant`` builds one Gram of
+side (q-1)^4."""
 
 from siegelvec.chars import _char_table
 from siegelvec.finitegrp import (GL2Elem, GL22Elem, gl2_class, gl2_det, gl22_valid,
                                  poly_mul_mod)
+from siegelvec.models import _gl22_generators, _nullspace
 from siegelvec.padic import _K_READS, UNDECIDED, RgKernel
 
 
@@ -122,3 +126,12 @@ def sigma_key_search(ctx, sigma):
             if nxt not in seen:
                 frontier.append(nxt)
     return (min(seen), sigma.constituent)
+
+
+def full_gram_commutant(tm):
+    """(dimension, basis) of the algebra commuting with the det-matched
+    restriction of a tensor model: the gap-certified kernel of X A = A X
+    over every generator of the det-matched group at once."""
+    n = tm.dim
+    null = _nullspace([(A, A) for A in map(tm.mat, _gl22_generators(tm.ctx))])
+    return len(null), [v.reshape((n, n), order="F") for v in null]

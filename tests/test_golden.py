@@ -2,15 +2,17 @@
 
 ``table``, ``support`` and the ``counts``, ``fixed-dims``, ``dims``,
 ``signatures``, ``oracle`` and ``twists`` suites, the ``induced`` suite at
-q = 3, 4 and 5, and ``twists`` at q = 7, 8 and 9 must print the same
+q = 3, 4 and 5, ``twists`` at q = 7, 8 and 9, and ``oracle`` at q = 7
+must print the same
 ``--format json`` bytes before and after any refactor.  The golden files
 under ``tests/golden/`` were captured from the code before the refactors
 that introduced them (the oracle and twists files before the matrix-model
 oracle lost its per-element caches, the induced files before the
 characters became tables keyed by the class key, the twists files at
 q = 7, 8 and 9 from the Whittaker-projector cuspidal models, before the
-Kirillov model replaced them, and ``induced-q5`` before the group scans
-moved to integer code arrays).
+Kirillov model replaced them, ``induced-q5`` before the group scans
+moved to integer code arrays, and ``oracle-q7`` from the commutant as one
+Gram over the whole tensor model, before it was solved factor by factor).
 
 To recapture after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -47,6 +49,7 @@ for _q in (3, 4, 5):
     CASES[f"induced-q{_q}"] = ["verify", "--suite", "induced", "--q", str(_q)]
 for _q in (7, 8, 9):
     CASES[f"twists-q{_q}"] = ["verify", "--suite", "twists", "--q", str(_q)]
+CASES["oracle-q7"] = ["verify", "--suite", "oracle", "--q", "7"]
 
 
 def _run(argv: list) -> str:

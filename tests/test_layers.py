@@ -1,8 +1,12 @@
 """The seven modules form a strict stack: each imports only from modules
 below it, and only public names.  The package root sits under all seven;
-it holds only metadata such as ``__version__``."""
+it holds metadata such as ``__version__`` and pins OpenBLAS to one thread
+before any module imports numpy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +44,29 @@ def test_no_private_name_is_imported(name):
     for node in relative_imports(name):
         private = [a.name for a in node.names if is_private(a.name)]
         assert not private, f"{name} line {node.lineno} imports {private}"
+
+
+def _blas_child(value):
+    """OPENBLAS_NUM_THREADS and the thread count seen by a fresh child that
+    imports the package and then numpy, started with the variable unset
+    (value None) or set to value."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(PACKAGE.parent)
+    if value is not None:
+        env["OPENBLAS_NUM_THREADS"] = value
+    code = ("import os, siegelvec, numpy; "
+            "print(os.environ['OPENBLAS_NUM_THREADS'], "
+            "len(os.listdir('/proc/self/task')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    return out[0], int(out[1])
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs /proc to count threads")
+def test_package_root_pins_blas_to_one_thread():
+    assert _blas_child(None) == ("1", 1)
+
+
+def test_package_root_leaves_an_explicit_blas_setting_in_place():
+    assert _blas_child("2")[0] == "2"

@@ -14,7 +14,7 @@ from siegelvec.finitegrp import (
 )
 from siegelvec.chars import (
     OracleRequired, SigmaLabel, cuspidal_classes, fixed_dim,
-    split_restriction, theta_eval, twisted_trace_closed,
+    sigma_is_reducible, split_restriction, theta_eval, twisted_trace_closed,
 )
 from siegelvec import models
 from siegelvec.models import (
@@ -24,7 +24,7 @@ from siegelvec.models import (
     twisted_trace, u_intertwiner, ww_operator,
 )
 
-from reference import cuspidal_char, gl2_inv
+from reference import cuspidal_char, full_gram_commutant, gl2_inv
 
 FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3),
           9: (3, 2)}
@@ -303,6 +303,29 @@ def test_kernels_match_stacked_svd_reference(ctx, k1, k2):
     nullity, mats = u_intertwiner(tm)
     assert nullity == len(ref)
     assert np.allclose(_projector(_vec(mats)), _projector(ref), atol=1e-8)
+
+
+def _factorwise_pairs():
+    q5, q7 = build_field(5, 1), build_field(7, 1)
+    ks = cuspidal_classes(q5)
+    reducible = [(q5, k1, k2) for k1 in ks for k2 in ks
+                 if sigma_is_reducible(q5, SigmaLabel(k1, k2, "Full"))]
+    # (3, 1) and (4, 1): a split factor against a non-split one, where the
+    # t-condition cuts the factor commutants from 2 dimensions to 1
+    return reducible + [(q5, 3, 1), (q7, 4, 12), (q7, 4, 1)]
+
+
+@pytest.mark.parametrize("ctx,k1,k2", _factorwise_pairs(),
+                         ids=lambda v: str(getattr(v, "q", v)))
+def test_factorwise_commutant_matches_the_full_gram_reference(ctx, k1, k2):
+    tm = TensorModel(ctx, k1, k2)
+    ref_dim, ref = full_gram_commutant(tm)
+    dim, mats = commutant_dim(tm)
+    reducible = sigma_is_reducible(ctx, SigmaLabel(k1, k2, "Full"))
+    assert dim == ref_dim == (2 if reducible else 1)
+    V = np.column_stack(_vec(mats))
+    assert np.allclose(V.conj().T @ V, np.eye(dim), atol=1e-8)
+    assert np.allclose(_projector(_vec(mats)), _projector(_vec(ref)), atol=1e-8)
 
 
 def test_nullspace_refuses_an_ambiguous_gap():
