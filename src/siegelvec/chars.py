@@ -5,7 +5,7 @@ A cuspidal representation of GL2(q) is labeled by an exponent k with
 (q+1) not dividing k: the corresponding character theta of the big
 multiplicative group sends g2^j to zeta_{q^2-1}^{kj}.  Labels k and q*k
 name the same representation.  Each character is a table keyed by the
-class key ``finitegrp.gl2_class`` (trace, det, is_scalar), filled once
+class key (trace, det, is_scalar) of ``finitegrp.gl2_classes``, filled once
 per label from the eigenvalues t in F_{q^2}^x:
 
 * scalar tI                       (2t, t^2, True)      -> (q-1) theta(t)
@@ -40,7 +40,7 @@ import numpy as np
 
 from .finitegrp import (FqCtx, GL2Elem, GL22Elem, SubgroupR, conjugates_into,
                         gl22_codes, gl22_rows, gl2_classes, gl2_identity,
-                        gl2_table, u_action, u_action_rows, u_image)
+                        gl2_table, u_action_rows, u_image)
 from .numerics import certify_integer, root_of_unity
 
 
@@ -82,7 +82,7 @@ def theta_eval(ctx: FqCtx, k: int, a: int) -> complex:
 
 @functools.cache
 def _char_table(ctx: FqCtx, k: int) -> dict:
-    """Values of the cuspidal character labeled by k, keyed by gl2_class.
+    """Values of the cuspidal character labeled by k, keyed by class key.
 
     Built once per label by running t over F_{q^2}^x.  Split regular
     classes are absent: the character vanishes there."""
@@ -273,7 +273,7 @@ def _average_dim(ctx: FqCtx, sigma: SigmaLabel, R: SubgroupR) -> int:
             raise OracleRequired("constituent fixed dim on a subgroup that is "
                                  "not swap-stable needs the matrix-model oracle")
         share = 2.0
-    total = _label_values(ctx, sigma, gl22_rows(R)).sum()
+    total = _label_values(ctx, sigma, R.rows).sum()
     return certify_integer(total / len(R) / share)
 
 
@@ -371,7 +371,7 @@ def induced_trace_zero(ctx: FqCtx, sigma: SigmaLabel, X: np.ndarray,
     s r s^-1 = x u_action(r) x^-1."""
     if self_twist_presentations(ctx, sigma):
         raise HypothesisViolated("label is self-twisted")
-    if not conjugates_into(ctx, X, [u_action(ctx, g) for g in R.gens], R).all():
+    if not conjugates_into(ctx, X, u_action_rows(ctx, R.gens), R).all():
         raise HypothesisViolated("s does not normalize R")
     return 0
 

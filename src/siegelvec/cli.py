@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .numerics import NotAnInteger
 from .finitegrp import (FqCtx, build_field, subgroup_R, gl22_codes, gl22_elems,
-                        conjugates_into, gl2_class, u_action, u_image)
+                        conjugates_into, gl2_classes, u_action, u_image)
 from .chars import (SigmaLabel, omega_trivial_sigma_classes, cuspidal_classes,
                     sigma_key, make_sigma, sigma_is_reducible,
                     induced_trace_zero, fixed_dim, fixed_dim_closed,
@@ -262,9 +262,9 @@ def _induced_mat(tm: TensorModel, x, eps: int) -> np.ndarray:
     return out
 
 
-def _factor_classes(ctx: FqCtx, elems) -> Counter:
-    return Counter((gl2_class(ctx, r.first), gl2_class(ctx, r.second))
-                   for r in elems)
+def _factor_classes(ctx: FqCtx, R) -> Counter:
+    return Counter(zip(gl2_classes(ctx, R.rows[:, :4]).tolist(),
+                       gl2_classes(ctx, R.rows[:, 4:]).tolist()))
 
 
 def suite_induced(q: int, **_: object) -> tuple[list, list]:
@@ -407,7 +407,7 @@ def suite_rg(q: int, seed: int, n_max: int, precision: int,
                     and conjugate_subgroups(wit, table, fq) is not None)
             g = coset_rep(pctx, prm.tag, prm.i, prm.j, prm.u)
             samp = compute_Rg(g, n, seed=seed).group
-            same = samp.elements == wit.elements
+            same = np.array_equal(samp.keys, wit.keys)
             rows.append({"tag": prm.tag, "i": prm.i, "j": prm.j, "n": n,
                          "witness_order": len(wit), "sampled_order": len(samp),
                          "conjugate_to_table": conj, "sampled_matches": same})
@@ -521,25 +521,17 @@ def _render(payload: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def _level(text: str) -> int:
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"level must be non-negative, got {n}")
-    return n
+def _int_at_least(lo: int, what: str):
+    """argparse type for an integer of at least lo, named what in errors."""
+    bound = "non-negative" if lo == 0 else f"at least {lo}"
 
-
-def _seed(text: str) -> int:
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {n}")
-    return n
-
-
-def _draws(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"draws must be at least 1, got {n}")
-    return n
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"{what} must be {bound}, got {n}")
+        return n
+    parse.__name__ = f"_{what}"   # argparse names it in "invalid _level value"
+    return parse
 
 
 def _precision(text: str) -> int:
@@ -566,20 +558,20 @@ def _build_parser() -> _Parser:
 
     t = sub.add_parser("table", help="coset counts per level")
     t.add_argument("--q", type=int, required=True)
-    t.add_argument("--n-max", type=_level, default=20)
+    t.add_argument("--n-max", type=_int_at_least(0, "level"), default=20)
     t.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     s = sub.add_parser("support", help="coset parameters of one level")
     s.add_argument("--q", type=int, required=True)
-    s.add_argument("--n", type=_level, required=True)
+    s.add_argument("--n", type=_int_at_least(0, "level"), required=True)
     s.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     v = sub.add_parser("verify", help="run a named check suite")
     v.add_argument("--suite", choices=sorted(SUITES), required=True)
     v.add_argument("--q", type=int, required=True)
-    v.add_argument("--n-max", type=_level, default=12)
-    v.add_argument("--seed", type=_seed, default=0)
-    v.add_argument("--draws", type=_draws, default=100)
+    v.add_argument("--n-max", type=_int_at_least(0, "level"), default=12)
+    v.add_argument("--seed", type=_int_at_least(0, "seed"), default=0)
+    v.add_argument("--draws", type=_int_at_least(1, "draws"), default=100)
     v.add_argument("--precision", type=_precision, default=32)
     v.add_argument("--format", choices=("text", "json", "csv"), default="text")
     return ap

@@ -1,5 +1,5 @@
 """Finite fields F_q and F_{q^2}, the groups GL2(q) and GL22(q), and the
-explicitly enumerated subgroups used for fixed-space averages.
+subgroups used for fixed-space averages.
 
 Field elements are stored as discrete-log codes into F_{q^2}: code 0 is the
 zero element and code e in [1, q^2-1] is g2^(e-1) for a fixed generator g2
@@ -14,10 +14,11 @@ swap the two factors, then conjugate both by w = [[0,1],[-1,0]].
 Whole-group scans run on integer code arrays: GL2(q) is one cached table
 of (a, b, c, d) codes with class index and determinant (``gl2_table``),
 and GL22(q) one cached (N, 8) uint8 array in ``enumerate_gl22`` order
-(``gl22_codes``).  ``conjugates_into`` tests a batch of rows at once: it
-renumbers F_q as digits 0..q-1 (0 the zero, 1 + j the power fq_gen^j),
-multiplies through q x q digit tables with numpy indexing, and looks the
-products up in the sorted digit keys of the target subgroup.
+(``gl22_codes``).  A subgroup (``SubgroupR``) is code rows too, sorted
+by digit key: F_q renumbered as digits 0..q-1 (0 the zero, 1 + j the
+power fq_gen^j), and a row read as a base-q number.  ``conjugates_into``
+and ``subgroup_closure`` multiply batches of digit rows through q x q
+tables with numpy indexing and look the products up by key.
 """
 
 from __future__ import annotations
@@ -254,15 +255,6 @@ def gl2_det(ctx: FqCtx, m: GL2Elem) -> int:
     return ctx.sub(ctx.mul(m.a, m.d), ctx.mul(m.b, m.c))
 
 
-def gl2_class(ctx: FqCtx, m: GL2Elem) -> tuple[int, int, bool]:
-    """Class key (trace, det, is_scalar) of m: its conjugacy class in
-    GL2(q).  The flag separates aI from the non-semisimple elements with
-    eigenvalue a; every other class is fixed by its characteristic
-    polynomial."""
-    return (ctx.add(m.a, m.d), gl2_det(ctx, m),
-            m.b == 0 and m.c == 0 and m.a == m.d)
-
-
 def gl2_mul(ctx: FqCtx, x: GL2Elem, y: GL2Elem) -> GL2Elem:
     return GL2Elem(
         ctx.add(ctx.mul(x.a, y.a), ctx.mul(x.b, y.c)),
@@ -357,6 +349,12 @@ def _keys(t: _Digits, digits: np.ndarray) -> np.ndarray:
     return key
 
 
+def _lookup(keys: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Whether each entry of k is among the sorted, nonempty keys."""
+    pos = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
+    return keys[pos] == k
+
+
 def gl22_rows(xs: Iterable[GL22Elem]) -> np.ndarray:
     """Code rows: a, b, c, d of the first factor, then of the second."""
     return np.array([x.first + x.second for x in xs], dtype=np.uint8).reshape(-1, 8)
@@ -371,17 +369,16 @@ def gl22_elems(rows: np.ndarray) -> list[GL22Elem]:
 _CHUNK = 1 << 12
 
 
-def conjugates_into(ctx: FqCtx, X: np.ndarray, gens: Iterable[GL22Elem],
+def conjugates_into(ctx: FqCtx, X: np.ndarray, gens: np.ndarray,
                     B: SubgroupR) -> np.ndarray:
     """One bool per row x of the code array X: whether x g x^-1 lies in B
-    for every g in gens.  B is a finite group, so this holds exactly when x
-    conjugates the whole group that gens generate into B.  A row may be any
-    pair of invertible matrices; its two determinants may differ.  Rows go
-    in chunks, and each generator tests only the rows that passed the
-    generators before it."""
+    for every code row g of gens.  B is a finite group, so this holds
+    exactly when x conjugates the whole group that gens generate into B.
+    A row may be any pair of invertible matrices; its two determinants may
+    differ.  Rows go in chunks, and each generator tests only the rows
+    that passed the generators before it."""
     t = _digits(ctx)
-    keys = B.keys
-    gs = t.of_code.take(gl22_rows(gens).T)
+    gs = t.of_code.take(gens.T)
     out = np.zeros(len(X), dtype=bool)
     for lo in range(0, len(X), _CHUNK):
         x = t.of_code.take(X[lo:lo + _CHUNK].T)
@@ -389,15 +386,17 @@ def conjugates_into(ctx: FqCtx, X: np.ndarray, gens: Iterable[GL22Elem],
         live = np.arange(x.shape[1])
         for g in gs.T:
             k = _keys(t, _mul(t, _mul(t, x[:, live], g[:, None]), xi[:, live]))
-            pos = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
-            live = live[keys[pos] == k]
+            live = live[_lookup(B.keys, k)]
         out[lo + live] = True
     return out
 
 
 def gl2_classes(ctx: FqCtx, codes: np.ndarray) -> np.ndarray:
-    """The class key gl2_class of each (n, 4) code row, as an index into
-    ``gl2_table(ctx).classes``: (trace digit * q + det digit) * 2 + flag."""
+    """The conjugacy class in GL2(q) of each (n, 4) code row, as an index
+    into ``gl2_table(ctx).classes``: (trace digit * q + det digit) * 2 +
+    flag.  The class key is (trace, det, is_scalar): the flag separates aI
+    from the non-semisimple elements with eigenvalue a, and every other
+    class is fixed by its characteristic polynomial."""
     t, q = _digits(ctx), ctx.q
     a, b, c, d = t.of_code.take(codes.T)
     det = t.add.take(t.mul.take(a * q + d) * q + t.neg.take(t.mul.take(b * q + c)))
@@ -406,8 +405,8 @@ def gl2_classes(ctx: FqCtx, codes: np.ndarray) -> np.ndarray:
 
 class GL2Table(NamedTuple):
     """GL2(q) in enumerate_gl2 order: (M, 4) uint8 codes, each element's
-    class index and determinant code, and ``classes``, the gl2_class key
-    of every class index."""
+    class index and determinant code, and ``classes``, the class key
+    (trace, det, is_scalar) of every class index, as field codes."""
     codes: np.ndarray
     cls: np.ndarray
     det: np.ndarray
@@ -455,106 +454,117 @@ def enumerate_gl22(ctx: FqCtx) -> list[GL22Elem]:
     return gl22_elems(gl22_codes(ctx))
 
 
-def artin_schreier_set(ctx: FqCtx) -> list[int]:
-    """Image of b -> b^2 + b on F_q (q even), a subgroup of size q/2."""
-    return sorted({ctx.add(ctx.mul(b, b), b) for b in ctx.fq_elements})
-
-
 class SubgroupR:
-    """An explicitly enumerated subgroup of GL22(q), with the generators it
-    was built from (all its elements when none are given)."""
+    """A subgroup of GL22(q) as code rows: ``rows`` holds each element
+    once, ordered by its digit key, ``keys`` holds those sorted keys (the
+    targets of conjugates_into), and ``gens`` the rows of the generators
+    it was built from (all its rows when none are given).  Iteration
+    yields GL22Elem."""
 
-    def __init__(self, ctx: FqCtx, elements: Iterable[GL22Elem], label: str,
-                 gens: Optional[Iterable[GL22Elem]] = None):
+    def __init__(self, ctx: FqCtx, rows: np.ndarray, label: str,
+                 gens: Optional[np.ndarray] = None):
         self.ctx = ctx
-        self.elements = frozenset(elements)
         self.label = label
-        self.gens = tuple(self.elements if gens is None else gens)
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, x):
-        return x in self.elements
-
-    @functools.cached_property
-    def keys(self) -> np.ndarray:
-        """Sorted digit keys of the elements, the targets of conjugates_into."""
-        t = _digits(self.ctx)
-        keys = _keys(t, t.of_code.take(gl22_rows(self.elements).T))
+        t = _digits(ctx)
+        at = dict(zip(_keys(t, t.of_code.take(rows.T)).tolist(), range(len(rows))))
         # sorted in Python: numpy's sort would page in about 0.4 MB of
         # code in every process that scans
-        return np.array(sorted(keys.tolist()))
+        keys = sorted(at)
+        self.keys = np.array(keys, dtype=np.int64)
+        self.rows = rows[[at[k] for k in keys]]
+        self.gens = self.rows if gens is None else gens
+
+    def __len__(self):
+        return len(self.keys)
+
+    def __iter__(self):
+        return iter(gl22_elems(self.rows))
+
+    def __contains__(self, x) -> bool:
+        """x is one code row; a GL22Elem reads as one."""
+        return bool(self.contains(np.asarray(x, dtype=np.uint8).reshape(1, 8))[0])
+
+    def contains(self, rows: np.ndarray) -> np.ndarray:
+        """One bool per code row: whether it is an element."""
+        t = _digits(self.ctx)
+        return _lookup(self.keys, _keys(t, t.of_code.take(rows.T)))
 
 
+@functools.cache
 def subgroup_R(kind: str, ctx: FqCtx) -> SubgroupR:
-    q, one, g = ctx.q, ctx.one, ctx.fq_gen
+    """The standard subgroup of a kind, the closure of its generators; with
+    a, b, c units, u in F_q, n(u) = [[1, 0], [u, 1]] and S = {b^2 + b}:
+
+        Torus      (diag(a, b), diag(c, ab/c))
+        Unip       (a n(u), a n(u))
+        ArtinUnip  (a n(u + a s), a n(u)) for s in S, q even
+        U1, U2     (n(u), 1) and (1, n(u))
+
+    Cached: each call for a kind and field returns the same object."""
+    one, g = ctx.one, ctx.fq_gen
     i = gl2_identity(ctx)
     # 1, g, ..., g^(f-1) is an F_p-basis of F_q: g has degree f over F_p
     basis = ctx.fq_units[:ctx.f]
     lower = [GL2Elem(one, 0, e, one) for e in basis]
     scalar = GL22Elem(GL2Elem(g, 0, 0, g), GL2Elem(g, 0, 0, g))
     if kind == "Torus":
-        els = [GL22Elem(GL2Elem(a, 0, 0, b),
-                        GL2Elem(c, 0, 0, ctx.mul(ctx.mul(a, b), ctx.inv(c))))
-               for a in ctx.fq_units for b in ctx.fq_units for c in ctx.fq_units]
         gens = [GL22Elem(GL2Elem(g, 0, 0, one), GL2Elem(g, 0, 0, one)),
                 GL22Elem(GL2Elem(one, 0, 0, g), GL2Elem(g, 0, 0, one)),
                 GL22Elem(i, GL2Elem(g, 0, 0, ctx.inv(g)))]
     elif kind == "Unip":
-        els = [GL22Elem(GL2Elem(a, 0, u, a), GL2Elem(a, 0, u, a))
-               for a in ctx.fq_units for u in ctx.fq_elements]
         gens = [scalar] + [GL22Elem(v, v) for v in lower]
     elif kind == "ArtinUnip":
-        if q % 2 != 0:
+        if ctx.q % 2 != 0:
             raise BadKind("ArtinUnip subgroup requires q even")
-        ash = artin_schreier_set(ctx)
-        els = [GL22Elem(GL2Elem(a, 0, ctx.add(u, ctx.mul(a, s)), a),
-                        GL2Elem(a, 0, u, a))
-               for a in ctx.fq_units for u in ctx.fq_elements for s in ash]
-        # b -> b^2 + b is F_2-linear onto the Artin-Schreier set, 1 -> 0
+        # b -> b^2 + b is F_2-linear onto S, 1 -> 0
         gens = [scalar] + [GL22Elem(v, v) for v in lower] + [
             GL22Elem(GL2Elem(one, 0, ctx.add(ctx.mul(b, b), b), one), i)
             for b in basis[1:]]
     elif kind == "U1":
-        els = [GL22Elem(GL2Elem(one, 0, u, one), i) for u in ctx.fq_elements]
         gens = [GL22Elem(v, i) for v in lower]
     elif kind == "U2":
-        els = [GL22Elem(i, GL2Elem(one, 0, u, one)) for u in ctx.fq_elements]
         gens = [GL22Elem(i, v) for v in lower]
     else:
         raise BadKind(f"unknown subgroup kind {kind!r}")
-    return SubgroupR(ctx, els, kind, gens)
+    R = subgroup_closure(ctx, gl22_rows(gens))
+    return SubgroupR(ctx, R.rows, kind, R.gens)
 
 
 def u_image(ctx: FqCtx, R: SubgroupR) -> SubgroupR:
     """u_action(R), generated by the images of R's generators."""
-    return SubgroupR(ctx, [u_action(ctx, r) for r in R], f"u({R.label})",
-                     [u_action(ctx, g) for g in R.gens])
+    return SubgroupR(ctx, u_action_rows(ctx, R.rows), f"u({R.label})",
+                     u_action_rows(ctx, R.gens))
 
 
-def subgroup_closure(ctx: FqCtx, gens: Iterable[GL22Elem]) -> SubgroupR:
-    gens = list(gens)
-    if not gens:
-        raise ValueError("need at least one generator")
-    for g in gens:
+def subgroup_closure(ctx: FqCtx, gens: np.ndarray) -> SubgroupR:
+    """The subgroup generated by the code rows gens, grown breadth first by
+    right multiplication on digit rows.  A generator is kept, in the
+    result's ``gens``, only when it is not in the group the kept ones
+    before it generate; each kept one at least doubles the group, so at
+    most log2 |R| are kept, and the trivial group keeps none."""
+    gens = np.asarray(gens, dtype=np.uint8).reshape(-1, 8)
+    for g in gl22_elems(gens):
         if not gl22_valid(ctx, g):
             raise ValueError(f"generator {g} is not in GL22(q)")
-    seen = {gl22_identity(ctx)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = gl22_mul(ctx, x, g)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return SubgroupR(ctx, seen, "Custom", gens)
+    t = _digits(ctx)
+    G = t.of_code.take(gens.T)
+    found = t.of_code.take(gl22_rows([gl22_identity(ctx)]).T)
+    seen, kept = set(_keys(t, found).tolist()), []
+    for i, key in enumerate(_keys(t, G).tolist()):
+        if key in seen:
+            continue
+        kept.append(i)
+        frontier = found
+        while frontier.shape[1]:
+            prods = _mul(t, np.repeat(frontier, len(kept), axis=1),
+                         np.tile(G[:, kept], frontier.shape[1]))
+            fresh = {k: j for j, k in enumerate(_keys(t, prods).tolist())
+                     if k not in seen}
+            seen.update(fresh)
+            frontier = prods[:, list(fresh.values())]
+            found = np.concatenate([found, frontier], axis=1)
+    codes = np.array(ctx.fq_elements, dtype=np.uint8)
+    return SubgroupR(ctx, codes[found.T], "Custom", gens[kept])
 
 
 def conjugate_subgroups(A: SubgroupR, B: SubgroupR, ctx: FqCtx) -> Optional[GL22Elem]:

@@ -67,7 +67,8 @@ import itertools
 import numpy as np
 
 from .finitegrp import (
-    FqCtx, GL2Elem, GL22Elem, SubgroupR, gl2_det, gl2_mul, gl2_table, u_action, u_image,
+    FqCtx, GL2Elem, GL22Elem, SubgroupR, gl2_classes, gl2_det, gl2_mul, gl2_table,
+    gl22_rows, u_action, u_image,
 )
 from .chars import char_values, sigma_is_reducible, theta_eval
 from .numerics import certify_integer
@@ -338,32 +339,28 @@ class TensorModel:
         self.m2 = cuspidal_model(ctx, k2)
         self.dim = self.m1.dim * self.m2.dim
 
-    def _det_phase(self, g: GL2Elem) -> complex:
-        if self.lam_exp == 0:
-            return 1.0
-        ctx = self.ctx
-        det = ctx.sub(ctx.mul(g.a, g.d), ctx.mul(g.b, g.c))
-        j = ctx.dlog(det) // (ctx.q + 1)
-        return np.exp(2j * np.pi * self.lam_exp * j / (ctx.q - 1))
+    def _det_phase(self, codes: np.ndarray) -> np.ndarray:
+        """det^lam of each (N, 4) code row: the determinant fq_gen^j has
+        the gl2_classes det digit 1 + j."""
+        q = self.ctx.q
+        j = gl2_classes(self.ctx, codes) // 2 % q - 1
+        return np.exp(2j * np.pi * self.lam_exp * j / (q - 1))
 
     def mat(self, x: GL22Elem) -> np.ndarray:
-        return self._det_phase(x.first) * np.kron(
+        return self._det_phase(np.array([x.first]))[0] * np.kron(
             self.m1.mat(x.first), self.m2.mat(x.second))
 
-    def average(self, R) -> np.ndarray:
+    def average(self, R: SubgroupR) -> np.ndarray:
         """Mean of the matrices over R, the projector onto the R-fixed
         subspace: one einsum over the stacked factor matrices."""
-        elems = list(R)
-        phase = np.array([self._det_phase(x.first) for x in elems],
-                         dtype=np.complex128) / len(elems)
-        A = phase[:, None, None] * self.m1.mats([x.first for x in elems])
-        B = self.m2.mats([x.second for x in elems])
+        first = R.rows[:, :4]
+        A = (self._det_phase(first) / len(R))[:, None, None] * self.m1.mats(first)
+        B = self.m2.mats(R.rows[:, 4:])
         n = self.dim
         return np.einsum("rij,rkl->ikjl", A, B, optimize=True).reshape(n, n)
 
     def char(self, x: GL22Elem) -> complex:
-        return complex(self._det_phase(x.first) * self.m1.char(x.first)
-                       * self.m2.char(x.second))
+        return complex(np.trace(self.mat(x)))
 
     def fixed_rank(self, R: SubgroupR) -> int:
         return _fixed_rank(self, R)
@@ -459,7 +456,7 @@ class ConstituentModel:
     def mat(self, x: GL22Elem) -> np.ndarray:
         return self.basis.conj().T @ self.tm.mat(x) @ self.basis
 
-    def average(self, R) -> np.ndarray:
+    def average(self, R: SubgroupR) -> np.ndarray:
         return self.basis.conj().T @ self.tm.average(R) @ self.basis
 
     def char(self, x: GL22Elem) -> complex:
@@ -512,7 +509,7 @@ def decompose(tm: TensorModel) -> list[ConstituentModel]:
     if np.linalg.norm(D @ projs[0] @ np.linalg.inv(D) - projs[1]) > 1e-6 * tm.dim:
         raise ValueError("outer element does not swap the constituents")
     n = [GL2Elem(ctx.one, 0, u, ctx.one) for u in ctx.fq_elements]
-    N = SubgroupR(ctx, [GL22Elem(x, x) for x in n], "DiagUnip")
+    N = SubgroupR(ctx, gl22_rows([GL22Elem(x, x) for x in n]), "DiagUnip")
     out = [ConstituentModel(tm, B, "") for B in parts]
     ranks = [c.fixed_rank(N) for c in out]
     if sorted(ranks) != [0, ctx.q - 1]:

@@ -32,7 +32,7 @@ from .finitegrp import (
     conjugates_into,
     gl2_classes,
     gl22_codes,
-    gl22_elems,
+    gl22_rows,
     gl22_identity,
     gl22_mul,
     gl22_valid,
@@ -881,19 +881,19 @@ def compute_Rg(g: GSp4Elem, n: int, seed: int = 0) -> RgResult:
     exactly, and counted in ``fallbacks``.  Stops once STABLE_WINDOW
     consecutive accepted draws produce no new element, counting only the
     draws consumed; raises StabilizationFailure when MAX_DRAWS runs out
-    first.
+    first.  A new element is closed with the group's kept generators.
     """
     ctx = g.ctx
     fq = ctx.fq
     rng = np.random.default_rng(seed)
     gi = g.inv()
     kernel = RgKernel(g, gi)
-    grp = subgroup_closure(fq, [gl22_identity(fq)])
+    grp = subgroup_closure(fq, [])
     draws = accepted = since_growth = fallbacks = 0
     while draws < MAX_DRAWS:
         batch = draw_Si(ctx, rng, n, min(BATCH, MAX_DRAWS - draws))
         verdict, codes = kernel.reduce(batch)
-        images = iter(gl22_elems(codes[verdict == ACCEPT]))
+        known = grp.contains(codes)
         for row, v in enumerate(verdict.tolist()):
             draws += 1
             if v == UNDECIDED:
@@ -902,17 +902,18 @@ def compute_Rg(g: GSp4Elem, n: int, seed: int = 0) -> RgResult:
                     r = reduce_K(g @ build_Si(ctx, batch, row) @ gi)
                 except (NotInK, PrecisionExhausted):
                     continue
-            elif v == ACCEPT:
-                r = next(images)
-            else:
+                codes[row:row + 1] = gl22_rows([r])
+                known[row] = r in grp
+            elif v != ACCEPT:
                 continue
             accepted += 1
-            if r in grp:
+            if known[row]:
                 since_growth += 1
                 if since_growth >= STABLE_WINDOW:
                     return RgResult(grp, draws, accepted, fallbacks)
             else:
-                grp = subgroup_closure(fq, list(grp.elements) + [r])
+                grp = subgroup_closure(fq, np.vstack([grp.gens, codes[row]]))
+                known = grp.contains(codes)
                 since_growth = 0
     raise StabilizationFailure(
         f"no stable window after {MAX_DRAWS} draws ({accepted} accepted)")
@@ -971,14 +972,13 @@ def witness_Rg(ctx: PadicCtx, tag: str, i: int, j: int, n: int,
         if not in_Si(s, n):
             raise NotInK(f"witness family left Si({n}) for stratum {tag}")
         reds.append(reduce_K(g @ s @ gi))
-    return RgResult(subgroup_closure(fq, reds), len(members), len(members))
+    return RgResult(subgroup_closure(fq, gl22_rows(reds)), len(members), len(members))
 
 
 def radical_obstruction(fq: FqCtx, grp: SubgroupR) -> bool:
     """True when grp contains a full unipotent radical line (up to GL22
     conjugacy), which forces the fixed space of any cuspidal pair to vanish."""
-    u1 = subgroup_R("U1", fq).elements
-    if u1 <= grp.elements:
+    if grp.contains(subgroup_R("U1", fq).rows).all():
         return True
     u2 = subgroup_R("U2", fq)
     return bool(conjugates_into(fq, gl22_codes(fq), u2.gens, grp).any())

@@ -12,8 +12,8 @@ solves factor by factor where ``full_gram_commutant`` builds one Gram of
 side (q-1)^4."""
 
 from siegelvec.chars import _char_table
-from siegelvec.finitegrp import (GL2Elem, GL22Elem, gl2_class, gl2_det, gl22_valid,
-                                 poly_mul_mod)
+from siegelvec.finitegrp import (GL2Elem, GL22Elem, gl2_det, gl22_identity,
+                                 gl22_mul, gl22_valid, poly_mul_mod)
 from siegelvec.models import _gl22_generators, _nullspace
 from siegelvec.padic import _K_READS, UNDECIDED, RgKernel
 
@@ -26,6 +26,58 @@ def gl2_inv(ctx, m: GL2Elem) -> GL2Elem:
 
 def gl22_inv(ctx, x: GL22Elem) -> GL22Elem:
     return GL22Elem(gl2_inv(ctx, x.first), gl2_inv(ctx, x.second))
+
+
+def gl2_class(ctx, m: GL2Elem) -> tuple[int, int, bool]:
+    """Class key (trace, det, is_scalar) of m, one element at a time: the
+    reference for ``finitegrp.gl2_classes``."""
+    return (ctx.add(m.a, m.d), gl2_det(ctx, m),
+            m.b == 0 and m.c == 0 and m.a == m.d)
+
+
+def artin_schreier_set(ctx) -> list[int]:
+    """Image of b -> b^2 + b on F_q (q even), a subgroup of size q/2."""
+    return sorted({ctx.add(ctx.mul(b, b), b) for b in ctx.fq_elements})
+
+
+def subgroup_elements_ref(kind: str, ctx) -> set:
+    """The elements of a standard subgroup kind by their formulas, the
+    reference for ``finitegrp.subgroup_R``, which closes the generators."""
+    one, i = ctx.one, GL2Elem(ctx.one, 0, 0, ctx.one)
+    units, els = ctx.fq_units, ctx.fq_elements
+    if kind == "Torus":
+        return {GL22Elem(GL2Elem(a, 0, 0, b),
+                         GL2Elem(c, 0, 0, ctx.mul(ctx.mul(a, b), ctx.inv(c))))
+                for a in units for b in units for c in units}
+    if kind == "Unip":
+        return {GL22Elem(GL2Elem(a, 0, u, a), GL2Elem(a, 0, u, a))
+                for a in units for u in els}
+    if kind == "ArtinUnip":
+        return {GL22Elem(GL2Elem(a, 0, ctx.add(u, ctx.mul(a, s)), a),
+                         GL2Elem(a, 0, u, a))
+                for a in units for u in els for s in artin_schreier_set(ctx)}
+    if kind == "U1":
+        return {GL22Elem(GL2Elem(one, 0, u, one), i) for u in els}
+    assert kind == "U2"
+    return {GL22Elem(i, GL2Elem(one, 0, u, one)) for u in els}
+
+
+def subgroup_closure_ref(ctx, gens) -> set:
+    """The elements of the subgroup generated by a list of GL22Elem, by a
+    breadth-first search on tuples from the identity, every generator
+    applied to every new element."""
+    seen = {gl22_identity(ctx)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = gl22_mul(ctx, x, g)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
 
 
 def cuspidal_char(ctx, k: int, g: GL2Elem) -> complex:

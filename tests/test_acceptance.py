@@ -156,4 +156,4 @@ def test_first_artin_stratum_level7():
         assert conjugate_subgroups(wit, table, fq) is not None
         g = coset_rep(pctx, "IIIb", 0, 5, u=u)
         samp = compute_Rg(g, 7, seed=0).group
-        assert samp.elements == wit.elements
+        assert set(samp) == set(wit)

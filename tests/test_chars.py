@@ -454,7 +454,7 @@ def test_swap_stability_is_computed(p):
     e, ei = ctx.fq_gen, ctx.inv(ctx.fq_gen)
     for kind in ("Torus", "Unip", "U1", "U2"):
         R = subgroup_R(kind, ctx)
-        for elems, average in ((R.elements, fixed_dim),
+        for elems, average in ((set(R), fixed_dim),
                                ({u_action(ctx, r) for r in R}, fixed_dim_u_twist)):
             # reference: s = (diag(e, 1), 1) conjugates (g, h) to
             # ([[a, e b], [c / e, d]], h) for g = [[a, b], [c, d]]
@@ -498,7 +498,7 @@ def test_fixed_dim_closed_case_table():
 def test_oracle_required_on_unstable_subgroup():
     ctx = build_field(5, 1)
     w = GL2Elem(0, ctx.one, ctx.neg(ctx.one), 0)
-    R = subgroup_closure(ctx, [GL22Elem(w, w)])
+    R = subgroup_closure(ctx, gl22_rows([GL22Elem(w, w)]))
     plus = SigmaLabel(3, 3, "Plus")
     with pytest.raises(OracleRequired):
         fixed_dim(ctx, plus, R)

@@ -229,34 +229,49 @@ def test_precision_exit_names_the_identity_and_draw(capsys):
             f"siegel: {where} comparisons undecided at the working precision\n")
 
 
-def test_oracle_q5_peak_memory(tmp_path):
+# Runs one command and reports, on its stdout, the command's exit code,
+# wall time and peak RSS.  ru_maxrss of a child includes the high-water mark
+# of the process that spawned it (vfork keeps that process's memory until
+# exec, and exec records its peak), so the command is spawned from this
+# small process and not from the test process, whose own peak it would read.
+_TRAMPOLINE = """\
+import os, subprocess, sys, time
+start = time.perf_counter()
+with open(sys.argv[1], "w") as out:
+    child = subprocess.Popen(sys.argv[2:], stdout=out)
+    _, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), time.perf_counter() - start,
+      usage.ru_maxrss / 1024)  # ru_maxrss is in KiB on Linux
+"""
+
+
+def _fresh_child(tmp_path, argv: list) -> tuple[int, float, float]:
+    """(exit code, wall s, peak RSS MB) of `siegel argv --format json` in a
+    fresh process, its output in tmp_path / "out.json"."""
     src = os.path.dirname(os.path.dirname(siegelvec.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    with open(tmp_path / "out.json", "w") as out:
-        child = subprocess.Popen(
-            [sys.executable, "-m", "siegelvec.cli", "verify", "--suite",
-             "oracle", "--q", "5", "--format", "json"], stdout=out, env=env)
-        _, status, usage = os.wait4(child.pid, 0)
-    child.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4
-    assert child.returncode == 0
-    assert usage.ru_maxrss / 1024 < 150  # ru_maxrss is in KiB on Linux
+    done = subprocess.run(
+        [sys.executable, "-c", _TRAMPOLINE, str(tmp_path / "out.json"),
+         sys.executable, "-m", "siegelvec.cli", *argv, "--format", "json"],
+        env=env, capture_output=True, text=True, check=True)
+    code, wall, peak = done.stdout.split()
+    return int(code), float(wall), float(peak)
+
+
+def test_oracle_q5_peak_memory(tmp_path):
+    code, _, peak = _fresh_child(tmp_path, ["verify", "--suite", "oracle", "--q", "5"])
+    assert code == 0
+    assert peak < 150
 
 
 def test_induced_q9_scans_gl22_within_a_minute_and_200_mb(tmp_path):
     # GL22(9) has 4,147,200 elements; the scan holds them as one uint8 code
     # array and tests them in chunks, so the run needs no gate
-    src = os.path.dirname(os.path.dirname(siegelvec.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    start = time.perf_counter()
-    with open(tmp_path / "out.json", "w") as out:
-        child = subprocess.Popen(
-            [sys.executable, "-m", "siegelvec.cli", "verify", "--suite",
-             "induced", "--q", "9", "--format", "json"], stdout=out, env=env)
-        _, status, usage = os.wait4(child.pid, 0)
-    wall = time.perf_counter() - start
-    assert os.waitstatus_to_exitcode(status) == 0
+    code, wall, peak = _fresh_child(tmp_path,
+                                    ["verify", "--suite", "induced", "--q", "9"])
+    assert code == 0
     assert wall < 60
-    assert usage.ru_maxrss / 1024 < 200  # ru_maxrss is in KiB on Linux
+    assert peak < 200
     rows = json.loads((tmp_path / "out.json").read_text())["rows"]
     # |N(T)| = 4 (q-1)^3 for the torus, 2 q^2 (q-1)^2 for the diagonal
     # unipotent family; the radical lines have no normalizing coset element
@@ -267,18 +282,11 @@ def test_induced_q9_scans_gl22_within_a_minute_and_200_mb(tmp_path):
 def test_oracle_q9_passes_within_a_minute_and_200_mb(tmp_path):
     # the commutant is solved factor by factor, on Grams of side (q-1)^2 =
     # 64, where one Gram over the whole pair would have side 4096
-    src = os.path.dirname(os.path.dirname(siegelvec.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    start = time.perf_counter()
-    with open(tmp_path / "out.json", "w") as out:
-        child = subprocess.Popen(
-            [sys.executable, "-m", "siegelvec.cli", "verify", "--suite",
-             "oracle", "--q", "9", "--format", "json"], stdout=out, env=env)
-        _, status, usage = os.wait4(child.pid, 0)
-    wall = time.perf_counter() - start
-    assert os.waitstatus_to_exitcode(status) == 0
+    code, wall, peak = _fresh_child(tmp_path,
+                                    ["verify", "--suite", "oracle", "--q", "9"])
+    assert code == 0
     assert wall < 60
-    assert usage.ru_maxrss / 1024 < 200  # ru_maxrss is in KiB on Linux
+    assert peak < 200
     checks = json.loads((tmp_path / "out.json").read_text())["checks"]
     assert len(checks) == 3 and all(c["ok"] for c in checks)
 
@@ -307,6 +315,23 @@ def test_exit_code_on_usage_error():
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 4
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["support", "--q", "2", "--n", "-3"],
+     "siegel support: error: argument --n: level must be non-negative, got -3"),
+    (["table", "--q", "2", "--n-max", "x"],
+     "siegel table: error: argument --n-max: invalid _level value: 'x'"),
+    (["verify", "--suite", "rg", "--q", "2", "--seed", "-1"],
+     "siegel verify: error: argument --seed: seed must be non-negative, got -1"),
+    (["verify", "--suite", "identities", "--q", "2", "--draws", "0"],
+     "siegel verify: error: argument --draws: draws must be at least 1, got 0"),
+])
+def test_integer_option_error_texts(capsys, argv, error):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 4
+    assert capsys.readouterr().err.splitlines()[-1] == error
 
 
 def test_exit_code_when_a_check_compares_nothing(capsys):

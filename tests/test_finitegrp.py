@@ -10,15 +10,16 @@ from hypothesis import strategies as st
 
 from siegelvec.finitegrp import (
     BadKind, GL22Elem, GL2Elem, SubgroupR, UnsupportedSize,
-    artin_schreier_set, build_field, conjugate_subgroups, conjugates_into,
+    build_field, conjugate_subgroups, conjugates_into,
     enumerate_gl2, enumerate_gl22, gl22_codes, gl22_elems, gl22_identity,
-    gl22_mul, gl22_rows, gl22_valid, gl2_class, gl2_classes, gl2_det,
+    gl22_mul, gl22_rows, gl22_valid, gl2_classes, gl2_det,
     gl2_identity, gl2_mul, gl2_table, subgroup_R, subgroup_closure,
     u_action, u_action_rows, u_image,
 )
 from siegelvec.numerics import certify_integer, root_of_unity
 
-from reference import gl22_inv, gl2_inv
+from reference import (artin_schreier_set, gl2_class, gl22_inv, gl2_inv,
+                       subgroup_closure_ref, subgroup_elements_ref)
 
 
 # -- reference: the scalar conjugation predicate and enumerations -----------
@@ -68,7 +69,7 @@ def _ext_normalizes(ctx, x: GL22Elem, R) -> bool:
     si = ext_inv(ctx, s)
     for r in R:
         c = ext_mul(ctx, ext_mul(ctx, s, ExtElem(r, 0)), si)
-        if c.eps != 0 or c.base not in R.elements:
+        if c.eps != 0 or c.base not in R:
             return False
     return True
 
@@ -226,7 +227,7 @@ def test_subgroup_sizes(kind, q, size):
     R = subgroup_R(kind, ctx)
     assert len(R) == size
     # closure property
-    els = list(R.elements)
+    els = list(R)
     for x in els[:6]:
         assert gl22_inv(ctx, x) in R
         for y in els[:6]:
@@ -248,13 +249,15 @@ def test_artin_unip_requires_even_q():
 
 def test_subgroup_closure():
     ctx = build_field(3, 1)
-    assert len(subgroup_closure(ctx, [gl22_identity(ctx)])) == 1
+    trivial = subgroup_closure(ctx, gl22_rows([gl22_identity(ctx)]))
+    assert len(trivial) == 1 and trivial.gens.shape == (0, 8)
     u1 = subgroup_R("U1", ctx)
     gen = next(x for x in u1 if x != gl22_identity(ctx))
-    assert len(subgroup_closure(ctx, [gen])) == ctx.q
+    assert len(subgroup_closure(ctx, gl22_rows([gen]))) == ctx.q
     torus = subgroup_R("Torus", ctx)
-    again = subgroup_closure(ctx, list(torus.elements))
-    assert again.elements == torus.elements
+    again = subgroup_closure(ctx, torus.rows)
+    assert np.array_equal(again.rows, torus.rows)
+    assert len(again.gens) <= 3                  # log2 |torus| = 3 at q = 3
     order = len(enumerate_gl22(ctx))
     assert order % len(torus) == 0
 
@@ -271,8 +274,8 @@ def test_conjugate_subgroups_witness_and_absence():
     unip = subgroup_R("Unip", ctx3)
     t = GL22Elem(GL2Elem(ctx3.fq_gen, 0, 0, ctx3.one), GL2Elem(ctx3.fq_gen, 0, 0, ctx3.one))
     ti = gl22_inv(ctx3, t)
-    conj = SubgroupR(ctx3, [gl22_mul(ctx3, gl22_mul(ctx3, t, x), ti) for x in unip],
-                     "Custom")
+    conj = SubgroupR(ctx3, gl22_rows([gl22_mul(ctx3, gl22_mul(ctx3, t, x), ti)
+                                      for x in unip]), "Custom")
     w2 = conjugate_subgroups(unip, conj, ctx3)
     assert w2 is not None
     wi = gl22_inv(ctx3, w2)
@@ -347,9 +350,41 @@ def test_subgroup_generators_close_to_exactly_the_elements(p, f):
     ctx = build_field(p, f)
     for kind in _kinds(ctx):
         R = subgroup_R(kind, ctx)
-        assert subgroup_closure(ctx, R.gens).elements == R.elements, kind
+        assert set(R) == subgroup_elements_ref(kind, ctx), kind
+        assert np.array_equal(subgroup_closure(ctx, R.gens).rows, R.rows), kind
         uR = u_image(ctx, R)
-        assert subgroup_closure(ctx, uR.gens).elements == uR.elements, kind
+        assert np.array_equal(subgroup_closure(ctx, uR.gens).rows, uR.rows), kind
+
+
+@st.composite
+def _generator_lists(draw):
+    """A field of order 2, 3, 4, 5 or 8 and a list of GL22 elements: a
+    standard kind's generators, a few of its elements, or (q <= 4) a few
+    elements of the whole group."""
+    ctx = build_field(*draw(st.sampled_from(SMALL + [(2, 3)])))
+    R = subgroup_R(draw(st.sampled_from(_kinds(ctx))), ctx)
+    how = draw(st.sampled_from(["gens", "elements", "group"]))
+    if how == "gens":
+        return ctx, gl22_elems(R.gens)
+    if how == "group" and ctx.q <= 4:
+        return ctx, draw(st.lists(st.sampled_from(_group(ctx.p, ctx.f)), max_size=3))
+    return ctx, draw(st.lists(st.sampled_from(list(R)), max_size=4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_generator_lists())
+def test_row_closure_matches_the_tuple_reference(case):
+    ctx, gens = case
+    R = subgroup_closure(ctx, gl22_rows(gens))
+    assert set(R) == subgroup_closure_ref(ctx, gens)
+    assert len(R) == len(R.rows) and (np.diff(R.keys) > 0).all()
+    kept = gl22_elems(R.gens)
+    rest = iter(gens)
+    assert all(g in rest for g in kept)          # a sub-list, in order
+    for i, g in enumerate(kept):
+        # each kept generator enlarges the group of the ones before it
+        assert g not in subgroup_closure_ref(ctx, kept[:i])
+    assert 2 ** len(kept) <= len(R)
 
 
 @functools.cache
@@ -373,10 +408,10 @@ def _subgroups(draw, ctx):
     if how == "u":
         return u_image(ctx, R)
     if how == "cyclic":
-        return subgroup_closure(ctx, [draw(st.sampled_from(group))])
+        return subgroup_closure(ctx, gl22_rows([draw(st.sampled_from(group))]))
     y = draw(st.sampled_from(group))
-    gens = draw(st.lists(st.sampled_from(sorted(R.elements)), min_size=1, max_size=2))
-    return subgroup_closure(ctx, [_conj(ctx, y, g) for g in gens])
+    gens = draw(st.lists(st.sampled_from(list(R)), min_size=1, max_size=2))
+    return subgroup_closure(ctx, gl22_rows([_conj(ctx, y, g) for g in gens]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -388,11 +423,12 @@ def test_batched_conjugates_into_matches_the_scalar_reference(data):
     rows = data.draw(st.lists(st.integers(0, len(group) - 1), min_size=1, max_size=24))
     if data.draw(st.booleans()):
         # a target that the first row conjugates A onto
-        B = subgroup_closure(ctx, [_conj(ctx, group[rows[0]], g) for g in A.gens])
+        B = subgroup_closure(ctx, gl22_rows([_conj(ctx, group[rows[0]], g)
+                                             for g in gl22_elems(A.gens)]))
     else:
         B = data.draw(_subgroups(ctx))
     got = conjugates_into(ctx, gl22_codes(ctx)[rows], A.gens, B)
-    assert got.tolist() == [conjugates_into_ref(ctx, group[i], A.elements, B.elements)
+    assert got.tolist() == [conjugates_into_ref(ctx, group[i], A, B)
                             for i in rows]
 
 
@@ -403,4 +439,4 @@ def test_conjugates_into_takes_rows_with_unequal_determinants():
     assert conjugates_into(ctx, gl22_rows([s]), R.gens, R).tolist() == [True]
     unip = subgroup_R("Unip", ctx)
     assert conjugates_into(ctx, gl22_rows([s]), unip.gens, unip).tolist() == [False]
-    assert conjugates_into_ref(ctx, s, unip.elements, unip.elements) is False
+    assert conjugates_into_ref(ctx, s, unip, unip) is False

@@ -2,7 +2,8 @@
 
 ``table``, ``support`` and the ``counts``, ``fixed-dims``, ``dims``,
 ``signatures``, ``oracle`` and ``twists`` suites, the ``induced`` suite at
-q = 3, 4 and 5, ``twists`` at q = 7, 8 and 9, and ``oracle`` at q = 7
+q = 3, 4 and 5, ``twists`` at q = 7, 8 and 9, ``oracle`` at q = 7 and
+``rg`` at q = 2 up to level 6 (whose rows do not depend on the seed)
 must print the same
 ``--format json`` bytes before and after any refactor.  The golden files
 under ``tests/golden/`` were captured from the code before the refactors
@@ -11,8 +12,10 @@ oracle lost its per-element caches, the induced files before the
 characters became tables keyed by the class key, the twists files at
 q = 7, 8 and 9 from the Whittaker-projector cuspidal models, before the
 Kirillov model replaced them, ``induced-q5`` before the group scans
-moved to integer code arrays, and ``oracle-q7`` from the commutant as one
-Gram over the whole tensor model, before it was solved factor by factor).
+moved to integer code arrays, ``oracle-q7`` from the commutant as one
+Gram over the whole tensor model, before it was solved factor by factor,
+and ``rg-q2`` from subgroups stored as sets of tuples, before they became
+sorted code rows).
 
 To recapture after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -50,6 +53,7 @@ for _q in (3, 4, 5):
 for _q in (7, 8, 9):
     CASES[f"twists-q{_q}"] = ["verify", "--suite", "twists", "--q", str(_q)]
 CASES["oracle-q7"] = ["verify", "--suite", "oracle", "--q", "7"]
+CASES["rg-q2"] = ["verify", "--suite", "rg", "--q", "2", "--n-max", "6"]
 
 
 def _run(argv: list) -> str:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from siegelvec.finitegrp import (
     GL2Elem, GL22Elem, build_field, enumerate_gl2, enumerate_gl22, gl2_det,
-    gl2_mul, gl22_mul, SubgroupR, subgroup_R, u_action,
+    gl2_mul, gl22_mul, gl22_rows, SubgroupR, subgroup_R, u_action,
 )
 from siegelvec.chars import (
     OracleRequired, SigmaLabel, cuspidal_classes, fixed_dim,
@@ -415,7 +415,7 @@ def test_constituent_rank_where_the_character_layer_refuses():
     # subgroup not stable under the nonsquare diagonal conjugation
     from siegelvec.finitegrp import subgroup_closure
     w = GL2Elem(0, ctx.one, ctx.neg(ctx.one), 0)
-    R = subgroup_closure(ctx, [GL22Elem(w, w)])
+    R = subgroup_closure(ctx, gl22_rows([GL22Elem(w, w)]))
     plus = SigmaLabel(3, 3, "Plus")
     with pytest.raises(OracleRequired):
         fixed_dim(ctx, plus, R)
@@ -451,7 +451,7 @@ def test_rank_naming_agrees_with_probe_trace_reference(p):
     ctx = build_field(p, 1)
     split = [k for k in cuspidal_classes(ctx) if split_restriction(ctx, k)]
     n = [GL2Elem(ctx.one, 0, u, ctx.one) for u in ctx.fq_elements]
-    N = SubgroupR(ctx, [GL22Elem(x, x) for x in n], "Custom")
+    N = SubgroupR(ctx, gl22_rows([GL22Elem(x, x) for x in n]), "Custom")
     for k1 in split:
         for k2 in split:
             parts = decompose(TensorModel(ctx, k1, k2))

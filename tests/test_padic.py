@@ -18,7 +18,6 @@ from siegelvec.finitegrp import (
     gl22_identity,
     poly_mul_mod,
     subgroup_R,
-    subgroup_closure,
 )
 from siegelvec.padic import (
     ACCEPT,
@@ -60,7 +59,7 @@ from siegelvec.padic import (
 )
 from siegelvec.support import COSET_TAGS, enumerate_support
 
-from reference import ScalarRgKernel, dense_mat_mul
+from reference import ScalarRgKernel, dense_mat_mul, subgroup_closure_ref
 
 
 def s1_elem(ctx):
@@ -484,7 +483,7 @@ def test_deeper_strata_sampled_against_witnesses():
     for tag, i, j, n, kind in WITNESS_CASES[4:]:
         samp = compute_Rg(coset_rep(ctx, tag, i, j), n, seed=5)
         wit = witness_Rg(ctx, tag, i, j, n)
-        assert set(samp.group.elements) == set(wit.group.elements)
+        assert set(samp.group) == set(wit.group)
 
 
 def test_depth_one_refinement_classes_share_a_subgroup():
@@ -493,7 +492,7 @@ def test_depth_one_refinement_classes_share_a_subgroup():
     ctx = PadicCtx(2, 1)
     base = witness_Rg(ctx, "IIIb", 0, 5, 7, u=0)
     refined = witness_Rg(ctx, "IIIb", 0, 5, 7, u=ctx.fq.one)
-    assert set(base.group.elements) == set(refined.group.elements)
+    assert set(base.group) == set(refined.group)
 
 
 def test_swap_torus_image_of_corner_stratum_when_q_is_four():
@@ -506,14 +505,26 @@ def test_swap_torus_image_of_corner_stratum_when_q_is_four():
     samp = compute_Rg(coset_rep(ctx, "II", 0, 2), 4, seed=7)
     swap = {GL22Elem(GL2Elem(a, 0, 0, d), GL2Elem(d, 0, 0, a))
             for a in fq.fq_units for d in fq.fq_units}
-    assert set(wit.group.elements) == swap
-    assert set(samp.group.elements) == swap
+    assert set(wit.group) == swap
+    assert set(samp.group) == swap
 
 
 def test_unipotent_stratum_at_q_four():
     ctx = PadicCtx(2, 2)
     wit = witness_Rg(ctx, "IIIa", 0, 3, 5)
-    assert set(wit.group.elements) == set(subgroup_R("Unip", ctx.fq).elements)
+    assert set(wit.group) == set(subgroup_R("Unip", ctx.fq))
+
+
+def test_sampled_subgroups_equal_witnesses_on_the_q4_level5_support():
+    # the rg suite runs at q=2 only; in process, at q=4, sampling and the
+    # witness families give the same subgroup on every coset of level 5
+    ctx = PadicCtx(2, 2)
+    params = enumerate_support(ctx.fq, 5)
+    assert params
+    for prm in params:
+        wit = witness_Rg(ctx, prm.tag, prm.i, prm.j, 5, prm.u).group
+        samp = compute_Rg(coset_rep(ctx, prm.tag, prm.i, prm.j, prm.u), 5).group
+        assert np.array_equal(samp.rows, wit.rows), prm
 
 
 def test_out_of_range_parameters_trigger_radical_obstruction():
@@ -596,12 +607,13 @@ def test_kernel_element_type_is_uint64_only_where_exact():
 
 def reference_Rg(g, n, seed=0):
     """The sampling loop on PadicScalars alone: the batches of draw_Si, every
-    row built by build_Si, g s g^-1 and reduce_K, with no kernel.  Returns
-    (elements, draws, accepted), or the StabilizationFailure text."""
+    row built by build_Si, g s g^-1 and reduce_K, with no kernel, and the
+    tuple closure.  Returns (elements, draws, accepted), or the
+    StabilizationFailure text."""
     ctx, fq = g.ctx, g.ctx.fq
     rng = np.random.default_rng(seed)
     gi = g.inv()
-    grp = subgroup_closure(fq, [gl22_identity(fq)])
+    grp = {gl22_identity(fq)}
     draws = accepted = since_growth = 0
     while draws < padic.MAX_DRAWS:
         rows = min(padic.BATCH, padic.MAX_DRAWS - draws)
@@ -616,9 +628,9 @@ def reference_Rg(g, n, seed=0):
             if r in grp:
                 since_growth += 1
                 if since_growth >= padic.STABLE_WINDOW:
-                    return grp.elements, draws, accepted
+                    return grp, draws, accepted
             else:
-                grp = subgroup_closure(fq, list(grp.elements) + [r])
+                grp = subgroup_closure_ref(fq, list(grp) + [r])
                 since_growth = 0
     return f"no stable window after {padic.MAX_DRAWS} draws ({accepted} accepted)"
 
@@ -629,7 +641,7 @@ def kernel_Rg(g, n, seed=0):
         res = compute_Rg(g, n, seed=seed)
     except StabilizationFailure as exc:
         return str(exc), None
-    return (res.group.elements, res.draws, res.accepted), res.fallbacks
+    return (set(res.group), res.draws, res.accepted), res.fallbacks
 
 
 ON_SUPPORT = [(prm.tag, prm.i, prm.j, prm.u, n) for n in range(3, 6)
