@@ -4,9 +4,10 @@ Three subcommands: ``table`` prints coset counts per level, ``support``
 lists the coset parameters of one level, and ``verify`` runs a named
 check suite and reports pass/fail per check.  Output formats are text,
 json (stable key order) and csv.  Exit status: 0 all checks pass, 2 a
-check failed, 3 unusable configuration, a numerical result that cannot be
-certified or needs the matrix-model oracle, a p-adic element outside K, or
-a p-adic precision or sampling budget too small to decide, 4 usage error.
+check failed, 3 unusable configuration (among them more than MAX_ROWS
+cosets or table rows), a numerical result that cannot be certified or
+needs the matrix-model oracle, a p-adic element outside K, or a p-adic
+precision or sampling budget too small to decide, 4 usage error.
 
 The ``identities`` suite runs its tags in forked worker processes, one per
 CPU in the process's affinity mask (in this process when that is one CPU).
@@ -52,6 +53,22 @@ class ConfigError(Exception):
     pass
 
 
+# The most cosets (summed over the levels a command walks) or table rows one
+# command may produce: 300,000 take `table` about 4 s and 300 MB, and
+# `support` 1.5 s and 170 MB.
+MAX_ROWS = 300_000
+
+
+def _within_budget(q: int, levels, what: str) -> None:
+    """Refuse, before anything is enumerated, a command whose levels hold
+    more than MAX_ROWS cosets by the closed counts."""
+    total = 0
+    for n in levels:
+        total += total_count(q, n)
+        if total > MAX_ROWS:
+            raise ConfigError(f"more than {MAX_ROWS} cosets at {what}, q={q}")
+
+
 def _field(q: int) -> FqCtx:
     try:
         p, f = FIELDS[q]
@@ -86,6 +103,7 @@ def _counts_row(q: int, n: int) -> dict:
 
 def suite_counts(q: int, n_max: int, **_: object) -> tuple[list, list]:
     fq = _field(q)
+    _within_budget(q, range(n_max + 1), f"levels 0..{n_max}")
     rows = []
     enum_ok = fixed_ok = weight_ok = True
     weights = {"I": 1, "II": 1, "IIIa": q - 1, "IIIb": 1, "IV": 1}
@@ -580,6 +598,8 @@ def _build_parser() -> _Parser:
 def cmd_table(args) -> int:
     if args.q not in FIELDS:
         raise ConfigError(f"unsupported field size q={args.q}")
+    if args.n_max + 1 > MAX_ROWS:
+        raise ConfigError(f"more than {MAX_ROWS} rows in a table to level {args.n_max}")
     rows = [_counts_row(args.q, n) for n in range(args.n_max + 1)]
     payload = {"config": {"command": "table", "q": args.q, "n_max": args.n_max},
                "rows": rows, "checks": [], "seed": None, "version": __version__}
@@ -589,6 +609,7 @@ def cmd_table(args) -> int:
 
 def cmd_support(args) -> int:
     fq = _field(args.q)
+    _within_budget(args.q, [args.n], f"level {args.n}")
     rows = []
     for p in enumerate_support(fq, args.n):
         pp = al_partner(p, args.n)

@@ -8,9 +8,10 @@ The ring is o = Z_p[x]/(m), m the minimal polynomial over F_p of the
 generator ``fq_gen`` of the finite-group layer's F_q, so x reduces to
 fq_gen and residues are table lookups.  Scalars are stored as p^val * u
 with the unit u a polynomial in x, known modulo p^rel; units multiply
-through ``finitegrp.poly_mul_mod``.  Multiplication and inversion are
-lossless; addition can cancel leading digits, in which case the result
-degrades to an "O(p^A)" element that only certifies a valuation bound.
+through ``finitegrp.poly_mul_mod``, and at f = 1 on their one integer
+coefficient.  Multiplication and inversion are lossless; addition can
+cancel leading digits, in which case the result degrades to an "O(p^A)"
+element that only certifies a valuation bound.
 Membership predicates raise PrecisionExhausted instead of guessing when
 a bound cannot be certified at the working precision.
 """
@@ -77,13 +78,15 @@ def _valp(n: int, p: int) -> int:
 
 class PadicCtx:
     """Unramified extension o of Z_p of residue degree f, uniformizer p,
-    presented as Z_p[x]/(m) with x reducing to ``fq.fq_gen``."""
+    presented as Z_p[x]/(m) with x reducing to ``fq.fq_gen``.  ``_pw`` is
+    the table of p^k for k <= prec, the moduli of every unit."""
 
     def __init__(self, p: int, f: int = 1, prec: int = 32):
         if prec < GUARD:
             raise ValueError("working precision below the guard margin")
         self.p, self.f, self.prec = p, f, prec
         self.q = p ** f
+        self._pw = [p ** k for k in range(prec + 1)]
         self.fq: FqCtx = build_field(p, f)
         # monic defining polynomial, coeffs low to high
         self.mpoly = self.fq.fq_minpoly
@@ -107,16 +110,24 @@ class PadicCtx:
                 k += 1
             whole, rest = divmod(prec - 1, k)
             self._digit_bounds = (p ** k,) * whole + ((p ** rest,) if rest else ())
+        # the powers of pi share one coefficient tuple, built here and held
+        # by no other scalar, and are known to prec: a unit times one of
+        # them keeps its coefficients and rel
+        self._one = tuple([1] + [0] * (f - 1))
         self.zero_s = PadicScalar(self, "zero", 0, (), 0, 0)
-        self._int_cache: dict = {0: self.zero_s}
-        self.one_s = self.from_int(1)
+        self.one_s = PadicScalar(self, "unit", 0, self._one, prec, 0)
+        self._int_cache: dict = {0: self.zero_s, 1: self.one_s}
         self._pi_cache = {0: self.one_s}
 
     # -- scalar constructors ---------------------------------------------
 
     def unit(self, val: int, coeffs, rel: Optional[int] = None) -> "PadicScalar":
+        """p^val times the unit with these coefficients, known to rel <= prec
+        digits (prec by default), normalised."""
         rel = self.prec if rel is None else rel
-        return _normalize(self, val, list(coeffs), rel)
+        if rel > self.prec:
+            raise ValueError("relative precision beyond the working precision")
+        return _normalize(self, val, coeffs, rel)
 
     def eps(self, aprec: int) -> "PadicScalar":
         return PadicScalar(self, "eps", 0, (), 0, aprec)
@@ -132,9 +143,10 @@ class PadicCtx:
         return s
 
     def pi(self, k: int = 1) -> "PadicScalar":
-        if k not in self._pi_cache:
-            self._pi_cache[k] = self.unit(k, [1] + [0] * (self.f - 1))
-        return self._pi_cache[k]
+        s = self._pi_cache.get(k)
+        if s is None:
+            s = self._pi_cache[k] = PadicScalar(self, "unit", k, self._one, self.prec, 0)
+        return s
 
     def res_code(self, coeffs) -> int:
         return self._encode[tuple(c % self.p for c in coeffs)]
@@ -149,11 +161,17 @@ class PadicCtx:
 
 
 class PadicScalar:
+    """p^val * u with the unit u known modulo p^rel (kind "unit"; u's f
+    coefficients are a tuple reduced below p^rel, and 1 <= rel <= prec),
+    the exact zero ("zero"), or an element only known to lie in p^aprec o
+    ("eps").  Scalars are never changed after construction, so results
+    may be operands or cached scalars themselves."""
+
     __slots__ = ("ctx", "kind", "val", "coeffs", "rel", "aprec")
 
-    def __init__(self, ctx, kind, val, coeffs, rel, aprec):
+    def __init__(self, ctx, kind, val, coeffs: tuple, rel, aprec):
         self.ctx, self.kind = ctx, kind
-        self.val, self.coeffs, self.rel = val, tuple(coeffs), rel
+        self.val, self.coeffs, self.rel = val, coeffs, rel
         self.aprec = aprec
 
     # -- queries -----------------------------------------------------------
@@ -189,43 +207,36 @@ class PadicScalar:
         raise PrecisionExhausted("residue not resolved")
 
     # -- arithmetic ---------------------------------------------------------
+    #
+    # One-coefficient units (f = 1) add, multiply and negate on their one
+    # integer; f >= 2 goes through _normalize and poly_mul_mod.
 
     def __neg__(self):
         if self.kind != "unit":
             return self
-        pk = self.ctx.p ** self.rel
-        return PadicScalar(self.ctx, "unit", self.val,
-                           tuple((-c) % pk for c in self.coeffs), self.rel, 0)
+        pk, cs = self.ctx._pw[self.rel], self.coeffs
+        neg = ((-cs[0]) % pk,) if len(cs) == 1 else tuple([(-c) % pk for c in cs])
+        return PadicScalar(self.ctx, "unit", self.val, neg, self.rel, 0)
 
     def __add__(self, other):
         a, b = self, other if type(other) is PadicScalar else _coerce(self.ctx, other)
-        if a.kind == "zero":
-            return b
-        if b.kind == "zero":
-            return a
-        if a.kind == "eps" and b.kind == "eps":
-            return self.ctx.eps(min(a.aprec, b.aprec))
-        if a.kind == "eps":
-            a, b = b, a
-        if b.kind == "eps":
-            # unit + O(p^A)
-            if b.aprec <= a.val:
-                return self.ctx.eps(b.aprec)
-            nrel = min(a.rel, b.aprec - a.val)
-            pk = self.ctx.p ** nrel
-            return PadicScalar(self.ctx, "unit", a.val,
-                               tuple(c % pk for c in a.coeffs), nrel, 0)
+        if a.kind != "unit" or b.kind != "unit":
+            return _add_inexact(a, b)
         if a.val > b.val:
             a, b = b, a
         d = b.val - a.val
-        rel = min(a.rel, b.rel + d)
+        rel = a.rel if a.rel <= b.rel + d else b.rel + d
         if d >= rel:
-            pk = self.ctx.p ** rel
-            return PadicScalar(self.ctx, "unit", a.val,
-                               tuple(c % pk for c in a.coeffs), rel, 0)
-        sh = self.ctx.p ** d
-        merged = [ca + sh * cb for ca, cb in zip(a.coeffs, b.coeffs)]
-        return _normalize(self.ctx, a.val, merged, rel)
+            return _truncate(a, rel)
+        ctx = a.ctx
+        pw, ca, cb = ctx._pw, a.coeffs, b.coeffs
+        if len(ca) > 1:
+            sh = pw[d]
+            return _normalize(ctx, a.val, [x + sh * y for x, y in zip(ca, cb)], rel)
+        m = (ca[0] + pw[d] * cb[0]) % pw[rel]
+        if m % ctx.p:
+            return PadicScalar(ctx, "unit", a.val, (m,), rel, 0)
+        return _normalize(ctx, a.val, (m,), rel)
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -238,22 +249,28 @@ class PadicScalar:
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        """Lossless product.  x * one_s and one_s * x return x itself, as the
-        product would: a unit's f coefficients are reduced mod p^rel, rel <= prec."""
+        """Lossless product.  A factor pi^k, one_s among them, shifts the
+        other factor by k, as the product would: a unit's coefficients are
+        reduced mod p^rel, and rel <= prec, the rel of pi^k."""
         a, b = self, other if type(other) is PadicScalar else _coerce(self.ctx, other)
-        if b is self.ctx.one_s:
-            return a
-        if a is self.ctx.one_s:
-            return b
-        if a.kind == "zero" or b.kind == "zero":
-            return self.ctx.zero_s
-        if a.kind == "eps" or b.kind == "eps":
+        ctx = a.ctx
+        if b.coeffs is ctx._one:
+            return _shift(a, b.val)
+        if a.coeffs is ctx._one:
+            return _shift(b, a.val)
+        if a.kind != "unit" or b.kind != "unit":
+            if a.kind == "zero" or b.kind == "zero":
+                return ctx.zero_s
             va = a.aprec if a.kind == "eps" else a.val
             vb = b.aprec if b.kind == "eps" else b.val
-            return self.ctx.eps(va + vb)
-        rel = min(a.rel, b.rel)
-        coeffs = poly_mul_mod(a.coeffs, b.coeffs, self.ctx.mpoly, self.ctx.p ** rel)
-        return PadicScalar(self.ctx, "unit", a.val + b.val, coeffs, rel, 0)
+            return PadicScalar(ctx, "eps", 0, (), 0, va + vb)
+        rel = a.rel if a.rel <= b.rel else b.rel
+        ca, cb = a.coeffs, b.coeffs
+        if len(ca) == 1:
+            cs = (ca[0] * cb[0] % ctx._pw[rel],)
+        else:
+            cs = poly_mul_mod(ca, cb, ctx.mpoly, ctx._pw[rel])
+        return PadicScalar(ctx, "unit", a.val + b.val, cs, rel, 0)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -263,16 +280,18 @@ class PadicScalar:
             raise ZeroDivisionError("inverse of exact zero")
         if self.kind == "eps":
             raise PrecisionExhausted("inverse of an unresolved element")
-        ctx = self.ctx
-        rescode = ctx.res_code(self.coeffs)
-        x = list(ctx._decode[ctx.fq.inv(rescode)])
+        ctx, cs = self.ctx, self.coeffs
+        if len(cs) == 1:
+            return PadicScalar(ctx, "unit", -self.val,
+                               (pow(cs[0], -1, ctx._pw[self.rel]),), self.rel, 0)
+        x = list(ctx._decode[ctx.fq.inv(ctx.res_code(cs))])
         known = 1
         while known < self.rel:
             known = min(2 * known, self.rel)
-            pk = ctx.p ** known
-            ux = poly_mul_mod(self.coeffs, x, ctx.mpoly, pk)
+            pk = ctx._pw[known]
+            ux = poly_mul_mod(cs, x, ctx.mpoly, pk)
             two_minus = [(2 if k == 0 else 0) - c for k, c in enumerate(ux)]
-            x = list(poly_mul_mod(x, two_minus, ctx.mpoly, pk))
+            x = poly_mul_mod(x, two_minus, ctx.mpoly, pk)
         return PadicScalar(ctx, "unit", -self.val, tuple(x), self.rel, 0)
 
     def __repr__(self):
@@ -284,35 +303,87 @@ class PadicScalar:
 
 
 def _coerce(ctx: PadicCtx, x) -> PadicScalar:
+    if type(x) is PadicScalar:
+        return x
     if type(x) is int:
         return ctx.from_int(x)
-    if isinstance(x, PadicScalar):
-        return x
     if isinstance(x, (int, np.integer)):
         return ctx.from_int(int(x))
     raise TypeError(f"cannot coerce {type(x)!r} into the ring")
 
 
-def _normalize(ctx: PadicCtx, val: int, coeffs: list, rel: int) -> PadicScalar:
+def _truncate(a: PadicScalar, rel: int) -> PadicScalar:
+    """The unit a known to rel <= a.rel digits only: a itself at a.rel."""
+    if rel == a.rel:
+        return a
+    pk = a.ctx._pw[rel]
+    return PadicScalar(a.ctx, "unit", a.val, tuple([c % pk for c in a.coeffs]), rel, 0)
+
+
+def _add_inexact(a: PadicScalar, b: PadicScalar) -> PadicScalar:
+    """a + b when a or b is an exact zero or an O(p^A)."""
+    if a.kind == "zero":
+        return b
+    if b.kind == "zero":
+        return a
+    if a.kind == "eps":
+        if b.kind == "eps":
+            return a.ctx.eps(min(a.aprec, b.aprec))
+        a, b = b, a
+    # unit + O(p^A)
+    if b.aprec <= a.val:
+        return a.ctx.eps(b.aprec)
+    return _truncate(a, min(a.rel, b.aprec - a.val))
+
+
+def _shift(x: PadicScalar, k: int) -> PadicScalar:
+    """x * pi^k for pi^k known to prec: x itself when k = 0."""
+    if not k or x.kind == "zero":
+        return x
+    if x.kind == "eps":
+        return PadicScalar(x.ctx, "eps", 0, (), 0, x.aprec + k)
+    return PadicScalar(x.ctx, "unit", x.val + k, x.coeffs, x.rel, 0)
+
+
+def _normalize(ctx: PadicCtx, val: int, coeffs, rel: int) -> PadicScalar:
     if rel <= 0:
         return ctx.eps(val)
-    pk = ctx.p ** rel
+    pk, p = ctx._pw[rel], ctx.p
+    if len(coeffs) == 1:
+        c, t = coeffs[0] % pk, 0
+        if not c:
+            return ctx.eps(val + rel)
+        while not c % p:
+            c //= p
+            t += 1
+        return PadicScalar(ctx, "unit", val + t, (c,), rel - t, 0)
     cm = [c % pk for c in coeffs]
-    if all(c == 0 for c in cm):
-        return ctx.eps(val + rel)
-    t = min(_valp(c, ctx.p) for c in cm if c)
-    if t == 0:
+    if any(c % p for c in cm):
         return PadicScalar(ctx, "unit", val, tuple(cm), rel, 0)
-    sh = ctx.p ** t
-    pk2 = ctx.p ** (rel - t)
-    return PadicScalar(ctx, "unit", val + t,
-                       tuple((c // sh) % pk2 for c in cm), rel - t, 0)
+    if not any(cm):
+        return ctx.eps(val + rel)
+    t = 1
+    while not any(c % ctx._pw[t + 1] for c in cm):
+        t += 1
+    sh = ctx._pw[t]
+    return PadicScalar(ctx, "unit", val + t, tuple([c // sh for c in cm]), rel - t, 0)
 
 
 def _decide(a: PadicScalar, b: PadicScalar) -> Optional[bool]:
     """Whether a - b vanishes to GUARD digits past the data scale: True,
     False when it is certifiably nonzero, None when an O(p^A) difference
-    cannot decide."""
+    cannot decide.  Two units of one valuation differ by O(p^(val + rel))
+    exactly when their coefficients agree mod p^rel, and by a unit
+    otherwise."""
+    if a.kind == "unit" and b.kind == "unit" and a.val == b.val:
+        rel = a.rel if a.rel <= b.rel else b.rel
+        pk, ca, cb = a.ctx._pw[rel], a.coeffs, b.coeffs
+        if (ca[0] - cb[0]) % pk or (len(ca) > 1 and any(
+                (x - y) % pk for x, y in zip(ca, cb))):
+            return False
+        return True if rel >= GUARD else None
+    if a.kind == "zero" and b.kind == "zero":
+        return True
     d = a - b
     if d.kind != "eps":
         return d.kind == "zero"
@@ -345,37 +416,108 @@ J_ROWS = ((0, 0, 0, 1), (0, 0, 1, 0), (0, -1, 0, 0), (-1, 0, 0, 0))
 
 
 def mat_from(ctx: PadicCtx, rows):
-    return tuple(tuple(e if type(e) is PadicScalar else _coerce(ctx, e)
-                       for e in row) for row in rows)
+    """The rows as PadicScalars: literal ints by the cached scalars."""
+    ints = ctx._int_cache
+    return tuple([tuple([e if type(e) is PadicScalar
+                         else ints[e] if type(e) is int and e in ints
+                         else _coerce(ctx, e) for e in row]) for row in rows])
+
+
+# the k with bit k set, for each 4-bit mask of live terms of an entry, and
+# that k alone for a mask of one bit, else -1
+_TERMS = [tuple(k for k in range(4) if m >> k & 1) for m in range(16)]
+_LONE = [ks[0] if len(ks) == 1 else -1 for ks in _TERMS]
 
 
 def mat_mul(ctx: PadicCtx, A, B):
-    """A B over the pairs of entries that are not exact zeros, in the order
-    of k: exact, since zero * x is zero_s and acc + zero_s is acc (the dense
-    sum is ``tests/reference.py``'s ``dense_mat_mul``)."""
-    cols = [[(k, B[k][j]) for k in range(4) if B[k][j].kind != "zero"]
-            for j in range(4)]
+    """A B over the pairs of entries that are not exact zeros (always
+    ``ctx.zero_s``), in the order of k: exact, since zero * x is zero_s and
+    acc + zero_s is acc (the dense sum is ``tests/reference.py``'s
+    ``dense_mat_mul``).  An entry with one live term is that product; one
+    with more is summed by _dot, or by _dot_ints at f = 1."""
+    zero, one, lone, terms, shift = ctx.zero_s, ctx._one, _LONE, _TERMS, _shift
+    dot = _dot if ctx.f > 1 else _dot_ints
+    cols = [(b0 is not zero) | (b1 is not zero) << 1 | (b2 is not zero) << 2
+            | (b3 is not zero) << 3 for b0, b1, b2, b3 in zip(*B)]
     out = []
     for row in A:
-        live = [a.kind != "zero" for a in row]
+        live = ((row[0] is not zero) | (row[1] is not zero) << 1
+                | (row[2] is not zero) << 2 | (row[3] is not zero) << 3)
         r = []
-        for col in cols:
-            acc = ctx.zero_s
-            for k, b in col:
-                if live[k]:
-                    acc = acc + row[k] * b
-            r.append(acc)
+        for j, col in enumerate(cols):
+            m = live & col
+            k = lone[m]
+            if k < 0:
+                r.append(dot(ctx, row, B, j, terms[m]) if m else zero)
+                continue
+            a, b = row[k], B[k][j]
+            r.append(shift(a, b.val) if b.coeffs is one
+                     else shift(b, a.val) if a.coeffs is one else a * b)
         out.append(tuple(r))
     return tuple(out)
 
 
+def _dot(ctx: PadicCtx, row, B, j: int, ks, acc=None) -> PadicScalar:
+    """acc (zero_s if None) plus row[k] * B[k][j] over ks, in the order of
+    k.  A factor pi^k, one_s among them, shifts the other factor without a
+    product, as ``__mul__`` would."""
+    one, zero = ctx._one, ctx.zero_s
+    if acc is None:
+        acc = zero
+    for k in ks:
+        a, b = row[k], B[k][j]
+        if b.coeffs is one:
+            t = _shift(a, b.val)
+        elif a.coeffs is one:
+            t = _shift(b, a.val)
+        else:
+            t = a * b
+        acc = t if acc is zero else acc + t
+    return acc
+
+
+def _dot_ints(ctx: PadicCtx, row, B, j: int, ks) -> PadicScalar:
+    """_dot at f = 1 on the integers (val, coefficient, rel) of each unit:
+    every product and partial sum as ``__mul__`` and ``__add__`` compute it,
+    and only the sum built as a scalar.  From an O(p^A) term, or a partial
+    sum that cancels to one, _dot goes on."""
+    p, pw = ctx.p, ctx._pw
+    v = None
+    for i, k in enumerate(ks):
+        a, b = row[k], B[k][j]
+        if a.kind != "unit" or b.kind != "unit":
+            acc = None if v is None else PadicScalar(ctx, "unit", v, (c,), r, 0)
+            return _dot(ctx, row, B, j, ks[i:], acc)
+        rel = a.rel if a.rel <= b.rel else b.rel
+        tv, tc = a.val + b.val, a.coeffs[0] * b.coeffs[0] % pw[rel]
+        if v is None:
+            v, c, r = tv, tc, rel
+            continue
+        if v > tv:
+            v, c, r, tv, tc, rel = tv, tc, rel, v, c, r
+        d = tv - v
+        if r > rel + d:
+            r = rel + d
+        if d >= r:
+            c %= pw[r]
+            continue
+        c = (c + pw[d] * tc) % pw[r]
+        if not c:
+            return _dot(ctx, row, B, j, ks[i + 1:], ctx.eps(v + r))
+        while not c % p:
+            c //= p
+            v += 1
+            r -= 1
+    return PadicScalar(ctx, "unit", v, (c,), r, 0)
+
+
 def mat_transpose(A):
-    return tuple(tuple(A[j][i] for j in range(4)) for i in range(4))
+    return tuple(zip(*A))
 
 
 def mat_scal(ctx: PadicCtx, c, A):
-    c = _coerce(ctx, c)
-    return tuple(tuple(c * e for e in row) for row in A)
+    c, zero = _coerce(ctx, c), ctx.zero_s
+    return tuple([tuple([e if e is zero else c * e for e in row]) for row in A])
 
 
 def mat_close(A, B) -> bool:
@@ -388,7 +530,7 @@ def mat_identity(ctx: PadicCtx):
 
 def _j_times(A):
     """J A for J = J_ROWS: the rows of A reversed, the last two negated."""
-    return (A[3], A[2], tuple(-e for e in A[1]), tuple(-e for e in A[0]))
+    return (A[3], A[2], tuple([-e for e in A[1]]), tuple([-e for e in A[0]]))
 
 
 def similitude_of(ctx: PadicCtx, A):
@@ -399,7 +541,7 @@ def similitude_of(ctx: PadicCtx, A):
     mu = T[0][3]
     if mu.kind == "eps":
         raise PrecisionExhausted("similitude factor not resolved")
-    if mu.kind == "zero" or not mat_close(T, mat_scal(ctx, mu, J_ROWS)):
+    if mu.kind == "zero" or not mat_close(T, mat_scal(ctx, mu, mat_from(ctx, J_ROWS))):
         raise NotSymplectic("Gram matrix is not a multiple of J")
     return mu
 
@@ -426,10 +568,13 @@ class GSp4Elem:
                         self.mu * other.mu)
 
     def inv(self) -> "GSp4Elem":
-        # g^-1 = -mu^-1 J g^T J, and J g^T J = -J (J g)^T
-        mi = self.mu.inv()
-        m = mat_scal(self.ctx, mi, _j_times(mat_transpose(_j_times(self.m))))
-        return GSp4Elem(self.ctx, m, mi)
+        # g^-1 = -mu^-1 J g^T J: entry (i, j) is mu^-1 g[3-j][3-i], negated
+        # where exactly one of i, j is below 2
+        mi, m, zero = self.mu.inv(), self.m, self.ctx.zero_s
+        rows = tuple([tuple([zero if (x := m[3 - j][3 - i]) is zero
+                             else mi * x if (i < 2) == (j < 2) else -(mi * x)
+                             for j in range(4)]) for i in range(4)])
+        return GSp4Elem(self.ctx, rows, mi)
 
     def scal(self, c) -> "GSp4Elem":
         c = _coerce(self.ctx, c)
@@ -446,49 +591,49 @@ def gsp_close(a: GSp4Elem, b: GSp4Elem) -> bool:
 
 # -- element builders --------------------------------------------------------
 
+# The builders write their rows with the cached scalars: no mat_from pass.
+
 def t_elem(ctx: PadicCtx, i: int, j: int) -> GSp4Elem:
     """Diagonal coset core diag(pi^(2i+j), pi^(i+j), pi^i, 1)."""
-    rows = [[ctx.pi(2 * i + j), 0, 0, 0],
-            [0, ctx.pi(i + j), 0, 0],
-            [0, 0, ctx.pi(i), 0],
-            [0, 0, 0, 1]]
-    return GSp4Elem.make(ctx, rows, mu=ctx.pi(2 * i + j))
+    n, mu = ctx.zero_s, ctx.pi(2 * i + j)
+    return GSp4Elem(ctx, ((mu, n, n, n), (n, ctx.pi(i + j), n, n),
+                          (n, n, ctx.pi(i), n), (n, n, n, ctx.one_s)), mu)
 
 
 def s_lower(ctx: PadicCtx, x, y, z) -> GSp4Elem:
     """Lower block unipotent with corner block ((x, y), (z, x))."""
-    x, y, z = (_coerce(ctx, v) for v in (x, y, z))
-    rows = [[1, 0, 0, 0], [0, 1, 0, 0], [x, y, 1, 0], [z, x, 0, 1]]
-    return GSp4Elem.make(ctx, rows, mu=1)
+    x, y, z = _coerce(ctx, x), _coerce(ctx, y), _coerce(ctx, z)
+    o, n = ctx.one_s, ctx.zero_s
+    return GSp4Elem(ctx, ((o, n, n, n), (n, o, n, n), (x, y, o, n), (z, x, n, o)), o)
 
 
 def s_upper(ctx: PadicCtx, b1, b2, b3) -> GSp4Elem:
     """Upper block unipotent with block ((b1, b2), (b3, b1))."""
-    b1, b2, b3 = (_coerce(ctx, v) for v in (b1, b2, b3))
-    rows = [[1, 0, b1, b2], [0, 1, b3, b1], [0, 0, 1, 0], [0, 0, 0, 1]]
-    return GSp4Elem.make(ctx, rows, mu=1)
+    b1, b2, b3 = _coerce(ctx, b1), _coerce(ctx, b2), _coerce(ctx, b3)
+    o, n = ctx.one_s, ctx.zero_s
+    return GSp4Elem(ctx, ((o, n, b1, b2), (n, o, b3, b1), (n, n, o, n), (n, n, n, o)), o)
 
 
 def levi(ctx: PadicCtx, a1, a2, a3, a4, lam) -> GSp4Elem:
     """Block-diagonal element diag(A, lam*A') with A' the det-twisted adjoint."""
     a1, a2, a3, a4, lam = (_coerce(ctx, v) for v in (a1, a2, a3, a4, lam))
-    rows = [[a1, a2, 0, 0],
-            [a3, a4, 0, 0],
-            [0, 0, lam * a1, -(lam * a2)],
-            [0, 0, -(lam * a3), lam * a4]]
-    return GSp4Elem.make(ctx, rows, mu=lam * (a1 * a4 - a2 * a3))
+    n = ctx.zero_s
+    rows = ((a1, a2, n, n),
+            (a3, a4, n, n),
+            (n, n, lam * a1, -(lam * a2)),
+            (n, n, -(lam * a3), lam * a4))
+    return GSp4Elem(ctx, rows, lam * (a1 * a4 - a2 * a3))
 
 
 def u_elem(ctx: PadicCtx, n: int) -> GSp4Elem:
     """The involution-like element with square pi^n * identity."""
-    rows = [[0, 0, 1, 0], [0, 0, 0, -1],
-            [ctx.pi(n), 0, 0, 0], [0, -ctx.pi(n), 0, 0]]
-    return GSp4Elem.make(ctx, rows, mu=ctx.pi(n))
+    o, z, m, pn = ctx.one_s, ctx.zero_s, ctx.from_int(-1), ctx.pi(n)
+    return GSp4Elem(ctx, ((z, z, o, z), (z, z, z, m), (pn, z, z, z), (z, -pn, z, z)), pn)
 
 
 def s2_elem(ctx: PadicCtx) -> GSp4Elem:
-    rows = [[1, 0, 0, 0], [0, 0, 1, 0], [0, -1, 0, 0], [0, 0, 0, 1]]
-    return GSp4Elem.make(ctx, rows, mu=1)
+    o, z, m = ctx.one_s, ctx.zero_s, ctx.from_int(-1)
+    return GSp4Elem(ctx, ((o, z, z, z), (z, z, o, z), (z, m, z, z), (z, z, z, o)), o)
 
 
 def _residue_unit(ctx: PadicCtx, tag: str, u: Optional[int]) -> PadicScalar:
@@ -611,12 +756,12 @@ def rand_elem(ctx: PadicCtx, rng: np.random.Generator, vmin: int = 0,
 def rand_pow(ctx: PadicCtx, rng: np.random.Generator,
              vmin: int, vmax: int) -> PadicScalar:
     v = int(rng.integers(vmin, vmax + 1))
-    return ctx.pi(v) * rand_unit(ctx, rng)
+    return ctx.unit(v, _unit_coeffs(ctx, rng))
 
 
 def rand_K(ctx: PadicCtx, rng: np.random.Generator) -> GSp4Elem:
     """Random element of K as a word in pattern-compatible generators."""
-    g = GSp4Elem(ctx, mat_identity(ctx), ctx.one_s)
+    g = None
     for _ in range(4 + int(rng.integers(0, 4))):
         pick = rng.integers(0, 4)
         if pick == 0:
@@ -631,7 +776,7 @@ def rand_K(ctx: PadicCtx, rng: np.random.Generator) -> GSp4Elem:
                         rand_elem(ctx, rng, 0, 0.3), rand_elem(ctx, rng, 1, 0.2))
         else:
             f = s2_elem(ctx)
-        g = g @ f
+        g = f if g is None else g @ f
     return g
 
 

@@ -9,13 +9,16 @@ draws (``padic.RgKernel``), and ``padic.mat_mul`` skips exact zeros where
 paths with these, and ``chars.sigma_key`` writes the orbit that
 ``sigma_key_search`` walks in closed form, and ``models.commutant_dim``
 solves factor by factor where ``full_gram_commutant`` builds one Gram of
-side (q-1)^4."""
+side (q-1)^4.  ``ref_add``, ``ref_mul``, ``ref_neg``, ``ref_inv``,
+``ref_normalize`` and ``ref_decide`` are the exact scalar operations of
+``padic.PadicScalar`` without its shortcuts."""
 
 from siegelvec.chars import _char_table
 from siegelvec.finitegrp import (GL2Elem, GL22Elem, gl2_det, gl22_identity,
                                  gl22_mul, gl22_valid, poly_mul_mod)
 from siegelvec.models import _gl22_generators, _nullspace
-from siegelvec.padic import _K_READS, UNDECIDED, RgKernel
+from siegelvec.padic import (_K_READS, GUARD, UNDECIDED, PadicScalar,
+                             PrecisionExhausted, RgKernel)
 
 
 def gl2_inv(ctx, m: GL2Elem) -> GL2Elem:
@@ -187,3 +190,119 @@ def full_gram_commutant(tm):
     n = tm.dim
     null = _nullspace([(A, A) for A in map(tm.mat, _gl22_generators(tm.ctx))])
     return len(null), [v.reshape((n, n), order="F") for v in null]
+
+
+# -- the exact p-adic scalar core, one operation at a time ------------------
+#
+# PadicScalar's arithmetic as it was before the one-coefficient paths, the
+# power table and the direct construction of results: every operation goes
+# through the general polynomial code, recomputes p^rel, and builds its
+# result with the constructor.  The package's core must return scalars equal
+# to these field by field.
+
+def _ref_scalar(ctx, kind, val, coeffs, rel, aprec):
+    return PadicScalar(ctx, kind, val, tuple(coeffs), rel, aprec)
+
+
+def ref_neg(a):
+    if a.kind != "unit":
+        return a
+    pk = a.ctx.p ** a.rel
+    return _ref_scalar(a.ctx, "unit", a.val, ((-c) % pk for c in a.coeffs), a.rel, 0)
+
+
+def ref_add(a, b):
+    ctx = a.ctx
+    if a.kind == "zero":
+        return b
+    if b.kind == "zero":
+        return a
+    if a.kind == "eps" and b.kind == "eps":
+        return _ref_scalar(ctx, "eps", 0, (), 0, min(a.aprec, b.aprec))
+    if a.kind == "eps":
+        a, b = b, a
+    if b.kind == "eps":
+        # unit + O(p^A)
+        if b.aprec <= a.val:
+            return _ref_scalar(ctx, "eps", 0, (), 0, b.aprec)
+        nrel = min(a.rel, b.aprec - a.val)
+        pk = ctx.p ** nrel
+        return _ref_scalar(ctx, "unit", a.val, (c % pk for c in a.coeffs), nrel, 0)
+    if a.val > b.val:
+        a, b = b, a
+    d = b.val - a.val
+    rel = min(a.rel, b.rel + d)
+    if d >= rel:
+        pk = ctx.p ** rel
+        return _ref_scalar(ctx, "unit", a.val, (c % pk for c in a.coeffs), rel, 0)
+    sh = ctx.p ** d
+    merged = [ca + sh * cb for ca, cb in zip(a.coeffs, b.coeffs)]
+    return ref_normalize(ctx, a.val, merged, rel)
+
+
+def ref_mul(a, b):
+    ctx = a.ctx
+    if b is ctx.one_s:
+        return a
+    if a is ctx.one_s:
+        return b
+    if a.kind == "zero" or b.kind == "zero":
+        return ctx.zero_s
+    if a.kind == "eps" or b.kind == "eps":
+        va = a.aprec if a.kind == "eps" else a.val
+        vb = b.aprec if b.kind == "eps" else b.val
+        return _ref_scalar(ctx, "eps", 0, (), 0, va + vb)
+    rel = min(a.rel, b.rel)
+    coeffs = poly_mul_mod(a.coeffs, b.coeffs, ctx.mpoly, ctx.p ** rel)
+    return _ref_scalar(ctx, "unit", a.val + b.val, coeffs, rel, 0)
+
+
+def ref_inv(a):
+    if a.kind == "zero":
+        raise ZeroDivisionError("inverse of exact zero")
+    if a.kind == "eps":
+        raise PrecisionExhausted("inverse of an unresolved element")
+    ctx = a.ctx
+    rescode = ctx._encode[tuple(c % ctx.p for c in a.coeffs)]
+    x = list(ctx._decode[ctx.fq.inv(rescode)])
+    known = 1
+    while known < a.rel:
+        known = min(2 * known, a.rel)
+        pk = ctx.p ** known
+        ux = poly_mul_mod(a.coeffs, x, ctx.mpoly, pk)
+        two_minus = [(2 if k == 0 else 0) - c for k, c in enumerate(ux)]
+        x = list(poly_mul_mod(x, two_minus, ctx.mpoly, pk))
+    return _ref_scalar(ctx, "unit", -a.val, x, a.rel, 0)
+
+
+def _ref_valp(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def ref_normalize(ctx, val, coeffs, rel):
+    if rel <= 0:
+        return _ref_scalar(ctx, "eps", 0, (), 0, val)
+    pk = ctx.p ** rel
+    cm = [c % pk for c in coeffs]
+    if all(c == 0 for c in cm):
+        return _ref_scalar(ctx, "eps", 0, (), 0, val + rel)
+    t = min(_ref_valp(c, ctx.p) for c in cm if c)
+    if t == 0:
+        return _ref_scalar(ctx, "unit", val, cm, rel, 0)
+    sh = ctx.p ** t
+    pk2 = ctx.p ** (rel - t)
+    return _ref_scalar(ctx, "unit", val + t, ((c // sh) % pk2 for c in cm), rel - t, 0)
+
+
+def ref_decide(a, b):
+    """Whether a - b vanishes to GUARD digits past the data scale: True,
+    False when certifiably nonzero, None when an O(p^A) cannot decide."""
+    d = ref_add(a, ref_neg(b))
+    if d.kind != "eps":
+        return d.kind == "zero"
+    base = min((x.val for x in (a, b) if x.kind == "unit"), default=0)
+    return True if d.aprec >= base + GUARD else None

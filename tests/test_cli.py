@@ -291,6 +291,29 @@ def test_oracle_q9_passes_within_a_minute_and_200_mb(tmp_path):
     assert len(checks) == 3 and all(c["ok"] for c in checks)
 
 
+@pytest.mark.parametrize("argv,line", [
+    (["support", "--q", "9", "--n", "100000"],
+     "siegel: more than 300000 cosets at level 100000, q=9\n"),
+    (["table", "--q", "2", "--n-max", "100000000"],
+     "siegel: more than 300000 rows in a table to level 100000000\n"),
+    (["verify", "--suite", "counts", "--q", "9", "--n-max", "100000"],
+     "siegel: more than 300000 cosets at levels 0..100000, q=9\n"),
+])
+def test_oversized_enumerations_are_refused_at_once(capsys, argv, line):
+    # each would build billions of cosets or a hundred million rows; the
+    # closed counts refuse it before the first is built
+    t0 = time.perf_counter()
+    rc = main(argv)
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.err == line and captured.out == ""
+
+
+def test_the_row_limit_admits_the_largest_enumeration_in_use():
+    # counts --q 8 --n-max 60 (tests and benchmark) walks the most cosets
+    assert sum(total_count(8, n) for n in range(61)) == 269_112 <= cli.MAX_ROWS
+
+
 NEGATIVE_SEED_RG = ["verify", "--suite", "rg", "--q", "2", "--n-max", "3",
                     "--seed", "-1"]
 NEGATIVE_SEED_IDENTITIES = ["verify", "--suite", "identities", "--q", "2",

@@ -17,6 +17,13 @@ Gram over the whole tensor model, before it was solved factor by factor,
 and ``rg-q2`` from subgroups stored as sets of tuples, before they became
 sorted code rows).
 
+``identities-exits.json`` holds the exit code and the stderr line of
+``verify --suite identities --draws 20 --seed 0`` at q = 2, 3, 4, 5, 8
+and 9 and ``--precision`` 8, 12 and 16, captured before the p-adic scalar
+core took its one-coefficient and matrix-product shortcuts: every
+precision exit names its tag and draw, so a change to the order or the
+precision of the exact arithmetic moves it.
+
 To recapture after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import pathlib
 import sys
 
@@ -64,10 +72,30 @@ def _run(argv: list) -> str:
     return buf.getvalue()
 
 
+EXIT_CASES = {f"q{q}-prec{prec}": ["verify", "--suite", "identities", "--q", str(q),
+                                   "--precision", str(prec), "--draws", "20",
+                                   "--seed", "0"]
+              for q in (2, 3, 4, 5, 8, 9) for prec in (8, 12, 16)}
+
+
+def _exit(argv: list) -> dict:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return {"exit": rc, "stderr": err.getvalue()}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_json_output_matches_golden(name):
     want = (GOLDEN / f"{name}.json").read_text()
     assert _run(CASES[name]) == want
+
+
+def test_identity_exits_match_golden():
+    want = json.loads((GOLDEN / "identities-exits.json").read_text())
+    assert sorted(want) == sorted(EXIT_CASES)
+    for name, argv in EXIT_CASES.items():
+        assert _exit(argv) == want[name], name
 
 
 if __name__ == "__main__":
@@ -75,3 +103,6 @@ if __name__ == "__main__":
     for name, argv in sorted(CASES.items()):
         (GOLDEN / f"{name}.json").write_text(_run(argv))
         print(name, file=sys.stderr)
+    exits = {name: _exit(argv) for name, argv in sorted(EXIT_CASES.items())}
+    (GOLDEN / "identities-exits.json").write_text(
+        json.dumps(exits, indent=1, sort_keys=True) + "\n")

@@ -59,7 +59,8 @@ from siegelvec.padic import (
 )
 from siegelvec.support import COSET_TAGS, enumerate_support
 
-from reference import ScalarRgKernel, dense_mat_mul, subgroup_closure_ref
+from reference import (ScalarRgKernel, dense_mat_mul, ref_add, ref_decide, ref_inv,
+                       ref_mul, ref_neg, ref_normalize, subgroup_closure_ref)
 
 
 def s1_elem(ctx):
@@ -218,8 +219,10 @@ def _fields(s):
 def _sparse_scalar(data, ctx):
     """Mostly exact zeros, as in t_elem, s_lower, levi and u_elem; else the
     shared one_s, a cached pi(k) or small integer, an O(p^A), or a unit of
-    negative, zero or positive valuation known to a random rel."""
-    kind = data.draw(st.sampled_from(["zero"] * 4 + ["one", "pi", "int", "eps", "unit"]))
+    negative, zero or positive valuation known to a random rel, alone or
+    times a cached pi(k) (mat_mul shifts it, where a copy would multiply)."""
+    kind = data.draw(st.sampled_from(["zero"] * 4 + ["one", "pi", "pi", "int", "eps",
+                                                     "unit", "pi-unit"]))
     if kind == "zero":
         return ctx.zero_s
     if kind == "one":
@@ -233,7 +236,8 @@ def _sparse_scalar(data, ctx):
     rel = data.draw(st.integers(1, ctx.prec))
     pk = ctx.p ** rel
     coeffs = data.draw(st.lists(st.integers(0, pk - 1), min_size=ctx.f, max_size=ctx.f))
-    return ctx.unit(data.draw(st.integers(-3, 3)), coeffs, rel)
+    u = ctx.unit(data.draw(st.integers(-3, 3)), coeffs, rel)
+    return ctx.pi(data.draw(st.integers(-3, 5))) * u if kind == "pi-unit" else u
 
 
 @settings(max_examples=200, deadline=None)
@@ -243,11 +247,17 @@ def test_sparse_products_match_the_dense_reference(data):
     ctx = PadicCtx(p, f, prec=data.draw(st.integers(GUARD, 80)))
     A, B = ([[_sparse_scalar(data, ctx) for _ in range(4)] for _ in range(4)]
             for _ in range(2))
-    for got, want in zip(mat_mul(ctx, A, B), dense_mat_mul(ctx, A, B)):
-        assert list(map(_fields, got)) == list(map(_fields, want))
-    # a copy of one_s is not ctx.one_s, so products with it take the
-    # general path the shortcut skips
-    one = padic.PadicScalar(ctx, "unit", 0, ctx.one_s.coeffs, ctx.one_s.rel, 0)
+    # M^T J M is antisymmetric: its diagonal sums cancel to O(p^A) exactly,
+    # and the sums go on from there
+    pairs = [(A, B)] + [(padic.mat_transpose(M), padic._j_times(M)) for M in (A, B)]
+    for X, Y in pairs:
+        for got, want in zip(mat_mul(ctx, X, Y), dense_mat_mul(ctx, X, Y)):
+            assert list(map(_fields, got)) == list(map(_fields, want))
+    # a copy of one_s with its own coefficient tuple is not a cached power
+    # of pi, so products with it take the general path the shortcut skips
+    one = padic.PadicScalar(ctx, "unit", 0, tuple(list(ctx.one_s.coeffs)),
+                            ctx.one_s.rel, 0)
+    assert one.coeffs is not ctx.one_s.coeffs
     for x in A[0] + B[0]:
         assert _fields(x * ctx.one_s) == _fields(x * one) == _fields(x)
         assert _fields(ctx.one_s * x) == _fields(one * x) == _fields(x)
@@ -256,6 +266,53 @@ def test_sparse_products_match_the_dense_reference(data):
     a, b = (data.draw(st.integers(-p ** rel, p ** rel - 1)) for _ in range(2))
     assert poly_mul_mod((a,), (b,), ctx.mpoly, p ** rel) == pmulmod_reference(
         ctx, (a,), (b,), rel)
+
+
+def _any_scalar(data, ctx):
+    """One scalar of any kind: the exact zero, an O(p^A), the shared one_s,
+    a cached pi(k) or small integer, or a unit of valuation -3..3 known to
+    a random rel, its coefficients drawn below p^rel, multiples of p too
+    (ctx.unit then moves their common factor into the valuation)."""
+    kind = data.draw(st.sampled_from(["zero", "eps", "one", "pi", "int", "unit", "unit"]))
+    if kind == "zero":
+        return ctx.zero_s
+    if kind == "eps":
+        return ctx.eps(data.draw(st.integers(0, ctx.prec)))
+    if kind == "one":
+        return ctx.one_s
+    if kind == "pi":
+        return ctx.pi(data.draw(st.integers(-3, 5)))
+    if kind == "int":
+        return ctx.from_int(data.draw(st.integers(-8, 8)))
+    rel = data.draw(st.integers(1, ctx.prec))
+    pk = ctx.p ** rel
+    digit = st.integers(0, pk - 1) | st.integers(0, pk // ctx.p - 1).map(ctx.p.__mul__)
+    coeffs = data.draw(st.lists(digit, min_size=ctx.f, max_size=ctx.f))
+    return ctx.unit(data.draw(st.integers(-3, 3)), coeffs, rel)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_scalar_core_matches_the_frozen_reference(data):
+    # every result of the core equals, field by field, the reference's
+    # general polynomial path, and every comparison gets the same verdict
+    p, f = data.draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)]))
+    ctx = PadicCtx(p, f, prec=data.draw(st.integers(GUARD, 80)))
+    a, b = _any_scalar(data, ctx), _any_scalar(data, ctx)
+    for x, y in ((a, b), (b, a)):
+        assert _fields(x + y) == _fields(ref_add(x, y))
+        assert _fields(x * y) == _fields(ref_mul(x, y))
+        assert _fields(x - y) == _fields(ref_add(x, ref_neg(y)))
+        assert padic._decide(x, y) == ref_decide(x, y)
+        assert _fields(-x) == _fields(ref_neg(x))
+        if x.kind == "unit":
+            assert _fields(x.inv()) == _fields(ref_inv(x))
+    assert padic._decide(a, a) == ref_decide(a, a)
+    bound = p ** (ctx.prec + 2)
+    coeffs = data.draw(st.lists(st.integers(-bound, bound), min_size=f, max_size=f))
+    val, rel = data.draw(st.integers(-3, 3)), data.draw(st.integers(-1, ctx.prec))
+    assert (_fields(padic._normalize(ctx, val, coeffs, rel))
+            == _fields(ref_normalize(ctx, val, coeffs, rel)))
 
 
 def test_unresolved_elements_refuse_inversion():
