@@ -3,8 +3,8 @@ depth-zero representations of GSp(4) over a p-adic field.
 
 Layers, bottom up:
 
-* :mod:`siegelvec.numerics`   roots of unity and integer certification
-* :mod:`siegelvec.finitegrp`  finite fields, GL2(q), det-matched pairs GL22(q)
+* :mod:`siegelvec.numerics`   roots of unity, integer certification, finite fields
+* :mod:`siegelvec.finitegrp`  GL2(q), det-matched pairs GL22(q), subgroups
 * :mod:`siegelvec.chars`      cuspidal characters and closed fixed-space dimensions
 * :mod:`siegelvec.models`     brute-force matrix models (the independent oracle)
 * :mod:`siegelvec.padic`      fixed-precision unramified p-adics and GSp4 matrices

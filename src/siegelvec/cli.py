@@ -5,41 +5,29 @@ lists the coset parameters of one level, and ``verify`` runs a named
 check suite and reports pass/fail per check.  Output formats are text,
 json (stable key order) and csv.  Exit status: 0 all checks pass, 2 a
 check failed, 3 unusable configuration (among them more than MAX_ROWS
-cosets or table rows), a numerical result that cannot be certified or
+cosets or rows, or more than MAX_RG_COSETS cosets to sample), a numerical result that cannot be certified or
 needs the matrix-model oracle, a p-adic element outside K, or a p-adic
 precision or sampling budget too small to decide, 4 usage error.
 
 The ``identities`` suite runs its tags in forked worker processes, one per
 CPU in the process's affinity mask (in this process when that is one CPU).
 Its output is byte-identical to a one-CPU run, and there is no setting.
+
+Each command imports only the layers it runs: this module imports the
+numpy-free ``numerics`` and ``support``, and each suite imports the rest.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
 from collections import Counter
 from itertools import islice
 
-import numpy as np
-
 from . import __version__
-from .numerics import NotAnInteger
-from .finitegrp import (FqCtx, build_field, subgroup_R, gl22_codes, gl22_elems,
-                        conjugates_into, gl2_classes, u_action, u_image)
-from .chars import (SigmaLabel, omega_trivial_sigma_classes, cuspidal_classes,
-                    sigma_key, make_sigma, sigma_is_reducible,
-                    induced_trace_zero, fixed_dim, fixed_dim_closed,
-                    twisted_trace_closed, self_twist_presentations,
-                    lambda_omega_class, omega_minus1, BadCase, HypothesisViolated,
-                    OracleRequired)
-from .models import (TensorModel, decompose, model_for_sigma, swap_operator,
-                     ww_operator, twisted_trace, NoIntertwiner,
-                     ProjectorRankMismatch, UncertifiedNullity)
+from .numerics import FqCtx, NotAnInteger, build_field
 from .support import (COSET_TAGS, enumerate_support, stratum_count, total_count,
                       base_count, al_partner, is_al_fixed, fixed_stratum_count,
                       coset_R_type, classify_pairing, dim_formula, assemble_dim,
@@ -58,15 +46,25 @@ class ConfigError(Exception):
 # `support` 1.5 s and 170 MB.
 MAX_ROWS = 300_000
 
+# The most cosets the `rg` suite may sample: each takes about 6 ms at q=2
+# (8,032 cosets, levels 3..28, in 49 s on a 2-vCPU x86-64 host), so this
+# is about a minute.
+MAX_RG_COSETS = 10_000
 
-def _within_budget(q: int, levels, what: str) -> None:
+
+def _within_budget(q: int, levels, what: str, limit: int = MAX_ROWS) -> None:
     """Refuse, before anything is enumerated, a command whose levels hold
-    more than MAX_ROWS cosets by the closed counts."""
+    more than limit cosets by the closed counts."""
     total = 0
     for n in levels:
         total += total_count(q, n)
-        if total > MAX_ROWS:
-            raise ConfigError(f"more than {MAX_ROWS} cosets at {what}, q={q}")
+        if total > limit:
+            raise ConfigError(f"more than {limit} cosets at {what}, q={q}")
+
+
+def _rows_within_budget(rows: int, what: str) -> None:
+    if rows > MAX_ROWS:
+        raise ConfigError(f"more than {MAX_ROWS} rows in {what}")
 
 
 def _field(q: int) -> FqCtx:
@@ -77,7 +75,7 @@ def _field(q: int) -> FqCtx:
     return build_field(p, f)
 
 
-def _sigma_str(s: SigmaLabel) -> str:
+def _sigma_str(s) -> str:
     return f"{s.k1},{s.k2},{s.constituent}"
 
 
@@ -131,6 +129,8 @@ def suite_counts(q: int, n_max: int, **_: object) -> tuple[list, list]:
 
 
 def suite_fixed_dims(q: int, **_: object) -> tuple[list, list]:
+    from .finitegrp import subgroup_R
+    from .chars import omega_trivial_sigma_classes, fixed_dim, fixed_dim_closed
     ctx = _field(q)
     rows = []
     ok_a = ok_b = ok_c = ok_d = True
@@ -169,6 +169,7 @@ def suite_fixed_dims(q: int, **_: object) -> tuple[list, list]:
 
 
 def _standard_groups(ctx: FqCtx) -> list:
+    from .finitegrp import subgroup_R
     kinds = ["Torus", "Unip", "U1", "U2"]
     if ctx.q % 2 == 0:
         kinds.insert(2, "ArtinUnip")
@@ -176,6 +177,9 @@ def _standard_groups(ctx: FqCtx) -> list:
 
 
 def suite_oracle(q: int, **_: object) -> tuple[list, list]:
+    from .chars import (SigmaLabel, cuspidal_classes, fixed_dim, make_sigma,
+                        sigma_is_reducible)
+    from .models import decompose, model_for_sigma
     ctx = _field(q)
     rows = []
     ok = sum_ok = unip_ok = True
@@ -216,6 +220,11 @@ def suite_oracle(q: int, **_: object) -> tuple[list, list]:
 
 
 def suite_twists(q: int, **_: object) -> tuple[list, list]:
+    from .finitegrp import subgroup_R
+    from .chars import (SigmaLabel, HypothesisViolated, cuspidal_classes,
+                        lambda_omega_class, omega_minus1, self_twist_presentations,
+                        sigma_key, twisted_trace_closed)
+    from .models import TensorModel, swap_operator, twisted_trace, ww_operator
     ctx = _field(q)
     rows = []
     ok = True
@@ -241,18 +250,19 @@ def suite_twists(q: int, **_: object) -> tuple[list, list]:
             except HypothesisViolated:
                 continue
             tm = TensorModel(ctx, k_rho, k_rho, lam_exp=l)
-            ops = {"swap": swap_operator(tm), "ww": ww_operator(tm),
-                   "swap_ww": swap_operator(tm) @ ww_operator(tm)}
+            S, W = swap_operator(tm), ww_operator(tm)
+            ops = {"swap": S, "ww": W, "swap_ww": S @ W}
             groups = [subgroup_R("Torus", ctx)]
             if q % 2 == 0:
                 groups += [subgroup_R("Unip", ctx), subgroup_R("ArtinUnip", ctx)]
             for R in groups:
+                P = tm.average(R)
                 for name, op in ops.items():
                     if R.label != "Torus" and name != "swap":
                         continue
                     closed = twisted_trace_closed(ctx, sigma, name, R,
                                                   presentation=(k_rho, l))
-                    got = twisted_trace(tm, op, R)
+                    got = twisted_trace(P, op)
                     rows.append({"sigma": _sigma_str(sigma),
                                  "presentation": f"{k_rho},{l}",
                                  "operator": name, "group": R.label,
@@ -265,7 +275,9 @@ def suite_twists(q: int, **_: object) -> tuple[list, list]:
     return rows, checks
 
 
-def _induced_mat(tm: TensorModel, x, eps: int) -> np.ndarray:
+def _induced_mat(tm, x, eps: int):
+    import numpy as np
+    from .finitegrp import u_action
     ctx = tm.ctx
     a = tm.mat(x)
     b = tm.mat(u_action(ctx, x))
@@ -281,6 +293,7 @@ def _induced_mat(tm: TensorModel, x, eps: int) -> np.ndarray:
 
 
 def _factor_classes(ctx: FqCtx, R) -> Counter:
+    from .finitegrp import gl2_classes
     return Counter(zip(gl2_classes(ctx, R.rows[:, :4]).tolist(),
                        gl2_classes(ctx, R.rows[:, 4:]).tolist()))
 
@@ -288,6 +301,11 @@ def _factor_classes(ctx: FqCtx, R) -> Counter:
 def suite_induced(q: int, **_: object) -> tuple[list, list]:
     """Trace of every normalizing u-coset element on the fixed space of a
     non-self-paired label is zero; gate behavior checked on both sides."""
+    import numpy as np
+    from .finitegrp import conjugates_into, gl22_codes, gl22_elems, u_image
+    from .chars import (SigmaLabel, HypothesisViolated, cuspidal_classes,
+                        induced_trace_zero, self_twist_presentations)
+    from .models import model_for_sigma
     ctx = _field(q)
     sigma = None
     for k1 in cuspidal_classes(ctx):
@@ -408,11 +426,13 @@ def suite_identities(q: int, seed: int, draws: int, precision: int,
 
 def suite_rg(q: int, seed: int, n_max: int, precision: int,
              **_: object) -> tuple[list, list]:
+    import numpy as np
+    from .finitegrp import conjugate_subgroups, subgroup_R
     from .padic import (PadicCtx, coset_rep, witness_Rg, compute_Rg,
                         radical_obstruction)
-    from .finitegrp import conjugate_subgroups
     if q != 2:
         raise ConfigError("transversal sampling suite runs at q=2 only")
+    _within_budget(q, range(3, n_max + 1), f"levels 3..{n_max}", MAX_RG_COSETS)
     fq = _field(q)
     pctx = PadicCtx(fq.p, fq.f, prec=precision)
     rows = []
@@ -450,10 +470,13 @@ def suite_rg(q: int, seed: int, n_max: int, precision: int,
 
 
 def suite_dims(q: int, n_max: int, **_: object) -> tuple[list, list]:
+    from .chars import omega_trivial_sigma_classes
     ctx = _field(q)
+    labels = omega_trivial_sigma_classes(ctx)
+    _rows_within_budget(len(labels) * (n_max + 1), f"dims to level {n_max}, q={q}")
     rows = []
     ok = True
-    for sigma in omega_trivial_sigma_classes(ctx):
+    for sigma in labels:
         pairing = classify_pairing(ctx, sigma)
         for n in range(n_max + 1):
             got = assemble_dim(ctx, sigma, n).total
@@ -472,10 +495,14 @@ def suite_dims(q: int, n_max: int, **_: object) -> tuple[list, list]:
 
 
 def suite_signatures(q: int, n_max: int, **_: object) -> tuple[list, list]:
+    from .chars import lambda_omega_class, omega_trivial_sigma_classes
     ctx = _field(q)
+    labels = omega_trivial_sigma_classes(ctx)
+    _rows_within_budget(len(labels) * max(0, n_max - 2) * 2,
+                        f"signatures to level {n_max}, q={q}")
     rows = []
     ok = True
-    for sigma in omega_trivial_sigma_classes(ctx):
+    for sigma in labels:
         pairing = classify_pairing(ctx, sigma)
         if pairing == "self" and q % 2 == 1:
             branch = lambda_omega_class(ctx, sigma)
@@ -514,6 +541,8 @@ def _render(payload: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(payload, sort_keys=True) + "\n"
     if fmt == "csv":
+        import csv
+        import io
         rows = payload["rows"]
         buf = io.StringIO()
         if rows:
@@ -598,8 +627,7 @@ def _build_parser() -> _Parser:
 def cmd_table(args) -> int:
     if args.q not in FIELDS:
         raise ConfigError(f"unsupported field size q={args.q}")
-    if args.n_max + 1 > MAX_ROWS:
-        raise ConfigError(f"more than {MAX_ROWS} rows in a table to level {args.n_max}")
+    _rows_within_budget(args.n_max + 1, f"a table to level {args.n_max}")
     rows = [_counts_row(args.q, n) for n in range(args.n_max + 1)]
     payload = {"config": {"command": "table", "q": args.q, "n_max": args.n_max},
                "rows": rows, "checks": [], "seed": None, "version": __version__}
@@ -644,7 +672,8 @@ def main(argv=None) -> int:
             return cmd_support(args)
         return cmd_verify(args)
     except Exception as exc:
-        # padic, the largest module, is imported only by the suites that use it
+        from .chars import BadCase, OracleRequired
+        from .models import NoIntertwiner, ProjectorRankMismatch, UncertifiedNullity
         from .padic import NotInK, PrecisionExhausted, StabilizationFailure
         if not isinstance(exc, (ConfigError, BadCase, UncertifiedNullity,
                                 ProjectorRankMismatch, NoIntertwiner, NotAnInteger,

@@ -259,9 +259,10 @@ class CuspidalModel:
         idx[zero] = m
         return self._psi[idx]
 
-    def mats(self, elems) -> np.ndarray:
-        """The matrices of a batch of GL2 elements, or of an (N, 4) code
-        array, shape (N, q-1, q-1).
+    def _factors(self, elems) -> tuple:
+        """(rows, pick, cols) of a batch of GL2 elements, or of an (N, 4)
+        code array: the matrix of element r is rows[r, :, None] *
+        self._cores[pick][r] * cols[r, None, :].
 
         [[a, b], [0, d]] maps row x to column x + log(a/d) with phase
         theta(d) psi(bx/d).  For c != 0 row x of W[x + log(det/c^2)] is
@@ -283,9 +284,18 @@ class CuspidalModel:
             np.where(up, b == 0, a == 0), np.where(up, lb - ld, la - lc))
         cols = self._psi_rows(up | (d == 0), ld - lc)
         shift = np.where(up, la - ld, ldet - 2 * lc)
-        core = self._cores[np.where(up, 0, 1)[:, None],
-                           (shift[:, None] + np.arange(m)) % m]
-        return rows[:, :, None] * core * cols[:, None, :]
+        pick = (np.where(up, 0, 1)[:, None], (shift[:, None] + np.arange(m)) % m)
+        return rows, pick, cols
+
+    def mats(self, elems) -> np.ndarray:
+        """The matrices of a batch, shape (N, q-1, q-1)."""
+        rows, pick, cols = self._factors(elems)
+        return rows[:, :, None] * self._cores[pick] * cols[:, None, :]
+
+    def traces(self, elems) -> np.ndarray:
+        """The traces of a batch, read from the diagonals alone."""
+        rows, pick, cols = self._factors(elems)
+        return (rows * self._cores[pick + (np.arange(self.dim),)] * cols).sum(axis=1)
 
     def mat(self, g: GL2Elem) -> np.ndarray:
         hit = self._cache.get(g)
@@ -300,7 +310,7 @@ class CuspidalModel:
         """Compare the traces of the whole of GL2(q) with the character
         table, read per class; the batch is not cached."""
         table = gl2_table(self.ctx)
-        got = np.trace(self.mats(table.codes), axis1=1, axis2=2)
+        got = self.traces(table.codes)
         want = char_values(self.ctx, self.k)[table.cls]
         err = np.abs(got - want)
         if err.max() > 1e-7:
@@ -433,8 +443,7 @@ def _character_norm(tm: TensorModel) -> int:
     modulus one and drops out."""
     ctx = tm.ctx
     table = gl2_table(ctx)
-    S1, S2 = (np.bincount(table.det, weights=abs(np.trace(
-                  m.mats(table.codes), axis1=1, axis2=2)) ** 2)
+    S1, S2 = (np.bincount(table.det, weights=abs(m.traces(table.codes)) ** 2)
               for m in (tm.m1, tm.m2))
     total = float(S1 @ S2)
     q = ctx.q
@@ -585,14 +594,12 @@ def u_intertwiner(tm: TensorModel) -> tuple[int, list[np.ndarray]]:
     return len(mats), mats
 
 
-def twisted_trace(model, operator: np.ndarray, R: SubgroupR) -> int:
+def twisted_trace(P: np.ndarray, operator: np.ndarray) -> int:
     """Trace of a twist operator compressed to the R-fixed subspace of a
-    tensor or constituent model.
+    tensor or constituent model, given its projector P = model.average(R).
 
-    The projector onto that subspace is the average of the model's matrices
-    over R.  The operator must normalize it; otherwise the compression is
+    The operator must normalize P; otherwise the compression is
     meaningless and NotNormalizing is raised."""
-    P = model.average(R)
     conj = operator @ P @ np.linalg.inv(operator)
     if np.linalg.norm(conj - P) > 1e-6 * max(1, P.shape[0]):
         raise NotNormalizing("operator does not normalize the fixed projector")

@@ -8,7 +8,7 @@ The ring is o = Z_p[x]/(m), m the minimal polynomial over F_p of the
 generator ``fq_gen`` of the finite-group layer's F_q, so x reduces to
 fq_gen and residues are table lookups.  Scalars are stored as p^val * u
 with the unit u a polynomial in x, known modulo p^rel; units multiply
-through ``finitegrp.poly_mul_mod``, and at f = 1 on their one integer
+through ``numerics.poly_mul_mod``, and at f = 1 on their one integer
 coefficient.  Multiplication and inversion are lossless; addition can
 cancel leading digits, in which case the result degrades to an "O(p^A)"
 element that only certifies a valuation bound.
@@ -24,12 +24,11 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .numerics import FqCtx, build_field, poly_mul_mod
 from .finitegrp import (
-    FqCtx,
     GL2Elem,
     GL22Elem,
     SubgroupR,
-    build_field,
     conjugates_into,
     gl2_classes,
     gl22_codes,
@@ -37,7 +36,6 @@ from .finitegrp import (
     gl22_identity,
     gl22_mul,
     gl22_valid,
-    poly_mul_mod,
     subgroup_R,
     subgroup_closure,
     u_action,

@@ -12,17 +12,13 @@ trace totals from the character layer.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .finitegrp import FqCtx, subgroup_R
-from .chars import (
-    SigmaLabel,
-    BadCase,
-    fixed_dim,
-    fixed_dim_u_twist,
-    twisted_trace_closed,
-    self_twist_presentations,
-)
+from .numerics import FqCtx
+
+# numpy-free: the functions that average over a subgroup import the rest
+if TYPE_CHECKING:
+    from .chars import SigmaLabel
 
 COSET_TAGS = ("I", "II", "IIIa", "IIIb", "IV")
 
@@ -174,6 +170,7 @@ _DIM_FACTOR_EVEN = {"distinct": 2, "self": 1}
 def classify_pairing(ctx: FqCtx, sigma: SigmaLabel) -> str:
     """'constituent', 'self' (full label isomorphic to its twist), or
     'distinct'.  Uses the presentation criterion, not a character scan."""
+    from .chars import self_twist_presentations
     if sigma.constituent != "Full":
         return "constituent"
     return "self" if self_twist_presentations(ctx, sigma) else "distinct"
@@ -186,6 +183,7 @@ def dim_formula(q: int, n: int, pairing: str) -> int:
         factor = _DIM_FACTOR_ODD.get(pairing)
     else:
         if pairing == "constituent":
+            from .chars import BadCase
             raise BadCase("no constituents at even q")
         factor = _DIM_FACTOR_EVEN.get(pairing)
     if factor is None:
@@ -213,6 +211,8 @@ def _kind_dims(ctx: FqCtx, sigma: SigmaLabel, kind: str) -> tuple[int, int]:
     key = (ctx.p, ctx.f, sigma, kind)
     hit = _KIND_DIMS.get(key)
     if hit is None:
+        from .finitegrp import subgroup_R
+        from .chars import fixed_dim, fixed_dim_u_twist
         R = subgroup_R(kind, ctx)
         fd = fixed_dim(ctx, sigma, R)
         distinct = classify_pairing(ctx, sigma) == "distinct"
@@ -256,6 +256,7 @@ def al_formula(q: int, n: int, pairing: str, ext_sign: int = 1,
     if pairing not in ("distinct", "self", "constituent"):
         raise ValueError(f"unknown pairing class {pairing!r}")
     if q % 2 == 0 and pairing == "constituent":
+        from .chars import BadCase
         raise BadCase("no constituents at even q")
     if n < 3:
         return 0
@@ -312,6 +313,8 @@ def assemble_al(ctx: FqCtx, sigma: SigmaLabel, n: int, ext_sign: int = 1,
             elif pairing == "constituent":
                 val = ext_sign
             else:
+                from .finitegrp import subgroup_R
+                from .chars import twisted_trace_closed
                 R = subgroup_R(COSET_R_TYPE[tag], ctx)
                 val = ext_sign * twisted_trace_closed(ctx, sigma, "swap", R,
                                                       presentation=presentation)

@@ -68,7 +68,7 @@ def test_criterion_03_twisted_traces():
     R = subgroup_R("Torus", ctx)
     for k_rho, l in pres:
         tm = TensorModel(ctx, k_rho, k_rho, lam_exp=l)
-        got = twisted_trace(tm, swap_operator(tm), R)
+        got = twisted_trace(tm.average(R), swap_operator(tm))
         ok &= got == twisted_trace_closed(ctx, sigma, "swap", R,
                                           presentation=(k_rho, l))
     _report(3, "twist operator traces against closed values", ok)

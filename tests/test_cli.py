@@ -298,10 +298,17 @@ def test_oracle_q9_passes_within_a_minute_and_200_mb(tmp_path):
      "siegel: more than 300000 rows in a table to level 100000000\n"),
     (["verify", "--suite", "counts", "--q", "9", "--n-max", "100000"],
      "siegel: more than 300000 cosets at levels 0..100000, q=9\n"),
+    (["verify", "--suite", "dims", "--q", "9", "--n-max", "100000"],
+     "siegel: more than 300000 rows in dims to level 100000, q=9\n"),
+    (["verify", "--suite", "signatures", "--q", "2", "--n-max", "1000000"],
+     "siegel: more than 300000 rows in signatures to level 1000000, q=2\n"),
+    (["verify", "--suite", "rg", "--q", "2", "--n-max", "40"],
+     "siegel: more than 10000 cosets at levels 3..40, q=2\n"),
 ])
 def test_oversized_enumerations_are_refused_at_once(capsys, argv, line):
-    # each would build billions of cosets or a hundred million rows; the
-    # closed counts refuse it before the first is built
+    # each would build billions of cosets, millions of rows or, for rg,
+    # 25,762 sampled cosets; the closed counts refuse it before the first
+    # is built
     t0 = time.perf_counter()
     rc = main(argv)
     assert time.perf_counter() - t0 < 1.0
@@ -494,6 +501,53 @@ def test_importing_the_cli_does_not_import_multiprocessing():
          "import sys, siegelvec.cli; print('multiprocessing' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=60)
     assert child.returncode == 0 and child.stdout == "False\n"
+
+
+_LOADED = """\
+import contextlib, io, json, sys
+from siegelvec.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+def _loaded_modules(argv: list) -> set:
+    """The modules a fresh process has imported after `siegel argv`, which
+    must exit 0."""
+    src = os.path.dirname(os.path.dirname(siegelvec.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    child = subprocess.run([sys.executable, "-c", _LOADED, *argv], env=env,
+                           capture_output=True, text=True, timeout=120, check=True)
+    code, modules = json.loads(child.stdout)
+    assert code == 0
+    return set(modules)
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--q", "8", "--n-max", "60"],
+    ["support", "--q", "8", "--n", "20"],
+    ["verify", "--suite", "counts", "--q", "8", "--n-max", "60"],
+    ["--version"],
+], ids=["table", "support", "counts", "version"])
+def test_closed_count_commands_never_import_numpy(argv):
+    assert "numpy" not in _loaded_modules(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "fixed-dims", "--q", "4"],
+    ["verify", "--suite", "dims", "--q", "4", "--n-max", "12"],
+], ids=["fixed-dims", "dims"])
+def test_closed_dimension_suites_never_import_the_models(argv):
+    assert "siegelvec.models" not in _loaded_modules(argv)
+
+
+def test_oracle_never_imports_the_padic_layer():
+    loaded = _loaded_modules(["verify", "--suite", "oracle", "--q", "3"])
+    assert "siegelvec.models" in loaded and "siegelvec.padic" not in loaded
 
 
 def test_version_flag(capsys):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from siegelvec.finitegrp import (
     GL2Elem, GL22Elem, build_field, enumerate_gl2, enumerate_gl22, gl2_det,
-    gl2_mul, gl22_mul, gl22_rows, SubgroupR, subgroup_R, u_action,
+    gl2_mul, gl2_table, gl22_mul, gl22_rows, SubgroupR, subgroup_R, u_action,
 )
 from siegelvec.chars import (
     OracleRequired, SigmaLabel, cuspidal_classes, fixed_dim,
@@ -173,6 +173,18 @@ def test_weyl_with_theta_in_place_of_its_inverse_is_refused(monkeypatch, q):
         else:
             CuspidalModel(ctx, k)
     assert bool(refused) == (q > 3)
+
+
+@pytest.mark.parametrize("q", sorted(FIELDS))
+def test_diagonal_traces_match_the_full_matrices(q):
+    # verify_character reads only the diagonals; they must trace what mats
+    # multiplies out, on every element of GL2(q)
+    ctx = build_field(*FIELDS[q])
+    codes = gl2_table(ctx).codes
+    for k in cuspidal_classes(ctx):
+        m = cuspidal_model(ctx, k)
+        want = np.trace(m.mats(codes), axis1=1, axis2=2)
+        assert np.abs(m.traces(codes) - want).max() < 1e-12
 
 
 @pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2)])
@@ -508,10 +520,10 @@ def test_twisted_traces_match_closed_q2():
     W = ww_operator(tm)
     for R_name in ("Torus", "Unip", "ArtinUnip"):
         R = subgroup_R(R_name, ctx)
-        assert twisted_trace(tm, S, R) == twisted_trace_closed(ctx, s, "swap", R)
+        assert twisted_trace(tm.average(R), S) == twisted_trace_closed(ctx, s, "swap", R)
     T = subgroup_R("Torus", ctx)
-    assert twisted_trace(tm, W, T) == twisted_trace_closed(ctx, s, "ww", T)
-    assert twisted_trace(tm, S @ W, T) == \
+    assert twisted_trace(tm.average(T), W) == twisted_trace_closed(ctx, s, "ww", T)
+    assert twisted_trace(tm.average(T), S @ W) == \
         twisted_trace_closed(ctx, s, "swap_ww", T)
 
 
@@ -524,11 +536,11 @@ def test_twisted_traces_match_closed_q3_both_presentations():
         tm = TensorModel(ctx, k_rho, k_rho, lam_exp=l)
         S = swap_operator(tm)
         W = ww_operator(tm)
-        assert twisted_trace(tm, S, T) == \
+        assert twisted_trace(tm.average(T), S) == \
             twisted_trace_closed(ctx, s, "swap", T, presentation=pres)
-        assert twisted_trace(tm, W, T) == \
+        assert twisted_trace(tm.average(T), W) == \
             twisted_trace_closed(ctx, s, "ww", T, presentation=pres)
-        assert twisted_trace(tm, S @ W, T) == \
+        assert twisted_trace(tm.average(T), S @ W) == \
             twisted_trace_closed(ctx, s, "swap_ww", T, presentation=pres)
 
 
@@ -539,10 +551,10 @@ def test_twisted_traces_match_closed_q4():
     S = swap_operator(tm)
     for R_name in ("Torus", "Unip", "ArtinUnip"):
         R = subgroup_R(R_name, ctx)
-        assert twisted_trace(tm, S, R) == twisted_trace_closed(ctx, s, "swap", R)
+        assert twisted_trace(tm.average(R), S) == twisted_trace_closed(ctx, s, "swap", R)
     T = subgroup_R("Torus", ctx)
     W = ww_operator(tm)
-    assert twisted_trace(tm, W, T) == twisted_trace_closed(ctx, s, "ww", T)
+    assert twisted_trace(tm.average(T), W) == twisted_trace_closed(ctx, s, "ww", T)
 
 
 def test_twisted_trace_not_normalizing():
@@ -551,6 +563,6 @@ def test_twisted_trace_not_normalizing():
     tm = TensorModel(ctx, 1, 1, lam_exp=2)
     W = ww_operator(tm)
     with pytest.raises(NotNormalizing):
-        twisted_trace(tm, W, subgroup_R("Unip", ctx))
+        twisted_trace(tm.average(subgroup_R("Unip", ctx)), W)
     with pytest.raises(NotNormalizing):
-        twisted_trace(tm, W, subgroup_R("ArtinUnip", ctx))
+        twisted_trace(tm.average(subgroup_R("ArtinUnip", ctx)), W)

@@ -22,7 +22,7 @@ from siegelvec.support import (
     stratum_count,
     total_count,
 )
-from siegelvec import support
+from siegelvec import chars, support
 from siegelvec.support import _JMIN
 
 FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1)}
@@ -229,7 +229,7 @@ def test_assemble_dim_nontrivial_center_vanishes():
 def test_kind_dims_computed_once_per_label(monkeypatch):
     # every level reuses the per-kind fixed dims of the first one
     calls = collections.Counter()
-    real_fd, real_tw = support.fixed_dim, support.fixed_dim_u_twist
+    real_fd, real_tw = chars.fixed_dim, chars.fixed_dim_u_twist
 
     def fd(ctx, sigma, R):
         calls["fd", sigma, R.label] += 1
@@ -240,8 +240,9 @@ def test_kind_dims_computed_once_per_label(monkeypatch):
         return real_tw(ctx, sigma, R)
 
     monkeypatch.setattr(support, "_KIND_DIMS", {})
-    monkeypatch.setattr(support, "fixed_dim", fd)
-    monkeypatch.setattr(support, "fixed_dim_u_twist", tw)
+    # support reads them from chars at call time
+    monkeypatch.setattr(chars, "fixed_dim", fd)
+    monkeypatch.setattr(chars, "fixed_dim_u_twist", tw)
     ctx = _ctx(4)
     labels = omega_trivial_sigma_classes(ctx)
     for sigma in labels:
@@ -362,5 +363,5 @@ def test_constituent_swap_lines():
         traces = []
         for cm in decompose(tm):
             op = cm.basis.conj().T @ S @ cm.basis
-            traces.append(twisted_trace(cm, op, R))
+            traces.append(twisted_trace(cm.average(R), op))
         assert sorted(traces) == want
