@@ -41,10 +41,10 @@ import numpy as np
 from .finitegrp import (FqCtx, GL2Elem, GL22Elem, SubgroupR, conjugates_into,
                         gl22_codes, gl22_rows, gl2_classes, gl2_identity,
                         gl2_table, u_action_rows, u_image)
-from .numerics import certify_integer, root_of_unity
+from .numerics import Refusal, certify_integer, root_of_unity
 
 
-class OracleRequired(RuntimeError):
+class OracleRequired(RuntimeError, Refusal):
     """A constituent value was requested that needs the matrix-model oracle."""
 
 
@@ -52,7 +52,7 @@ class HypothesisViolated(ValueError):
     """Closed form invoked outside the hypotheses it was proved under."""
 
 
-class BadCase(ValueError):
+class BadCase(ValueError, Refusal):
     """Unknown case tag for a closed form."""
 
 

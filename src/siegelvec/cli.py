@@ -4,17 +4,19 @@ Three subcommands: ``table`` prints coset counts per level, ``support``
 lists the coset parameters of one level, and ``verify`` runs a named
 check suite and reports pass/fail per check.  Output formats are text,
 json (stable key order) and csv.  Exit status: 0 all checks pass, 2 a
-check failed, 3 unusable configuration (among them more than MAX_ROWS
-cosets or rows, or more than MAX_RG_COSETS cosets to sample), a numerical result that cannot be certified or
-needs the matrix-model oracle, a p-adic element outside K, or a p-adic
-precision or sampling budget too small to decide, 4 usage error.
+check failed, 3 any ``numerics.Refusal``, 4 usage error.  A refusal is an
+unusable configuration (among them more than MAX_ROWS cosets or rows, or
+more than MAX_RG_COSETS cosets to sample), a numerical result that cannot
+be certified or needs the matrix-model oracle, a p-adic element outside K,
+or a p-adic precision or sampling budget too small to decide.
 
 The ``identities`` suite runs its tags in forked worker processes, one per
 CPU in the process's affinity mask (in this process when that is one CPU).
 Its output is byte-identical to a one-CPU run, and there is no setting.
 
 Each command imports only the layers it runs: this module imports the
-numpy-free ``numerics`` and ``support``, and each suite imports the rest.
+numpy-free ``numerics`` and ``support``, and each suite imports the rest,
+after the refusals it can decide from its arguments alone.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from collections import Counter
 from itertools import islice
 
 from . import __version__
-from .numerics import FqCtx, NotAnInteger, build_field
+from .numerics import FqCtx, Refusal, build_field
 from .support import (COSET_TAGS, enumerate_support, stratum_count, total_count,
                       base_count, al_partner, is_al_fixed, fixed_stratum_count,
                       coset_R_type, classify_pairing, dim_formula, assemble_dim,
@@ -37,8 +39,8 @@ FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1),
           7: (7, 1), 8: (2, 3), 9: (3, 2)}
 
 
-class ConfigError(Exception):
-    pass
+class ConfigError(Refusal):
+    """An unusable configuration, refused before the work starts."""
 
 
 # The most cosets (summed over the levels a command walks) or table rows one
@@ -426,13 +428,13 @@ def suite_identities(q: int, seed: int, draws: int, precision: int,
 
 def suite_rg(q: int, seed: int, n_max: int, precision: int,
              **_: object) -> tuple[list, list]:
+    if q != 2:
+        raise ConfigError("transversal sampling suite runs at q=2 only")
+    _within_budget(q, range(3, n_max + 1), f"levels 3..{n_max}", MAX_RG_COSETS)
     import numpy as np
     from .finitegrp import conjugate_subgroups, subgroup_R
     from .padic import (PadicCtx, coset_rep, witness_Rg, compute_Rg,
                         radical_obstruction)
-    if q != 2:
-        raise ConfigError("transversal sampling suite runs at q=2 only")
-    _within_budget(q, range(3, n_max + 1), f"levels 3..{n_max}", MAX_RG_COSETS)
     fq = _field(q)
     pctx = PadicCtx(fq.p, fq.f, prec=precision)
     rows = []
@@ -671,15 +673,7 @@ def main(argv=None) -> int:
         if args.command == "support":
             return cmd_support(args)
         return cmd_verify(args)
-    except Exception as exc:
-        from .chars import BadCase, OracleRequired
-        from .models import NoIntertwiner, ProjectorRankMismatch, UncertifiedNullity
-        from .padic import NotInK, PrecisionExhausted, StabilizationFailure
-        if not isinstance(exc, (ConfigError, BadCase, UncertifiedNullity,
-                                ProjectorRankMismatch, NoIntertwiner, NotAnInteger,
-                                OracleRequired, NotInK, PrecisionExhausted,
-                                StabilizationFailure)):
-            raise
+    except Refusal as exc:
         print(f"siegel: {exc}", file=sys.stderr)
         return 3
 

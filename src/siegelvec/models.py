@@ -71,14 +71,14 @@ from .finitegrp import (
     gl22_rows, u_action, u_image,
 )
 from .chars import char_values, sigma_is_reducible, theta_eval
-from .numerics import certify_integer
+from .numerics import Refusal, certify_integer
 
 
-class ProjectorRankMismatch(ArithmeticError):
+class ProjectorRankMismatch(ArithmeticError, Refusal):
     """A cuspidal model's traces disagree with the cuspidal character."""
 
 
-class NoIntertwiner(ArithmeticError):
+class NoIntertwiner(ArithmeticError, Refusal):
     """The twist equation has no nonzero solution."""
 
 
@@ -86,7 +86,7 @@ class NotNormalizing(ValueError):
     """The operator does not preserve the averaged subgroup projector."""
 
 
-class UncertifiedNullity(ArithmeticError):
+class UncertifiedNullity(ArithmeticError, Refusal):
     """A kernel dimension could not be certified: a generator matrix is not
     unitary, no spectral gap separates the null eigenvalues from the rest,
     or the nullity disagrees with the character norm."""

@@ -20,7 +20,12 @@ from __future__ import annotations
 import cmath
 
 
-class NotAnInteger(ArithmeticError):
+class Refusal(Exception):
+    """A configuration this package declines to run, or a result it cannot
+    certify or decide: the CLI prints it and exits 3.  A defect is not one."""
+
+
+class NotAnInteger(ArithmeticError, Refusal):
     """A value that should certify to an integer failed to do so."""
 
 

@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .numerics import FqCtx, build_field, poly_mul_mod
+from .numerics import FqCtx, Refusal, build_field, poly_mul_mod
 from .finitegrp import (
     GL2Elem,
     GL22Elem,
@@ -44,7 +44,7 @@ from .finitegrp import (
 GUARD = 4
 
 
-class PrecisionExhausted(ArithmeticError):
+class PrecisionExhausted(ArithmeticError, Refusal):
     """The working precision cannot decide the requested predicate."""
 
 
@@ -52,11 +52,11 @@ class NotSymplectic(ValueError):
     """Matrix does not satisfy the similitude relation."""
 
 
-class NotInK(ValueError):
+class NotInK(ValueError, Refusal):
     """Element fails the K pattern or reduces non-invertibly."""
 
 
-class StabilizationFailure(RuntimeError):
+class StabilizationFailure(RuntimeError, Refusal):
     """Sampled subgroup did not stabilize within the draw budget."""
 
 

@@ -4,14 +4,16 @@ The fixed-vector problem at level n reduces to a finite sum over a
 stratified family of double cosets.  Each stratum is labeled by one of
 the five tags used in :mod:`siegelvec.padic`, carries an (i, j) lattice
 parameter and possibly a residue parameter, and contributes through the
-fixed space of a standard subgroup of GL22(q).  This module enumerates
-the strata, gives closed counting formulas, implements the pairing
-induced by the level involution, and assembles dimension and signed
-trace totals from the character layer.
+fixed space of a standard subgroup of GL22(q).  ``STRATA`` is the one
+table of these facts, and every function below reads them from it.  This
+module enumerates the strata, gives closed counting formulas, implements
+the pairing induced by the level involution, and assembles dimension and
+signed trace totals from the character layer.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .numerics import FqCtx
@@ -20,38 +22,49 @@ from .numerics import FqCtx
 if TYPE_CHECKING:
     from .chars import SigmaLabel
 
-COSET_TAGS = ("I", "II", "IIIa", "IIIb", "IV")
 
-# lowest admissible j per stratum; all strata share the bound j <= n-2-2i
-_JMIN = {"I": 1, "II": 2, "IIIa": 3, "IV": 4, "IIIb": 5}
+class Stratum(NamedTuple):
+    """The facts of one stratum of double cosets."""
 
-# residue-parameter multiplicity per (i, j) pair
-def _param_mult(tag: str, q: int) -> int:
-    if tag == "IIIb":
-        return q
-    if tag == "IV":
-        return q - 1
-    return 1
+    jmin: int       # lowest admissible j; all strata share j <= n-2-2i
+    residues: str   # codes u per (i, j): "zero", "one", "units" or "all" of F_q
+    kind: str       # subgroup kind whose fixed space the stratum contributes
+    al_shift: int   # the level involution reflects j to n - 2i - j + al_shift
+    twisted: bool   # fixed cosets act through the twist operator, with a sign
 
 
-COSET_R_TYPE = {"I": "Torus", "II": "Torus", "IIIa": "Unip",
-                "IIIb": "ArtinUnip", "IV": "ArtinUnip"}
+STRATA = {
+    "I": Stratum(1, "zero", "Torus", -1, True),
+    "II": Stratum(2, "zero", "Torus", 0, False),
+    "IIIa": Stratum(3, "one", "Unip", 1, True),
+    "IIIb": Stratum(5, "all", "ArtinUnip", 3, True),
+    "IV": Stratum(4, "units", "ArtinUnip", 2, False),
+}
 
-# shift in the j-reflection j -> n - 2i - j + shift of the level involution
-_AL_SHIFT = {"I": -1, "II": 0, "IIIa": 1, "IV": 2, "IIIb": 3}
+COSET_TAGS = tuple(STRATA)
 
-# strata whose pairing involves the nontrivial extension coset: their
-# fixed cosets contribute through a twist operator and carry the
-# extension sign.  The others contribute plain fixed vectors.
-_TWISTED_TAGS = ("I", "IIIa", "IIIb")
+
+def _stratum(tag: str, q: int) -> Optional[Stratum]:
+    """The row of a tag, or None where the stratum holds no coset: only I
+    is populated at odd q.  An unknown tag raises ValueError."""
+    row = STRATA.get(tag)
+    if row is None:
+        raise ValueError(f"unknown stratum tag {tag!r}")
+    return row if q % 2 == 0 or row is STRATA["I"] else None
+
+
+def _residue_count(residues: str, q: int) -> int:
+    return {"zero": 1, "one": 1, "units": q - 1, "all": q}[residues]
+
+
+def _residue_codes(fq: FqCtx, residues: str) -> list[int]:
+    return {"zero": [0], "one": [fq.one], "units": fq.fq_units,
+            "all": fq.fq_elements}[residues]
 
 
 class CosetParam(NamedTuple):
-    """One double coset: stratum tag, lattice exponents, residue code.
-
-    ``u`` is a residue code in the subfield: the unit parameter for IV,
-    the shift parameter for IIIb, the (trivially 1) unit for IIIa, and
-    unused (0) for I and II."""
+    """One double coset: stratum tag, lattice exponents, and a residue code
+    ``u`` in the subfield, one of its stratum's ``residues``."""
 
     tag: str
     i: int
@@ -61,10 +74,7 @@ class CosetParam(NamedTuple):
 
 def coset_R_type(tag: str) -> str:
     """Subgroup kind whose fixed space the stratum contributes through."""
-    try:
-        return COSET_R_TYPE[tag]
-    except KeyError:
-        raise ValueError(f"unknown stratum tag {tag!r}") from None
+    return _stratum(tag, 2).kind  # the same at every q; all are populated at 2
 
 
 def stratum_count(tag: str, q: int, n: int) -> int:
@@ -72,16 +82,11 @@ def stratum_count(tag: str, q: int, n: int) -> int:
 
     Per (i, j) the count is the number of lattice points with
     jmin <= j <= n - 2 - 2i, which telescopes to floor((n-jmin)^2/4),
-    times the residue multiplicity.  Only the first stratum is
-    populated at odd q."""
-    if tag not in COSET_TAGS:
-        raise ValueError(f"unknown stratum tag {tag!r}")
-    if q % 2 == 1 and tag != "I":
+    times the residue multiplicity."""
+    row = _stratum(tag, q)
+    if row is None or n <= row.jmin:
         return 0
-    jmin = _JMIN[tag]
-    if n <= jmin:
-        return 0
-    return _param_mult(tag, q) * ((n - jmin) ** 2 // 4)
+    return _residue_count(row.residues, q) * ((n - row.jmin) ** 2 // 4)
 
 
 def total_count(q: int, n: int) -> int:
@@ -90,29 +95,21 @@ def total_count(q: int, n: int) -> int:
 
 def enumerate_support(fq: FqCtx, n: int) -> list[CosetParam]:
     """All double-coset parameters at level n, in a fixed order."""
-    q = fq.q
     out = []
     for tag in COSET_TAGS:
-        if q % 2 == 1 and tag != "I":
+        row = _stratum(tag, fq.q)
+        if row is None:
             continue
-        jmin = _JMIN[tag]
-        i = 0
-        while jmin <= n - 2 - 2 * i:
-            for j in range(jmin, n - 1 - 2 * i):
-                if tag == "IIIb":
-                    out.extend(CosetParam(tag, i, j, c) for c in fq.fq_elements)
-                elif tag == "IV":
-                    out.extend(CosetParam(tag, i, j, u) for u in fq.fq_units)
-                elif tag == "IIIa":
-                    out.append(CosetParam(tag, i, j, fq.one))
-                else:
-                    out.append(CosetParam(tag, i, j, 0))
-            i += 1
+        codes = _residue_codes(fq, row.residues)
+        # i runs while jmin <= n-2-2i; a negative bound leaves it empty
+        out += [CosetParam(tag, i, j, u)
+                for i in range((n - 2 - row.jmin) // 2 + 1)
+                for j in range(row.jmin, n - 1 - 2 * i) for u in codes]
     return out
 
 
 def _reflected_j(param: CosetParam, n: int) -> int:
-    return n - 2 * param.i - param.j + _AL_SHIFT[param.tag]
+    return n - 2 * param.i - param.j + STRATA[param.tag].al_shift
 
 
 def al_partner(param: CosetParam, n: int) -> CosetParam:
@@ -136,16 +133,12 @@ def fixed_stratum_count(tag: str, q: int, n: int) -> int:
 
     The reflection fixes j = (n + shift)/2 - i, so fixed cosets exist
     only for one parity of n and the count is linear in n."""
-    if tag not in COSET_TAGS:
-        raise ValueError(f"unknown stratum tag {tag!r}")
-    if q % 2 == 1 and tag != "I":
-        return 0
-    shift = _AL_SHIFT[tag]
-    if (n + shift) % 2 != 0:
+    row = _stratum(tag, q)
+    if row is None or (n + row.al_shift) % 2 != 0:
         return 0
     # i ranges over 0 <= i <= (n + shift)/2 - jmin
-    pairs = max(0, (n + shift) // 2 - _JMIN[tag] + 1)
-    return _param_mult(tag, q) * pairs
+    pairs = max(0, (n + row.al_shift) // 2 - row.jmin + 1)
+    return _residue_count(row.residues, q) * pairs
 
 
 def base_count(q: int, n: int) -> int:
@@ -200,25 +193,18 @@ class DimReport(NamedTuple):
     total: int
 
 
-_KIND_DIMS: dict[tuple, tuple[int, int]] = {}
-
-
+@functools.cache
 def _kind_dims(ctx: FqCtx, sigma: SigmaLabel, kind: str) -> tuple[int, int]:
     """(fixed dim, twisted fixed dim) of a label on one subgroup kind,
     computed once per label and kind.  The twisted dimension counts only
     for a label not isomorphic to its twist, where the induced pair adds
     it; it is 0 otherwise."""
-    key = (ctx.p, ctx.f, sigma, kind)
-    hit = _KIND_DIMS.get(key)
-    if hit is None:
-        from .finitegrp import subgroup_R
-        from .chars import fixed_dim, fixed_dim_u_twist
-        R = subgroup_R(kind, ctx)
-        fd = fixed_dim(ctx, sigma, R)
-        distinct = classify_pairing(ctx, sigma) == "distinct"
-        tw = fixed_dim_u_twist(ctx, sigma, R) if distinct else 0
-        hit = _KIND_DIMS[key] = (fd, tw)
-    return hit
+    from .finitegrp import subgroup_R
+    from .chars import fixed_dim, fixed_dim_u_twist
+    R = subgroup_R(kind, ctx)
+    fd = fixed_dim(ctx, sigma, R)
+    distinct = classify_pairing(ctx, sigma) == "distinct"
+    return fd, fixed_dim_u_twist(ctx, sigma, R) if distinct else 0
 
 
 def assemble_dim(ctx: FqCtx, sigma: SigmaLabel, n: int) -> DimReport:
@@ -233,11 +219,11 @@ def assemble_dim(ctx: FqCtx, sigma: SigmaLabel, n: int) -> DimReport:
     pairing = classify_pairing(ctx, sigma)
     rows = []
     total = 0
-    for tag in COSET_TAGS:
+    for tag, row in STRATA.items():
         cnt = stratum_count(tag, q, n)
         if cnt == 0:
             continue
-        fd, tw = _kind_dims(ctx, sigma, COSET_R_TYPE[tag])
+        fd, tw = _kind_dims(ctx, sigma, row.kind)
         rows.append((tag, cnt, fd, tw, cnt * (fd + tw)))
         total += cnt * (fd + tw)
     return DimReport(q, n, sigma, pairing, tuple(rows), total)
@@ -291,9 +277,9 @@ def assemble_al(ctx: FqCtx, sigma: SigmaLabel, n: int, ext_sign: int = 1,
                 presentation: Optional[tuple[int, int]] = None) -> ALReport:
     """Sum the involution trace over its fixed cosets at level n.
 
-    Fixed cosets of the plain strata (II, IV) contribute their fixed
+    Fixed cosets of a plain stratum (II, IV) contribute their fixed
     dimension, doubled for a label not isomorphic to its twist, with no
-    sign.  Fixed cosets of the remaining strata act through the twist
+    sign.  Fixed cosets of a twisted stratum act through the twist
     operator: they vanish for such labels, carry the closed swap trace
     for a self-paired full label, and contribute one line for a
     constituent, all scaled by the extension sign."""
@@ -303,11 +289,11 @@ def assemble_al(ctx: FqCtx, sigma: SigmaLabel, n: int, ext_sign: int = 1,
     pairing = classify_pairing(ctx, sigma)
     rows = []
     total = 0
-    for tag in COSET_TAGS:
+    for tag, row in STRATA.items():
         cnt = fixed_stratum_count(tag, q, n)
         if cnt == 0:
             continue
-        if tag in _TWISTED_TAGS:
+        if row.twisted:
             if pairing == "distinct":
                 val = 0
             elif pairing == "constituent":
@@ -315,11 +301,11 @@ def assemble_al(ctx: FqCtx, sigma: SigmaLabel, n: int, ext_sign: int = 1,
             else:
                 from .finitegrp import subgroup_R
                 from .chars import twisted_trace_closed
-                R = subgroup_R(COSET_R_TYPE[tag], ctx)
+                R = subgroup_R(row.kind, ctx)
                 val = ext_sign * twisted_trace_closed(ctx, sigma, "swap", R,
                                                       presentation=presentation)
         else:
-            val = sum(_kind_dims(ctx, sigma, COSET_R_TYPE[tag]))
+            val = sum(_kind_dims(ctx, sigma, row.kind))
         rows.append((tag, cnt, val, cnt * val))
         total += cnt * val
     return ALReport(q, n, sigma, ext_sign, tuple(rows), total)

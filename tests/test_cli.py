@@ -10,7 +10,7 @@ import pytest
 
 import siegelvec
 from siegelvec import __version__
-from siegelvec import chars, cli, models, numerics, padic
+from siegelvec import chars, cli, finitegrp, models, numerics, padic
 from siegelvec.cli import main
 from siegelvec.finitegrp import build_field
 from siegelvec.support import (COSET_TAGS, stratum_count, total_count,
@@ -515,15 +515,15 @@ print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
-def _loaded_modules(argv: list) -> set:
+def _loaded_modules(argv: list, code: int = 0) -> set:
     """The modules a fresh process has imported after `siegel argv`, which
-    must exit 0."""
+    must exit with the given code."""
     src = os.path.dirname(os.path.dirname(siegelvec.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     child = subprocess.run([sys.executable, "-c", _LOADED, *argv], env=env,
                            capture_output=True, text=True, timeout=120, check=True)
-    code, modules = json.loads(child.stdout)
-    assert code == 0
+    got, modules = json.loads(child.stdout)
+    assert got == code
     return set(modules)
 
 
@@ -535,6 +535,49 @@ def _loaded_modules(argv: list) -> set:
 ], ids=["table", "support", "counts", "version"])
 def test_closed_count_commands_never_import_numpy(argv):
     assert "numpy" not in _loaded_modules(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--q", "6"],
+    ["support", "--q", "9", "--n", "100000"],
+    ["verify", "--suite", "rg", "--q", "3"],
+], ids=["table-field", "support-budget", "rg-field"])
+def test_refusals_decided_from_the_arguments_never_import_numpy(argv):
+    assert "numpy" not in _loaded_modules(argv, code=3)
+
+
+REFUSALS = [
+    (cli.ConfigError, Exception),
+    (numerics.NotAnInteger, ArithmeticError),
+    (chars.BadCase, ValueError),
+    (chars.OracleRequired, RuntimeError),
+    (models.UncertifiedNullity, ArithmeticError),
+    (models.ProjectorRankMismatch, ArithmeticError),
+    (models.NoIntertwiner, ArithmeticError),
+    (padic.NotInK, ValueError),
+    (padic.PrecisionExhausted, ArithmeticError),
+    (padic.StabilizationFailure, RuntimeError),
+]
+
+
+@pytest.mark.parametrize("exc,base", REFUSALS, ids=[e.__name__ for e, _ in REFUSALS])
+def test_exit_3_refusals_keep_their_bases(exc, base):
+    assert issubclass(exc, numerics.Refusal) and issubclass(exc, base)
+
+
+@pytest.mark.parametrize("exc", [
+    padic.NotSymplectic, padic.IdentityFailure, chars.HypothesisViolated,
+    models.NotNormalizing, finitegrp.BadKind, numerics.UnsupportedSize,
+], ids=lambda e: e.__name__)
+def test_defects_are_not_refusals(capsys, monkeypatch, exc):
+    # a defect ends in a traceback (exit 1), never in a quiet exit 3
+    assert not issubclass(exc, numerics.Refusal)
+
+    def broken(**_):
+        raise exc("defect")
+    monkeypatch.setitem(cli.SUITES, "counts", broken)
+    with pytest.raises(exc):
+        main(["verify", "--suite", "counts", "--q", "2"])
 
 
 @pytest.mark.parametrize("argv", [

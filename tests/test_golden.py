@@ -1,21 +1,24 @@
 """Byte-for-byte golden output of the deterministic commands.
 
 ``table``, ``support`` and the ``counts``, ``fixed-dims``, ``dims``,
-``signatures``, ``oracle`` and ``twists`` suites, the ``induced`` suite at
-q = 3, 4 and 5, ``twists`` at q = 7, 8 and 9, ``oracle`` at q = 7 and
-``rg`` at q = 2 up to level 6 (whose rows do not depend on the seed)
-must print the same
-``--format json`` bytes before and after any refactor.  The golden files
-under ``tests/golden/`` were captured from the code before the refactors
-that introduced them (the oracle and twists files before the matrix-model
-oracle lost its per-element caches, the induced files before the
-characters became tables keyed by the class key, the twists files at
-q = 7, 8 and 9 from the Whittaker-projector cuspidal models, before the
-Kirillov model replaced them, ``induced-q5`` before the group scans
-moved to integer code arrays, ``oracle-q7`` from the commutant as one
-Gram over the whole tensor model, before it was solved factor by factor,
-and ``rg-q2`` from subgroups stored as sets of tuples, before they became
-sorted code rows).
+``signatures``, ``oracle`` and ``twists`` suites at q = 2..5, the
+closed-side commands (all but ``oracle`` and ``twists``) also at q = 8,
+where IIIb and IV carry q and q-1 residues per cell, the ``induced``
+suite at q = 3, 4 and 5, ``twists`` at q = 7, 8 and 9, ``oracle`` at q =
+7 and ``rg`` at q = 2 up to level 6 (whose rows do not depend on the
+seed) must print the same ``--format json`` bytes before and after any
+refactor.  The golden files under ``tests/golden/`` were captured from
+the code before the refactors that introduced them (the oracle and
+twists files before the matrix-model oracle lost its per-element caches,
+the induced files before the characters became tables keyed by the class
+key, the twists files at q = 7, 8 and 9 from the Whittaker-projector
+cuspidal models, before the Kirillov model replaced them, ``induced-q5``
+before the group scans moved to integer code arrays, the closed-side q =
+8 files before the stratum facts became the one ``support.STRATA``
+table, ``oracle-q7`` from the commutant as one Gram over the whole
+tensor model, before it was solved factor by factor, and ``rg-q2`` from
+subgroups stored as sets of tuples, before they became sorted code
+rows).
 
 ``identities-exits.json`` holds the exit code and the stderr line of
 ``verify --suite identities --draws 20 --seed 0`` at q = 2, 3, 4, 5, 8
@@ -44,18 +47,19 @@ GOLDEN = pathlib.Path(__file__).with_name("golden")
 QS = (2, 3, 4, 5)
 
 CASES = {}
-for _q in QS:
+for _q in QS + (8,):
     CASES[f"table-q{_q}"] = ["table", "--q", str(_q), "--n-max", "20"]
     CASES[f"support-q{_q}"] = ["support", "--q", str(_q), "--n", "9"]
     CASES[f"counts-q{_q}"] = ["verify", "--suite", "counts", "--q", str(_q),
                               "--n-max", "20"]
     CASES[f"fixed-dims-q{_q}"] = ["verify", "--suite", "fixed-dims",
                                   "--q", str(_q)]
-    for _suite in ("oracle", "twists"):
-        CASES[f"{_suite}-q{_q}"] = ["verify", "--suite", _suite, "--q", str(_q)]
     for _suite in ("dims", "signatures"):
         CASES[f"{_suite}-q{_q}"] = ["verify", "--suite", _suite, "--q", str(_q),
                                     "--n-max", "12"]
+for _q in QS:
+    for _suite in ("oracle", "twists"):
+        CASES[f"{_suite}-q{_q}"] = ["verify", "--suite", _suite, "--q", str(_q)]
 for _q in (3, 4, 5):
     CASES[f"induced-q{_q}"] = ["verify", "--suite", "induced", "--q", str(_q)]
 for _q in (7, 8, 9):

@@ -23,7 +23,7 @@ from siegelvec.support import (
     total_count,
 )
 from siegelvec import chars, support
-from siegelvec.support import _JMIN
+from siegelvec.support import STRATA
 
 FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1)}
 
@@ -39,7 +39,7 @@ def in_support(q, param, n):
         return False
     if q % 2 == 1 and param.tag != "I":
         return False
-    return param.i >= 0 and _JMIN[param.tag] <= param.j <= n - 2 - 2 * param.i
+    return param.i >= 0 and STRATA[param.tag].jmin <= param.j <= n - 2 - 2 * param.i
 
 
 # -- enumeration and closed counts ------------------------------------------
@@ -239,7 +239,7 @@ def test_kind_dims_computed_once_per_label(monkeypatch):
         calls["tw", sigma, R.label] += 1
         return real_tw(ctx, sigma, R)
 
-    monkeypatch.setattr(support, "_KIND_DIMS", {})
+    support._kind_dims.cache_clear()
     # support reads them from chars at call time
     monkeypatch.setattr(chars, "fixed_dim", fd)
     monkeypatch.setattr(chars, "fixed_dim_u_twist", tw)
