@@ -93,12 +93,14 @@ def _check(checks: list, name: str, ok: bool, detail: str = "",
 # -- suites -------------------------------------------------------------------
 
 def _counts_row(q: int, n: int) -> dict:
-    row = {"n": n}
-    for tag in COSET_TAGS:
-        row[tag] = stratum_count(tag, q, n)
-    row["total"] = total_count(q, n)
-    row["base"] = base_count(q, n)
-    return row
+    return {"n": n, **{tag: stratum_count(tag, q, n) for tag in COSET_TAGS},
+            "total": total_count(q, n), "base": base_count(q, n)}
+
+
+def _kind_weights(q: int) -> dict:
+    """Each stratum kind's weight in the base count at even q: the fixed
+    dimension of a full label on that kind."""
+    return {"Torus": 1, "Unip": q - 1, "ArtinUnip": 1}
 
 
 def suite_counts(q: int, n_max: int, **_: object) -> tuple[list, list]:
@@ -106,7 +108,7 @@ def suite_counts(q: int, n_max: int, **_: object) -> tuple[list, list]:
     _within_budget(q, range(n_max + 1), f"levels 0..{n_max}")
     rows = []
     enum_ok = fixed_ok = weight_ok = True
-    weights = {"I": 1, "II": 1, "IIIa": q - 1, "IIIb": 1, "IV": 1}
+    weights = {tag: _kind_weights(q)[coset_R_type(tag)] for tag in COSET_TAGS}
     for n in range(n_max + 1):
         params = enumerate_support(fq, n)
         by_tag = Counter(p.tag for p in params)
@@ -118,7 +120,7 @@ def suite_counts(q: int, n_max: int, **_: object) -> tuple[list, list]:
         rows.append(row)
         enum_ok &= len(params) == row["total"]
         if q % 2 == 0:
-            weight_ok &= sum(weights[t] * row[t] for t in COSET_TAGS) == row["base"]
+            weight_ok &= sum(w * row[t] for t, w in weights.items()) == row["base"]
     checks: list = []
     _check(checks, "enumeration matches closed stratum counts", enum_ok,
            f"levels 0..{n_max}")
@@ -126,67 +128,67 @@ def suite_counts(q: int, n_max: int, **_: object) -> tuple[list, list]:
            f"levels 0..{n_max}")
     if q % 2 == 0:
         _check(checks, "weighted counts aggregate to closed base", weight_ok,
-               f"weights (1,1,{q - 1},1,1)")
+               f"weights ({','.join(map(str, weights.values()))})")
     return rows, checks
+
+
+# The cases of chars.fixed_dim_closed: case, whether it takes the full
+# label or a constituent, the row key, the subgroup kind and the check.
+_FIXED_DIM_CASES = (
+    ("a", True, "torus", "Torus", "full label on torus"),
+    ("b", False, "torus", "Torus", "constituent on torus"),
+    ("c", True, "unip", "Unip", "full label on unipotent family"),
+    ("d", True, "artin", "ArtinUnip", "full label on Artin-Schreier family"),
+)
 
 
 def suite_fixed_dims(q: int, **_: object) -> tuple[list, list]:
     from .finitegrp import subgroup_R
     from .chars import omega_trivial_sigma_classes, fixed_dim, fixed_dim_closed
     ctx = _field(q)
+    cases = [c for c in _FIXED_DIM_CASES if c[3] in _standard_kinds(q)]
+    compared: dict = {name: [] for *_, name in cases}
     rows = []
-    ok_a = ok_b = ok_c = ok_d = True
-    seen_b = seen_d = False
     for sigma in omega_trivial_sigma_classes(ctx):
         row = {"sigma": _sigma_str(sigma)}
-        if sigma.constituent == "Full":
-            fd = fixed_dim(ctx, sigma, subgroup_R("Torus", ctx))
-            closed = fixed_dim_closed("a", q, omega_sign=1)
-            row["torus"], row["torus_closed"] = fd, closed
-            ok_a &= fd == closed
-            fu = fixed_dim(ctx, sigma, subgroup_R("Unip", ctx))
-            row["unip"], row["unip_closed"] = fu, fixed_dim_closed("c", q)
-            ok_c &= fu == q - 1
-            if q % 2 == 0:
-                seen_d = True
-                fa = fixed_dim(ctx, sigma, subgroup_R("ArtinUnip", ctx))
-                row["artin"], row["artin_closed"] = fa, fixed_dim_closed("d", q)
-                ok_d &= fa == 1
-        else:
-            seen_b = True
-            fd = fixed_dim(ctx, sigma, subgroup_R("Torus", ctx))
-            closed = fixed_dim_closed("b", q)
-            row["torus"], row["torus_closed"] = fd, closed
-            ok_b &= fd == closed
+        for case, full, key, kind, name in cases:
+            if full == (sigma.constituent == "Full"):
+                got = row[key] = fixed_dim(ctx, sigma, subgroup_R(kind, ctx))
+                want = row[key + "_closed"] = fixed_dim_closed(case, q, omega_sign=1)
+                compared[name].append(got == want)
         rows.append(row)
     checks: list = []
-    _check(checks, "full label on torus matches closed value", ok_a)
-    if seen_b:
-        _check(checks, "constituent on torus matches closed value", ok_b)
-    _check(checks, "full label on unipotent family matches closed value", ok_c)
-    if seen_d:
-        _check(checks, "full label on Artin-Schreier family matches closed value",
-               ok_d)
+    for name, oks in compared.items():
+        if oks:  # a case no label reached compared nothing: no check
+            _check(checks, f"{name} matches closed value", all(oks))
     return rows, checks
+
+
+def _standard_kinds(q: int) -> list:
+    """The standard subgroup kinds; the Artin-Schreier family is q even only."""
+    kinds = ["Torus", "Unip", "ArtinUnip", "U1", "U2"]
+    return kinds if q % 2 == 0 else [k for k in kinds if k != "ArtinUnip"]
 
 
 def _standard_groups(ctx: FqCtx) -> list:
     from .finitegrp import subgroup_R
-    kinds = ["Torus", "Unip", "U1", "U2"]
-    if ctx.q % 2 == 0:
-        kinds.insert(2, "ArtinUnip")
-    return [subgroup_R(k, ctx) for k in kinds]
+    return [subgroup_R(k, ctx) for k in _standard_kinds(ctx.q)]
+
+
+def _full_labels(ctx: FqCtx) -> list:
+    """Every full label (k1, k2) of two cuspidal classes, k1 outermost."""
+    from .chars import SigmaLabel, cuspidal_classes
+    ks = cuspidal_classes(ctx)
+    return [SigmaLabel(k1, k2, "Full") for k1 in ks for k2 in ks]
 
 
 def suite_oracle(q: int, **_: object) -> tuple[list, list]:
-    from .chars import (SigmaLabel, cuspidal_classes, fixed_dim, make_sigma,
-                        sigma_is_reducible)
+    from .chars import fixed_dim, make_sigma, sigma_is_reducible
     from .models import decompose, model_for_sigma
     ctx = _field(q)
     rows = []
     ok = sum_ok = unip_ok = True
-    labels = [SigmaLabel(k1, k2, "Full")
-              for k1 in cuspidal_classes(ctx) for k2 in cuspidal_classes(ctx)]
+    labels = _full_labels(ctx)
     seen_constituent = False
     groups = _standard_groups(ctx)
     for sigma in labels:
@@ -223,28 +225,18 @@ def suite_oracle(q: int, **_: object) -> tuple[list, list]:
 
 def suite_twists(q: int, **_: object) -> tuple[list, list]:
     from .finitegrp import subgroup_R
-    from .chars import (SigmaLabel, HypothesisViolated, cuspidal_classes,
-                        lambda_omega_class, omega_minus1, self_twist_presentations,
-                        sigma_key, twisted_trace_closed)
+    from .chars import (HypothesisViolated, lambda_omega_class, omega_minus1,
+                        self_twist_presentations, sigma_key, twisted_trace_closed)
     from .models import TensorModel, swap_operator, twisted_trace, ww_operator
     ctx = _field(q)
     rows = []
     ok = True
     tested = 0
-    seen = set()
-    labels = []
-    for k1 in cuspidal_classes(ctx):
-        for k2 in cuspidal_classes(ctx):
-            s = SigmaLabel(k1, k2, "Full")
-            key = sigma_key(ctx, s)
-            if key not in seen:
-                seen.add(key)
-                labels.append(s)
-    for sigma in labels:
-        pres = self_twist_presentations(ctx, sigma)
-        if not pres:
-            continue
-        for k_rho, l in pres:
+    labels: dict = {}  # one label per class key, the first met
+    for s in _full_labels(ctx):
+        labels.setdefault(sigma_key(ctx, s), s)
+    for sigma in labels.values():
+        for k_rho, l in self_twist_presentations(ctx, sigma):
             if omega_minus1(ctx, k_rho) != 1:
                 continue
             try:
@@ -277,21 +269,13 @@ def suite_twists(q: int, **_: object) -> tuple[list, list]:
     return rows, checks
 
 
-def _induced_mat(tm, x, eps: int):
+def _induced_projector(tm, R):
+    """Projector onto the R-fixed space of the induced pair: the block
+    diagonal of the tensor model's averages over R and over u(R)."""
     import numpy as np
-    from .finitegrp import u_action
-    ctx = tm.ctx
-    a = tm.mat(x)
-    b = tm.mat(u_action(ctx, x))
-    n = tm.dim
-    out = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    if eps == 0:
-        out[:n, :n] = a
-        out[n:, n:] = b
-    else:
-        out[:n, n:] = a
-        out[n:, :n] = b
-    return out
+    from .finitegrp import u_image
+    zero = np.zeros((tm.dim, tm.dim))
+    return np.block([[tm.average(R), zero], [zero, tm.average(u_image(tm.ctx, R))]])
 
 
 def _factor_classes(ctx: FqCtx, R) -> Counter:
@@ -302,22 +286,18 @@ def _factor_classes(ctx: FqCtx, R) -> Counter:
 
 def suite_induced(q: int, **_: object) -> tuple[list, list]:
     """Trace of every normalizing u-coset element on the fixed space of a
-    non-self-paired label is zero; gate behavior checked on both sides."""
+    non-self-paired label is zero; gate behavior checked on both sides.
+    A row's ``max_abs_trace`` is 0 by construction, whatever P holds: an
+    off-diagonal coset matrix times the block-diagonal P has a zero
+    diagonal.  It stays only because perfbench/gate.py reads it; ROADMAP
+    item 2 owns a real check."""
     import numpy as np
-    from .finitegrp import conjugates_into, gl22_codes, gl22_elems, u_image
-    from .chars import (SigmaLabel, HypothesisViolated, cuspidal_classes,
-                        induced_trace_zero, self_twist_presentations)
+    from .finitegrp import conjugates_into, gl22_codes, gl22_elems, u_action, u_image
+    from .chars import HypothesisViolated, induced_trace_zero, self_twist_presentations
     from .models import model_for_sigma
     ctx = _field(q)
-    sigma = None
-    for k1 in cuspidal_classes(ctx):
-        for k2 in cuspidal_classes(ctx):
-            s = SigmaLabel(k1, k2, "Full")
-            if not self_twist_presentations(ctx, s):
-                sigma = s
-                break
-        if sigma:
-            break
+    sigma = next((s for s in _full_labels(ctx)
+                  if not self_twist_presentations(ctx, s)), None)
     if sigma is None:
         raise ConfigError(f"no non-self-paired label at q={q}")
     tm = model_for_sigma(ctx, sigma)
@@ -325,8 +305,9 @@ def suite_induced(q: int, **_: object) -> tuple[list, list]:
     ok = gate_ok = True
     total = 0
     group = gl22_codes(ctx)
+    zero = np.zeros((tm.dim, tm.dim))
     for R in _standard_groups(ctx):
-        P = sum(_induced_mat(tm, r, 0) for r in R) / len(R)
+        P = _induced_projector(tm, R)
         # the coset element s = x u conjugates r to x u_action(r) x^-1, and
         # keeps each factor's class: unequal class counts leave no x to find
         uR = u_image(ctx, R)
@@ -343,9 +324,9 @@ def suite_induced(q: int, **_: object) -> tuple[list, list]:
             except HypothesisViolated:
                 pass
         ok &= induced_trace_zero(ctx, sigma, norm, R) == 0
-        worst = 0.0
-        for x in gl22_elems(norm[:32]):
-            worst = max(worst, abs(np.trace(_induced_mat(tm, x, 1) @ P)))
+        cosets = (np.block([[zero, tm.mat(x)], [tm.mat(u_action(ctx, x)), zero]])
+                  for x in gl22_elems(norm[:32]))  # x u swaps the two summands
+        worst = max((abs(np.trace(S @ P)) for S in cosets), default=0.0)
         total += len(norm)
         rows.append({"sigma": _sigma_str(sigma), "group": R.label,
                      "normalizers": len(norm), "rejected": len(group) - len(norm),
@@ -506,10 +487,8 @@ def suite_signatures(q: int, n_max: int, **_: object) -> tuple[list, list]:
     ok = True
     for sigma in labels:
         pairing = classify_pairing(ctx, sigma)
-        if pairing == "self" and q % 2 == 1:
-            branch = lambda_omega_class(ctx, sigma)
-        else:
-            branch = "one"
+        branch = (lambda_omega_class(ctx, sigma) if pairing == "self" and q % 2 == 1
+                  else "one")
         for n in range(3, n_max + 1):
             for sg in (1, -1):
                 got = assemble_al(ctx, sigma, n, sg).total
@@ -542,30 +521,27 @@ SUITES = {
 def _render(payload: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(payload, sort_keys=True) + "\n"
+    rows = payload["rows"]
+    keys = list(rows[0]) if rows else []
     if fmt == "csv":
         import csv
         import io
-        rows = payload["rows"]
         buf = io.StringIO()
         if rows:
-            keys = list(rows[0].keys())
             writer = csv.DictWriter(buf, fieldnames=keys, lineterminator="\n")
             writer.writeheader()
-            for r in rows:
-                writer.writerow(r)
+            writer.writerows(rows)
         return buf.getvalue()
     lines = []
-    rows = payload["rows"]
     if rows:
-        keys = list(rows[0].keys())
         widths = {k: max(len(str(k)), max(len(str(r.get(k, ""))) for r in rows))
                   for k in keys}
         lines.append("  ".join(str(k).ljust(widths[k]) for k in keys))
         for r in rows:
             lines.append("  ".join(str(r.get(k, "")).ljust(widths[k]) for k in keys))
-    for c in payload.get("checks", []):
+    for c in payload["checks"]:
         status = "pass" if c["ok"] else "FAIL"
-        detail = f" ({c['detail']})" if c.get("detail") else ""
+        detail = f" ({c['detail']})" if c["detail"] else ""
         lines.append(f"check {c['name']}: {status}{detail}")
     return "\n".join(lines) + "\n" if lines else ""
 
@@ -626,15 +602,21 @@ def _build_parser() -> _Parser:
     return ap
 
 
+def _emit(args, rows: list, checks: list = (), seed=None, **config) -> int:
+    """Write a command's payload; exit 0 when every check passed, else 2."""
+    payload = {"config": {"command": args.command, "q": args.q, **config},
+               "rows": rows, "checks": list(checks), "seed": seed,
+               "version": __version__}
+    sys.stdout.write(_render(payload, args.format))
+    return 0 if all(c["ok"] for c in checks) else 2
+
+
 def cmd_table(args) -> int:
     if args.q not in FIELDS:
         raise ConfigError(f"unsupported field size q={args.q}")
     _rows_within_budget(args.n_max + 1, f"a table to level {args.n_max}")
-    rows = [_counts_row(args.q, n) for n in range(args.n_max + 1)]
-    payload = {"config": {"command": "table", "q": args.q, "n_max": args.n_max},
-               "rows": rows, "checks": [], "seed": None, "version": __version__}
-    sys.stdout.write(_render(payload, args.format))
-    return 0
+    return _emit(args, [_counts_row(args.q, n) for n in range(args.n_max + 1)],
+                 n_max=args.n_max)
 
 
 def cmd_support(args) -> int:
@@ -646,23 +628,14 @@ def cmd_support(args) -> int:
         rows.append({"tag": p.tag, "i": p.i, "j": p.j, "u": p.u,
                      "partner_j": pp.j, "fixed": pp == p,
                      "group": coset_R_type(p.tag)})
-    payload = {"config": {"command": "support", "q": args.q, "n": args.n},
-               "rows": rows, "checks": [], "seed": None, "version": __version__}
-    sys.stdout.write(_render(payload, args.format))
-    return 0
+    return _emit(args, rows, n=args.n)
 
 
 def cmd_verify(args) -> int:
-    fn = SUITES[args.suite]
-    rows, checks = fn(q=args.q, n_max=args.n_max, seed=args.seed,
-                      draws=args.draws, precision=args.precision)
-    payload = {"config": {"command": "verify", "suite": args.suite, "q": args.q,
-                          "n_max": args.n_max, "draws": args.draws,
-                          "precision": args.precision},
-               "rows": rows, "checks": checks, "seed": args.seed,
-               "version": __version__}
-    sys.stdout.write(_render(payload, args.format))
-    return 0 if all(c["ok"] for c in checks) else 2
+    rows, checks = SUITES[args.suite](q=args.q, n_max=args.n_max, seed=args.seed,
+                                      draws=args.draws, precision=args.precision)
+    return _emit(args, rows, checks, args.seed, suite=args.suite, n_max=args.n_max,
+                 draws=args.draws, precision=args.precision)
 
 
 def main(argv=None) -> int:

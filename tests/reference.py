@@ -9,13 +9,18 @@ draws (``padic.RgKernel``), and ``padic.mat_mul`` skips exact zeros where
 paths with these, and ``chars.sigma_key`` writes the orbit that
 ``sigma_key_search`` walks in closed form, and ``models.commutant_dim``
 solves factor by factor where ``full_gram_commutant`` builds one Gram of
-side (q-1)^4.  ``ref_add``, ``ref_mul``, ``ref_neg``, ``ref_inv``,
-``ref_normalize`` and ``ref_decide`` are the exact scalar operations of
-``padic.PadicScalar`` without its shortcuts."""
+side (q-1)^4, and ``induced_projector_ref`` sums the induced pair's
+2n x 2n matrices one element at a time where ``cli._induced_projector``
+places the tensor model's two averages on the diagonal.  ``ref_add``,
+``ref_mul``, ``ref_neg``, ``ref_inv``, ``ref_normalize`` and
+``ref_decide`` are the exact scalar operations of ``padic.PadicScalar``
+without its shortcuts."""
+
+import numpy as np
 
 from siegelvec.chars import _char_table
 from siegelvec.finitegrp import (GL2Elem, GL22Elem, gl2_det, gl22_identity,
-                                 gl22_mul, gl22_valid, poly_mul_mod)
+                                 gl22_mul, gl22_valid, poly_mul_mod, u_action)
 from siegelvec.models import _gl22_generators, _nullspace
 from siegelvec.padic import (_K_READS, GUARD, UNDECIDED, PadicScalar,
                              PrecisionExhausted, RgKernel)
@@ -190,6 +195,17 @@ def full_gram_commutant(tm):
     n = tm.dim
     null = _nullspace([(A, A) for A in map(tm.mat, _gl22_generators(tm.ctx))])
     return len(null), [v.reshape((n, n), order="F") for v in null]
+
+
+def induced_projector_ref(tm, R):
+    """Mean over r in R of blockdiag(tm(r), tm(u_action(r))), the
+    projector onto the R-fixed space of the pair induced from tm."""
+    n = tm.dim
+    total = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    for r in R:
+        total[:n, :n] += tm.mat(r)
+        total[n:, n:] += tm.mat(u_action(tm.ctx, r))
+    return total / len(R)
 
 
 # -- the exact p-adic scalar core, one operation at a time ------------------

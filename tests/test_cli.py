@@ -16,6 +16,8 @@ from siegelvec.finitegrp import build_field
 from siegelvec.support import (COSET_TAGS, stratum_count, total_count,
                                base_count, al_fixed_cosets, coset_R_type)
 
+from reference import induced_projector_ref
+
 
 def run(capsys, argv):
     rc = main(argv)
@@ -85,6 +87,54 @@ def test_verify_fixed_dims_passes(capsys):
                                "--format", "json"])
         assert rc == 0
         assert all(c["ok"] for c in json.loads(out)["checks"])
+
+
+# check name, row key and whether a full label (else a constituent) is
+# compared, for each case of chars.fixed_dim_closed
+_FIXED_DIM_CHECKS = {
+    "a": ("full label on torus matches closed value", "torus", True),
+    "b": ("constituent on torus matches closed value", "torus", False),
+    "c": ("full label on unipotent family matches closed value", "unip", True),
+    "d": ("full label on Artin-Schreier family matches closed value", "artin",
+          True),
+}
+
+
+@pytest.mark.parametrize("q,cases", [(2, "acd"), (3, "b"), (4, "acd"), (5, "ac"),
+                                     (7, "abc"), (8, "acd"), (9, "ac")])
+def test_fixed_dims_checks_only_the_cases_a_label_reached(capsys, q, cases):
+    # at q=3 the only omega-trivial labels are one Plus/Minus pair: a check
+    # on a full label there would compare nothing
+    rc, out = run(capsys, ["verify", "--suite", "fixed-dims", "--q", str(q),
+                           "--format", "json"])
+    assert rc == 0
+    payload = json.loads(out)
+    assert [c["name"] for c in payload["checks"]] == [
+        _FIXED_DIM_CHECKS[c][0] for c in cases]
+    for case in cases:
+        _, key, full = _FIXED_DIM_CHECKS[case]
+        assert any(key in r and r["sigma"].endswith(",Full") == full
+                   for r in payload["rows"]), case
+
+
+@pytest.mark.parametrize("q", [2, 4, 8])
+def test_stratum_weights_are_the_closed_fixed_dims_of_their_kind(q):
+    weights = cli._kind_weights(q)
+    assert set(weights) == {coset_R_type(tag) for tag in COSET_TAGS}
+    for kind, case in {"Torus": "a", "Unip": "c", "ArtinUnip": "d"}.items():
+        assert weights[kind] == chars.fixed_dim_closed(case, q), kind
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_induced_projector_matches_the_per_element_mean(q):
+    ctx = build_field(*cli.FIELDS[q])
+    sigma = next(s for s in cli._full_labels(ctx)
+                 if not chars.self_twist_presentations(ctx, s))
+    tm = models.model_for_sigma(ctx, sigma)
+    for R in cli._standard_groups(ctx):
+        got = cli._induced_projector(tm, R)
+        assert np.abs(got - induced_projector_ref(tm, R)).max() < 1e-12, R.label
+        assert np.abs(got @ got - got).max() < 1e-9, R.label
 
 
 def test_verify_twists_covers_both_branches(capsys):

@@ -97,11 +97,11 @@ def test_param_fields():
 
 
 def test_weighted_count_identity():
-    # per-stratum fixed dims (1, 1, q-1, 1, 1) aggregate to the closed base
+    # each stratum weighted by its kind's fixed dim aggregates to the base
     for q in (2, 4, 8):
-        w = {"I": 1, "II": 1, "IIIa": q - 1, "IIIb": 1, "IV": 1}
+        w = {"Torus": 1, "Unip": q - 1, "ArtinUnip": 1}
         for n in range(61):
-            agg = sum(w[t] * stratum_count(t, q, n) for t in COSET_TAGS)
+            agg = sum(w[coset_R_type(t)] * stratum_count(t, q, n) for t in COSET_TAGS)
             assert agg == base_count(q, n)
 
 
