@@ -97,18 +97,14 @@ def _counts_row(q: int, n: int) -> dict:
             "total": total_count(q, n), "base": base_count(q, n)}
 
 
-def _kind_weights(q: int) -> dict:
-    """Each stratum kind's weight in the base count at even q: the fixed
-    dimension of a full label on that kind."""
-    return {"Torus": 1, "Unip": q - 1, "ArtinUnip": 1}
-
-
 def suite_counts(q: int, n_max: int, **_: object) -> tuple[list, list]:
     fq = _field(q)
     _within_budget(q, range(n_max + 1), f"levels 0..{n_max}")
     rows = []
     enum_ok = fixed_ok = weight_ok = True
-    weights = {tag: _kind_weights(q)[coset_R_type(tag)] for tag in COSET_TAGS}
+    # each kind's weight in the base count at even q: a full label's fixed dim
+    by_kind = {"Torus": 1, "Unip": q - 1, "ArtinUnip": 1}
+    weights = {tag: by_kind[coset_R_type(tag)] for tag in COSET_TAGS}
     for n in range(n_max + 1):
         params = enumerate_support(fq, n)
         by_tag = Counter(p.tag for p in params)
@@ -634,6 +630,8 @@ def cmd_support(args) -> int:
 def cmd_verify(args) -> int:
     rows, checks = SUITES[args.suite](q=args.q, n_max=args.n_max, seed=args.seed,
                                       draws=args.draws, precision=args.precision)
+    if not checks:  # a suite that checked nothing has verified nothing
+        _check(checks, f"{args.suite} suite emitted a check", False, compared=0)
     return _emit(args, rows, checks, args.seed, suite=args.suite, n_max=args.n_max,
                  draws=args.draws, precision=args.precision)
 

@@ -32,10 +32,9 @@ precision exit names its tag and draw, so a change to the order or the
 precision of the exact arithmetic moves it.
 
 To recapture after an intended output change, run
-``PYTHONPATH=src python tests/test_golden.py [NAME ...]`` and review the
-diff.  Each NAME is a golden file's stem (``fixed-dims-q3``,
-``identities-exits``); only the named files are rewritten, and every file
-is when no name is given.
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+Every golden is compared byte for byte, so a full recapture rewrites
+only the files whose bytes changed.
 """
 
 from __future__ import annotations
@@ -110,16 +109,10 @@ def test_identity_exits_match_golden():
 
 
 if __name__ == "__main__":
-    names = sys.argv[1:] or sorted(CASES) + ["identities-exits"]
-    unknown = sorted(set(names) - set(CASES) - {"identities-exits"})
-    if unknown:
-        sys.exit(f"no golden named {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
-    for name in names:
-        if name in CASES:
-            (GOLDEN / f"{name}.json").write_text(_run(CASES[name]))
-        else:
-            exits = {case: _exit(argv) for case, argv in sorted(EXIT_CASES.items())}
-            (GOLDEN / f"{name}.json").write_text(
-                json.dumps(exits, indent=1, sort_keys=True) + "\n")
+    for name, argv in sorted(CASES.items()):
+        (GOLDEN / f"{name}.json").write_text(_run(argv))
         print(name, file=sys.stderr)
+    exits = {name: _exit(argv) for name, argv in sorted(EXIT_CASES.items())}
+    (GOLDEN / "identities-exits.json").write_text(
+        json.dumps(exits, indent=1, sort_keys=True) + "\n")
