@@ -42,6 +42,9 @@ from .finitegrp import (FqCtx, GL2Elem, GL22Elem, SubgroupR, conjugates_into,
                         gl22_codes, gl22_rows, gl2_classes, gl2_identity,
                         gl2_table, u_action_rows, u_image)
 from .numerics import Refusal, certify_integer, root_of_unity
+# the closed fixed dimensions live in the numpy-free layer, so that the
+# closed count commands read them without numpy; they are re-exported here
+from .numerics import BadCase, fixed_dim_closed  # noqa: F401
 
 
 class OracleRequired(RuntimeError, Refusal):
@@ -50,10 +53,6 @@ class OracleRequired(RuntimeError, Refusal):
 
 class HypothesisViolated(ValueError):
     """Closed form invoked outside the hypotheses it was proved under."""
-
-
-class BadCase(ValueError, Refusal):
-    """Unknown case tag for a closed form."""
 
 
 # -- cuspidal labels -------------------------------------------------------
@@ -285,31 +284,6 @@ def fixed_dim(ctx: FqCtx, sigma: SigmaLabel, R: SubgroupR) -> int:
 def fixed_dim_u_twist(ctx: FqCtx, sigma: SigmaLabel, R: SubgroupR) -> int:
     """Fixed dimension of the u-twisted representation on the same R."""
     return _average_dim(ctx, sigma, u_image(ctx, R))
-
-
-def fixed_dim_closed(case: str, q: int, omega_sign: int | None = None) -> int:
-    """Closed fixed-space dimensions for the standard subgroups.
-
-    case 'a': full label on the torus; 'b': constituent on the torus
-    (q odd); 'c': full label on the unipotent family; 'd': full label on
-    the Artin-Schreier family (q even)."""
-    if case == "a":
-        if q % 2 == 0:
-            return 1
-        if omega_sign not in (1, -1):
-            raise BadCase("case 'a' at odd q needs omega(-1)")
-        return 1 + omega_sign
-    if case == "b":
-        if q % 2 == 0:
-            raise BadCase("case 'b' requires q odd")
-        return 1 if q % 4 == 3 else 0
-    if case == "c":
-        return q - 1
-    if case == "d":
-        if q % 2 != 0:
-            raise BadCase("case 'd' requires q even")
-        return 1
-    raise BadCase(f"unknown case {case!r}")
 
 
 _TWISTED_DIM_BY_LABEL = {"Torus": lambda q: 1, "Unip": lambda q: q - 1,

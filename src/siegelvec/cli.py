@@ -29,7 +29,7 @@ from collections import Counter
 from itertools import islice
 
 from . import __version__
-from .numerics import FqCtx, Refusal, build_field
+from .numerics import FqCtx, Refusal, build_field, fixed_dim_closed
 from .support import (COSET_TAGS, enumerate_support, stratum_count, total_count,
                       base_count, al_partner, is_al_fixed, fixed_stratum_count,
                       coset_R_type, classify_pairing, dim_formula, assemble_dim,
@@ -92,6 +92,16 @@ def _check(checks: list, name: str, ok: bool, detail: str = "",
 
 # -- suites -------------------------------------------------------------------
 
+# The cases of fixed_dim_closed: case, whether it takes the full
+# label or a constituent, the row key, the subgroup kind and the check.
+_FIXED_DIM_CASES = (
+    ("a", True, "torus", "Torus", "full label on torus"),
+    ("b", False, "torus", "Torus", "constituent on torus"),
+    ("c", True, "unip", "Unip", "full label on unipotent family"),
+    ("d", True, "artin", "ArtinUnip", "full label on Artin-Schreier family"),
+)
+
+
 def _counts_row(q: int, n: int) -> dict:
     return {"n": n, **{tag: stratum_count(tag, q, n) for tag in COSET_TAGS},
             "total": total_count(q, n), "base": base_count(q, n)}
@@ -102,9 +112,11 @@ def suite_counts(q: int, n_max: int, **_: object) -> tuple[list, list]:
     _within_budget(q, range(n_max + 1), f"levels 0..{n_max}")
     rows = []
     enum_ok = fixed_ok = weight_ok = True
-    # each kind's weight in the base count at even q: a full label's fixed dim
-    by_kind = {"Torus": 1, "Unip": q - 1, "ArtinUnip": 1}
-    weights = {tag: by_kind[coset_R_type(tag)] for tag in COSET_TAGS}
+    if q % 2 == 0:
+        # each kind's weight in the base count: a full label's fixed dim
+        case = {kind: c for c, full, _, kind, _ in _FIXED_DIM_CASES if full}
+        weights = {tag: fixed_dim_closed(case[coset_R_type(tag)], q)
+                   for tag in COSET_TAGS}
     for n in range(n_max + 1):
         params = enumerate_support(fq, n)
         by_tag = Counter(p.tag for p in params)
@@ -128,19 +140,9 @@ def suite_counts(q: int, n_max: int, **_: object) -> tuple[list, list]:
     return rows, checks
 
 
-# The cases of chars.fixed_dim_closed: case, whether it takes the full
-# label or a constituent, the row key, the subgroup kind and the check.
-_FIXED_DIM_CASES = (
-    ("a", True, "torus", "Torus", "full label on torus"),
-    ("b", False, "torus", "Torus", "constituent on torus"),
-    ("c", True, "unip", "Unip", "full label on unipotent family"),
-    ("d", True, "artin", "ArtinUnip", "full label on Artin-Schreier family"),
-)
-
-
 def suite_fixed_dims(q: int, **_: object) -> tuple[list, list]:
     from .finitegrp import subgroup_R
-    from .chars import omega_trivial_sigma_classes, fixed_dim, fixed_dim_closed
+    from .chars import omega_trivial_sigma_classes, fixed_dim
     ctx = _field(q)
     cases = [c for c in _FIXED_DIM_CASES if c[3] in _standard_kinds(q)]
     compared: dict = {name: [] for *_, name in cases}
@@ -179,24 +181,25 @@ def _full_labels(ctx: FqCtx) -> list:
 
 
 def suite_oracle(q: int, **_: object) -> tuple[list, list]:
-    from .chars import fixed_dim, make_sigma, sigma_is_reducible
-    from .models import decompose, model_for_sigma
+    from .chars import cuspidal_classes, fixed_dim, make_sigma, sigma_is_reducible
+    from .models import decompose, fixed_ranks, model_for_sigma
     ctx = _field(q)
     rows = []
     ok = sum_ok = unip_ok = True
     labels = _full_labels(ctx)
     seen_constituent = False
     groups = _standard_groups(ctx)
+    label_ranks = [fixed_ranks(ctx, R, cuspidal_classes(ctx)) for R in groups]
     for sigma in labels:
-        model = model_for_sigma(ctx, sigma)
-        for R in groups:
+        for R, by_pair in zip(groups, label_ranks):
             fd = fixed_dim(ctx, sigma, R)
-            rk = model.fixed_rank(R)
+            rk = by_pair[sigma.k1, sigma.k2]
             rows.append({"sigma": _sigma_str(sigma), "group": R.label,
                          "average": fd, "rank": rk})
             ok &= fd == rk
         if sigma_is_reducible(ctx, sigma):
             seen_constituent = True
+            model = model_for_sigma(ctx, sigma)
             parts = decompose(model)
             for R in groups:
                 ranks = [m.fixed_rank(R) for m in parts]

@@ -31,12 +31,17 @@ Tensor models pair two cuspidal models, optionally twisted by a power of
 the determinant character on the first factor; they serve as the oracle
 for everything the character formulas cannot see: constituent splitting,
 twist intertwiners, and traces of twist operators on fixed subspaces.
-The average of a model over a subgroup, the projector onto its fixed
-subspace, is one einsum over the stacked factor matrices, and a fixed
-rank is the certified trace of that average.  Tensor and constituent
-matrices are computed on demand and never stored: only the small
-cuspidal matrices of single elements, which every model of a field
-shares, are cached.
+The average of a model over a subgroup R is the projector onto its fixed
+subspace.  ``pair_averages`` forms it for many factor pairs at once: it
+builds each factor's stack of matrices over R once, and the averages of
+one first factor against every second factor are one matrix product of
+shapes (n, |R|) and (|R|, K n), n = (q-1)^2.  Every average is certified
+as an orthogonal projector (``projector_residual`` below PROJECTOR_TOL)
+before a trace is read, so a model whose traces are right but which is
+not a representation is refused, and a fixed rank is the certified trace
+of a certified projector.  Tensor and constituent matrices are computed
+on demand and never stored: only the small cuspidal matrices of single
+elements, which every model of a field shares, are cached.
 
 Commutants and intertwiners are kernels of linear systems X A = B X over
 a generating set.  The stacked system is never formed: its Hermitian Gram
@@ -89,10 +94,17 @@ class NotNormalizing(ValueError):
 class UncertifiedNullity(ArithmeticError, Refusal):
     """A kernel dimension could not be certified: a generator matrix is not
     unitary, no spectral gap separates the null eigenvalues from the rest,
-    or the nullity disagrees with the character norm."""
+    the nullity disagrees with the character norm, or an average over a
+    subgroup is not an orthogonal projector."""
 
 
 _TOL = 1e-8
+
+# The largest projector_residual an average may have.  The averages of the
+# real models at q <= 9 stay below 1e-12.  Each eigenvalue of a Hermitian P
+# with ||P^2 - P|| below it lies within about it of 0 or 1, so for n <= 64
+# the trace is within the 1e-6 that _projector_rank allows of the rank.
+PROJECTOR_TOL = 1e-8
 
 
 def _require_unitary(U: np.ndarray, what: str) -> None:
@@ -141,10 +153,41 @@ def _nullspace(pairs) -> list[np.ndarray]:
     return list(_gap_kernel(G).T)
 
 
+def _frobenius(D: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each complex matrix of a stack, summed on its
+    float view."""
+    v = D.view(np.float64).reshape(*D.shape[:-2], -1)
+    return np.sqrt(np.einsum("...i,...i->...", v, v))
+
+
+def projector_residual(P: np.ndarray) -> np.ndarray:
+    """max(||P - P^H||, ||P^2 - P||) in the Frobenius norm, per matrix of
+    a stack of shape (..., n, n): zero exactly for orthogonal projectors."""
+    return np.maximum(_frobenius(P - np.swapaxes(P, -1, -2).conj()),
+                      _frobenius(P @ P - P))
+
+
+def _certified(P: np.ndarray) -> np.ndarray:
+    """P itself, a matrix or a stack of them, once each is certified as an
+    orthogonal projector; otherwise UncertifiedNullity."""
+    worst = float(np.max(projector_residual(P)))
+    if not worst < PROJECTOR_TOL:
+        raise UncertifiedNullity(
+            f"an average is not an orthogonal projector: residual {worst:.3g} "
+            f"above {PROJECTOR_TOL:g}")
+    return P
+
+
+def _projector_rank(P: np.ndarray) -> int:
+    """The rank of a certified projector: its trace, certified to an
+    integer."""
+    return certify_integer(np.trace(P), tol=1e-6)
+
+
 def _fixed_rank(model, R: SubgroupR) -> int:
-    """dim of the R-fixed subspace of a model: the trace of its average
-    over R, certified to an integer."""
-    return certify_integer(np.trace(model.average(R)), tol=1e-6)
+    """dim of the R-fixed subspace of a model: the rank of its certified
+    average over R."""
+    return _projector_rank(model.average(R))
 
 
 # -- the induced signed-permutation model (test reference) ------------------
@@ -335,6 +378,45 @@ def cuspidal_model(ctx: FqCtx, k: int) -> CuspidalModel:
 
 # -- tensor models -----------------------------------------------------------
 
+def _det_phase(ctx: FqCtx, codes: np.ndarray, lam_exp: int) -> np.ndarray:
+    """det^lam of each (N, 4) code row: the determinant fq_gen^j has the
+    gl2_classes det digit 1 + j."""
+    q = ctx.q
+    j = gl2_classes(ctx, codes) // 2 % q - 1
+    return np.exp(2j * np.pi * lam_exp * j / (q - 1))
+
+
+def pair_averages(ctx: FqCtx, R: SubgroupR, ks1, ks2, lam_exp: int = 0):
+    """Yield ((k1, k2), P) for every k1 in ks1 (outermost) and k2 in ks2:
+    P is the mean over x in R of det^lam(x1) m_k1(x1) (x) m_k2(x2), each
+    certified as an orthogonal projector before it is yielded.
+
+    The second factors' stacks over R are built once and held together;
+    the first factors' are built one at a time, each scaled row by row by
+    det^lam / |R|.  With A the (|R|, n) flattened first stack and B the
+    (|R|, K n) second stacks, C = A^T B holds in row (i, j) and column
+    (k2, k, l) the (i, k), (j, l) entry of the average for (k1, k2)."""
+    m = ctx.q - 1
+    n, first, second = m * m, R.rows[:, :4], R.rows[:, 4:]
+    weight = _det_phase(ctx, first, lam_exp) / len(R)
+    B = np.empty((len(R), len(ks2), m, m), dtype=np.complex128)
+    for i, k2 in enumerate(ks2):
+        B[:, i] = cuspidal_model(ctx, k2).mats(second)
+    B = B.reshape(len(R), -1)
+    for k1 in ks1:
+        A = weight[:, None, None] * cuspidal_model(ctx, k1).mats(first)
+        C = A.reshape(len(R), n).T @ B
+        P = C.reshape(m, m, len(ks2), m, m).transpose(2, 0, 3, 1, 4)
+        yield from zip(((k1, k2) for k2 in ks2),
+                       _certified(P.reshape(len(ks2), n, n)))
+
+
+def fixed_ranks(ctx: FqCtx, R: SubgroupR, ks) -> dict:
+    """dim of the R-fixed subspace of the tensor model (k1, k2) for every
+    pair of exponents in ks, from one pass of pair_averages."""
+    return {pair: _projector_rank(P) for pair, P in pair_averages(ctx, R, ks, ks)}
+
+
 class TensorModel:
     """Matrices for a pair of cuspidal models twisted by det^lam on the
     first factor.  Defined on arbitrary GL2 pairs; restriction to the
@@ -349,25 +431,15 @@ class TensorModel:
         self.m2 = cuspidal_model(ctx, k2)
         self.dim = self.m1.dim * self.m2.dim
 
-    def _det_phase(self, codes: np.ndarray) -> np.ndarray:
-        """det^lam of each (N, 4) code row: the determinant fq_gen^j has
-        the gl2_classes det digit 1 + j."""
-        q = self.ctx.q
-        j = gl2_classes(self.ctx, codes) // 2 % q - 1
-        return np.exp(2j * np.pi * self.lam_exp * j / (q - 1))
-
     def mat(self, x: GL22Elem) -> np.ndarray:
-        return self._det_phase(np.array([x.first]))[0] * np.kron(
-            self.m1.mat(x.first), self.m2.mat(x.second))
+        phase = _det_phase(self.ctx, np.array([x.first]), self.lam_exp)[0]
+        return phase * np.kron(self.m1.mat(x.first), self.m2.mat(x.second))
 
     def average(self, R: SubgroupR) -> np.ndarray:
-        """Mean of the matrices over R, the projector onto the R-fixed
-        subspace: one einsum over the stacked factor matrices."""
-        first = R.rows[:, :4]
-        A = (self._det_phase(first) / len(R))[:, None, None] * self.m1.mats(first)
-        B = self.m2.mats(R.rows[:, 4:])
-        n = self.dim
-        return np.einsum("rij,rkl->ikjl", A, B, optimize=True).reshape(n, n)
+        """Mean of the matrices over R, the certified projector onto the
+        R-fixed subspace: the one-pair case of pair_averages."""
+        [(_, P)] = pair_averages(self.ctx, R, [self.k1], [self.k2], self.lam_exp)
+        return P
 
     def char(self, x: GL22Elem) -> complex:
         return complex(np.trace(self.mat(x)))
@@ -466,13 +538,21 @@ class ConstituentModel:
         return self.basis.conj().T @ self.tm.mat(x) @ self.basis
 
     def average(self, R: SubgroupR) -> np.ndarray:
-        return self.basis.conj().T @ self.tm.average(R) @ self.basis
+        return _certified(self.basis.conj().T @ self.tm.average(R) @ self.basis)
 
     def char(self, x: GL22Elem) -> complex:
         return complex(np.trace(self.mat(x)))
 
     def fixed_rank(self, R: SubgroupR) -> int:
         return _fixed_rank(self, R)
+
+
+# Generic coefficients of the two commutant basis elements in the Hermitian
+# H whose eigenspaces are the constituents: the first four standard normal
+# draws of numpy's default_rng(0), written out so no process imports
+# numpy.random for them.
+_COMMUTANT_COEFFS = (0.1257302210933933 - 0.1321048632913019j,
+                     0.6404226504432821 + 0.10490011715303971j)
 
 
 def decompose(tm: TensorModel) -> list[ConstituentModel]:
@@ -494,10 +574,8 @@ def decompose(tm: TensorModel) -> list[ConstituentModel]:
         raise ValueError("restriction is irreducible")
     if dim_c != 2:
         raise ValueError(f"unexpected commutant dimension {dim_c}")
-    rng = np.random.default_rng(0)
     H = np.zeros((tm.dim, tm.dim), dtype=np.complex128)
-    for X in mats:
-        c = rng.standard_normal() + 1j * rng.standard_normal()
+    for c, X in zip(_COMMUTANT_COEFFS, mats):
         H += c * X + np.conj(c) * X.conj().T
     vals, vecs = np.linalg.eigh(H)
     gaps = np.diff(vals)

@@ -1,5 +1,8 @@
-"""The numpy-free scalar layer: roots of unity, integer certification, and
-the finite fields F_q inside F_{q^2}.
+"""The numpy-free scalar layer: roots of unity, integer certification, the
+closed fixed-space dimensions of the standard subgroups
+(``fixed_dim_closed``, which ``chars`` re-exports: it lives here so that
+the closed count commands read it without numpy), and the finite fields
+F_q inside F_{q^2}.
 
 All group orders in this package are at most a few times 1e5, so any
 character average is a sum of at most ~1e5 unit-modulus terms divided by
@@ -50,6 +53,35 @@ def certify_integer(v: complex | float | int, tol: float = 1e-9) -> int:
     if abs(z.imag) >= tol or abs(z.real - n) >= tol:
         raise NotAnInteger(f"{z!r} is not within {tol} of an integer")
     return int(n)
+
+
+class BadCase(ValueError, Refusal):
+    """Unknown case tag for a closed form."""
+
+
+def fixed_dim_closed(case: str, q: int, omega_sign: int | None = None) -> int:
+    """Closed fixed-space dimensions for the standard subgroups.
+
+    case 'a': full label on the torus; 'b': constituent on the torus
+    (q odd); 'c': full label on the unipotent family; 'd': full label on
+    the Artin-Schreier family (q even)."""
+    if case == "a":
+        if q % 2 == 0:
+            return 1
+        if omega_sign not in (1, -1):
+            raise BadCase("case 'a' at odd q needs omega(-1)")
+        return 1 + omega_sign
+    if case == "b":
+        if q % 2 == 0:
+            raise BadCase("case 'b' requires q odd")
+        return 1 if q % 4 == 3 else 0
+    if case == "c":
+        return q - 1
+    if case == "d":
+        if q % 2 != 0:
+            raise BadCase("case 'd' requires q even")
+        return 1
+    raise BadCase(f"unknown case {case!r}")
 
 
 class UnsupportedSize(ValueError):

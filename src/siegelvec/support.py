@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .numerics import FqCtx
+from .numerics import BadCase, FqCtx
 
 # numpy-free: the functions that average over a subgroup import the rest
 if TYPE_CHECKING:
@@ -176,7 +176,6 @@ def dim_formula(q: int, n: int, pairing: str) -> int:
         factor = _DIM_FACTOR_ODD.get(pairing)
     else:
         if pairing == "constituent":
-            from .chars import BadCase
             raise BadCase("no constituents at even q")
         factor = _DIM_FACTOR_EVEN.get(pairing)
     if factor is None:
@@ -242,7 +241,6 @@ def al_formula(q: int, n: int, pairing: str, ext_sign: int = 1,
     if pairing not in ("distinct", "self", "constituent"):
         raise ValueError(f"unknown pairing class {pairing!r}")
     if q % 2 == 0 and pairing == "constituent":
-        from .chars import BadCase
         raise BadCase("no constituents at even q")
     if n < 3:
         return 0

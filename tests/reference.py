@@ -11,8 +11,10 @@ paths with these, and ``chars.sigma_key`` writes the orbit that
 solves factor by factor where ``full_gram_commutant`` builds one Gram of
 side (q-1)^4, and ``induced_projector_ref`` sums the induced pair's
 2n x 2n matrices one element at a time where ``cli._induced_projector``
-places the tensor model's two averages on the diagonal.  ``ref_add``,
-``ref_mul``, ``ref_neg``, ``ref_inv``, ``ref_normalize`` and
+places the tensor model's two averages on the diagonal, and
+``tensor_average_ref`` sums one Kronecker product per element where
+``models.pair_averages`` averages many pairs in one matrix product.
+``ref_add``, ``ref_mul``, ``ref_neg``, ``ref_inv``, ``ref_normalize`` and
 ``ref_decide`` are the exact scalar operations of ``padic.PadicScalar``
 without its shortcuts."""
 
@@ -21,7 +23,8 @@ import numpy as np
 from siegelvec.chars import _char_table
 from siegelvec.finitegrp import (GL2Elem, GL22Elem, gl2_det, gl22_identity,
                                  gl22_mul, gl22_valid, poly_mul_mod, u_action)
-from siegelvec.models import _gl22_generators, _nullspace
+from siegelvec.models import _gl22_generators, _nullspace, cuspidal_model
+from siegelvec.numerics import root_of_unity
 from siegelvec.padic import (_K_READS, GUARD, UNDECIDED, PadicScalar,
                              PrecisionExhausted, RgKernel)
 
@@ -195,6 +198,19 @@ def full_gram_commutant(tm):
     n = tm.dim
     null = _nullspace([(A, A) for A in map(tm.mat, _gl22_generators(tm.ctx))])
     return len(null), [v.reshape((n, n), order="F") for v in null]
+
+
+def tensor_average_ref(ctx, R, k1, k2, lam_exp=0):
+    """Mean over x in R of det(x1)^lam m_k1(x1) (x) m_k2(x2), one element
+    at a time, with det(x1) = fq_gen^j giving the phase
+    exp(2 pi i lam j / (q-1))."""
+    m1, m2 = cuspidal_model(ctx, k1), cuspidal_model(ctx, k2)
+    total = np.zeros((m1.dim * m2.dim,) * 2, dtype=np.complex128)
+    for x in R:
+        j = ctx.dlog(gl2_det(ctx, x.first)) // (ctx.q + 1)
+        total += root_of_unity(ctx.q - 1, lam_exp * j) * np.kron(
+            m1.mat(x.first), m2.mat(x.second))
+    return total / len(R)
 
 
 def induced_projector_ref(tm, R):

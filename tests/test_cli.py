@@ -342,14 +342,16 @@ def test_induced_q9_scans_gl22_within_a_minute_and_200_mb(tmp_path):
     assert all(r["normalizers"] + r["rejected"] == 4147200 for r in rows)
 
 
-def test_oracle_q9_passes_within_a_minute_and_200_mb(tmp_path):
+def test_oracle_q9_passes_within_a_minute_and_100_mb(tmp_path):
     # the commutant is solved factor by factor, on Grams of side (q-1)^2 =
-    # 64, where one Gram over the whole pair would have side 4096
+    # 64, where one Gram over the whole pair would have side 4096; the
+    # averages hold the 36 second-factor stacks of one group (19 MB for
+    # the torus) and one first-factor stack at a time
     code, wall, peak = _fresh_child(tmp_path,
                                     ["verify", "--suite", "oracle", "--q", "9"])
     assert code == 0
     assert wall < 60
-    assert peak < 200
+    assert peak < 100
     checks = json.loads((tmp_path / "out.json").read_text())["checks"]
     assert len(checks) == 3 and all(c["ok"] for c in checks)
 
@@ -654,6 +656,32 @@ def test_closed_dimension_suites_never_import_the_models(argv):
 def test_oracle_never_imports_the_padic_layer():
     loaded = _loaded_modules(["verify", "--suite", "oracle", "--q", "3"])
     assert "siegelvec.models" in loaded and "siegelvec.padic" not in loaded
+
+
+def test_oracle_never_imports_numpy_random():
+    # the constituent split's two generic coefficients are written out
+    assert "numpy.random" not in _loaded_modules(
+        ["verify", "--suite", "oracle", "--q", "3"])
+
+
+def test_oracle_refuses_a_model_with_true_traces_that_is_no_representation(
+        capsys, monkeypatch):
+    # conjugating each matrix by a diagonal phase of its own element keeps
+    # every trace, so the character check at build time still passes, and
+    # breaks multiplicativity, so no average over a subgroup is a projector
+    mats = models.CuspidalModel.mats
+
+    def mutant(self, elems):
+        M = mats(self, elems)
+        codes = np.asarray(elems, dtype=np.int64).reshape(len(M), 4)
+        d = np.exp(2j * np.pi * np.outer(codes @ [1, 2, 3, 5],
+                                         np.arange(1, self.dim + 1)) / 7)
+        return d[:, :, None] * M * d.conj()[:, None, :]
+
+    monkeypatch.setattr(models.CuspidalModel, "mats", mutant)
+    monkeypatch.setattr(models, "_MODEL_CACHE", {})  # no mutant matrix outlives the test
+    assert main(["verify", "--suite", "oracle", "--q", "5"]) == 3
+    assert "not an orthogonal projector" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

@@ -23,8 +23,9 @@ from siegelvec.models import (
     commutant_dim, cuspidal_model, decompose, model_for_sigma, swap_operator,
     twisted_trace, u_intertwiner, ww_operator,
 )
+from siegelvec.cli import _standard_groups
 
-from reference import cuspidal_char, full_gram_commutant, gl2_inv
+from reference import cuspidal_char, full_gram_commutant, gl2_inv, tensor_average_ref
 
 FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3),
           9: (3, 2)}
@@ -377,6 +378,48 @@ def test_fixed_rank_matches_trace_of_kron_average(p, f, labels):
             assert tm.fixed_rank_twisted(R) == round(twisted.real)
             assert abs(plain - round(plain.real)) < 1e-6
             assert abs(twisted - round(twisted.real)) < 1e-6
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_pair_averages_match_the_per_element_reference(q):
+    ctx = build_field(*FIELDS[q])
+    ks = cuspidal_classes(ctx)
+    for R in _standard_groups(ctx):
+        seen = 0
+        for (k1, k2), P in models.pair_averages(ctx, R, ks, ks):
+            assert np.abs(P - tensor_average_ref(ctx, R, k1, k2)).max() < 1e-12
+            seen += 1
+        assert seen == len(ks) ** 2
+
+
+def test_twisted_average_matches_the_per_element_reference():
+    # the det^lam weight on the first factor, as twists and induced use it
+    ctx = build_field(5, 1)
+    k1, k2 = cuspidal_classes(ctx)[:2]
+    tm = TensorModel(ctx, k1, k2, lam_exp=1)
+    for R in _standard_groups(ctx):
+        want = tensor_average_ref(ctx, R, k1, k2, lam_exp=1)
+        assert np.abs(tm.average(R) - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("q", sorted(FIELDS))
+def test_real_averages_are_projectors_well_inside_the_bound(q):
+    ctx = build_field(*FIELDS[q])
+    ks = cuspidal_classes(ctx)
+    worst = max(float(models.projector_residual(P))
+                for R in _standard_groups(ctx)
+                for _, P in models.pair_averages(ctx, R, ks, ks))
+    assert worst < 1e-4 * models.PROJECTOR_TOL
+
+
+def test_projector_residual_sees_both_defects():
+    idempotent = np.array([[1, 1], [0, 0]], dtype=np.complex128)  # not Hermitian
+    hermitian = np.diag([1, 0.5]).astype(np.complex128)  # not idempotent
+    projector = np.full((2, 2), 0.5, dtype=np.complex128)
+    got = models.projector_residual(np.stack([idempotent, hermitian, projector]))
+    assert got[0] > 1 and got[1] > 0.2 and got[2] < 1e-15
+    with pytest.raises(UncertifiedNullity, match="not an orthogonal projector"):
+        models._certified(hermitian)
 
 
 def test_decompose_split_pair():
