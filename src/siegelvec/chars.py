@@ -4,19 +4,18 @@ and closed-form fixed-space dimensions.
 A cuspidal representation of GL2(q) is labeled by an exponent k with
 (q+1) not dividing k: the corresponding character theta of the big
 multiplicative group sends g2^j to zeta_{q^2-1}^{kj}.  Labels k and q*k
-name the same representation.  Each character is a table keyed by the
-class key (trace, det, is_scalar) of ``finitegrp.gl2_classes``, filled once
-per label from the eigenvalues t in F_{q^2}^x:
+name the same representation.  ``char_values`` holds each character over
+the class indices of ``finitegrp.gl2_table``, filled once per label from
+the eigenvalues t in F_{q^2}^x at the class of one matrix each:
 
-* scalar tI                       (2t, t^2, True)      -> (q-1) theta(t)
-* non-semisimple, eigenvalue t    (2t, t^2, False)     -> -theta(t)
-* elliptic, eigenvalues t and t^q (t+t^q, t^(q+1), False)
-                                  -> -(theta(t) + theta(t^q))
-* split regular diag(a,b), a != b: absent from the table -> 0
+* scalar tI, [[t, 0], [0, t]]                 -> (q-1) theta(t)
+* non-semisimple, [[t, 0], [1, t]]            -> -theta(t)
+* elliptic, the companion matrix of t and t^q -> -(theta(t) + theta(t^q))
+* split regular diag(a,b), a != b             -> 0
 
-``char_values`` reads the table as an array over the class indices of
-``finitegrp.gl2_table``, and every character sum over a set of GL22(q)
-elements indexes it by the class of each factor of their code rows.
+Every fixed dimension over a subgroup R reads R's class pairs
+(``SubgroupR.class_pairs``): sum count * chi_k1[c1] * chi_k2[c2] / |R|,
+and over u(R) the same with c1 and c2 swapped.
 
 A SigmaLabel names an irreducible-or-full piece of the restriction of a
 cuspidal pair to the det-matched group GL22(q): either the full
@@ -40,7 +39,7 @@ import numpy as np
 
 from .finitegrp import (FqCtx, GL2Elem, GL22Elem, SubgroupR, conjugates_into,
                         gl22_codes, gl22_rows, gl2_classes, gl2_identity,
-                        gl2_table, u_action_rows, u_image)
+                        u_action_rows)
 from .numerics import Refusal, certify_integer, root_of_unity
 # the closed fixed dimensions live in the numpy-free layer, so that the
 # closed count commands read them without numpy; they are re-exported here
@@ -80,31 +79,24 @@ def theta_eval(ctx: FqCtx, k: int, a: int) -> complex:
 
 
 @functools.cache
-def _char_table(ctx: FqCtx, k: int) -> dict:
-    """Values of the cuspidal character labeled by k, keyed by class key.
-
-    Built once per label by running t over F_{q^2}^x.  Split regular
-    classes are absent: the character vanishes there."""
-    table = {}
+def char_values(ctx: FqCtx, k: int) -> np.ndarray:
+    """The cuspidal character labeled by k on each class of
+    ``gl2_table(ctx).classes``, written at the class of one row per
+    eigenvalue t in F_{q^2}^x; split regular classes keep 0."""
+    k %= ctx.q2 - 1
+    rows, values = [], []
     for t in range(1, ctx.q2):
         theta = theta_eval(ctx, k, t)
         if ctx.in_fq(t):
-            tr, det = ctx.add(t, t), ctx.mul(t, t)
-            table[(tr, det, True)] = (ctx.q - 1) * theta
-            table[(tr, det, False)] = -theta
+            rows += [(t, 0, 0, t), (t, 0, ctx.one, t)]
+            values += [(ctx.q - 1) * theta, -theta]
         else:
             tq = ctx.frob_q(t)
-            key = (ctx.add(t, tq), ctx.mul(t, tq), False)
-            table[key] = -(theta + theta_eval(ctx, k, tq))
-    return table
-
-
-@functools.cache
-def char_values(ctx: FqCtx, k: int) -> np.ndarray:
-    """The cuspidal character labeled by k on each class of
-    ``gl2_table(ctx).classes``, read from the same table."""
-    table = _char_table(ctx, k % (ctx.q2 - 1))
-    return np.array([table.get(c, 0j) for c in gl2_table(ctx).classes])
+            rows.append((0, ctx.neg(ctx.mul(t, tq)), ctx.one, ctx.add(t, tq)))
+            values.append(-(theta + theta_eval(ctx, k, tq)))
+    out = np.zeros(2 * ctx.q ** 2, dtype=complex)
+    out[gl2_classes(ctx, np.array(rows, dtype=np.uint8))] = values
+    return out
 
 
 # -- omega (central character) helpers ------------------------------------
@@ -184,18 +176,15 @@ def sigma_key(ctx: FqCtx, sigma: SigmaLabel):
 
 def is_self_twisted(ctx: FqCtx, sigma: SigmaLabel) -> bool:
     """Character comparison chi(x) = chi(u_action(x)) over all of GL22(q),
-    evaluated on the code array: u_action on its rows, then the class of
-    each factor and the label's value on it.
-
-    Reference only: the tests and the benchmark probes check it against
-    self_twist_presentations, which makes every self-twist decision on the
-    production path.  For a constituent this reduces to its parent: the
-    u-action fixes the parent's isotypic family and each constituent's
-    restriction type, so a constituent is self-twisted exactly when the
-    full label is (cross checked against the oracle intertwiner in the test
-    suite)."""
+    element by element on the code array.  Reference only: the tests and
+    the benchmark probes check self_twist_presentations, which makes every
+    self-twist decision on the production path, against it.  A constituent
+    is self-twisted exactly when its full label is: the u-action fixes the
+    parent's isotypic family and each constituent's restriction type."""
     X = gl22_codes(ctx)
-    chi, chi_u = (_label_values(ctx, sigma, Y) for Y in (X, u_action_rows(ctx, X)))
+    chi1, chi2 = char_values(ctx, sigma.k1), char_values(ctx, sigma.k2)
+    chi, chi_u = (chi1[gl2_classes(ctx, Y[:, :4])] * chi2[gl2_classes(ctx, Y[:, 4:])]
+                  for Y in (X, u_action_rows(ctx, X)))
     return bool(np.abs(chi - chi_u).max() <= 1e-8)
 
 
@@ -252,27 +241,24 @@ def lambda_omega_class(ctx: FqCtx, sigma: SigmaLabel,
 
 # -- characters and fixed dimensions ---------------------------------------
 
-def _label_values(ctx: FqCtx, sigma: SigmaLabel, rows: np.ndarray) -> np.ndarray:
-    """The full label's character on each row of a GL22 code array, read
-    per class of each factor."""
-    return (char_values(ctx, sigma.k1)[gl2_classes(ctx, rows[:, :4])]
-            * char_values(ctx, sigma.k2)[gl2_classes(ctx, rows[:, 4:])])
-
-
-def _average_dim(ctx: FqCtx, sigma: SigmaLabel, R: SubgroupR) -> int:
-    """Average of the label's character over a subgroup, certified to an
-    integer.  A constituent takes half the full average, valid only when
-    conjugation by s = (diag(e,1), 1) maps R to itself, which is tested on
-    R's generators; otherwise OracleRequired is raised."""
-    if sigma.constituent == "Full":
-        share = 1.0
-    else:
-        s = GL22Elem(GL2Elem(ctx.fq_gen, 0, 0, ctx.one), gl2_identity(ctx))
-        if not conjugates_into(ctx, gl22_rows([s]), R.gens, R)[0]:
+def _average_dim(ctx: FqCtx, sigma: SigmaLabel, R: SubgroupR,
+                 twisted: bool = False) -> int:
+    """Average of the label's character over R, or over u(R) when twisted,
+    from R's class pairs, certified to an integer.  A constituent takes
+    half the full average, valid only when s = (diag(e,1), 1) normalizes
+    the group, tested on R's generators (for u(R) as u(s) on R, u being an
+    involutive automorphism); otherwise OracleRequired is raised."""
+    c1, c2, count = R.class_pairs
+    if twisted:
+        c1, c2 = c2, c1
+    share = 1.0
+    if sigma.constituent != "Full":
+        s = gl22_rows([GL22Elem(GL2Elem(ctx.fq_gen, 0, 0, ctx.one), gl2_identity(ctx))])
+        if not conjugates_into(ctx, u_action_rows(ctx, s) if twisted else s, R.gens, R)[0]:
             raise OracleRequired("constituent fixed dim on a subgroup that is "
                                  "not swap-stable needs the matrix-model oracle")
         share = 2.0
-    total = _label_values(ctx, sigma, R.rows).sum()
+    total = (char_values(ctx, sigma.k1)[c1] * char_values(ctx, sigma.k2)[c2]) @ count
     return certify_integer(total / len(R) / share)
 
 
@@ -282,8 +268,9 @@ def fixed_dim(ctx: FqCtx, sigma: SigmaLabel, R: SubgroupR) -> int:
 
 
 def fixed_dim_u_twist(ctx: FqCtx, sigma: SigmaLabel, R: SubgroupR) -> int:
-    """Fixed dimension of the u-twisted representation on the same R."""
-    return _average_dim(ctx, sigma, u_image(ctx, R))
+    """Fixed dimension of the u-twisted representation on the same R: the
+    average over u(R), read from R's class pairs without building u(R)."""
+    return _average_dim(ctx, sigma, R, twisted=True)
 
 
 _TWISTED_DIM_BY_LABEL = {"Torus": lambda q: 1, "Unip": lambda q: q - 1,

@@ -5,10 +5,11 @@ lists the coset parameters of one level, and ``verify`` runs a named
 check suite and reports pass/fail per check.  Output formats are text,
 json (stable key order) and csv.  Exit status: 0 all checks pass, 2 a
 check failed, 3 any ``numerics.Refusal``, 4 usage error.  A refusal is an
-unusable configuration (among them more than MAX_ROWS cosets or rows, or
-more than MAX_RG_COSETS cosets to sample), a numerical result that cannot
-be certified or needs the matrix-model oracle, a p-adic element outside K,
-or a p-adic precision or sampling budget too small to decide.
+unusable configuration (among them more than MAX_ROWS cosets or rows,
+MAX_RG_COSETS cosets to sample, MAX_PRECISION digits or MAX_IDENTITY_DRAWS
+draws per identity), a numerical result that cannot be certified or needs
+the matrix-model oracle, a p-adic element outside K, or a p-adic precision
+or sampling budget too small to decide.
 
 The ``identities`` suite runs its tags in forked worker processes, one per
 CPU in the process's affinity mask (in this process when that is one CPU).
@@ -29,7 +30,7 @@ from collections import Counter
 from itertools import islice
 
 from . import __version__
-from .numerics import FqCtx, Refusal, build_field, fixed_dim_closed
+from .numerics import GUARD, FqCtx, Refusal, build_field, fixed_dim_closed
 from .support import (COSET_TAGS, enumerate_support, stratum_count, total_count,
                       base_count, al_partner, is_al_fixed, fixed_stratum_count,
                       coset_R_type, classify_pairing, dim_formula, assemble_dim,
@@ -53,6 +54,19 @@ MAX_ROWS = 300_000
 # is about a minute.
 MAX_RG_COSETS = 10_000
 
+# The highest p-adic working precision: `rg --q 2 --n-max 3` takes 1.3 s at
+# 1,000, 3.3 s at 2,000 and 10 s at 4,000 on the same host.
+MAX_PRECISION = 2_000
+
+# The most `identities` draws per tag: 2,000 take q=8, the slowest field,
+# 8.4 s on two CPUs of the same host at the default precision.
+MAX_IDENTITY_DRAWS = 10_000
+
+
+def _at_most(value: int, limit: int, what: str) -> None:
+    if value > limit:
+        raise ConfigError(f"more than {limit} {what}")
+
 
 def _within_budget(q: int, levels, what: str, limit: int = MAX_ROWS) -> None:
     """Refuse, before anything is enumerated, a command whose levels hold
@@ -60,13 +74,7 @@ def _within_budget(q: int, levels, what: str, limit: int = MAX_ROWS) -> None:
     total = 0
     for n in levels:
         total += total_count(q, n)
-        if total > limit:
-            raise ConfigError(f"more than {limit} cosets at {what}, q={q}")
-
-
-def _rows_within_budget(rows: int, what: str) -> None:
-    if rows > MAX_ROWS:
-        raise ConfigError(f"more than {MAX_ROWS} rows in {what}")
+        _at_most(total, limit, f"cosets at {what}, q={q}")
 
 
 def _field(q: int) -> FqCtx:
@@ -277,12 +285,6 @@ def _induced_projector(tm, R):
     return np.block([[tm.average(R), zero], [zero, tm.average(u_image(tm.ctx, R))]])
 
 
-def _factor_classes(ctx: FqCtx, R) -> Counter:
-    from .finitegrp import gl2_classes
-    return Counter(zip(gl2_classes(ctx, R.rows[:, :4]).tolist(),
-                       gl2_classes(ctx, R.rows[:, 4:]).tolist()))
-
-
 def suite_induced(q: int, **_: object) -> tuple[list, list]:
     """Trace of every normalizing u-coset element on the fixed space of a
     non-self-paired label is zero; gate behavior checked on both sides.
@@ -291,7 +293,7 @@ def suite_induced(q: int, **_: object) -> tuple[list, list]:
     diagonal.  It stays only because perfbench/gate.py reads it; ROADMAP
     item 2 owns a real check."""
     import numpy as np
-    from .finitegrp import conjugates_into, gl22_codes, gl22_elems, u_action, u_image
+    from .finitegrp import conjugates_into, gl22_codes, gl22_elems, u_action, u_action_rows
     from .chars import HypothesisViolated, induced_trace_zero, self_twist_presentations
     from .models import model_for_sigma
     ctx = _field(q)
@@ -307,13 +309,13 @@ def suite_induced(q: int, **_: object) -> tuple[list, list]:
     zero = np.zeros((tm.dim, tm.dim))
     for R in _standard_groups(ctx):
         P = _induced_projector(tm, R)
-        # the coset element s = x u conjugates r to x u_action(r) x^-1, and
-        # keeps each factor's class: unequal class counts leave no x to find
-        uR = u_image(ctx, R)
-        if _factor_classes(ctx, uR) == _factor_classes(ctx, R):
-            hit = conjugates_into(ctx, group, uR.gens, R)
-        else:
-            hit = np.zeros(len(group), dtype=bool)
+        # the coset element s = x u conjugates r to x u_action(r) x^-1: it
+        # keeps each factor's class and u swaps the factors, so class pairs
+        # that differ from their swap leave no x to find
+        c1, c2, count = (a.tolist() for a in R.class_pairs)
+        hit = (conjugates_into(ctx, group, u_action_rows(ctx, R.gens), R)
+               if dict(zip(zip(c1, c2), count)) == dict(zip(zip(c2, c1), count))
+               else np.zeros(len(group), dtype=bool))
         norm = group[hit]
         # the first 16 rejects lie among the first len(norm) + 16 rows
         for pos in np.flatnonzero(~hit[:len(norm) + 16])[:16]:
@@ -357,8 +359,10 @@ def _fan_out(fn, shared, items: list) -> list:
     processes, one per CPU in the affinity mask; in this process when that
     is one CPU or there is one item.  Only the items and the results pass
     through the pipe: fn and shared reach the workers by fork, unpickled.
-    The first exception in input order is raised, as in the loop, and
-    every worker is reaped before the call returns or raises."""
+    The first exception in input order is raised, as in the loop.  With
+    workers, every item runs first and the pool is closed and reaped before
+    it is raised, its cause the worker's traceback: terminating a pool that
+    still runs can hang on its queue."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
@@ -373,10 +377,10 @@ def _fan_out(fn, shared, items: list) -> list:
     # there is no other thread, and the identity tags make no BLAS call
     with multiprocessing.get_context("fork").Pool(
             workers, initializer=_worker_init, initargs=(fn, shared)) as pool:
-        out = list(pool.imap(_worker_call, items, chunksize=1))
+        pending = [pool.apply_async(_worker_call, (x,)) for x in items]
         pool.close()
         pool.join()
-    return out
+    return [p.get() for p in pending]
 
 
 def _identity_job(job: tuple, tag: str) -> tuple[int, str | None]:
@@ -391,8 +395,10 @@ def _identity_job(job: tuple, tag: str) -> tuple[int, str | None]:
 
 def suite_identities(q: int, seed: int, draws: int, precision: int,
                      **_: object) -> tuple[list, list]:
-    from .padic import PadicCtx, IDENTITY_TAGS
     fq = _field(q)
+    _at_most(precision, MAX_PRECISION, "digits of precision")
+    _at_most(draws, MAX_IDENTITY_DRAWS, "draws per identity")
+    from .padic import PadicCtx, IDENTITY_TAGS
     ctx = PadicCtx(fq.p, fq.f, prec=precision)
     tags = sorted(IDENTITY_TAGS)
     results = _fan_out(_identity_job, (ctx, draws, seed), tags)
@@ -411,6 +417,7 @@ def suite_rg(q: int, seed: int, n_max: int, precision: int,
     if q != 2:
         raise ConfigError("transversal sampling suite runs at q=2 only")
     _within_budget(q, range(3, n_max + 1), f"levels 3..{n_max}", MAX_RG_COSETS)
+    _at_most(precision, MAX_PRECISION, "digits of precision")
     import numpy as np
     from .finitegrp import conjugate_subgroups, subgroup_R
     from .padic import (PadicCtx, coset_rep, witness_Rg, compute_Rg,
@@ -455,7 +462,7 @@ def suite_dims(q: int, n_max: int, **_: object) -> tuple[list, list]:
     from .chars import omega_trivial_sigma_classes
     ctx = _field(q)
     labels = omega_trivial_sigma_classes(ctx)
-    _rows_within_budget(len(labels) * (n_max + 1), f"dims to level {n_max}, q={q}")
+    _at_most(len(labels) * (n_max + 1), MAX_ROWS, f"rows in dims to level {n_max}, q={q}")
     rows = []
     ok = True
     for sigma in labels:
@@ -480,8 +487,8 @@ def suite_signatures(q: int, n_max: int, **_: object) -> tuple[list, list]:
     from .chars import lambda_omega_class, omega_trivial_sigma_classes
     ctx = _field(q)
     labels = omega_trivial_sigma_classes(ctx)
-    _rows_within_budget(len(labels) * max(0, n_max - 2) * 2,
-                        f"signatures to level {n_max}, q={q}")
+    _at_most(len(labels) * max(0, n_max - 2) * 2, MAX_ROWS,
+             f"rows in signatures to level {n_max}, q={q}")
     rows = []
     ok = True
     for sigma in labels:
@@ -558,15 +565,6 @@ def _int_at_least(lo: int, what: str):
     return parse
 
 
-def _precision(text: str) -> int:
-    from .padic import GUARD
-    prec = int(text)
-    if prec < GUARD:
-        raise argparse.ArgumentTypeError(
-            f"precision must be at least the guard margin {GUARD}, got {prec}")
-    return prec
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -596,7 +594,7 @@ def _build_parser() -> _Parser:
     v.add_argument("--n-max", type=_int_at_least(0, "level"), default=12)
     v.add_argument("--seed", type=_int_at_least(0, "seed"), default=0)
     v.add_argument("--draws", type=_int_at_least(1, "draws"), default=100)
-    v.add_argument("--precision", type=_precision, default=32)
+    v.add_argument("--precision", type=_int_at_least(GUARD, "precision"), default=32)
     v.add_argument("--format", choices=("text", "json", "csv"), default="text")
     return ap
 
@@ -613,7 +611,7 @@ def _emit(args, rows: list, checks: list = (), seed=None, **config) -> int:
 def cmd_table(args) -> int:
     if args.q not in FIELDS:
         raise ConfigError(f"unsupported field size q={args.q}")
-    _rows_within_budget(args.n_max + 1, f"a table to level {args.n_max}")
+    _at_most(args.n_max + 1, MAX_ROWS, f"rows in a table to level {args.n_max}")
     return _emit(args, [_counts_row(args.q, n) for n in range(args.n_max + 1)],
                  n_max=args.n_max)
 

@@ -13,6 +13,9 @@ by digit key: F_q renumbered as digits 0..q-1 (0 the zero, 1 + j the
 power fq_gen^j), and a row read as a base-q number.  ``conjugates_into``
 and ``subgroup_closure`` multiply batches of digit rows through q x q
 tables with numpy indexing and look the products up by key.
+
+``SubgroupR.class_pairs`` counts a group's elements per pair of factor
+classes: all a character average over it needs, classified once per group.
 """
 
 from __future__ import annotations
@@ -285,6 +288,20 @@ class SubgroupR:
         """One bool per code row: whether it is an element."""
         t = _digits(self.ctx)
         return _lookup(self.keys, _keys(t, t.of_code.take(rows.T)))
+
+    @functools.cached_property
+    def class_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(c1, c2, count): each distinct pair of the rows' factor classes,
+        indices into ``gl2_table(ctx).classes`` in increasing order, and
+        how many rows fall on it.  u_image(R) has these pairs swapped:
+        u_action swaps the factors and conjugates each by w, and
+        conjugation keeps each GL2 class."""
+        n = 2 * self.ctx.q ** 2
+        key = (gl2_classes(self.ctx, self.rows[:, :4]) * n
+               + gl2_classes(self.ctx, self.rows[:, 4:]))
+        count = np.bincount(key)
+        pairs = np.flatnonzero(count)
+        return pairs // n, pairs % n, count[pairs]
 
 
 @functools.cache

@@ -23,6 +23,10 @@ from __future__ import annotations
 import cmath
 
 
+# p-adic digits kept past the data scale: the least working precision
+GUARD = 4
+
+
 class Refusal(Exception):
     """A configuration this package declines to run, or a result it cannot
     certify or decide: the CLI prints it and exits 3.  A defect is not one."""

@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .numerics import FqCtx, Refusal, build_field, poly_mul_mod
+from .numerics import GUARD, FqCtx, Refusal, build_field, poly_mul_mod
 from .finitegrp import (
     GL2Elem,
     GL22Elem,
@@ -40,8 +40,6 @@ from .finitegrp import (
     subgroup_closure,
     u_action,
 )
-
-GUARD = 4
 
 
 class PrecisionExhausted(ArithmeticError, Refusal):

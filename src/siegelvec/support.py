@@ -13,7 +13,6 @@ signed trace totals from the character layer.
 
 from __future__ import annotations
 
-import functools
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .numerics import BadCase, FqCtx
@@ -192,20 +191,6 @@ class DimReport(NamedTuple):
     total: int
 
 
-@functools.cache
-def _kind_dims(ctx: FqCtx, sigma: SigmaLabel, kind: str) -> tuple[int, int]:
-    """(fixed dim, twisted fixed dim) of a label on one subgroup kind,
-    computed once per label and kind.  The twisted dimension counts only
-    for a label not isomorphic to its twist, where the induced pair adds
-    it; it is 0 otherwise."""
-    from .finitegrp import subgroup_R
-    from .chars import fixed_dim, fixed_dim_u_twist
-    R = subgroup_R(kind, ctx)
-    fd = fixed_dim(ctx, sigma, R)
-    distinct = classify_pairing(ctx, sigma) == "distinct"
-    return fd, fixed_dim_u_twist(ctx, sigma, R) if distinct else 0
-
-
 def assemble_dim(ctx: FqCtx, sigma: SigmaLabel, n: int) -> DimReport:
     """Sum per-coset fixed dimensions over the level-n support.
 
@@ -214,6 +199,8 @@ def assemble_dim(ctx: FqCtx, sigma: SigmaLabel, n: int) -> DimReport:
     twist the induced pair contributes the twisted fixed dimension on
     top.  The result matches dim_formula for trivial central character
     and vanishes otherwise."""
+    from .finitegrp import subgroup_R
+    from .chars import fixed_dim, fixed_dim_u_twist
     q = ctx.q
     pairing = classify_pairing(ctx, sigma)
     rows = []
@@ -222,7 +209,9 @@ def assemble_dim(ctx: FqCtx, sigma: SigmaLabel, n: int) -> DimReport:
         cnt = stratum_count(tag, q, n)
         if cnt == 0:
             continue
-        fd, tw = _kind_dims(ctx, sigma, row.kind)
+        R = subgroup_R(row.kind, ctx)
+        fd = fixed_dim(ctx, sigma, R)
+        tw = fixed_dim_u_twist(ctx, sigma, R) if pairing == "distinct" else 0
         rows.append((tag, cnt, fd, tw, cnt * (fd + tw)))
         total += cnt * (fd + tw)
     return DimReport(q, n, sigma, pairing, tuple(rows), total)
@@ -283,6 +272,8 @@ def assemble_al(ctx: FqCtx, sigma: SigmaLabel, n: int, ext_sign: int = 1,
     constituent, all scaled by the extension sign."""
     if ext_sign not in (1, -1):
         raise ValueError("ext_sign must be +1 or -1")
+    from .finitegrp import subgroup_R
+    from .chars import fixed_dim, fixed_dim_u_twist, twisted_trace_closed
     q = ctx.q
     pairing = classify_pairing(ctx, sigma)
     rows = []
@@ -291,19 +282,18 @@ def assemble_al(ctx: FqCtx, sigma: SigmaLabel, n: int, ext_sign: int = 1,
         cnt = fixed_stratum_count(tag, q, n)
         if cnt == 0:
             continue
+        R = subgroup_R(row.kind, ctx)
         if row.twisted:
             if pairing == "distinct":
                 val = 0
             elif pairing == "constituent":
                 val = ext_sign
             else:
-                from .finitegrp import subgroup_R
-                from .chars import twisted_trace_closed
-                R = subgroup_R(row.kind, ctx)
                 val = ext_sign * twisted_trace_closed(ctx, sigma, "swap", R,
                                                       presentation=presentation)
         else:
-            val = sum(_kind_dims(ctx, sigma, row.kind))
+            val = fixed_dim(ctx, sigma, R) + (
+                fixed_dim_u_twist(ctx, sigma, R) if pairing == "distinct" else 0)
         rows.append((tag, cnt, val, cnt * val))
         total += cnt * val
     return ALReport(q, n, sigma, ext_sign, tuple(rows), total)

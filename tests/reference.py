@@ -1,9 +1,11 @@
 """Slow references shared by the tests: one inverse, one character
-value or one sampler draw at a time, the dense exact 4x4 product, the
+value (from the eigenvalues, found by a root search over F_{q^2}) or one
+sampler draw at a time, the dense exact 4x4 product, the
 label key by a search over its orbit, and the commutant of a tensor model
 as one kernel over all its generators.
 The package computes the first three in batches on integer code arrays
-(``finitegrp.conjugates_into``, ``chars.char_values``) and on arrays of
+(``finitegrp.conjugates_into``, ``chars.char_values`` with
+``SubgroupR.class_pairs``) and on arrays of
 draws (``padic.RgKernel``), and ``padic.mat_mul`` skips exact zeros where
 ``dense_mat_mul`` multiplies all 64 pairs; the tests compare the fast
 paths with these, and ``chars.sigma_key`` writes the orbit that
@@ -18,9 +20,11 @@ places the tensor model's two averages on the diagonal, and
 ``ref_decide`` are the exact scalar operations of ``padic.PadicScalar``
 without its shortcuts."""
 
+import functools
+
 import numpy as np
 
-from siegelvec.chars import _char_table
+from siegelvec.chars import theta_eval
 from siegelvec.finitegrp import (GL2Elem, GL22Elem, gl2_det, gl22_identity,
                                  gl22_mul, gl22_valid, poly_mul_mod, u_action)
 from siegelvec.models import _gl22_generators, _nullspace, cuspidal_model
@@ -91,10 +95,44 @@ def subgroup_closure_ref(ctx, gens) -> set:
     return seen
 
 
+@functools.cache
+def _quadratic_roots(ctx, tr, det):
+    """Roots of t^2 - tr t + det in F_{q^2}, a double root listed twice."""
+    roots = [t for t in range(ctx.q2)
+             if ctx.add(ctx.sub(ctx.mul(t, t), ctx.mul(tr, t)), det) == 0]
+    return (roots * 2)[:2]
+
+
+def classify_gl2(ctx, g):
+    """Conjugacy type of g: ('scalar', a), ('nonss', a), ('split', (a, b)),
+    or ('elliptic', t) with t one of the two eigenvalues outside F_q."""
+    if g.b == 0 and g.c == 0 and g.a == g.d:
+        return ("scalar", g.a)
+    r1, r2 = _quadratic_roots(ctx, ctx.add(g.a, g.d), gl2_det(ctx, g))
+    if r1 == r2:
+        return ("nonss", r1)
+    if ctx.in_fq(r1):
+        return ("split", (min(r1, r2), max(r1, r2)))
+    return ("elliptic", min(r1, r2))
+
+
+@functools.cache
+def cuspidal_char_reference(ctx, k, kind, data):
+    """Character value on a conjugacy type, from the eigenvalues."""
+    if kind == "scalar":
+        return (ctx.q - 1) * theta_eval(ctx, k, data)
+    if kind == "nonss":
+        return -theta_eval(ctx, k, data)
+    if kind == "elliptic":
+        return -(theta_eval(ctx, k, data) + theta_eval(ctx, k, ctx.frob_q(data)))
+    return 0j
+
+
 def cuspidal_char(ctx, k: int, g: GL2Elem) -> complex:
-    """Character of the cuspidal representation labeled by k at g, read
-    from the table by the class key of g."""
-    return _char_table(ctx, k % (ctx.q2 - 1)).get(gl2_class(ctx, g), 0j)
+    """Character of the cuspidal representation labeled by k at g, from
+    the conjugacy type of g: the reference for ``chars.char_values``,
+    with which it shares no table."""
+    return cuspidal_char_reference(ctx, k, *classify_gl2(ctx, g))
 
 
 class ScalarRgKernel(RgKernel):

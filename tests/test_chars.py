@@ -1,14 +1,17 @@
 """Character layer: cuspidal characters, sigma labels, closed fixed dims."""
 
-import functools
+import collections
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siegelvec.finitegrp import (
-    GL2Elem, GL22Elem, build_field, enumerate_gl2, gl2_det,
-    gl2_mul, gl2_table, gl22_identity, gl22_rows, subgroup_R, subgroup_closure, u_action,
+    GL2Elem, GL22Elem, build_field, conjugates_into, enumerate_gl2,
+    gl2_mul, gl2_table, gl22_codes, gl22_identity, gl22_rows, subgroup_R,
+    subgroup_closure, u_action, u_action_rows, u_image,
 )
 from siegelvec.chars import (
     BadCase, HypothesisViolated, OracleRequired, SigmaLabel,
@@ -17,49 +20,17 @@ from siegelvec.chars import (
     fixed_dim_u_twist, induced_trace_zero, is_self_twisted, lambda_omega_class,
     make_sigma, omega_minus1, omega_trivial_sigma_classes, self_twist_presentations,
     sigma_is_reducible, sigma_key, sigma_omega_trivial, split_restriction,
-    theta_eval, twisted_trace_closed, valid_cuspidal,
+    twisted_trace_closed, valid_cuspidal,
 )
 from siegelvec.numerics import certify_integer
 
-from reference import cuspidal_char, gl2_inv, sigma_key_search
+from reference import (classify_gl2, cuspidal_char, cuspidal_char_reference,
+                       gl2_class, gl2_inv, sigma_key_search)
 
 
-# -- reference: conjugacy types by a root search over F_{q^2} -----------------
-#
 # The character tables feed both the closed side and the matrix-model
-# projector, so they are checked against this independent slow path.
-
-@functools.cache
-def _quadratic_roots(ctx, tr, det):
-    """Roots of t^2 - tr t + det in F_{q^2}, a double root listed twice."""
-    roots = [t for t in range(ctx.q2)
-             if ctx.add(ctx.sub(ctx.mul(t, t), ctx.mul(tr, t)), det) == 0]
-    return (roots * 2)[:2]
-
-
-def classify_gl2(ctx, g):
-    """Conjugacy type of g: ('scalar', a), ('nonss', a), ('split', (a, b)),
-    or ('elliptic', t) with t one of the two eigenvalues outside F_q."""
-    if g.b == 0 and g.c == 0 and g.a == g.d:
-        return ("scalar", g.a)
-    r1, r2 = _quadratic_roots(ctx, ctx.add(g.a, g.d), gl2_det(ctx, g))
-    if r1 == r2:
-        return ("nonss", r1)
-    if ctx.in_fq(r1):
-        return ("split", (min(r1, r2), max(r1, r2)))
-    return ("elliptic", min(r1, r2))
-
-
-def cuspidal_char_reference(ctx, k, kind, data):
-    """Character value on a conjugacy type, from the eigenvalues."""
-    if kind == "scalar":
-        return (ctx.q - 1) * theta_eval(ctx, k, data)
-    if kind == "nonss":
-        return -theta_eval(ctx, k, data)
-    if kind == "elliptic":
-        return -(theta_eval(ctx, k, data) + theta_eval(ctx, k, ctx.frob_q(data)))
-    return 0j
-
+# projector, so they are checked against the reference character, which
+# finds each element's eigenvalues by a root search over F_{q^2}.
 
 def _bits(z):
     return struct.pack("<dd", z.real, z.imag)
@@ -157,13 +128,16 @@ def test_char_orthogonality(p, f):
 
 @pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
 def test_cuspidal_char_matches_classifier_reference_bit_for_bit(p, f):
+    # the production array read at each element's class key, found one
+    # element at a time, against the character from its eigenvalues
     ctx = build_field(p, f)
+    index = {key: i for i, key in enumerate(gl2_table(ctx).classes)}
     elems = enumerate_gl2(ctx)
-    types = [classify_gl2(ctx, g) for g in elems]
     for k in cuspidal_classes(ctx):
-        for g, (kind, data) in zip(elems, types):
-            assert _bits(cuspidal_char(ctx, k, g)) == \
-                _bits(cuspidal_char_reference(ctx, k, kind, data)), (k, g)
+        values = char_values(ctx, k)
+        for g in elems:
+            assert _bits(complex(values[index[gl2_class(ctx, g)]])) == \
+                _bits(cuspidal_char(ctx, k, g)), (k, g)
 
 
 @pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
@@ -177,13 +151,36 @@ def test_char_values_by_class_match_the_scalar_character_bit_for_bit(p, f):
             [_bits(cuspidal_char(ctx, k, g)) for g in elems], k
 
 
-@pytest.mark.parametrize("p,f", [(3, 1), (2, 2), (5, 1)])
+def _averages_ref(ctx, labels, elems) -> dict:
+    """Every full label averaged over elems, each element's factors
+    classified one at a time and valued from their eigenvalues (the sum
+    grouped by the pair of types, so that every label reads one pass)."""
+    types = collections.Counter((classify_gl2(ctx, x.first), classify_gl2(ctx, x.second))
+                                for x in elems)
+    return {s: certify_integer(sum(
+        n * cuspidal_char_reference(ctx, s.k1, *t1) * cuspidal_char_reference(ctx, s.k2, *t2)
+        for (t1, t2), n in types.items()) / len(elems)) for s in labels}
+
+
+def _elliptic_cycle(ctx):
+    """The cyclic group of (g, 1), g in SL2(q) elliptic: unlike the standard
+    groups, its class pairs differ from their swap."""
+    one = ctx.one
+    tr = next(t for t in ctx.fq_elements if all(
+        ctx.add(ctx.sub(ctx.mul(x, x), ctx.mul(t, x)), one) != 0 for x in ctx.fq_elements))
+    g = GL2Elem(0, ctx.neg(one), one, tr)
+    return subgroup_closure(ctx, gl22_rows([GL22Elem(g, GL2Elem(one, 0, 0, one))]))
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3)])
 def test_fixed_dims_match_the_per_element_average(p, f):
-    # the class-indexed sum against one character value per element
+    # the class-pair sum against the character of each element
     ctx = build_field(p, f)
     kinds = ["Torus", "Unip", "U1", "U2"] + (["ArtinUnip"] if ctx.q % 2 == 0 else [])
-    groups = [subgroup_R(kind, ctx) for kind in kinds]
-    for s in omega_trivial_sigma_classes(ctx)[:6] + [SigmaLabel(1, 2, "Full")]:
+    groups = [subgroup_R(kind, ctx) for kind in kinds] + [_elliptic_cycle(ctx)]
+    compared = 0
+    for s in omega_trivial_sigma_classes(ctx) + [SigmaLabel(1, 2, "Full")]:
+        full = s._replace(constituent="Full")
         for R in groups:
             for fd, elems in ((fixed_dim, list(R)),
                               (fixed_dim_u_twist, [u_action(ctx, r) for r in R])):
@@ -192,9 +189,48 @@ def test_fixed_dims_match_the_per_element_average(p, f):
                 except OracleRequired:
                     continue
                 share = 1 if s.constituent == "Full" else 2
-                total = sum(cuspidal_char(ctx, s.k1, r.first)
-                            * cuspidal_char(ctx, s.k2, r.second) for r in elems)
-                assert got == certify_integer(total / len(elems) / share)
+                assert got * share == _averages_ref(ctx, [full], elems)[full]
+                compared += 1
+    assert compared >= 2 * len(groups)
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_swap_stability_on_u_image_is_u_of_s_on_the_group(p, f):
+    # s = (diag(e, 1), 1) normalizes u(R) exactly when u(s) normalizes R
+    ctx = build_field(p, f)
+    s = gl22_rows([GL22Elem(GL2Elem(ctx.fq_gen, 0, 0, ctx.one), gl22_identity(ctx).first)])
+    kinds = ["Torus", "Unip", "U1", "U2"] + (["ArtinUnip"] if ctx.q % 2 == 0 else [])
+    for kind in kinds:
+        R = subgroup_R(kind, ctx)
+        uR = u_image(ctx, R)
+        assert conjugates_into(ctx, s, uR.gens, uR)[0] == \
+            conjugates_into(ctx, u_action_rows(ctx, s), R.gens, R)[0], kind
+
+
+def _class_pair_counts(c1, c2, count) -> dict:
+    return dict(zip(zip(c1.tolist(), c2.tolist()), count.tolist()))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_u_twist_of_random_subgroups_matches_the_per_element_average(data):
+    # the closure of one to three random GL22 rows at q <= 5: u(R)'s class
+    # pairs are R's swapped, and every full label's u-twisted fixed dim,
+    # read from R's pairs, is its average over the elements of u(R)
+    p, f = data.draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1)]))
+    ctx = build_field(p, f)
+    X = gl22_codes(ctx)
+    picks = data.draw(st.lists(st.integers(0, len(X) - 1), min_size=1, max_size=3))
+    R = subgroup_closure(ctx, X[picks])
+    c1, c2, count = R.class_pairs
+    assert _class_pair_counts(*u_image(ctx, R).class_pairs) == \
+        _class_pair_counts(c2, c1, count)
+    ks = cuspidal_classes(ctx)
+    labels = [SigmaLabel(k1, k2, "Full") for k1 in ks for k2 in ks]
+    assert {s: fixed_dim_u_twist(ctx, s, R) for s in labels} == \
+        _averages_ref(ctx, labels, [u_action(ctx, r) for r in R])
+    assert {s: fixed_dim(ctx, s, R) for s in labels} == \
+        _averages_ref(ctx, labels, list(R))
 
 
 def test_classify_types_q3():
@@ -452,15 +488,20 @@ def test_swap_stability_is_computed(p):
     plus = SigmaLabel(k, k, "Plus")
     full = SigmaLabel(k, k, "Full")
     e, ei = ctx.fq_gen, ctx.inv(ctx.fq_gen)
-    for kind in ("Torus", "Unip", "U1", "U2"):
-        R = subgroup_R(kind, ctx)
+    # at q = 5 and 7 the elliptic cycle <(g, 1)> is not s-stable, but its
+    # u-image is, so the twisted average must test u(s) on the cycle
+    for kind in ("Torus", "Unip", "U1", "U2", "cycle"):
+        R = subgroup_R(kind, ctx) if kind != "cycle" else _elliptic_cycle(ctx)
         for elems, average in ((set(R), fixed_dim),
                                ({u_action(ctx, r) for r in R}, fixed_dim_u_twist)):
             # reference: s = (diag(e, 1), 1) conjugates (g, h) to
             # ([[a, e b], [c / e, d]], h) for g = [[a, b], [c, d]]
             stable = all(GL22Elem(GL2Elem(g.a, ctx.mul(e, g.b), ctx.mul(ei, g.c), g.d), h)
                          in elems for g, h in elems)
-            assert stable == (kind != "Unip")
+            if kind == "cycle":
+                assert stable == (average is fixed_dim_u_twist or p == 3)
+            else:
+                assert stable == (kind != "Unip")
             if stable:
                 assert 2 * average(ctx, plus, R) == average(ctx, full, R)
             else:

@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import multiprocessing.pool
 import os
 import subprocess
 import sys
@@ -540,6 +541,28 @@ def test_first_precision_exit_in_tag_order_wins(capsys, monkeypatch, cpus):
     assert capsys.readouterr().err == "siegel: levi-x draw 0 (seed 0): slow\n"
 
 
+def test_a_refusing_worker_closes_the_pool_before_it_is_torn_down(
+        capsys, monkeypatch):
+    # a worker's exception that left the pool's `with` block would make
+    # Pool.__exit__ terminate a running pool, whose task handler can block
+    # on a full queue and hang the call; closed first, terminate only reaps
+    states = []
+    real = multiprocessing.pool.Pool.terminate
+
+    def terminate(self):
+        states.append(self._state)
+        real(self)
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", terminate)
+    assert main(["verify", "--suite", "identities", "--q", "2", "--precision", "8",
+                 "--seed", "0"]) == 3
+    assert capsys.readouterr().err == (
+        "siegel: det-torus draw 6 (seed 0): 2 of 16 comparisons undecided at "
+        "the working precision\n")
+    assert states and all(s == multiprocessing.pool.CLOSE for s in states)
+    assert multiprocessing.active_children() == []
+
+
 def test_identities_leave_no_process_behind(tmp_path):
     # the command is the leader of its own process group: once it is reaped,
     # any worker still alive would keep the group in existence
@@ -606,7 +629,10 @@ def test_closed_count_commands_never_import_numpy(argv):
     ["table", "--q", "6"],
     ["support", "--q", "9", "--n", "100000"],
     ["verify", "--suite", "rg", "--q", "3"],
-], ids=["table-field", "support-budget", "rg-field"])
+    ["verify", "--suite", "rg", "--q", "2", "--precision", str(cli.MAX_PRECISION + 1)],
+    ["verify", "--suite", "identities", "--q", "2",
+     "--draws", str(cli.MAX_IDENTITY_DRAWS + 1)],
+], ids=["table-field", "support-budget", "rg-field", "rg-precision", "identities-draws"])
 def test_refusals_decided_from_the_arguments_never_import_numpy(argv):
     assert "numpy" not in _loaded_modules(argv, code=3)
 

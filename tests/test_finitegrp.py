@@ -356,6 +356,30 @@ def test_subgroup_generators_close_to_exactly_the_elements(p, f):
         assert np.array_equal(subgroup_closure(ctx, uR.gens).rows, uR.rows), kind
 
 
+def _pair_counts(c1, c2, count) -> dict:
+    return dict(zip(zip(c1.tolist(), c2.tolist()), count.tolist()))
+
+
+@pytest.mark.parametrize("p,f", SUPPORTED)
+def test_class_pairs_count_the_factor_classes_and_swap_under_u(p, f):
+    # against the class key of each factor of each element, one at a time;
+    # u keeps each factor's class and swaps the factors
+    ctx = build_field(p, f)
+    index = {key: i for i, key in enumerate(gl2_table(ctx).classes)}
+    for kind in _kinds(ctx):
+        R = subgroup_R(kind, ctx)
+        c1, c2, count = R.class_pairs
+        assert R.class_pairs is R.class_pairs  # computed once per group
+        want = {}
+        for x in R:
+            key = index[gl2_class(ctx, x.first)], index[gl2_class(ctx, x.second)]
+            want[key] = want.get(key, 0) + 1
+        assert _pair_counts(c1, c2, count) == want, kind
+        assert sorted(want) == list(zip(c1.tolist(), c2.tolist())), kind
+        assert _pair_counts(*u_image(ctx, R).class_pairs) == \
+            _pair_counts(c2, c1, count), kind
+
+
 @st.composite
 def _generator_lists(draw):
     """A field of order 2, 3, 4, 5 or 8 and a list of GL22 elements: a

@@ -3,11 +3,12 @@
 ``table``, ``support`` and the ``counts``, ``fixed-dims``, ``dims``,
 ``signatures``, ``oracle`` and ``twists`` suites at q = 2..5, the
 closed-side commands (all but ``oracle`` and ``twists``) also at q = 8,
-where IIIb and IV carry q and q-1 residues per cell, the ``induced``
+where IIIb and IV carry q and q-1 residues per cell, ``fixed-dims``,
+``dims`` and ``signatures`` (to level 20) at q = 7 and 9, the ``induced``
 suite at q = 3, 4 and 5, ``twists`` at q = 7, 8 and 9, ``oracle`` at q =
-7 and ``rg`` at q = 2 up to level 6 (whose rows do not depend on the
-seed) must print the same ``--format json`` bytes before and after any
-refactor.  The golden files under ``tests/golden/`` were captured from
+7, 8 and 9 and ``rg`` at q = 2 up to level 6 (whose rows do not depend on
+the seed) must print the same ``--format json`` bytes before and after
+any refactor.  The golden files under ``tests/golden/`` were captured from
 the code before the refactors that introduced them (the oracle and
 twists files before the matrix-model oracle lost its per-element caches,
 the induced files before the characters became tables keyed by the class
@@ -16,9 +17,12 @@ cuspidal models, before the Kirillov model replaced them, ``induced-q5``
 before the group scans moved to integer code arrays, the closed-side q =
 8 files before the stratum facts became the one ``support.STRATA``
 table, ``oracle-q7`` from the commutant as one Gram over the whole
-tensor model, before it was solved factor by factor, and ``rg-q2`` from
+tensor model, before it was solved factor by factor, ``rg-q2`` from
 subgroups stored as sets of tuples, before they became sorted code
-rows).  ``fixed-dims-q3`` was recaptured once on purpose when the suite
+rows, and the closed-side q = 7 and 9 files and ``oracle-q8`` and
+``oracle-q9`` from per-label class scans of each group's rows, before
+every closed fixed dimension read the group's class-pair histogram).
+``fixed-dims-q3`` was recaptured once on purpose when the suite
 stopped emitting a check for a closed case that no label reached: at
 q = 3 the only omega-trivial labels are one Plus/Minus pair, so the
 full-label checks on the torus and the unipotent family compared nothing;
@@ -70,7 +74,13 @@ for _q in (3, 4, 5):
     CASES[f"induced-q{_q}"] = ["verify", "--suite", "induced", "--q", str(_q)]
 for _q in (7, 8, 9):
     CASES[f"twists-q{_q}"] = ["verify", "--suite", "twists", "--q", str(_q)]
-CASES["oracle-q7"] = ["verify", "--suite", "oracle", "--q", "7"]
+for _q in (7, 9):
+    CASES[f"fixed-dims-q{_q}"] = ["verify", "--suite", "fixed-dims", "--q", str(_q)]
+    for _suite in ("dims", "signatures"):
+        CASES[f"{_suite}-q{_q}"] = ["verify", "--suite", _suite, "--q", str(_q),
+                                    "--n-max", "20"]
+for _q in (7, 8, 9):
+    CASES[f"oracle-q{_q}"] = ["verify", "--suite", "oracle", "--q", str(_q)]
 CASES["rg-q2"] = ["verify", "--suite", "rg", "--q", "2", "--n-max", "6"]
 
 

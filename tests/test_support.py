@@ -22,7 +22,7 @@ from siegelvec.support import (
     stratum_count,
     total_count,
 )
-from siegelvec import chars, support
+from siegelvec import cli, finitegrp
 from siegelvec.support import STRATA
 
 FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1)}
@@ -226,33 +226,23 @@ def test_assemble_dim_nontrivial_center_vanishes():
         assert assemble_dim(ctx, sigma, n).total == 0
 
 
-def test_kind_dims_computed_once_per_label(monkeypatch):
-    # every level reuses the per-kind fixed dims of the first one
+def test_dims_and_signatures_classify_each_group_once(monkeypatch):
+    # every fixed dim of every label, level and sign reads the class pairs
+    # of one classification of the group's rows, one call per factor
     calls = collections.Counter()
-    real_fd, real_tw = chars.fixed_dim, chars.fixed_dim_u_twist
+    real = finitegrp.gl2_classes
 
-    def fd(ctx, sigma, R):
-        calls["fd", sigma, R.label] += 1
-        return real_fd(ctx, sigma, R)
-
-    def tw(ctx, sigma, R):
-        calls["tw", sigma, R.label] += 1
-        return real_tw(ctx, sigma, R)
-
-    support._kind_dims.cache_clear()
-    # support reads them from chars at call time
-    monkeypatch.setattr(chars, "fixed_dim", fd)
-    monkeypatch.setattr(chars, "fixed_dim_u_twist", tw)
+    def counting(ctx, codes):
+        calls[id(codes.base)] += 1
+        return real(ctx, codes)
+    subgroup_R.cache_clear()  # groups whose rows no earlier test classified
+    monkeypatch.setattr(finitegrp, "gl2_classes", counting)
+    for suite in (cli.suite_dims, cli.suite_signatures):
+        rows, checks = suite(q=4, n_max=12)
+        assert rows and all(c["ok"] for c in checks)
     ctx = _ctx(4)
-    labels = omega_trivial_sigma_classes(ctx)
-    for sigma in labels:
-        for n in range(13):
-            assert assemble_dim(ctx, sigma, n).total == \
-                dim_formula(4, n, classify_pairing(ctx, sigma))
-            for sg in (1, -1):
-                assemble_al(ctx, sigma, n, sg)
-    assert calls and set(calls.values()) == {1}
-    assert {key[1] for key in calls} == set(labels)
+    kinds = {row.kind for row in STRATA.values()}
+    assert {id(subgroup_R(kind, ctx).rows): 2 for kind in kinds} == calls
 
 
 def test_assemble_dim_report_rows():
