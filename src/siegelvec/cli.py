@@ -6,10 +6,10 @@ check suite and reports pass/fail per check.  Output formats are text,
 json (stable key order) and csv.  Exit status: 0 all checks pass, 2 a
 check failed, 3 any ``numerics.Refusal``, 4 usage error.  A refusal is an
 unusable configuration (among them more than MAX_ROWS cosets or rows,
-MAX_RG_COSETS cosets to sample, MAX_PRECISION digits or MAX_IDENTITY_DRAWS
-draws per identity), a numerical result that cannot be certified or needs
-the matrix-model oracle, a p-adic element outside K, or a p-adic precision
-or sampling budget too small to decide.
+MAX_RG_COSETS cost-weighted cosets to sample, MAX_PRECISION digits or
+MAX_IDENTITY_DRAWS draws per identity), a numerical result that cannot be
+certified or needs the matrix-model oracle, a p-adic element outside K, or
+a p-adic precision or sampling budget too small to decide.
 
 The ``identities`` suite runs its tags in forked worker processes, one per
 CPU in the process's affinity mask (in this process when that is one CPU).
@@ -51,8 +51,12 @@ MAX_ROWS = 300_000
 
 # The most cosets the `rg` suite may sample: each takes about 6 ms at q=2
 # (8,032 cosets, levels 3..28, in 49 s on a 2-vCPU x86-64 host), so this
-# is about a minute.
+# is about a minute.  A coset whose representative RgKernel cannot decide
+# at the working precision reduces every draw exactly, at 65-75 ms, and
+# weighs EXACT_PATH_WEIGHT cosets (default-precision runs have none below
+# level 29).
 MAX_RG_COSETS = 10_000
+EXACT_PATH_WEIGHT = 12
 
 # The highest p-adic working precision: `rg --q 2 --n-max 3` takes 1.3 s at
 # 1,000, 3.3 s at 2,000 and 10 s at 4,000 on the same host.
@@ -285,17 +289,28 @@ def _induced_projector(tm, R):
     return np.block([[tm.average(R), zero], [zero, tm.average(u_image(tm.ctx, R))]])
 
 
+def _induced_coset(tm, x):
+    """Operator of the coset element s = x u on the induced pair of tm's
+    label: x u swaps the two summands."""
+    import numpy as np
+    from .finitegrp import u_action
+    zero = np.zeros((tm.dim, tm.dim))
+    return np.block([[zero, tm.mat(x)], [tm.mat(u_action(tm.ctx, x)), zero]])
+
+
 def suite_induced(q: int, **_: object) -> tuple[list, list]:
     """Trace of every normalizing u-coset element on the fixed space of a
     non-self-paired label is zero; gate behavior checked on both sides.
-    A row's ``max_abs_trace`` is 0 by construction, whatever P holds: an
-    off-diagonal coset matrix times the block-diagonal P has a zero
-    diagonal.  It stays only because perfbench/gate.py reads it; ROADMAP
-    item 2 owns a real check."""
+    Each row reads the traces of up to 32 coset operators through
+    models.twisted_trace, which first certifies that the operator maps the
+    R-fixed space P to itself; one that does not fails the check, with
+    ``max_abs_trace`` null.  The trace is still 0 by construction, whatever
+    P holds (an off-diagonal coset matrix times the block-diagonal P has a
+    zero diagonal), so what a row checks is the normalization."""
     import numpy as np
-    from .finitegrp import conjugates_into, gl22_codes, gl22_elems, u_action, u_action_rows
+    from .finitegrp import conjugates_into, gl22_codes, gl22_elems, u_action_rows
     from .chars import HypothesisViolated, induced_trace_zero, self_twist_presentations
-    from .models import model_for_sigma
+    from .models import NotNormalizing, model_for_sigma, twisted_trace
     ctx = _field(q)
     sigma = next((s for s in _full_labels(ctx)
                   if not self_twist_presentations(ctx, s)), None)
@@ -306,7 +321,6 @@ def suite_induced(q: int, **_: object) -> tuple[list, list]:
     ok = gate_ok = True
     total = 0
     group = gl22_codes(ctx)
-    zero = np.zeros((tm.dim, tm.dim))
     for R in _standard_groups(ctx):
         P = _induced_projector(tm, R)
         # the coset element s = x u conjugates r to x u_action(r) x^-1: it
@@ -325,14 +339,16 @@ def suite_induced(q: int, **_: object) -> tuple[list, list]:
             except HypothesisViolated:
                 pass
         ok &= induced_trace_zero(ctx, sigma, norm, R) == 0
-        cosets = (np.block([[zero, tm.mat(x)], [tm.mat(u_action(ctx, x)), zero]])
-                  for x in gl22_elems(norm[:32]))  # x u swaps the two summands
-        worst = max((abs(np.trace(S @ P)) for S in cosets), default=0.0)
+        try:
+            worst = float(max((abs(twisted_trace(P, _induced_coset(tm, x)))
+                               for x in gl22_elems(norm[:32])), default=0))
+        except NotNormalizing:
+            worst = None
         total += len(norm)
         rows.append({"sigma": _sigma_str(sigma), "group": R.label,
                      "normalizers": len(norm), "rejected": len(group) - len(norm),
                      "max_abs_trace": worst})
-        ok &= worst < 1e-8
+        ok &= worst == 0
     checks: list = []
     _check(checks, "induced traces vanish on every normalizing coset element",
            ok, f"{total} elements, label {_sigma_str(sigma)}", compared=total)
@@ -420,26 +436,31 @@ def suite_rg(q: int, seed: int, n_max: int, precision: int,
     _at_most(precision, MAX_PRECISION, "digits of precision")
     import numpy as np
     from .finitegrp import conjugate_subgroups, subgroup_R
-    from .padic import (PadicCtx, coset_rep, witness_Rg, compute_Rg,
+    from .padic import (PadicCtx, RgKernel, coset_rep, witness_Rg, compute_Rg,
                         radical_obstruction)
     fq = _field(q)
     pctx = PadicCtx(fq.p, fq.f, prec=precision)
+    cosets = [(n, prm, coset_rep(pctx, prm.tag, prm.i, prm.j, prm.u))
+              for n in range(3, n_max + 1) for prm in enumerate_support(fq, n)]
+    exact = sum(not RgKernel(g, g.inv()).decides for *_, g in cosets)
+    _at_most(len(cosets) + (EXACT_PATH_WEIGHT - 1) * exact, MAX_RG_COSETS,
+             f"cost-weighted cosets to sample at levels 3..{n_max}, precision "
+             f"{precision} ({exact} on the exact path, each weighing "
+             f"{EXACT_PATH_WEIGHT})")
     rows = []
     ok_w = ok_s = True
-    for n in range(3, n_max + 1):
-        for prm in enumerate_support(fq, n):
-            wit = witness_Rg(pctx, prm.tag, prm.i, prm.j, n, prm.u).group
-            table = subgroup_R(coset_R_type(prm.tag), fq)
-            conj = (len(wit) == len(table)
-                    and conjugate_subgroups(wit, table, fq) is not None)
-            g = coset_rep(pctx, prm.tag, prm.i, prm.j, prm.u)
-            samp = compute_Rg(g, n, seed=seed).group
-            same = np.array_equal(samp.keys, wit.keys)
-            rows.append({"tag": prm.tag, "i": prm.i, "j": prm.j, "n": n,
-                         "witness_order": len(wit), "sampled_order": len(samp),
-                         "conjugate_to_table": conj, "sampled_matches": same})
-            ok_w &= conj
-            ok_s &= same
+    for n, prm, g in cosets:
+        wit = witness_Rg(pctx, prm.tag, prm.i, prm.j, n, prm.u).group
+        table = subgroup_R(coset_R_type(prm.tag), fq)
+        conj = (len(wit) == len(table)
+                and conjugate_subgroups(wit, table, fq) is not None)
+        samp = compute_Rg(g, n, seed=seed).group
+        same = np.array_equal(samp.keys, wit.keys)
+        rows.append({"tag": prm.tag, "i": prm.i, "j": prm.j, "n": n,
+                     "witness_order": len(wit), "sampled_order": len(samp),
+                     "conjugate_to_table": conj, "sampled_matches": same})
+        ok_w &= conj
+        ok_s &= same
     ok_off = True
     count_off = 0
     off_support = ((n, i, j) for n in range(3, n_max + 1) for i in range(3)
@@ -465,10 +486,10 @@ def suite_dims(q: int, n_max: int, **_: object) -> tuple[list, list]:
     _at_most(len(labels) * (n_max + 1), MAX_ROWS, f"rows in dims to level {n_max}, q={q}")
     rows = []
     ok = True
+    levels = range(n_max + 1)
     for sigma in labels:
         pairing = classify_pairing(ctx, sigma)
-        for n in range(n_max + 1):
-            got = assemble_dim(ctx, sigma, n).total
+        for n, got in zip(levels, assemble_dim(ctx, sigma, levels)):
             want = dim_formula(q, n, pairing)
             rows.append({"sigma": _sigma_str(sigma), "pairing": pairing,
                          "n": n, "assembled": got, "closed": want})
@@ -491,13 +512,14 @@ def suite_signatures(q: int, n_max: int, **_: object) -> tuple[list, list]:
              f"rows in signatures to level {n_max}, q={q}")
     rows = []
     ok = True
+    levels = range(3, n_max + 1)
     for sigma in labels:
         pairing = classify_pairing(ctx, sigma)
         branch = (lambda_omega_class(ctx, sigma) if pairing == "self" and q % 2 == 1
                   else "one")
-        for n in range(3, n_max + 1):
-            for sg in (1, -1):
-                got = assemble_al(ctx, sigma, n, sg).total
+        by_sign = zip(*(assemble_al(ctx, sigma, levels, sg) for sg in (1, -1)))
+        for n, traces in zip(levels, by_sign):
+            for sg, got in zip((1, -1), traces):
                 want = al_formula(q, n, pairing, sg, branch=branch)
                 rows.append({"sigma": _sigma_str(sigma), "pairing": pairing,
                              "n": n, "ext_sign": sg, "assembled": got,

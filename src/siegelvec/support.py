@@ -8,7 +8,9 @@ fixed space of a standard subgroup of GL22(q).  ``STRATA`` is the one
 table of these facts, and every function below reads them from it.  This
 module enumerates the strata, gives closed counting formulas, implements
 the pairing induced by the level involution, and assembles dimension and
-signed trace totals from the character layer.
+signed trace totals.  The assembly forms what one coset of each stratum
+adds once per label, from the character layer, and every requested level's
+total is the sum of the stratum counts times those values.
 """
 
 from __future__ import annotations
@@ -182,39 +184,48 @@ def dim_formula(q: int, n: int, pairing: str) -> int:
     return factor * base_count(q, n)
 
 
-class DimReport(NamedTuple):
-    q: int
-    n: int
-    sigma: SigmaLabel
-    pairing: str
-    rows: tuple  # (tag, count, fixed, twist, subtotal)
-    total: int
+def _coset_values(ctx: FqCtx, sigma: SigmaLabel, ext_sign: Optional[int] = None,
+                  presentation: Optional[tuple[int, int]] = None) -> dict:
+    """Per stratum populated at q, what one of its cosets adds; it depends on
+    the label and the stratum, never on the level.
 
-
-def assemble_dim(ctx: FqCtx, sigma: SigmaLabel, n: int) -> DimReport:
-    """Sum per-coset fixed dimensions over the level-n support.
-
-    Each coset of a stratum contributes the fixed dimension of the
-    attached subgroup kind; when the label is not isomorphic to its
-    twist the induced pair contributes the twisted fixed dimension on
-    top.  The result matches dim_formula for trivial central character
-    and vanishes otherwise."""
+    To the fixed dimension, a coset adds its kind's fixed dimension, plus
+    the twisted one for a label not isomorphic to its twist; each kind is
+    averaged once.  Given ext_sign, the values are those of an
+    involution-fixed coset on the trace: a plain stratum (II, IV) adds the
+    same, with no sign; a twisted stratum acts through the twist operator
+    and adds, times ext_sign, 0 for a label not isomorphic to its twist,
+    the closed swap trace for a self-paired full label and one line for a
+    constituent."""
     from .finitegrp import subgroup_R
-    from .chars import fixed_dim, fixed_dim_u_twist
-    q = ctx.q
+    from .chars import fixed_dim, fixed_dim_u_twist, twisted_trace_closed
     pairing = classify_pairing(ctx, sigma)
-    rows = []
-    total = 0
-    for tag, row in STRATA.items():
-        cnt = stratum_count(tag, q, n)
-        if cnt == 0:
+    dims, values = {}, {}
+    for tag in COSET_TAGS:
+        row = _stratum(tag, ctx.q)
+        if row is None:
             continue
         R = subgroup_R(row.kind, ctx)
-        fd = fixed_dim(ctx, sigma, R)
-        tw = fixed_dim_u_twist(ctx, sigma, R) if pairing == "distinct" else 0
-        rows.append((tag, cnt, fd, tw, cnt * (fd + tw)))
-        total += cnt * (fd + tw)
-    return DimReport(q, n, sigma, pairing, tuple(rows), total)
+        if ext_sign is not None and row.twisted:
+            values[tag] = (0 if pairing == "distinct" else
+                           ext_sign if pairing == "constituent" else
+                           ext_sign * twisted_trace_closed(
+                               ctx, sigma, "swap", R, presentation=presentation))
+            continue
+        if row.kind not in dims:
+            dims[row.kind] = fixed_dim(ctx, sigma, R) + (
+                fixed_dim_u_twist(ctx, sigma, R) if pairing == "distinct" else 0)
+        values[tag] = dims[row.kind]
+    return values
+
+
+def assemble_dim(ctx: FqCtx, sigma: SigmaLabel, levels) -> list[int]:
+    """The fixed dimension at each level, in the order given: the sum over
+    strata of the coset count times what one coset adds.  It matches
+    dim_formula for trivial central character and vanishes otherwise."""
+    values = _coset_values(ctx, sigma).items()
+    return [sum(stratum_count(tag, ctx.q, n) * v for tag, v in values)
+            for n in levels]
 
 
 def al_formula(q: int, n: int, pairing: str, ext_sign: int = 1,
@@ -251,49 +262,13 @@ def al_formula(q: int, n: int, pairing: str, ext_sign: int = 1,
     return ext_sign * ((n - 1) // 2) * per
 
 
-class ALReport(NamedTuple):
-    q: int
-    n: int
-    sigma: SigmaLabel
-    ext_sign: int
-    rows: tuple  # (tag, fixed-coset count, per-coset value, subtotal)
-    total: int
-
-
-def assemble_al(ctx: FqCtx, sigma: SigmaLabel, n: int, ext_sign: int = 1,
-                presentation: Optional[tuple[int, int]] = None) -> ALReport:
-    """Sum the involution trace over its fixed cosets at level n.
-
-    Fixed cosets of a plain stratum (II, IV) contribute their fixed
-    dimension, doubled for a label not isomorphic to its twist, with no
-    sign.  Fixed cosets of a twisted stratum act through the twist
-    operator: they vanish for such labels, carry the closed swap trace
-    for a self-paired full label, and contribute one line for a
-    constituent, all scaled by the extension sign."""
+def assemble_al(ctx: FqCtx, sigma: SigmaLabel, levels, ext_sign: int = 1,
+                presentation: Optional[tuple[int, int]] = None) -> list[int]:
+    """The trace of the level involution on the fixed space at each level,
+    in the order given: the sum over strata of the fixed-coset count times
+    what one fixed coset adds."""
     if ext_sign not in (1, -1):
         raise ValueError("ext_sign must be +1 or -1")
-    from .finitegrp import subgroup_R
-    from .chars import fixed_dim, fixed_dim_u_twist, twisted_trace_closed
-    q = ctx.q
-    pairing = classify_pairing(ctx, sigma)
-    rows = []
-    total = 0
-    for tag, row in STRATA.items():
-        cnt = fixed_stratum_count(tag, q, n)
-        if cnt == 0:
-            continue
-        R = subgroup_R(row.kind, ctx)
-        if row.twisted:
-            if pairing == "distinct":
-                val = 0
-            elif pairing == "constituent":
-                val = ext_sign
-            else:
-                val = ext_sign * twisted_trace_closed(ctx, sigma, "swap", R,
-                                                      presentation=presentation)
-        else:
-            val = fixed_dim(ctx, sigma, R) + (
-                fixed_dim_u_twist(ctx, sigma, R) if pairing == "distinct" else 0)
-        rows.append((tag, cnt, val, cnt * val))
-        total += cnt * val
-    return ALReport(q, n, sigma, ext_sign, tuple(rows), total)
+    values = _coset_values(ctx, sigma, ext_sign, presentation).items()
+    return [sum(fixed_stratum_count(tag, ctx.q, n) * v for tag, v in values)
+            for n in levels]

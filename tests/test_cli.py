@@ -1,3 +1,4 @@
+import itertools
 import json
 import multiprocessing
 import multiprocessing.pool
@@ -130,8 +131,8 @@ def test_stratum_weights_are_the_closed_fixed_dims_of_their_kind(q):
 
 @pytest.mark.parametrize("q", [3, 4, 5])
 def test_induced_projector_matches_the_per_element_mean(q):
-    # no output sees P yet (max_abs_trace is 0 whatever P holds), so this is
-    # its only check until the real induced check of ROADMAP item 2 reads it
+    # the suite's traces are 0 whatever P holds; it reads P only through the
+    # normalization certificate of models.twisted_trace
     ctx = build_field(*cli.FIELDS[q])
     sigma = next(s for s in cli._full_labels(ctx)
                  if not chars.self_twist_presentations(ctx, s))
@@ -140,6 +141,22 @@ def test_induced_projector_matches_the_per_element_mean(q):
         got = cli._induced_projector(tm, R)
         assert np.abs(got - induced_projector_ref(tm, R)).max() < 1e-12, R.label
         assert np.abs(got @ got - got).max() < 1e-9, R.label
+
+
+def test_induced_fails_a_coset_operator_that_moves_the_fixed_space(capsys,
+                                                                    monkeypatch):
+    # the first rows of GL22(4) in place of the normalizers: every trace is
+    # still 0, so only the normalization certificate can see it
+    ctx = build_field(*cli.FIELDS[4])
+    wrong = itertools.cycle(finitegrp.gl22_elems(finitegrp.gl22_codes(ctx)[:32]))
+    real = cli._induced_coset
+    monkeypatch.setattr(cli, "_induced_coset", lambda tm, x: real(tm, next(wrong)))
+    rc, out = run(capsys, ["verify", "--suite", "induced", "--q", "4",
+                           "--format", "json"])
+    payload = json.loads(out)
+    assert rc == 2
+    assert [c["ok"] for c in payload["checks"]] == [False, True]
+    assert None in [r["max_abs_trace"] for r in payload["rows"]]
 
 
 def test_verify_twists_covers_both_branches(capsys):
@@ -385,6 +402,44 @@ def test_oversized_enumerations_are_refused_at_once(capsys, argv, line):
 def test_the_row_limit_admits_the_largest_enumeration_in_use():
     # counts --q 8 --n-max 60 (tests and benchmark) walks the most cosets
     assert sum(total_count(8, n) for n in range(61)) == 269_112 <= cli.MAX_ROWS
+
+
+def _stop_at_sampling(monkeypatch):
+    class Sampling(Exception):
+        pass
+
+    def stop(*args, **kwargs):
+        raise Sampling
+    monkeypatch.setattr(padic, "witness_Rg", stop)
+    monkeypatch.setattr(padic, "compute_Rg", stop)
+    return Sampling
+
+
+def test_rg_weighs_exact_path_cosets_before_sampling(capsys, monkeypatch):
+    # at precision 16, 6,660 of the 9,023 cosets of levels 3..29 have a
+    # representative RgKernel cannot decide, each some 70 ms on the exact
+    # path: about 8 minutes, refused before the first draw
+    _stop_at_sampling(monkeypatch)
+    rc = main(["verify", "--suite", "rg", "--q", "2", "--n-max", "29",
+               "--precision", "16"])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    assert captured.err == (
+        "siegel: more than 10000 cost-weighted cosets to sample at levels 3..29,"
+        " precision 16 (6660 on the exact path, each weighing 12)\n")
+
+
+def test_rg_admits_every_default_precision_run_below_the_coset_cap(monkeypatch):
+    # levels 3..28 hold 8,032 cosets and none on the exact path
+    sampling = _stop_at_sampling(monkeypatch)
+    with pytest.raises(sampling):
+        cli.suite_rg(q=2, seed=0, n_max=28, precision=32)
+
+
+def test_rg_passes_at_low_precision_on_the_exact_path():
+    # 14 of the 24 cosets of levels 3..6 reduce every draw exactly
+    rows, checks = cli.suite_rg(q=2, seed=0, n_max=6, precision=8)
+    assert len(rows) == 24 and all(c["ok"] for c in checks)
 
 
 NEGATIVE_SEED_RG = ["verify", "--suite", "rg", "--q", "2", "--n-max", "3",

@@ -22,8 +22,8 @@ from siegelvec.support import (
     stratum_count,
     total_count,
 )
-from siegelvec import cli, finitegrp
-from siegelvec.support import STRATA
+from siegelvec import chars, cli, finitegrp
+from siegelvec.support import STRATA, _coset_values
 
 FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1)}
 
@@ -213,17 +213,15 @@ def test_assemble_dim_matches_formula():
         ctx = _ctx(q)
         for sigma in omega_trivial_sigma_classes(ctx):
             pairing = classify_pairing(ctx, sigma)
-            for n in range(13):
-                rep = assemble_dim(ctx, sigma, n)
-                assert rep.total == dim_formula(q, n, pairing), (q, sigma, n)
-                assert sum(r[-1] for r in rep.rows) == rep.total
+            levels = range(13)
+            for n, total in zip(levels, assemble_dim(ctx, sigma, levels)):
+                assert total == dim_formula(q, n, pairing), (q, sigma, n)
 
 
 def test_assemble_dim_nontrivial_center_vanishes():
     ctx = _ctx(3)
     sigma = SigmaLabel(1, 2, "Full")
-    for n in range(9):
-        assert assemble_dim(ctx, sigma, n).total == 0
+    assert assemble_dim(ctx, sigma, range(9)) == [0] * 9
 
 
 def test_dims_and_signatures_classify_each_group_once(monkeypatch):
@@ -246,12 +244,50 @@ def test_dims_and_signatures_classify_each_group_once(monkeypatch):
 
 
 def test_assemble_dim_report_rows():
+    # at odd q only stratum I is populated; a constituent adds no twist
     ctx = _ctx(3)
-    rep = assemble_dim(ctx, SigmaLabel(2, 6, "Plus"), 6)
-    assert rep.pairing == "constituent"
-    assert len(rep.rows) == 1
-    tag, cnt, fd, tw, sub = rep.rows[0]
-    assert (tag, cnt, fd, tw, sub) == ("I", 6, 1, 0, 6)
+    sigma = SigmaLabel(2, 6, "Plus")
+    assert classify_pairing(ctx, sigma) == "constituent"
+    assert _coset_values(ctx, sigma) == {"I": 1}
+    assert stratum_count("I", 3, 6) == 6
+    assert assemble_dim(ctx, sigma, [6]) == [6]
+
+
+def test_assembly_follows_the_levels_as_given():
+    ctx = _ctx(4)
+    sigma = SigmaLabel(1, 11, "Full")
+    levels = [9, 3, 7, 3, 12, 0]
+    assert assemble_dim(ctx, sigma, []) == []
+    assert assemble_al(ctx, sigma, [], -1) == []
+    assert assemble_dim(ctx, sigma, levels) == [dim_formula(4, n, "self") for n in levels]
+    for sg in (1, -1):
+        assert assemble_al(ctx, sigma, levels, sg) == [
+            al_formula(4, n, "self", sg) for n in levels]
+
+
+def test_each_kind_is_averaged_once_per_label(monkeypatch):
+    # a coset's value depends on the label and the stratum's kind, never on
+    # the level: dims averages once per (label, kind), and signatures once
+    # per (label, kind, sign) of a plain stratum
+    calls = collections.Counter()
+    real = chars.fixed_dim
+
+    def counting(ctx, sigma, R):
+        calls[sigma, R.label] += 1
+        return real(ctx, sigma, R)
+    monkeypatch.setattr(chars, "fixed_dim", counting)
+    labels = omega_trivial_sigma_classes(cli._field(8))
+    kinds = {row.kind for row in STRATA.values()}
+    plain = {row.kind for row in STRATA.values() if not row.twisted}
+    rows, checks = cli.suite_dims(q=8, n_max=20)
+    assert rows and all(c["ok"] for c in checks)
+    assert set(calls.values()) == {1} and len(calls) == len(labels) * len(kinds) == 48
+    calls.clear()
+    rows, checks = cli.suite_signatures(q=8, n_max=20)
+    assert rows and all(c["ok"] for c in checks)
+    assert {kind for _, kind in calls} == plain
+    assert set(calls.values()) == {2} and len(calls) == len(labels) * len(plain)
+    assert sum(calls.values()) == 64
 
 
 # -- closed involution trace --------------------------------------------------
@@ -302,12 +338,11 @@ def test_assemble_al_matches_formula():
                 branch = _branch_of(ctx, sigma)
             else:
                 branch = "one"
-            for n in range(3, 11):
-                for sg in (1, -1):
-                    rep = assemble_al(ctx, sigma, n, sg)
-                    assert rep.total == al_formula(q, n, pairing, sg, branch=branch), \
+            levels = range(3, 11)
+            for sg in (1, -1):
+                for n, total in zip(levels, assemble_al(ctx, sigma, levels, sg)):
+                    assert total == al_formula(q, n, pairing, sg, branch=branch), \
                         (q, sigma, n, sg)
-                    assert sum(r[-1] for r in rep.rows) == rep.total
 
 
 def test_assemble_al_reducible_presentations():
@@ -315,9 +350,10 @@ def test_assemble_al_reducible_presentations():
     # picked by the presentation argument
     ctx = _ctx(3)
     sigma = SigmaLabel(2, 6, "Full")
-    for n in (5, 7, 9):
-        one = assemble_al(ctx, sigma, n, 1, presentation=(2, 0)).total
-        alp = assemble_al(ctx, sigma, n, 1, presentation=(6, 1)).total
+    levels = (5, 7, 9)
+    ones = assemble_al(ctx, sigma, levels, 1, presentation=(2, 0))
+    alps = assemble_al(ctx, sigma, levels, 1, presentation=(6, 1))
+    for n, one, alp in zip(levels, ones, alps):
         assert one == al_formula(3, n, "self", 1, branch="one")
         assert alp == al_formula(3, n, "self", 1, branch="alpha")
 
@@ -325,20 +361,22 @@ def test_assemble_al_reducible_presentations():
 def test_assemble_al_distinct_even_levels():
     ctx = _ctx(4)
     sigma = SigmaLabel(1, 2, "Full")
-    for n in (4, 6, 8, 10):
-        for sg in (1, -1):
-            assert assemble_al(ctx, sigma, n, sg).total == 2 * (1 + 4 * (n - 4) // 2)
+    levels = (4, 6, 8, 10)
+    for sg in (1, -1):
+        assert assemble_al(ctx, sigma, levels, sg) == [2 * (1 + 4 * (n - 4) // 2)
+                                                       for n in levels]
 
 
 def test_assemble_al_rows_q2():
     ctx = _ctx(2)
     sigma = SigmaLabel(1, 1, "Full")
-    rep = assemble_al(ctx, sigma, 7, -1)
-    by_tag = {r[0]: r for r in rep.rows}
-    assert by_tag["I"] == ("I", 3, -1, -3)
-    assert by_tag["IIIa"] == ("IIIa", 2, -1, -2)
-    assert by_tag["IIIb"] == ("IIIb", 2, -1, -2)
-    assert rep.total == -7 == -(2 * 7 - 7)
+    values = _coset_values(ctx, sigma, -1)
+    counts = {tag: fixed_stratum_count(tag, 2, 7) for tag in values}
+    assert (counts["I"], values["I"]) == (3, -1)
+    assert (counts["IIIa"], values["IIIa"]) == (2, -1)
+    assert (counts["IIIb"], values["IIIb"]) == (2, -1)
+    assert sum(counts[tag] * values[tag] for tag in values) == -7
+    assert assemble_al(ctx, sigma, [7], -1) == [-7] == [-(2 * 7 - 7)]
 
 
 def test_constituent_swap_lines():
