@@ -1,5 +1,6 @@
 """Cuspidal characters of GL2(q), labels for representations of GL22(q),
-and closed-form fixed-space dimensions.
+fixed-space dimensions as character averages, and the closed traces of
+the twist operators.
 
 A cuspidal representation of GL2(q) is labeled by an exponent k with
 (q+1) not dividing k: the corresponding character theta of the big
@@ -40,7 +41,7 @@ import numpy as np
 from .finitegrp import (FqCtx, GL2Elem, GL22Elem, SubgroupR, conjugates_into,
                         gl22_codes, gl22_rows, gl2_classes, gl2_identity,
                         u_action_rows)
-from .numerics import Refusal, certify_integer, root_of_unity
+from .numerics import KINDS, Refusal, certify_integer, root_of_unity
 # the closed fixed dimensions live in the numpy-free layer, so that the
 # closed count commands read them without numpy; they are re-exported here
 from .numerics import BadCase, fixed_dim_closed  # noqa: F401
@@ -103,9 +104,7 @@ def char_values(ctx: FqCtx, k: int) -> np.ndarray:
 
 def omega_minus1(ctx: FqCtx, k: int) -> int:
     """omega_rho(-1) as +1 or -1 (always +1 for q even)."""
-    if ctx.q % 2 == 0:
-        return 1
-    return -1 if k % 2 else 1
+    return -1 if ctx.q % 2 and k % 2 else 1
 
 
 # -- sigma labels ----------------------------------------------------------
@@ -121,9 +120,7 @@ def split_restriction(ctx: FqCtx, k: int) -> bool:
 
     Happens exactly when theta^(q-1) equals the quadratic character
     composed with the norm; impossible for q even."""
-    if ctx.q % 2 == 0:
-        return False
-    return k % (ctx.q + 1) == (ctx.q + 1) // 2
+    return ctx.q % 2 == 1 and k % (ctx.q + 1) == (ctx.q + 1) // 2
 
 
 def make_sigma(ctx: FqCtx, k1: int, k2: int, constituent: str = "Full") -> SigmaLabel:
@@ -133,18 +130,15 @@ def make_sigma(ctx: FqCtx, k1: int, k2: int, constituent: str = "Full") -> Sigma
         raise ValueError(f"exponents ({k1}, {k2}) are not cuspidal at q = {ctx.q}")
     if constituent not in ("Full", "Plus", "Minus"):
         raise ValueError(f"bad constituent tag {constituent!r}")
-    if constituent != "Full":
-        if ctx.q % 2 == 0:
-            raise ValueError("constituents require q odd")
-        if not (split_restriction(ctx, k1) and split_restriction(ctx, k2)):
-            raise ValueError("constituents require both labels with split restriction")
+    if constituent != "Full" and not sigma_is_reducible(ctx, SigmaLabel(k1, k2, "Full")):
+        raise ValueError("constituents require q odd and both labels with split "
+                         "restriction")
     return SigmaLabel(k1, k2, constituent)
 
 
 def sigma_is_reducible(ctx: FqCtx, sigma: SigmaLabel) -> bool:
-    """The full restriction splits iff q is odd and both labels do."""
-    return (ctx.q % 2 == 1 and split_restriction(ctx, sigma.k1)
-            and split_restriction(ctx, sigma.k2))
+    """The full restriction splits iff both labels do (so q is odd)."""
+    return split_restriction(ctx, sigma.k1) and split_restriction(ctx, sigma.k2)
 
 
 def sigma_omega_trivial(ctx: FqCtx, sigma: SigmaLabel) -> bool:
@@ -152,12 +146,8 @@ def sigma_omega_trivial(ctx: FqCtx, sigma: SigmaLabel) -> bool:
 
     The center is {(aI, +-aI)} for q odd and {(aI, aI)} for q even, so the
     condition is omega_1 omega_2 = 1 plus (q odd) omega_2(-1) = 1."""
-    m = ctx.q - 1
-    if m > 1 and (sigma.k1 + sigma.k2) % m != 0:
-        return False
-    if ctx.q % 2 == 1 and sigma.k2 % 2 != 0:
-        return False
-    return True
+    return ((sigma.k1 + sigma.k2) % (ctx.q - 1) == 0
+            and (ctx.q % 2 == 0 or sigma.k2 % 2 == 0))
 
 
 def sigma_key(ctx: FqCtx, sigma: SigmaLabel):
@@ -273,10 +263,6 @@ def fixed_dim_u_twist(ctx: FqCtx, sigma: SigmaLabel, R: SubgroupR) -> int:
     return _average_dim(ctx, sigma, R, twisted=True)
 
 
-_TWISTED_DIM_BY_LABEL = {"Torus": lambda q: 1, "Unip": lambda q: q - 1,
-                         "ArtinUnip": lambda q: 1}
-
-
 def twisted_trace_closed(ctx: FqCtx, sigma: SigmaLabel, operator: str,
                          R: SubgroupR,
                          presentation: Optional[tuple[int, int]] = None) -> int:
@@ -286,7 +272,8 @@ def twisted_trace_closed(ctx: FqCtx, sigma: SigmaLabel, operator: str,
     doubled Weyl element), or 'swap_ww' (their composition, the image of
     the normalizer coset).  Hypotheses: the label is a self-twisted full
     pair presented as a determinant twist of a doubled cuspidal rho with
-    omega_rho(-1) = 1 and (lambda omega_rho)^2 = 1."""
+    omega_rho(-1) = 1 and (lambda omega_rho)^2 = 1.  At even q the swap
+    trace is R's kind's row of ``numerics.KINDS``."""
     if operator not in ("swap", "ww", "swap_ww"):
         raise BadCase(f"unknown operator {operator!r}")
     pres = self_twist_presentations(ctx, sigma)
@@ -304,10 +291,10 @@ def twisted_trace_closed(ctx: FqCtx, sigma: SigmaLabel, operator: str,
     q = ctx.q
     if q % 2 == 0:
         if operator == "swap":
-            fn = _TWISTED_DIM_BY_LABEL.get(R.label)
-            if fn is None:
+            row = KINDS.get(R.label)
+            if row is None or row.swap is None:
                 raise HypothesisViolated(f"no closed form for subgroup {R.label}")
-            return fn(q)
+            return row.swap(q)
         if R.label != "Torus":
             raise HypothesisViolated("doubled Weyl operator only normalizes the torus")
         return 1
@@ -340,20 +327,10 @@ def induced_trace_zero(ctx: FqCtx, sigma: SigmaLabel, X: np.ndarray,
 def omega_trivial_sigma_classes(ctx: FqCtx) -> list[SigmaLabel]:
     """Canonical labels with trivial central character, one per iso class,
     constituents expanded."""
-    seen = {}
-    for k1 in all_cuspidal_exponents(ctx):
-        for k2 in all_cuspidal_exponents(ctx):
-            s = SigmaLabel(k1, k2, "Full")
-            if not sigma_omega_trivial(ctx, s):
-                continue
-            key = sigma_key(ctx, s)
-            if key not in seen:
-                seen[key] = s
-    out = []
-    for s in seen.values():
-        if sigma_is_reducible(ctx, s):
-            out.append(SigmaLabel(s.k1, s.k2, "Plus"))
-            out.append(SigmaLabel(s.k1, s.k2, "Minus"))
-        else:
-            out.append(s)
-    return sorted(out)
+    seen: dict = {}  # one label per class key, the first met
+    ks = all_cuspidal_exponents(ctx)
+    for s in (SigmaLabel(k1, k2, "Full") for k1 in ks for k2 in ks):
+        if sigma_omega_trivial(ctx, s):
+            seen.setdefault(sigma_key(ctx, s), s)
+    return sorted(s._replace(constituent=c) for s in seen.values()
+                  for c in (("Plus", "Minus") if sigma_is_reducible(ctx, s) else ("Full",)))

@@ -30,7 +30,8 @@ from collections import Counter
 from itertools import islice
 
 from . import __version__
-from .numerics import GUARD, FqCtx, Refusal, build_field, fixed_dim_closed
+from .numerics import (GUARD, KINDS, FqCtx, Refusal, build_field, fixed_dim_closed,
+                       standard_kinds)
 from .support import (COSET_TAGS, enumerate_support, stratum_count, total_count,
                       base_count, al_partner, is_al_fixed, fixed_stratum_count,
                       coset_R_type, classify_pairing, dim_formula, assemble_dim,
@@ -104,16 +105,6 @@ def _check(checks: list, name: str, ok: bool, detail: str = "",
 
 # -- suites -------------------------------------------------------------------
 
-# The cases of fixed_dim_closed: case, whether it takes the full
-# label or a constituent, the row key, the subgroup kind and the check.
-_FIXED_DIM_CASES = (
-    ("a", True, "torus", "Torus", "full label on torus"),
-    ("b", False, "torus", "Torus", "constituent on torus"),
-    ("c", True, "unip", "Unip", "full label on unipotent family"),
-    ("d", True, "artin", "ArtinUnip", "full label on Artin-Schreier family"),
-)
-
-
 def _counts_row(q: int, n: int) -> dict:
     return {"n": n, **{tag: stratum_count(tag, q, n) for tag in COSET_TAGS},
             "total": total_count(q, n), "base": base_count(q, n)}
@@ -125,10 +116,8 @@ def suite_counts(q: int, n_max: int, **_: object) -> tuple[list, list]:
     rows = []
     enum_ok = fixed_ok = weight_ok = True
     if q % 2 == 0:
-        # each kind's weight in the base count: a full label's fixed dim
-        case = {kind: c for c, full, _, kind, _ in _FIXED_DIM_CASES if full}
-        weights = {tag: fixed_dim_closed(case[coset_R_type(tag)], q)
-                   for tag in COSET_TAGS}
+        # a stratum's weight in the base count: its kind's full-label fixed dim
+        weights = {tag: fixed_dim_closed(coset_R_type(tag), q) for tag in COSET_TAGS}
     for n in range(n_max + 1):
         params = enumerate_support(fq, n)
         by_tag = Counter(p.tag for p in params)
@@ -156,33 +145,33 @@ def suite_fixed_dims(q: int, **_: object) -> tuple[list, list]:
     from .finitegrp import subgroup_R
     from .chars import omega_trivial_sigma_classes, fixed_dim
     ctx = _field(q)
-    cases = [c for c in _FIXED_DIM_CASES if c[3] in _standard_kinds(q)]
-    compared: dict = {name: [] for *_, name in cases}
+    # each closed value of a kind at q: the kind and whether it is a full
+    # label's (else a constituent's)
+    cases = [(kind, full) for kind in standard_kinds(q) for full in (True, False)
+             if (KINDS[kind].full if full else KINDS[kind].constituent)]
+    compared: dict = {case: [] for case in cases}
     rows = []
     for sigma in omega_trivial_sigma_classes(ctx):
         row = {"sigma": _sigma_str(sigma)}
-        for case, full, key, kind, name in cases:
+        for kind, full in cases:
             if full == (sigma.constituent == "Full"):
+                key = KINDS[kind].key
                 got = row[key] = fixed_dim(ctx, sigma, subgroup_R(kind, ctx))
-                want = row[key + "_closed"] = fixed_dim_closed(case, q, omega_sign=1)
-                compared[name].append(got == want)
+                want = row[key + "_closed"] = fixed_dim_closed(
+                    kind, q, omega_sign=1, constituent=not full)
+                compared[kind, full].append(got == want)
         rows.append(row)
     checks: list = []
-    for name, oks in compared.items():
+    for (kind, full), oks in compared.items():
         if oks:  # a case no label reached compared nothing: no check
-            _check(checks, f"{name} matches closed value", all(oks))
+            _check(checks, f"{'full label' if full else 'constituent'} on "
+                           f"{KINDS[kind].noun} matches closed value", all(oks))
     return rows, checks
-
-
-def _standard_kinds(q: int) -> list:
-    """The standard subgroup kinds; the Artin-Schreier family is q even only."""
-    kinds = ["Torus", "Unip", "ArtinUnip", "U1", "U2"]
-    return kinds if q % 2 == 0 else [k for k in kinds if k != "ArtinUnip"]
 
 
 def _standard_groups(ctx: FqCtx) -> list:
     from .finitegrp import subgroup_R
-    return [subgroup_R(k, ctx) for k in _standard_kinds(ctx.q)]
+    return [subgroup_R(k, ctx) for k in standard_kinds(ctx.q)]
 
 
 def _full_labels(ctx: FqCtx) -> list:
@@ -240,6 +229,10 @@ def suite_twists(q: int, **_: object) -> tuple[list, list]:
                         self_twist_presentations, sigma_key, twisted_trace_closed)
     from .models import TensorModel, swap_operator, twisted_trace, ww_operator
     ctx = _field(q)
+    # the kinds with a closed swap trace at even q; at odd q the closed
+    # forms cover the torus only
+    groups = [subgroup_R(k, ctx) for k in standard_kinds(q)
+              if KINDS[k].swap and (q % 2 == 0 or k == "Torus")]
     rows = []
     ok = True
     tested = 0
@@ -257,9 +250,6 @@ def suite_twists(q: int, **_: object) -> tuple[list, list]:
             tm = TensorModel(ctx, k_rho, k_rho, lam_exp=l)
             S, W = swap_operator(tm), ww_operator(tm)
             ops = {"swap": S, "ww": W, "swap_ww": S @ W}
-            groups = [subgroup_R("Torus", ctx)]
-            if q % 2 == 0:
-                groups += [subgroup_R("Unip", ctx), subgroup_R("ArtinUnip", ctx)]
             for R in groups:
                 P = tm.average(R)
                 for name, op in ops.items():
@@ -440,21 +430,26 @@ def suite_rg(q: int, seed: int, n_max: int, precision: int,
                         radical_obstruction)
     fq = _field(q)
     pctx = PadicCtx(fq.p, fq.f, prec=precision)
-    cosets = [(n, prm, coset_rep(pctx, prm.tag, prm.i, prm.j, prm.u))
-              for n in range(3, n_max + 1) for prm in enumerate_support(fq, n)]
-    exact = sum(not RgKernel(g, g.inv()).decides for *_, g in cosets)
+
+    def kernel(tag, i, j, u=None):  # built once for the gate and the sampling
+        g = coset_rep(pctx, tag, i, j, u)
+        return RgKernel(g, g.inv())
+
+    cosets = [(n, prm, kernel(*prm)) for n in range(3, n_max + 1)
+              for prm in enumerate_support(fq, n)]
+    exact = sum(not k.decides for *_, k in cosets)
     _at_most(len(cosets) + (EXACT_PATH_WEIGHT - 1) * exact, MAX_RG_COSETS,
              f"cost-weighted cosets to sample at levels 3..{n_max}, precision "
              f"{precision} ({exact} on the exact path, each weighing "
              f"{EXACT_PATH_WEIGHT})")
     rows = []
     ok_w = ok_s = True
-    for n, prm, g in cosets:
+    for n, prm, k in cosets:
         wit = witness_Rg(pctx, prm.tag, prm.i, prm.j, n, prm.u).group
         table = subgroup_R(coset_R_type(prm.tag), fq)
         conj = (len(wit) == len(table)
                 and conjugate_subgroups(wit, table, fq) is not None)
-        samp = compute_Rg(g, n, seed=seed).group
+        samp = compute_Rg(k, n, seed=seed).group
         same = np.array_equal(samp.keys, wit.keys)
         rows.append({"tag": prm.tag, "i": prm.i, "j": prm.j, "n": n,
                      "witness_order": len(wit), "sampled_order": len(samp),
@@ -466,7 +461,7 @@ def suite_rg(q: int, seed: int, n_max: int, precision: int,
     off_support = ((n, i, j) for n in range(3, n_max + 1) for i in range(3)
                    for j in range(max(1, n - 1 - 2 * i), n + 2 - 2 * i))
     for n, i, j in islice(off_support, 20):
-        grp = compute_Rg(coset_rep(pctx, "I", i, j), n, seed=seed).group
+        grp = compute_Rg(kernel("I", i, j), n, seed=seed).group
         ok_off &= radical_obstruction(fq, grp)
         count_off += 1
     checks: list = []

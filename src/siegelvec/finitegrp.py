@@ -26,7 +26,7 @@ from typing import Iterable, NamedTuple, Optional
 import numpy as np
 
 # build_field and poly_mul_mod stay importable from here
-from .numerics import FqCtx, UnsupportedSize, build_field, poly_mul_mod
+from .numerics import FqCtx, UnsupportedSize, build_field, poly_mul_mod, standard_kinds
 
 
 class BadKind(ValueError):
@@ -306,40 +306,37 @@ class SubgroupR:
 
 @functools.cache
 def subgroup_R(kind: str, ctx: FqCtx) -> SubgroupR:
-    """The standard subgroup of a kind, the closure of its generators; with
-    a, b, c units, u in F_q, n(u) = [[1, 0], [u, 1]] and S = {b^2 + b}:
+    """The standard subgroup of a kind of ``numerics.KINDS`` that exists at
+    q, the closure of its generators; with a, b, c units, u in F_q, n(u) =
+    [[1, 0], [u, 1]] and S = {b^2 + b}:
 
         Torus      (diag(a, b), diag(c, ab/c))
         Unip       (a n(u), a n(u))
-        ArtinUnip  (a n(u + a s), a n(u)) for s in S, q even
+        ArtinUnip  (a n(u + a s), a n(u)) for s in S
         U1, U2     (n(u), 1) and (1, n(u))
 
     Cached: each call for a kind and field returns the same object."""
+    if kind not in standard_kinds(ctx.q):
+        raise BadKind(f"no subgroup kind {kind!r} at q = {ctx.q}")
     one, g = ctx.one, ctx.fq_gen
     i = gl2_identity(ctx)
     # 1, g, ..., g^(f-1) is an F_p-basis of F_q: g has degree f over F_p
     basis = ctx.fq_units[:ctx.f]
     lower = [GL2Elem(one, 0, e, one) for e in basis]
-    scalar = GL22Elem(GL2Elem(g, 0, 0, g), GL2Elem(g, 0, 0, g))
-    if kind == "Torus":
-        gens = [GL22Elem(GL2Elem(g, 0, 0, one), GL2Elem(g, 0, 0, one)),
-                GL22Elem(GL2Elem(one, 0, 0, g), GL2Elem(g, 0, 0, one)),
-                GL22Elem(i, GL2Elem(g, 0, 0, ctx.inv(g)))]
-    elif kind == "Unip":
-        gens = [scalar] + [GL22Elem(v, v) for v in lower]
-    elif kind == "ArtinUnip":
-        if ctx.q % 2 != 0:
-            raise BadKind("ArtinUnip subgroup requires q even")
+    unip = [GL22Elem(GL2Elem(g, 0, 0, g), GL2Elem(g, 0, 0, g))] + [
+        GL22Elem(v, v) for v in lower]
+    gens = {
+        "Torus": [GL22Elem(GL2Elem(g, 0, 0, one), GL2Elem(g, 0, 0, one)),
+                  GL22Elem(GL2Elem(one, 0, 0, g), GL2Elem(g, 0, 0, one)),
+                  GL22Elem(i, GL2Elem(g, 0, 0, ctx.inv(g)))],
+        "Unip": unip,
         # b -> b^2 + b is F_2-linear onto S, 1 -> 0
-        gens = [scalar] + [GL22Elem(v, v) for v in lower] + [
+        "ArtinUnip": unip + [
             GL22Elem(GL2Elem(one, 0, ctx.add(ctx.mul(b, b), b), one), i)
-            for b in basis[1:]]
-    elif kind == "U1":
-        gens = [GL22Elem(v, i) for v in lower]
-    elif kind == "U2":
-        gens = [GL22Elem(i, v) for v in lower]
-    else:
-        raise BadKind(f"unknown subgroup kind {kind!r}")
+            for b in basis[1:]],
+        "U1": [GL22Elem(v, i) for v in lower],
+        "U2": [GL22Elem(i, v) for v in lower],
+    }[kind]
     R = subgroup_closure(ctx, gl22_rows(gens))
     return SubgroupR(ctx, R.rows, kind, R.gens)
 

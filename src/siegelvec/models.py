@@ -40,8 +40,9 @@ as an orthogonal projector (``projector_residual`` below PROJECTOR_TOL)
 before a trace is read, so a model whose traces are right but which is
 not a representation is refused, and a fixed rank is the certified trace
 of a certified projector.  Tensor and constituent matrices are computed
-on demand and never stored: only the small cuspidal matrices of single
-elements, which every model of a field shares, are cached.
+on demand and never stored (only the small cuspidal matrices of single
+elements, which every model of a field shares, are cached); a tensor model
+keeps each average it forms, read-only, for its constituents to compress.
 
 Commutants and intertwiners are kernels of linear systems X A = B X over
 a generating set.  The stacked system is never formed: its Hermitian Gram
@@ -430,6 +431,7 @@ class TensorModel:
         self.m1 = cuspidal_model(ctx, k1)
         self.m2 = cuspidal_model(ctx, k2)
         self.dim = self.m1.dim * self.m2.dim
+        self._averages: dict[SubgroupR, np.ndarray] = {}
 
     def mat(self, x: GL22Elem) -> np.ndarray:
         phase = _det_phase(self.ctx, np.array([x.first]), self.lam_exp)[0]
@@ -437,9 +439,13 @@ class TensorModel:
 
     def average(self, R: SubgroupR) -> np.ndarray:
         """Mean of the matrices over R, the certified projector onto the
-        R-fixed subspace: the one-pair case of pair_averages."""
-        [(_, P)] = pair_averages(self.ctx, R, [self.k1], [self.k2], self.lam_exp)
-        return P
+        R-fixed subspace: the one-pair case of pair_averages, formed once
+        per group."""
+        if R not in self._averages:
+            [(_, P)] = pair_averages(self.ctx, R, [self.k1], [self.k2], self.lam_exp)
+            P.flags.writeable = False
+            self._averages[R] = P
+        return self._averages[R]
 
     def char(self, x: GL22Elem) -> complex:
         return complex(np.trace(self.mat(x)))
@@ -676,9 +682,9 @@ def twisted_trace(P: np.ndarray, operator: np.ndarray) -> int:
     """Trace of a twist operator compressed to the R-fixed subspace of a
     tensor or constituent model, given its projector P = model.average(R).
 
-    The operator must normalize P; otherwise the compression is
-    meaningless and NotNormalizing is raised."""
-    conj = operator @ P @ np.linalg.inv(operator)
-    if np.linalg.norm(conj - P) > 1e-6 * max(1, P.shape[0]):
+    The operator S must normalize P: ||S P - P S||, which equals ||S P S^-1
+    - P|| for the unitary S every caller passes, within the bound; else the
+    compression is meaningless and NotNormalizing is raised."""
+    if np.linalg.norm(operator @ P - P @ operator) > 1e-6 * max(1, P.shape[0]):
         raise NotNormalizing("operator does not normalize the fixed projector")
     return certify_integer(np.trace(operator @ P), tol=1e-6)

@@ -1,8 +1,9 @@
-"""The numpy-free scalar layer: roots of unity, integer certification, the
-closed fixed-space dimensions of the standard subgroups
-(``fixed_dim_closed``, which ``chars`` re-exports: it lives here so that
-the closed count commands read it without numpy), and the finite fields
-F_q inside F_{q^2}.
+"""The numpy-free scalar layer: roots of unity, integer certification,
+``KINDS``, the one table of the closed facts of each standard subgroup
+kind (its closed fixed-space dimensions, which ``fixed_dim_closed`` reads
+and ``chars`` re-exports, and its closed swap trace: they live here so
+that the closed count commands read them without numpy), and the finite
+fields F_q inside F_{q^2}.
 
 All group orders in this package are at most a few times 1e5, so any
 character average is a sum of at most ~1e5 unit-modulus terms divided by
@@ -21,6 +22,7 @@ goes through a precomputed table (a Zech-logarithm table in disguise).
 from __future__ import annotations
 
 import cmath
+from typing import Callable, NamedTuple, Optional
 
 
 # p-adic digits kept past the data scale: the least working precision
@@ -60,32 +62,61 @@ def certify_integer(v: complex | float | int, tol: float = 1e-9) -> int:
 
 
 class BadCase(ValueError, Refusal):
-    """Unknown case tag for a closed form."""
+    """A closed form asked for outside the cases it covers."""
 
 
-def fixed_dim_closed(case: str, q: int, omega_sign: int | None = None) -> int:
-    """Closed fixed-space dimensions for the standard subgroups.
+def _torus_full(q: int, omega_sign: int | None) -> int:
+    if q % 2 and omega_sign not in (1, -1):
+        raise BadCase("a full label on the torus at odd q needs omega(-1)")
+    return 1 + omega_sign if q % 2 else 1
 
-    case 'a': full label on the torus; 'b': constituent on the torus
-    (q odd); 'c': full label on the unipotent family; 'd': full label on
-    the Artin-Schreier family (q even)."""
-    if case == "a":
-        if q % 2 == 0:
-            return 1
-        if omega_sign not in (1, -1):
-            raise BadCase("case 'a' at odd q needs omega(-1)")
-        return 1 + omega_sign
-    if case == "b":
-        if q % 2 == 0:
-            raise BadCase("case 'b' requires q odd")
-        return 1 if q % 4 == 3 else 0
-    if case == "c":
-        return q - 1
-    if case == "d":
-        if q % 2 != 0:
-            raise BadCase("case 'd' requires q even")
-        return 1
-    raise BadCase(f"unknown case {case!r}")
+
+class Kind(NamedTuple):
+    """The closed facts of one standard subgroup kind of GL22(q), whose
+    generators ``finitegrp.subgroup_R`` holds: its row key and noun in the
+    fixed-dims suite, whether it exists at odd q (every kind exists at even
+    q), the fixed dimension of a full label given q and omega(-1), that of
+    a constituent given an odd q, and the trace of the factor swap on the
+    fixed space of a self-twisted full label given an even q.  A fact the
+    package states no closed value for is None."""
+
+    key: str
+    noun: str
+    odd_q: bool
+    full: Optional[Callable[[int, Optional[int]], int]]
+    constituent: Optional[Callable[[int], int]]
+    swap: Optional[Callable[[int], int]]
+
+
+KINDS = {
+    "Torus": Kind("torus", "torus", True, _torus_full,
+                  lambda q: 1 if q % 4 == 3 else 0, lambda q: 1),
+    "Unip": Kind("unip", "unipotent family", True, lambda q, _: q - 1, None,
+                 lambda q: q - 1),
+    "ArtinUnip": Kind("artin", "Artin-Schreier family", False, lambda q, _: 1,
+                      None, lambda q: 1),
+    "U1": Kind("u1", "first radical line", True, None, None, None),
+    "U2": Kind("u2", "second radical line", True, None, None, None),
+}
+
+
+def standard_kinds(q: int) -> list[str]:
+    """The kinds of KINDS that exist at q, in table order."""
+    return [kind for kind, row in KINDS.items() if row.odd_q or q % 2 == 0]
+
+
+def fixed_dim_closed(kind: str, q: int, omega_sign: int | None = None,
+                     constituent: bool = False) -> int:
+    """The closed fixed-space dimension of a full label, or of a
+    constituent (q odd), on the standard subgroup of a kind, read from its
+    row of KINDS; omega_sign is omega(-1), which the torus needs at odd q.
+    BadCase where the row states no value at q."""
+    row = KINDS[kind] if kind in standard_kinds(q) else None
+    value = row and (row.constituent if constituent else row.full)
+    if value is None or constituent and q % 2 == 0:
+        what = "a constituent" if constituent else "a full label"
+        raise BadCase(f"no closed fixed dimension of {what} on {kind!r} at q = {q}")
+    return value(q) if constituent else value(q, omega_sign)
 
 
 class UnsupportedSize(ValueError):
@@ -93,14 +124,7 @@ class UnsupportedSize(ValueError):
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
+    return n >= 2 and all(n % k for k in range(2, int(n ** 0.5) + 1))
 
 
 def poly_mul_mod(a, b, mod, m: int) -> tuple:
@@ -130,9 +154,9 @@ def _find_primitive_poly(p: int, d: int) -> tuple:
     order = p ** d - 1
     proper = [order // r for r in range(2, order + 1) if order % r == 0]
     x = tuple([0, 1] + [0] * (d - 2)) if d >= 2 else (1,)
+    one = tuple([1] + [0] * (d - 1))
     for code in range(p ** d):
         coeffs = [(code // p ** i) % p for i in range(d)] + [1]
-        one = tuple([1] + [0] * (d - 1))
         # primitive iff x has full multiplicative order mod the polynomial
         def powx(e):
             result, base, k = one, x, e
@@ -142,9 +166,7 @@ def _find_primitive_poly(p: int, d: int) -> tuple:
                 base = poly_mul_mod(base, base, coeffs, p)
                 k >>= 1
             return result
-        if powx(order) != one:
-            continue
-        if all(powx(m) != one for m in set(proper)):
+        if powx(order) == one and all(powx(m) != one for m in set(proper)):
             return tuple(coeffs)
     raise AssertionError(f"no primitive polynomial of degree {d} over F_{p}")
 

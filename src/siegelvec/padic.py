@@ -896,6 +896,7 @@ class RgKernel:
     """
 
     def __init__(self, g: GSp4Elem, gi: GSp4Elem):
+        self.g, self.gi = g, gi
         ctx = self.ctx = g.ctx
         p, f, prec = ctx.p, ctx.f, ctx.prec
         self.P = p ** prec
@@ -1014,21 +1015,20 @@ STABLE_WINDOW, MAX_DRAWS = 200, 60000
 BATCH = 256
 
 
-def compute_Rg(g: GSp4Elem, n: int, seed: int = 0) -> RgResult:
-    """Sampled reduction image of g Si(n) g^-1 cap K, closed as a subgroup.
+def compute_Rg(kernel: RgKernel, n: int, seed: int = 0) -> RgResult:
+    """Sampled reduction image of g Si(n) g^-1 cap K, closed as a subgroup,
+    for the kernel's representative g.
 
-    Draws come in batches of BATCH through RgKernel and are consumed in
+    Draws come in batches of BATCH through the kernel and are consumed in
     order; a draw it leaves undecided is rebuilt as PadicScalars and reduced
     exactly, and counted in ``fallbacks``.  Stops once STABLE_WINDOW
     consecutive accepted draws produce no new element, counting only the
     draws consumed; raises StabilizationFailure when MAX_DRAWS runs out
     first.  A new element is closed with the group's kept generators.
     """
-    ctx = g.ctx
+    g, gi, ctx = kernel.g, kernel.gi, kernel.ctx
     fq = ctx.fq
     rng = np.random.default_rng(seed)
-    gi = g.inv()
-    kernel = RgKernel(g, gi)
     grp = subgroup_closure(fq, [])
     draws = accepted = since_growth = fallbacks = 0
     while draws < MAX_DRAWS:

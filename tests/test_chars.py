@@ -436,10 +436,10 @@ def test_fixed_dim_full_matches_closed_small_q():
                     assert dT == 0 and dU == 0
                     continue
                 if q % 2 == 0:
-                    assert dT == fixed_dim_closed("a", q)
+                    assert dT == fixed_dim_closed("Torus", q)
                 else:
-                    assert dT == fixed_dim_closed("a", q, omega_minus1(ctx, k2))
-                assert dU == fixed_dim_closed("c", q)
+                    assert dT == fixed_dim_closed("Torus", q, omega_minus1(ctx, k2))
+                assert dU == fixed_dim_closed("Unip", q)
 
 
 def test_fixed_dim_artin_unip_even_q():
@@ -450,7 +450,7 @@ def test_fixed_dim_artin_unip_even_q():
             for k2 in all_cuspidal_exponents(ctx):
                 s = SigmaLabel(k1, k2, "Full")
                 prod_trivial = (ctx.q == 2) or ((k1 + k2) % (ctx.q - 1) == 0)
-                want = fixed_dim_closed("d", ctx.q) if prod_trivial else 0
+                want = fixed_dim_closed("ArtinUnip", ctx.q) if prod_trivial else 0
                 assert fixed_dim(ctx, s, AU) == want
 
 
@@ -474,7 +474,7 @@ def test_constituent_fixed_dims_by_halving():
         full = SigmaLabel(k1, k2, "Full")
         assert fixed_dim(ctx, plus, T) + fixed_dim(ctx, minus, T) \
             == fixed_dim(ctx, full, T)
-        assert fixed_dim(ctx, plus, T) == fixed_dim_closed("b", 3)
+        assert fixed_dim(ctx, plus, T) == fixed_dim_closed("Torus", 3, constituent=True)
         # the unipotent family is not stable under the swapping element,
         # so the halving shortcut must refuse and demand the oracle
         with pytest.raises(OracleRequired):
@@ -514,26 +514,31 @@ def test_constituent_fixed_dim_q5_closed():
     T = _torus(ctx)
     # both split and product trivial: 3 + 9 = 12 = 0 mod 4
     plus = SigmaLabel(3, 9, "Plus")
-    assert fixed_dim(ctx, plus, T) == fixed_dim_closed("b", 5) == 0
+    assert fixed_dim(ctx, plus, T) == fixed_dim_closed("Torus", 5, constituent=True) == 0
 
 
 def test_fixed_dim_closed_case_table():
-    assert fixed_dim_closed("a", 4) == 1
-    assert fixed_dim_closed("a", 3, 1) == 2
-    assert fixed_dim_closed("a", 3, -1) == 0
-    assert fixed_dim_closed("b", 3) == 1
-    assert fixed_dim_closed("b", 5) == 0
-    assert fixed_dim_closed("b", 7) == 1
-    assert fixed_dim_closed("c", 8) == 7
-    assert fixed_dim_closed("d", 4) == 1
+    assert fixed_dim_closed("Torus", 4) == 1
+    assert fixed_dim_closed("Torus", 3, 1) == 2
+    assert fixed_dim_closed("Torus", 3, -1) == 0
+    assert fixed_dim_closed("Torus", 3, constituent=True) == 1
+    assert fixed_dim_closed("Torus", 5, constituent=True) == 0
+    assert fixed_dim_closed("Torus", 7, constituent=True) == 1
+    assert fixed_dim_closed("Unip", 8) == 7
+    assert fixed_dim_closed("ArtinUnip", 4) == 1
     with pytest.raises(BadCase):
-        fixed_dim_closed("a", 3)        # missing sign
+        fixed_dim_closed("Torus", 3)        # missing sign
     with pytest.raises(BadCase):
-        fixed_dim_closed("b", 4)
+        fixed_dim_closed("Torus", 4, constituent=True)
     with pytest.raises(BadCase):
-        fixed_dim_closed("d", 5)
+        fixed_dim_closed("ArtinUnip", 5)
     with pytest.raises(BadCase):
         fixed_dim_closed("z", 3)
+    # the kinds that state no closed value
+    with pytest.raises(BadCase):
+        fixed_dim_closed("Unip", 3, constituent=True)
+    with pytest.raises(BadCase):
+        fixed_dim_closed("U1", 4)
 
 
 def test_oracle_required_on_unstable_subgroup():

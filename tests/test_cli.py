@@ -91,19 +91,26 @@ def test_verify_fixed_dims_passes(capsys):
         assert all(c["ok"] for c in json.loads(out)["checks"])
 
 
-# check name, row key and whether a full label (else a constituent) is
-# compared, for each case of chars.fixed_dim_closed
+# check name and row key of each closed value of numerics.KINDS that
+# fixed-dims checks, by kind and whether a full label (else a constituent)
+# is compared
+_TORUS, _TORUS_C = ("Torus", True), ("Torus", False)
+_UNIP, _ARTIN = ("Unip", True), ("ArtinUnip", True)
 _FIXED_DIM_CHECKS = {
-    "a": ("full label on torus matches closed value", "torus", True),
-    "b": ("constituent on torus matches closed value", "torus", False),
-    "c": ("full label on unipotent family matches closed value", "unip", True),
-    "d": ("full label on Artin-Schreier family matches closed value", "artin",
-          True),
+    _TORUS: ("full label on torus matches closed value", "torus"),
+    _TORUS_C: ("constituent on torus matches closed value", "torus"),
+    _UNIP: ("full label on unipotent family matches closed value", "unip"),
+    _ARTIN: ("full label on Artin-Schreier family matches closed value", "artin"),
 }
 
 
-@pytest.mark.parametrize("q,cases", [(2, "acd"), (3, "b"), (4, "acd"), (5, "ac"),
-                                     (7, "abc"), (8, "acd"), (9, "ac")])
+# the ids name a full label on the torus a, a constituent on it b, and a
+# full label on the unipotent and Artin-Schreier families c and d
+@pytest.mark.parametrize("q,cases", [
+    (2, [_TORUS, _UNIP, _ARTIN]), (3, [_TORUS_C]), (4, [_TORUS, _UNIP, _ARTIN]),
+    (5, [_TORUS, _UNIP]), (7, [_TORUS, _TORUS_C, _UNIP]),
+    (8, [_TORUS, _UNIP, _ARTIN]), (9, [_TORUS, _UNIP])],
+    ids=["2-acd", "3-b", "4-acd", "5-ac", "7-abc", "8-acd", "9-ac"])
 def test_fixed_dims_checks_only_the_cases_a_label_reached(capsys, q, cases):
     # at q=3 the only omega-trivial labels are one Plus/Minus pair: a check
     # on a full label there would compare nothing
@@ -114,7 +121,7 @@ def test_fixed_dims_checks_only_the_cases_a_label_reached(capsys, q, cases):
     assert [c["name"] for c in payload["checks"]] == [
         _FIXED_DIM_CHECKS[c][0] for c in cases]
     for case in cases:
-        _, key, full = _FIXED_DIM_CHECKS[case]
+        (_, full), (_, key) = case, _FIXED_DIM_CHECKS[case]
         assert any(key in r and r["sigma"].endswith(",Full") == full
                    for r in payload["rows"]), case
 
@@ -124,9 +131,26 @@ def test_stratum_weights_are_the_closed_fixed_dims_of_their_kind(q):
     _, checks = cli.suite_counts(q=q, n_max=0)
     detail = {c["name"]: c["detail"] for c in checks}[
         "weighted counts aggregate to closed base"]
-    case = {"Torus": "a", "Unip": "c", "ArtinUnip": "d"}
-    want = [chars.fixed_dim_closed(case[coset_R_type(tag)], q) for tag in COSET_TAGS]
+    want = [chars.fixed_dim_closed(coset_R_type(tag), q) for tag in COSET_TAGS]
+    assert want == [1, 1, q - 1, 1, 1]
     assert detail == f"weights ({','.join(map(str, want))})"
+
+
+def test_a_kinds_closed_value_has_one_owner(capsys, monkeypatch):
+    # the unipotent family's closed value, stated once in numerics.KINDS,
+    # is what both fixed-dims and the counts weight check read
+    unip = numerics.KINDS["Unip"]
+    monkeypatch.setitem(numerics.KINDS, "Unip", unip._replace(full=lambda q, _: q))
+    rc, out = run(capsys, ["verify", "--suite", "fixed-dims", "--q", "4",
+                           "--format", "json"])
+    failed = [c["name"] for c in json.loads(out)["checks"] if not c["ok"]]
+    assert rc == 2
+    assert failed == ["full label on unipotent family matches closed value"]
+    rc, out = run(capsys, ["verify", "--suite", "counts", "--q", "4",
+                           "--n-max", "8", "--format", "json"])
+    failed = [c["name"] for c in json.loads(out)["checks"] if not c["ok"]]
+    assert rc == 2
+    assert failed == ["weighted counts aggregate to closed base"]
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])

@@ -5,11 +5,11 @@
 closed-side commands (all but ``oracle`` and ``twists``) also at q = 8,
 where IIIb and IV carry q and q-1 residues per cell, ``fixed-dims``,
 ``dims`` and ``signatures`` (to level 20) at q = 7 and 9, the ``induced``
-suite at q = 3, 4 and 5, ``twists`` at q = 7, 8 and 9, ``oracle`` at q =
-7, 8 and 9 and ``rg`` at q = 2 up to level 6 (whose rows do not depend on
-the seed) must print the same ``--format json`` bytes before and after
-any refactor.  The golden files under ``tests/golden/`` were captured from
-the code before the refactors that introduced them (the oracle and
+suite at q = 3, 4, 5, 7 and 8, ``twists`` at q = 7, 8 and 9, ``oracle``
+at q = 7, 8 and 9 and ``rg`` at q = 2 up to level 6 (whose rows do not
+depend on the seed) must print the same ``--format json`` bytes before and
+after any refactor.  The golden files under ``tests/golden/`` were captured
+from the code before the refactors that introduced them (the oracle and
 twists files before the matrix-model oracle lost its per-element caches,
 the induced files before the characters became tables keyed by the class
 key, the twists files at q = 7, 8 and 9 from the Whittaker-projector
@@ -19,9 +19,11 @@ before the group scans moved to integer code arrays, the closed-side q =
 table, ``oracle-q7`` from the commutant as one Gram over the whole
 tensor model, before it was solved factor by factor, ``rg-q2`` from
 subgroups stored as sets of tuples, before they became sorted code
-rows, and the closed-side q = 7 and 9 files and ``oracle-q8`` and
+rows, the closed-side q = 7 and 9 files and ``oracle-q8`` and
 ``oracle-q9`` from per-label class scans of each group's rows, before
-every closed fixed dimension read the group's class-pair histogram).
+every closed fixed dimension read the group's class-pair histogram, and
+``induced-q7`` and ``induced-q8`` before the normalization check of
+``models.twisted_trace`` dropped its matrix inverse).
 ``fixed-dims-q3`` was recaptured once on purpose when the suite
 stopped emitting a check for a closed case that no label reached: at
 q = 3 the only omega-trivial labels are one Plus/Minus pair, so the
@@ -70,7 +72,7 @@ for _q in QS + (8,):
 for _q in QS:
     for _suite in ("oracle", "twists"):
         CASES[f"{_suite}-q{_q}"] = ["verify", "--suite", _suite, "--q", str(_q)]
-for _q in (3, 4, 5):
+for _q in (3, 4, 5, 7, 8):
     CASES[f"induced-q{_q}"] = ["verify", "--suite", "induced", "--q", str(_q)]
 for _q in (7, 8, 9):
     CASES[f"twists-q{_q}"] = ["verify", "--suite", "twists", "--q", str(_q)]

@@ -529,7 +529,7 @@ def test_witness_families_land_on_table_subgroups(tag, i, j, n, kind):
 def test_sampled_subgroups_match_witnesses(tag, i, j, n, kind):
     ctx = PadicCtx(2, 1)
     g = coset_rep(ctx, tag, i, j)
-    res = compute_Rg(g, n, seed=5)
+    res = compute_Rg(RgKernel(g, g.inv()), n, seed=5)
     table = subgroup_R(kind, ctx.fq)
     assert conjugate_subgroups(res.group, table, ctx.fq) is not None
     assert res.accepted >= 200
@@ -538,7 +538,8 @@ def test_sampled_subgroups_match_witnesses(tag, i, j, n, kind):
 def test_deeper_strata_sampled_against_witnesses():
     ctx = PadicCtx(2, 1)
     for tag, i, j, n, kind in WITNESS_CASES[4:]:
-        samp = compute_Rg(coset_rep(ctx, tag, i, j), n, seed=5)
+        g = coset_rep(ctx, tag, i, j)
+        samp = compute_Rg(RgKernel(g, g.inv()), n, seed=5)
         wit = witness_Rg(ctx, tag, i, j, n)
         assert set(samp.group) == set(wit.group)
 
@@ -559,7 +560,8 @@ def test_swap_torus_image_of_corner_stratum_when_q_is_four():
     ctx = PadicCtx(2, 2)
     fq = ctx.fq
     wit = witness_Rg(ctx, "II", 0, 2, 4)
-    samp = compute_Rg(coset_rep(ctx, "II", 0, 2), 4, seed=7)
+    g = coset_rep(ctx, "II", 0, 2)
+    samp = compute_Rg(RgKernel(g, g.inv()), 4, seed=7)
     swap = {GL22Elem(GL2Elem(a, 0, 0, d), GL2Elem(d, 0, 0, a))
             for a in fq.fq_units for d in fq.fq_units}
     assert set(wit.group) == swap
@@ -580,7 +582,8 @@ def test_sampled_subgroups_equal_witnesses_on_the_q4_level5_support():
     assert params
     for prm in params:
         wit = witness_Rg(ctx, prm.tag, prm.i, prm.j, 5, prm.u).group
-        samp = compute_Rg(coset_rep(ctx, prm.tag, prm.i, prm.j, prm.u), 5).group
+        g = coset_rep(ctx, prm.tag, prm.i, prm.j, prm.u)
+        samp = compute_Rg(RgKernel(g, g.inv()), 5).group
         assert np.array_equal(samp.rows, wit.rows), prm
 
 
@@ -588,7 +591,8 @@ def test_out_of_range_parameters_trigger_radical_obstruction():
     ctx = PadicCtx(2, 1)
     fq = ctx.fq
     for (i, j, n) in [(0, 2, 3), (0, 3, 3), (1, 1, 4), (0, 4, 4)]:
-        grp = compute_Rg(coset_rep(ctx, "I", i, j), n, seed=3).group
+        g = coset_rep(ctx, "I", i, j)
+        grp = compute_Rg(RgKernel(g, g.inv()), n, seed=3).group
         assert radical_obstruction(fq, grp)
     # in-range groups carry no obstruction
     assert not radical_obstruction(fq, subgroup_R("Torus", fq))
@@ -611,7 +615,7 @@ def test_sampler_budget_failure_is_reported(monkeypatch):
     ctx = PadicCtx(2, 1)
     g = coset_rep(ctx, "I", 0, 1)
     with pytest.raises(StabilizationFailure, match="after 5 draws"):
-        compute_Rg(g, 3, seed=0)
+        compute_Rg(RgKernel(g, g.inv()), 3, seed=0)
     assert asked == [5]
 
 
@@ -695,7 +699,7 @@ def reference_Rg(g, n, seed=0):
 def kernel_Rg(g, n, seed=0):
     """compute_Rg in the shape of reference_Rg, plus its fallback count."""
     try:
-        res = compute_Rg(g, n, seed=seed)
+        res = compute_Rg(RgKernel(g, g.inv()), n, seed=seed)
     except StabilizationFailure as exc:
         return str(exc), None
     return (set(res.group), res.draws, res.accepted), res.fallbacks
