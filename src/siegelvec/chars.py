@@ -273,7 +273,8 @@ def twisted_trace_closed(ctx: FqCtx, sigma: SigmaLabel, operator: str,
     the normalizer coset).  Hypotheses: the label is a self-twisted full
     pair presented as a determinant twist of a doubled cuspidal rho with
     omega_rho(-1) = 1 and (lambda omega_rho)^2 = 1.  At even q the swap
-    trace is R's kind's row of ``numerics.KINDS``."""
+    trace, and whether the doubled Weyl element normalizes R, are read from
+    R's kind's row of ``numerics.KINDS``."""
     if operator not in ("swap", "ww", "swap_ww"):
         raise BadCase(f"unknown operator {operator!r}")
     pres = self_twist_presentations(ctx, sigma)
@@ -290,12 +291,12 @@ def twisted_trace_closed(ctx: FqCtx, sigma: SigmaLabel, operator: str,
     branch = lambda_omega_class(ctx, sigma, presentation)
     q = ctx.q
     if q % 2 == 0:
+        row = KINDS.get(R.label)
         if operator == "swap":
-            row = KINDS.get(R.label)
             if row is None or row.swap is None:
                 raise HypothesisViolated(f"no closed form for subgroup {R.label}")
             return row.swap(q)
-        if R.label != "Torus":
+        if row is None or not row.weyl:
             raise HypothesisViolated("doubled Weyl operator only normalizes the torus")
         return 1
     if R.label != "Torus":

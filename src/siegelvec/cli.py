@@ -32,10 +32,11 @@ from itertools import islice
 from . import __version__
 from .numerics import (GUARD, KINDS, FqCtx, Refusal, build_field, fixed_dim_closed,
                        standard_kinds)
-from .support import (COSET_TAGS, enumerate_support, stratum_count, total_count,
-                      base_count, al_partner, is_al_fixed, fixed_stratum_count,
-                      coset_R_type, classify_pairing, dim_formula, assemble_dim,
-                      al_formula, assemble_al)
+from .support import (COSET_TAGS, CosetParam, enumerate_support, support_blocks,
+                      stratum_count, total_count, base_count, al_partner,
+                      is_al_fixed, fixed_stratum_count, coset_R_type,
+                      classify_pairing, dim_formula, assemble_dim, al_formula,
+                      assemble_al)
 
 FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1),
           7: (7, 1), 8: (2, 3), 9: (3, 2)}
@@ -110,6 +111,20 @@ def _counts_row(q: int, n: int) -> dict:
             "total": total_count(q, n), "base": base_count(q, n)}
 
 
+def _block_counts(fq: FqCtx, n: int) -> tuple[Counter, Counter]:
+    """The cosets and the involution-fixed cosets of each stratum at level
+    n, counted by lattice block, not coset by coset.  The level involution
+    reflects j and keeps u (al_partner), so a lattice point (tag, i, j) is
+    fixed for all of its residue codes or for none: is_al_fixed is asked
+    once per point, and each fixed point adds its block's code count."""
+    by_tag, fixed = Counter(), Counter()
+    for tag, i, js, codes in support_blocks(fq, n):
+        by_tag[tag] += len(js) * len(codes)
+        fixed[tag] += len(codes) * sum(is_al_fixed(CosetParam(tag, i, j), n)
+                                       for j in js)
+    return by_tag, fixed
+
+
 def suite_counts(q: int, n_max: int, **_: object) -> tuple[list, list]:
     fq = _field(q)
     _within_budget(q, range(n_max + 1), f"levels 0..{n_max}")
@@ -119,15 +134,13 @@ def suite_counts(q: int, n_max: int, **_: object) -> tuple[list, list]:
         # a stratum's weight in the base count: its kind's full-label fixed dim
         weights = {tag: fixed_dim_closed(coset_R_type(tag), q) for tag in COSET_TAGS}
     for n in range(n_max + 1):
-        params = enumerate_support(fq, n)
-        by_tag = Counter(p.tag for p in params)
-        fixed = Counter(p.tag for p in params if is_al_fixed(p, n))
+        by_tag, fixed = _block_counts(fq, n)
         row = _counts_row(q, n)
         for tag in COSET_TAGS:
             enum_ok &= by_tag.get(tag, 0) == row[tag]
             fixed_ok &= fixed.get(tag, 0) == fixed_stratum_count(tag, q, n)
         rows.append(row)
-        enum_ok &= len(params) == row["total"]
+        enum_ok &= sum(by_tag.values()) == row["total"]
         if q % 2 == 0:
             weight_ok &= sum(w * row[t] for t, w in weights.items()) == row["base"]
     checks: list = []
@@ -208,7 +221,7 @@ def suite_oracle(q: int, **_: object) -> tuple[list, list]:
                 rows.append({"sigma": _sigma_str(sigma), "group": R.label,
                              "average": full, "rank": sum(ranks)})
                 sum_ok &= sum(ranks) == full
-                if R.label == "Unip":  # no constituent value in chars here
+                if KINDS[R.label].oracle_split:  # no constituent value in chars
                     unip_ok &= full != q - 1 or sorted(ranks) == [0, q - 1]
                     continue
                 for cm, rk in zip(parts, ranks):
@@ -253,7 +266,7 @@ def suite_twists(q: int, **_: object) -> tuple[list, list]:
             for R in groups:
                 P = tm.average(R)
                 for name, op in ops.items():
-                    if R.label != "Torus" and name != "swap":
+                    if name != "swap" and not KINDS[R.label].weyl:
                         continue
                     closed = twisted_trace_closed(ctx, sigma, name, R,
                                                   presentation=(k_rho, l))

@@ -595,11 +595,13 @@ def decompose(tm: TensorModel) -> list[ConstituentModel]:
     for A in map(tm.mat, _gl22_generators(ctx)):
         if any(np.linalg.norm(P @ A - A @ P) > 1e-6 * tm.dim for P in projs):
             raise ValueError("cluster projector fails to commute")
-    # the swap element with unequal determinants exchanges the two summands
+    # the swap element with unequal determinants exchanges the two summands:
+    # D P0 D^-1 = P1, certified as D P0 = P1 D (D is unitary, so the norms
+    # agree) without an inverse
     sw = GL22Elem(GL2Elem(ctx.fq_gen, 0, 0, ctx.one),
                   GL2Elem(ctx.one, 0, 0, ctx.one))
     D = tm.mat(sw)
-    if np.linalg.norm(D @ projs[0] @ np.linalg.inv(D) - projs[1]) > 1e-6 * tm.dim:
+    if np.linalg.norm(D @ projs[0] - projs[1] @ D) > 1e-6 * tm.dim:
         raise ValueError("outer element does not swap the constituents")
     n = [GL2Elem(ctx.one, 0, u, ctx.one) for u in ctx.fq_elements]
     N = SubgroupR(ctx, gl22_rows([GL22Elem(x, x) for x in n]), "DiagUnip")

@@ -16,7 +16,8 @@ Field elements are stored as discrete-log codes into F_{q^2}: code 0 is the
 zero element and code e in [1, q^2-1] is g2^(e-1) for a fixed generator g2
 of the multiplicative group.  F_q sits inside F_{q^2} as {0} together with
 the powers of b = g2^(q+1).  Multiplication is index addition; addition
-goes through a precomputed table (a Zech-logarithm table in disguise).
+goes through a precomputed table, built from the Zech logarithms (the
+codes of 1 + g2^e) as a + b = a (1 + b/a).
 """
 
 from __future__ import annotations
@@ -78,7 +79,13 @@ class Kind(NamedTuple):
     q), the fixed dimension of a full label given q and omega(-1), that of
     a constituent given an odd q, and the trace of the factor swap on the
     fixed space of a self-twisted full label given an even q.  A fact the
-    package states no closed value for is None."""
+    package states no closed value for is None.  ``weyl`` says whether the
+    doubled Weyl element normalizes the subgroup (the torus only), so that
+    the twist operators through it have closed traces there.
+    ``oracle_split`` says whether, at odd q, where constituents exist, the
+    outer element s = (diag(e, 1), 1) fails to normalize it (the unipotent
+    family only): a constituent then has no character-side fixed dimension
+    on it, and the matrix model splits the full rank as q-1 and 0."""
 
     key: str
     noun: str
@@ -86,17 +93,19 @@ class Kind(NamedTuple):
     full: Optional[Callable[[int, Optional[int]], int]]
     constituent: Optional[Callable[[int], int]]
     swap: Optional[Callable[[int], int]]
+    weyl: bool
+    oracle_split: bool
 
 
 KINDS = {
     "Torus": Kind("torus", "torus", True, _torus_full,
-                  lambda q: 1 if q % 4 == 3 else 0, lambda q: 1),
+                  lambda q: 1 if q % 4 == 3 else 0, lambda q: 1, True, False),
     "Unip": Kind("unip", "unipotent family", True, lambda q, _: q - 1, None,
-                 lambda q: q - 1),
+                 lambda q: q - 1, False, True),
     "ArtinUnip": Kind("artin", "Artin-Schreier family", False, lambda q, _: 1,
-                      None, lambda q: 1),
-    "U1": Kind("u1", "first radical line", True, None, None, None),
-    "U2": Kind("u2", "second radical line", True, None, None, None),
+                      None, lambda q: 1, False, False),
+    "U1": Kind("u1", "first radical line", True, None, None, None, False, False),
+    "U2": Kind("u2", "second radical line", True, None, None, None, False, False),
 }
 
 
@@ -197,19 +206,16 @@ class FqCtx:
         for _ in range(self.q2 - 2):
             exp.append(poly_mul_mod(exp[-1], x, modpoly, p))
         log = {pol: e for e, pol in enumerate(exp)}
-        zero_poly = tuple([0] * d)
-        # addition table over codes (0 = zero, e = g2^(e-1))
-        def code_of(pol):
-            return 0 if pol == zero_poly else log[pol] + 1
-        def poly_of(code):
-            return zero_poly if code == 0 else exp[code - 1]
-        add = [[0] * self.q2 for _ in range(self.q2)]
-        for a in range(self.q2):
-            pa = poly_of(a)
-            for b in range(a, self.q2):
-                s = tuple((u + v) % p for u, v in zip(pa, poly_of(b)))
-                add[a][b] = add[b][a] = code_of(s)
-        self._add = add
+        # the Zech column: zech[e] is the code of 1 + g2^e, 0 for zero
+        zech = [log[one_plus] + 1 if any(one_plus) else 0
+                for one_plus in (((pol[0] + 1) % p,) + pol[1:] for pol in exp)]
+        # addition table over codes (0 = zero, e = g2^(e-1)): for a != 0,
+        # a + b = a (1 + b/a), and b/a = g2^(b-a)
+        m = self.q2 - 1
+        self._add = [list(range(self.q2))]     # 0 + b = b
+        for a in range(1, self.q2):
+            ones = (zech[(b - a) % m] for b in range(1, self.q2))
+            self._add.append([a] + [z and (a + z - 2) % m + 1 for z in ones])
         self.zero = 0
         self.one = 1
         self.gen2 = 2

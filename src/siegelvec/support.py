@@ -6,16 +6,19 @@ the five tags used in :mod:`siegelvec.padic`, carries an (i, j) lattice
 parameter and possibly a residue parameter, and contributes through the
 fixed space of a standard subgroup of GL22(q).  ``STRATA`` is the one
 table of these facts, and every function below reads them from it.  This
-module enumerates the strata, gives closed counting formulas, implements
-the pairing induced by the level involution, and assembles dimension and
-signed trace totals.  The assembly forms what one coset of each stratum
-adds once per label, from the character layer, and every requested level's
-total is the sum of the stratum counts times those values.
+module lists the cosets of a level by lattice block (``support_blocks``,
+one block per stratum and i, the one statement of the lattice bounds) and
+one by one (``enumerate_support``, the blocks expanded), gives closed
+counting formulas, implements the pairing induced by the level involution,
+and assembles dimension and signed trace totals.  The assembly forms what
+one coset of each stratum adds once per label, from the character layer,
+and every requested level's total is the sum of the stratum counts times
+those values.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
 from .numerics import BadCase, FqCtx
 
@@ -58,9 +61,9 @@ def _residue_count(residues: str, q: int) -> int:
     return {"zero": 1, "one": 1, "units": q - 1, "all": q}[residues]
 
 
-def _residue_codes(fq: FqCtx, residues: str) -> list[int]:
-    return {"zero": [0], "one": [fq.one], "units": fq.fq_units,
-            "all": fq.fq_elements}[residues]
+def _residue_codes(fq: FqCtx, residues: str) -> tuple[int, ...]:
+    return {"zero": (0,), "one": (fq.one,), "units": tuple(fq.fq_units),
+            "all": tuple(fq.fq_elements)}[residues]
 
 
 class CosetParam(NamedTuple):
@@ -94,19 +97,27 @@ def total_count(q: int, n: int) -> int:
     return sum(stratum_count(tag, q, n) for tag in COSET_TAGS)
 
 
-def enumerate_support(fq: FqCtx, n: int) -> list[CosetParam]:
-    """All double-coset parameters at level n, in a fixed order."""
-    out = []
+def support_blocks(fq: FqCtx, n: int) -> Iterator[tuple[str, int, range, tuple]]:
+    """The double cosets at level n by lattice block, in a fixed order: per
+    stratum populated at q and per i, (tag, i, js, codes), where js is the
+    range of j, jmin <= j <= n - 2 - 2i, and codes are the stratum's residue
+    codes.  The block holds the cosets (tag, i, j, u) for j in js and u in
+    codes."""
     for tag in COSET_TAGS:
         row = _stratum(tag, fq.q)
         if row is None:
             continue
         codes = _residue_codes(fq, row.residues)
         # i runs while jmin <= n-2-2i; a negative bound leaves it empty
-        out += [CosetParam(tag, i, j, u)
-                for i in range((n - 2 - row.jmin) // 2 + 1)
-                for j in range(row.jmin, n - 1 - 2 * i) for u in codes]
-    return out
+        for i in range((n - 2 - row.jmin) // 2 + 1):
+            yield tag, i, range(row.jmin, n - 1 - 2 * i), codes
+
+
+def enumerate_support(fq: FqCtx, n: int) -> list[CosetParam]:
+    """All double-coset parameters at level n: the blocks of support_blocks
+    expanded, j outer and u inner."""
+    return [CosetParam(tag, i, j, u) for tag, i, js, codes in support_blocks(fq, n)
+            for j in js for u in codes]
 
 
 def _reflected_j(param: CosetParam, n: int) -> int:
@@ -120,7 +131,9 @@ def al_partner(param: CosetParam, n: int) -> CosetParam:
 
 def is_al_fixed(param: CosetParam, n: int) -> bool:
     """Whether the level involution fixes the coset: al_partner(param, n)
-    == param, without building the partner."""
+    == param, without building the partner.  The involution reflects j and
+    keeps u, so the answer is the same for every u of a lattice point
+    (tag, i, j)."""
     return _reflected_j(param, n) == param.j
 
 

@@ -18,8 +18,13 @@ places the tensor model's two averages on the diagonal, and
 ``models.pair_averages`` averages many pairs in one matrix product.
 ``ref_add``, ``ref_mul``, ``ref_neg``, ``ref_inv``, ``ref_normalize`` and
 ``ref_decide`` are the exact scalar operations of ``padic.PadicScalar``
-without its shortcuts."""
+without its shortcuts.  ``PairwiseFqCtx`` builds F_{q^2}'s addition table
+by adding every pair of polynomials, where ``numerics.FqCtx`` reads it from
+one Zech column, and ``per_coset_counts`` counts the cosets of each
+stratum one coset at a time, over the list ``enumerate_support_ref``
+materializes, where ``cli`` counts them by lattice block."""
 
+import collections
 import functools
 
 import numpy as np
@@ -28,9 +33,11 @@ from siegelvec.chars import theta_eval
 from siegelvec.finitegrp import (GL2Elem, GL22Elem, gl2_det, gl22_identity,
                                  gl22_mul, gl22_valid, poly_mul_mod, u_action)
 from siegelvec.models import _gl22_generators, _nullspace, cuspidal_model
-from siegelvec.numerics import root_of_unity
+from siegelvec.numerics import (FqCtx, UnsupportedSize, _find_primitive_poly,
+                                _is_prime, root_of_unity)
 from siegelvec.padic import (_K_READS, GUARD, UNDECIDED, PadicScalar,
                              PrecisionExhausted, RgKernel)
+from siegelvec.support import STRATA, CosetParam, al_partner
 
 
 def gl2_inv(ctx, m: GL2Elem) -> GL2Elem:
@@ -376,3 +383,83 @@ def ref_decide(a, b):
         return d.kind == "zero"
     base = min((x.val for x in (a, b) if x.kind == "unit"), default=0)
     return True if d.aprec >= base + GUARD else None
+
+
+# -- F_q by pairwise polynomial sums ------------------------------------------
+
+class PairwiseFqCtx(FqCtx):
+    """FqCtx as it was built before the Zech column: every pair of
+    polynomials added, O(q^4) additions, and the rest derived from that
+    table as before."""
+
+    def __init__(self, p: int, f: int):
+        if not _is_prime(p):
+            raise UnsupportedSize(f"p = {p} is not prime")
+        if p ** f > 16:
+            raise UnsupportedSize(f"q = {p}^{f} exceeds the supported cap 16")
+        self.p, self.f = p, f
+        self.q = p ** f
+        self.q2 = self.q ** 2
+        d = 2 * f
+        modpoly = _find_primitive_poly(p, d)
+        one = tuple([1] + [0] * (d - 1))
+        x = tuple([0, 1] + [0] * (d - 2))
+        exp = [one]
+        for _ in range(self.q2 - 2):
+            exp.append(poly_mul_mod(exp[-1], x, modpoly, p))
+        log = {pol: e for e, pol in enumerate(exp)}
+        zero_poly = tuple([0] * d)
+
+        def code_of(pol):
+            return 0 if pol == zero_poly else log[pol] + 1
+
+        def poly_of(code):
+            return zero_poly if code == 0 else exp[code - 1]
+        add = [[0] * self.q2 for _ in range(self.q2)]
+        for a in range(self.q2):
+            pa = poly_of(a)
+            for b in range(a, self.q2):
+                s = tuple((u + v) % p for u, v in zip(pa, poly_of(b)))
+                add[a][b] = add[b][a] = code_of(s)
+        self._add = add
+        self.zero = 0
+        self.one = 1
+        self.gen2 = 2
+        self.fq_gen = self.exp2(self.q + 1)
+        self.fq_units = [self.exp2((self.q + 1) * j) for j in range(self.q - 1)]
+        self.fq_elements = [0] + self.fq_units
+        self._neg = [self._negate(a) for a in range(self.q2)]
+        self._fp_value = {0: 0}
+        acc = 0
+        for i in range(1, p):
+            acc = self._add[acc][1]
+            self._fp_value[acc] = i
+        mp = [self.one]
+        for k in range(f):
+            r = self.neg(self.power(self.fq_gen, p ** k))
+            mp = [self.add(self.mul(r, c), prev) for c, prev in zip(mp + [0], [0] + mp)]
+        self.fq_minpoly = tuple(self._fp_value[c] for c in mp)
+        self._psi = {a: root_of_unity(p, self.trace_to_fp(a))
+                     for a in self.fq_elements}
+
+
+# -- the coset support, one coset at a time -----------------------------------
+
+def enumerate_support_ref(fq, n):
+    """Every coset (tag, i, j, u) at level n, jmin <= j <= n - 2 - 2i, in
+    the order of ``support.enumerate_support``: stratum, i, j, then u."""
+    codes = {"zero": [0], "one": [fq.one], "units": fq.fq_units,
+             "all": fq.fq_elements}
+    return [CosetParam(tag, i, j, u) for tag, row in STRATA.items()
+            if fq.q % 2 == 0 or tag == "I"
+            for i in range((n - 2 - row.jmin) // 2 + 1)
+            for j in range(row.jmin, n - 1 - 2 * i) for u in codes[row.residues]]
+
+
+def per_coset_counts(fq, n):
+    """(cosets, involution-fixed cosets) per stratum tag at level n, as
+    Counters over the materialized list, a coset fixed when it equals its
+    partner."""
+    params = enumerate_support_ref(fq, n)
+    return (collections.Counter(p.tag for p in params),
+            collections.Counter(p.tag for p in params if al_partner(p, n) == p))

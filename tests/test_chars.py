@@ -22,7 +22,7 @@ from siegelvec.chars import (
     sigma_is_reducible, sigma_key, sigma_omega_trivial, split_restriction,
     twisted_trace_closed, valid_cuspidal,
 )
-from siegelvec.numerics import certify_integer
+from siegelvec.numerics import KINDS, certify_integer, standard_kinds
 
 from reference import (classify_gl2, cuspidal_char, cuspidal_char_reference,
                        gl2_class, gl2_inv, sigma_key_search)
@@ -692,3 +692,30 @@ def test_omega_trivial_classes_q5_all_self_twisted():
     for s in classes:
         assert s.constituent == "Full"
         assert self_twist_presentations(ctx, s)
+
+
+FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
+
+
+@pytest.mark.parametrize("q", sorted(FIELDS))
+def test_kinds_state_which_groups_the_weyl_and_outer_elements_normalize(q):
+    # numerics.KINDS states both facts; here the groups are tested: the
+    # doubled Weyl element (w, w) by conjugation, and at odd q the outer
+    # element s by whether a constituent's average refuses
+    ctx = build_field(*FIELDS[q])
+    w = GL2Elem(0, ctx.one, ctx.neg(ctx.one), 0)
+    weyl = gl22_rows([GL22Elem(w, w)])
+    plus = next((s._replace(constituent="Plus") for s in (
+        SigmaLabel(k1, k2, "Full") for k1 in cuspidal_classes(ctx)
+        for k2 in cuspidal_classes(ctx)) if sigma_is_reducible(ctx, s)), None)
+    assert (plus is None) == (q % 2 == 0)
+    for kind in standard_kinds(q):
+        R = subgroup_R(kind, ctx)
+        assert bool(conjugates_into(ctx, weyl, R.gens, R)[0]) == KINDS[kind].weyl
+        if plus is not None:
+            try:
+                fixed_dim(ctx, plus, R)
+                refused = False
+            except OracleRequired:
+                refused = True
+            assert refused == KINDS[kind].oracle_split, kind

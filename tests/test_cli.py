@@ -12,13 +12,13 @@ import pytest
 
 import siegelvec
 from siegelvec import __version__
-from siegelvec import chars, cli, finitegrp, models, numerics, padic
+from siegelvec import chars, cli, finitegrp, models, numerics, padic, support
 from siegelvec.cli import main
 from siegelvec.finitegrp import build_field
-from siegelvec.support import (COSET_TAGS, stratum_count, total_count,
+from siegelvec.support import (COSET_TAGS, STRATA, stratum_count, total_count,
                                base_count, al_fixed_cosets, coset_R_type)
 
-from reference import induced_projector_ref
+from reference import induced_projector_ref, per_coset_counts
 
 
 def run(capsys, argv):
@@ -424,8 +424,68 @@ def test_oversized_enumerations_are_refused_at_once(capsys, argv, line):
 
 
 def test_the_row_limit_admits_the_largest_enumeration_in_use():
-    # counts --q 8 --n-max 60 (tests and benchmark) walks the most cosets
+    # the gate budgets the closed coset counts of the levels a command
+    # walks, however it walks them: counts --q 8 --n-max 60 (tests and
+    # benchmark), which counts by lattice block, has the most
     assert sum(total_count(8, n) for n in range(61)) == 269_112 <= cli.MAX_ROWS
+
+
+# -- the counts suite, by lattice block ----------------------------------------
+
+@pytest.mark.parametrize("q", sorted(cli.FIELDS))
+def test_block_counts_equal_the_per_coset_counts(q):
+    fq = build_field(*cli.FIELDS[q])
+    for n in range(41):
+        assert cli._block_counts(fq, n) == per_coset_counts(fq, n), n
+
+
+def _counts_failures(capsys, q):
+    rc, out = run(capsys, ["verify", "--suite", "counts", "--q", str(q),
+                           "--n-max", "12", "--format", "json"])
+    return rc, [c["name"] for c in json.loads(out)["checks"] if not c["ok"]]
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_counts_catches_an_involution_reflected_off_by_one(capsys, monkeypatch, q):
+    def shifted(param, n):
+        return n - 2 * param.i - param.j + STRATA[param.tag].al_shift + 1 == param.j
+    monkeypatch.setattr(cli, "is_al_fixed", shifted)
+    assert _counts_failures(capsys, q) == (
+        2, ["involution-fixed cosets match closed counts"])
+
+
+def test_counts_catches_a_block_that_drops_a_residue_code(capsys, monkeypatch):
+    real = cli.support_blocks
+
+    def short(fq, n):
+        for tag, i, js, codes in real(fq, n):
+            yield tag, i, js, codes[1:] if tag == "IV" else codes
+    monkeypatch.setattr(cli, "support_blocks", short)
+    rc, failed = _counts_failures(capsys, 4)
+    assert rc == 2 and "enumeration matches closed stratum counts" in failed
+
+
+def test_counts_asks_the_involution_once_per_lattice_point(monkeypatch):
+    # a structural guard, not a wall-clock one: 79,314 lattice points
+    # (tag, i, j) hold the 269,112 cosets of q=8, levels 0..60, and no
+    # coset is built per residue code
+    points = sum((n - row.jmin) ** 2 // 4 for n in range(61)
+                 for row in STRATA.values() if n > row.jmin)
+    assert points == 79_314
+    calls = {"is_al_fixed": 0, "CosetParam": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(cli, "is_al_fixed", counted("is_al_fixed", cli.is_al_fixed))
+    for module in (cli, support):
+        monkeypatch.setattr(module, "CosetParam",
+                            counted("CosetParam", support.CosetParam))
+    _, checks = cli.suite_counts(q=8, n_max=60)
+    assert all(c["ok"] for c in checks)
+    assert calls["is_al_fixed"] <= points and calls["CosetParam"] <= points
 
 
 def _stop_at_sampling(monkeypatch):

@@ -450,6 +450,26 @@ def test_decompose_constituents_are_subreps():
                 assert np.allclose(c.mat(x) @ c.mat(y), c.mat(xy), atol=1e-8)
 
 
+def test_decompose_refuses_an_outer_element_that_does_not_swap(monkeypatch):
+    # the swap element sw = (diag(e, 1), 1) acting as the identity keeps
+    # each constituent in place
+    ctx = build_field(3, 1)
+    sw = GL22Elem(GL2Elem(ctx.fq_gen, 0, 0, ctx.one), GL2Elem(ctx.one, 0, 0, ctx.one))
+    real = TensorModel.mat
+    monkeypatch.setattr(TensorModel, "mat", lambda self, x: (
+        np.eye(self.dim) if x == sw else real(self, x)))
+    with pytest.raises(ValueError, match="outer element does not swap the constituents"):
+        decompose(TensorModel(ctx, 2, 6))
+
+
+def test_decompose_certifies_the_swap_without_an_inverse(monkeypatch):
+    def no_inverse(*_):
+        raise AssertionError("np.linalg.inv called")
+    monkeypatch.setattr(np.linalg, "inv", no_inverse)
+    assert [c.tag for c in decompose(TensorModel(build_field(3, 1), 2, 6))] == \
+        ["Plus", "Minus"]
+
+
 def test_decompose_irreducible_raises():
     ctx = build_field(3, 1)
     with pytest.raises(ValueError):

@@ -2,7 +2,9 @@ import cmath
 
 import pytest
 
-from siegelvec.numerics import NotAnInteger, certify_integer, root_of_unity
+from siegelvec.numerics import FqCtx, NotAnInteger, certify_integer, root_of_unity
+
+from reference import PairwiseFqCtx
 
 
 def test_root_of_unity_basic_values():
@@ -76,3 +78,15 @@ def test_modulus_bounded_by_total_multiplicity():
 def test_scalar_mixing_drops_exact_tag():
     v = root_of_unity(4, 1) * 0.5
     assert abs(v - 0.5j) < 1e-12
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2),
+                                 (5, 1), (7, 1), (11, 1), (13, 1)])
+def test_zech_field_table_matches_the_pairwise_sums(p, f):
+    # every q = p^f <= 16 that FqCtx accepts
+    fast, slow = FqCtx(p, f), PairwiseFqCtx(p, f)
+    assert fast._add == slow._add
+    assert fast._neg == slow._neg
+    assert fast.fq_units == slow.fq_units
+    assert fast.fq_minpoly == slow.fq_minpoly
+    assert fast._psi == slow._psi

@@ -20,10 +20,13 @@ from siegelvec.support import (
     fixed_stratum_count,
     is_al_fixed,
     stratum_count,
+    support_blocks,
     total_count,
 )
 from siegelvec import chars, cli, finitegrp
 from siegelvec.support import STRATA, _coset_values
+
+from reference import enumerate_support_ref
 
 FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1)}
 
@@ -56,6 +59,27 @@ def test_counts_match_enumeration():
             assert len(params) == total_count(q, n)
             for p in params:
                 assert in_support(q, p, n)
+
+
+@pytest.mark.parametrize("q", sorted(cli.FIELDS))
+def test_enumeration_expands_the_blocks_in_the_frozen_order(q):
+    fq = build_field(*cli.FIELDS[q])
+    for n in range(21):
+        assert enumerate_support(fq, n) == enumerate_support_ref(fq, n)
+        blocks = list(support_blocks(fq, n))
+        assert len({(tag, i) for tag, i, *_ in blocks}) == len(blocks)
+        assert all(js and codes for *_, js, codes in blocks)
+
+
+@pytest.mark.parametrize("q", sorted(cli.FIELDS))
+def test_involution_fixedness_is_the_same_for_every_residue(q):
+    # what lets cli count fixed cosets once per lattice point (tag, i, j)
+    fq = build_field(*cli.FIELDS[q])
+    for n in range(25):
+        by_point = collections.defaultdict(set)
+        for p in enumerate_support(fq, n):
+            by_point[p.tag, p.i, p.j].add(is_al_fixed(p, n))
+        assert all(len(answers) == 1 for answers in by_point.values())
 
 
 def test_stratum_count_spot_values():
