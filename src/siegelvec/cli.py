@@ -34,7 +34,7 @@ from .numerics import (GUARD, KINDS, FqCtx, Refusal, build_field, fixed_dim_clos
                        standard_kinds)
 from .support import (COSET_TAGS, CosetParam, enumerate_support, support_blocks,
                       stratum_count, total_count, base_count, al_partner,
-                      is_al_fixed, fixed_stratum_count, coset_R_type,
+                      is_al_fixed, jmax, fixed_stratum_count, coset_R_type,
                       classify_pairing, dim_formula, assemble_dim, al_formula,
                       assemble_al)
 
@@ -431,6 +431,14 @@ def suite_identities(q: int, seed: int, draws: int, precision: int,
     return rows, checks
 
 
+def _off_support(n_max: int):
+    """The first 20 lattice points (n, i, j) of stratum I past the support,
+    at levels 3..n_max: per n and i < 3, the first three j >= 1 past
+    jmax(n, i)."""
+    return islice(((n, i, j) for n in range(3, n_max + 1) for i in range(3)
+                   for j in range(max(1, jmax(n, i) + 1), jmax(n, i) + 4)), 20)
+
+
 def suite_rg(q: int, seed: int, n_max: int, precision: int,
              **_: object) -> tuple[list, list]:
     if q != 2:
@@ -471,9 +479,7 @@ def suite_rg(q: int, seed: int, n_max: int, precision: int,
         ok_s &= same
     ok_off = True
     count_off = 0
-    off_support = ((n, i, j) for n in range(3, n_max + 1) for i in range(3)
-                   for j in range(max(1, n - 1 - 2 * i), n + 2 - 2 * i))
-    for n, i, j in islice(off_support, 20):
+    for n, i, j in _off_support(n_max):
         grp = compute_Rg(kernel("I", i, j), n, seed=seed).group
         ok_off &= radical_obstruction(fq, grp)
         count_off += 1

@@ -347,9 +347,6 @@ class CuspidalModel:
             hit = self._cache[g] = self.mats([g])[0]
         return hit
 
-    def char(self, g: GL2Elem) -> complex:
-        return complex(np.trace(self.mat(g)))
-
     def verify_character(self) -> None:
         """Compare the traces of the whole of GL2(q) with the character
         table, read per class; the batch is not cached."""
@@ -447,9 +444,6 @@ class TensorModel:
             self._averages[R] = P
         return self._averages[R]
 
-    def char(self, x: GL22Elem) -> complex:
-        return complex(np.trace(self.mat(x)))
-
     def fixed_rank(self, R: SubgroupR) -> int:
         return _fixed_rank(self, R)
 
@@ -546,9 +540,6 @@ class ConstituentModel:
     def average(self, R: SubgroupR) -> np.ndarray:
         return _certified(self.basis.conj().T @ self.tm.average(R) @ self.basis)
 
-    def char(self, x: GL22Elem) -> complex:
-        return complex(np.trace(self.mat(x)))
-
     def fixed_rank(self, R: SubgroupR) -> int:
         return _fixed_rank(self, R)
 
@@ -631,14 +622,12 @@ def model_for_sigma(ctx: FqCtx, sigma):
 # -- twist operators ----------------------------------------------------------
 
 def swap_operator(tm: TensorModel) -> np.ndarray:
-    """Perfect shuffle exchanging the tensor factors (equal dims required)."""
-    m, n = tm.m1.dim, tm.m2.dim
-    if m != n:
-        raise ValueError("swap needs equidimensional factors")
-    S = np.zeros((m * n, m * n))
-    for i in range(m):
+    """Perfect shuffle exchanging the tensor factors, both of dimension q-1."""
+    n = tm.m1.dim
+    S = np.zeros((n * n, n * n))
+    for i in range(n):
         for j in range(n):
-            S[j * m + i, i * n + j] = 1.0
+            S[j * n + i, i * n + j] = 1.0
     return S
 
 

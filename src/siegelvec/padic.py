@@ -114,6 +114,16 @@ class PadicCtx:
         self.one_s = PadicScalar(self, "unit", 0, self._one, prec, 0)
         self._int_cache: dict = {0: self.zero_s, 1: self.one_s}
         self._pi_cache = {0: self.one_s}
+        # RgKernel's element type and tables, shared by every kernel: the
+        # modulus P of a draw scalar, p^v for v < prec, and the residue code
+        # of each coefficient tuple over [0, p), by its base-p value
+        self.P = p ** prec
+        self.dtype = np.uint64 if (p, f) == (2, 1) and prec <= 32 else object
+        self.pw = np.array(self._pw[:prec], dtype=self.dtype)
+        self.radix = p ** np.arange(f)
+        self.code_of = np.zeros(self.q, np.uint8)
+        for cs, code in self._encode.items():
+            self.code_of[np.dot(cs, self.radix)] = code
 
     # -- scalar constructors ---------------------------------------------
 
@@ -776,67 +786,59 @@ def rand_K(ctx: PadicCtx, rng: np.random.Generator) -> GSp4Elem:
     return g
 
 
-# One draw scalar over a batch of rows: a zero mask, the valuations, and
-# the (rows, f) unit coefficients below p^prec.
-Draws = namedtuple("Draws", "zero val coeffs")
+# The law of each random scalar of an Si(n) draw, one row per column of a
+# batch: the probability of an exact zero, the geometric parameter of the
+# valuation above vmin, and whether vmin is n (else 0).  A unit is the row
+# (0, 1, 0): never zero, always valuation 0.
+_SI_LAW = ((0.15, 0.5, 1), (0.15, 0.5, 1), (0.15, 0.5, 1),  # x, y, z
+           (0.2, 0.5, 0),                                   # lam
+           (0, 1, 0), (0.25, 0.45, 0), (0.25, 0.45, 0), (0, 1, 0),  # a1..a4
+           (0.25, 0.5, 0), (0.25, 0.5, 0), (0.25, 0.5, 0))  # b1, b2, b3
 
 
-# The random scalars of a batch of draws from Si(n), one Draws each but
-# lam_depth, an array: the similitude unit of a row is lam itself where
-# lam_depth is 0, else 1 + pi^lam_depth * lam.
-SiDraws = namedtuple("SiDraws", "x y z lam_depth lam a1 a2 a3 a4 b1 b2 b3")
-
-
-def _unit_batch(ctx: PadicCtx, rng: np.random.Generator, rows: int) -> np.ndarray:
-    """Coefficients (rows, f) of uniformly random units, distributed as
-    ``_unit_coeffs``: int64 when p^prec fits, else Python ints."""
-    residues = np.array([ctx._decode[c] for c in ctx.fq.fq_units])
-    out = residues[rng.integers(0, ctx.q - 1, rows)]
-    wide = ctx.p ** ctx.prec > 1 << 63
-    digits = 0
-    for bound in ctx._digit_bounds:
-        chunk = rng.integers(0, bound, (rows, ctx.f))
-        digits = digits * bound + (chunk.astype(object) if wide else chunk)
-    return out + ctx.p * digits
-
-
-def _batch(ctx: PadicCtx, rng: np.random.Generator, rows: int,
-           vmin: Optional[int] = None, zero_p: float = 0.0, geom: float = 0.5) -> Draws:
-    """``rows`` draws distributed as ``rand_elem``, or ``rand_unit`` if vmin is None."""
-    if vmin is None:
-        zero, val = np.zeros(rows, bool), np.zeros(rows, np.int64)
-    else:
-        zero, val = rng.random(rows) < zero_p, vmin - 1 + rng.geometric(geom, rows)
-    return Draws(zero, val, _unit_batch(ctx, rng, rows))
+# A batch of draws from Si(n): per row and scalar x, y, z, lam, a1, a2, a3,
+# a4, b1, b2, b3 a zero mask and a valuation (rows, 11), the unit
+# coefficients below p^prec (rows, 11, f), and lam_depth (rows,): the
+# similitude unit of a row is lam itself where lam_depth is 0, else
+# 1 + pi^lam_depth * lam.
+SiDraws = namedtuple("SiDraws", "zero val coeffs lam_depth")
 
 
 def draw_Si(ctx: PadicCtx, rng: np.random.Generator, n: int, rows: int) -> SiDraws:
     """Parameters of ``rows`` random elements of Si(n), with value
     distributions biased toward the congruence strata that conjugation into
-    K actually selects.  Each scalar is drawn for all rows at once."""
-    x, y, z = (_batch(ctx, rng, rows, n, 0.15) for _ in range(3))
+    K actually selects.  Each draw scalar is zero with its probability,
+    else a uniformly random unit (digits as ``_unit_coeffs``) times
+    pi^(vmin + a geometric count); the whole batch takes 4 + the number of
+    digit chunks Generator calls."""
+    zero_p, geom, at_n = np.array(_SI_LAW).T
+    shape = (rows, len(_SI_LAW))
+    zero = rng.random(shape) < zero_p
+    val = n * at_n.astype(np.int64) - 1 + rng.geometric(geom, shape)
     mode = rng.random(rows)
     depth = (mode >= 0.4) + (mode >= 0.7).astype(np.int64)
-    lam = _batch(ctx, rng, rows, 0, 0.2)
     unit = depth == 0
-    lam = Draws(lam.zero & ~unit, np.where(unit, 0, lam.val), lam.coeffs)
-    a1 = _batch(ctx, rng, rows)
-    a2, a3 = (_batch(ctx, rng, rows, 0, 0.25, 0.45) for _ in range(2))
-    a4 = _batch(ctx, rng, rows)
-    b1, b2, b3 = (_batch(ctx, rng, rows, 0, 0.25) for _ in range(3))
-    return SiDraws(x, y, z, depth, lam, a1, a2, a3, a4, b1, b2, b3)
+    zero[unit, 3], val[unit, 3] = False, 0
+    residues = np.array([ctx._decode[c] for c in ctx.fq.fq_units])
+    wide = ctx.P > 1 << 63
+    digits = 0
+    for bound in ctx._digit_bounds:
+        chunk = rng.integers(0, bound, shape + (ctx.f,))
+        digits = digits * bound + (chunk.astype(object) if wide else chunk)
+    coeffs = residues[rng.integers(0, ctx.q - 1, shape)] + ctx.p * digits
+    return SiDraws(zero, val, coeffs, depth)
 
 
 def build_Si(ctx: PadicCtx, d: SiDraws, row: int) -> GSp4Elem:
     """The element s_lower(x, y, z) levi(a1, a2, a3, a4, lam) s_upper(b1, b2, b3)
     of Si(n) named by one row of a batch."""
-    sx, sy, sz, lam, a1, a2, a3, a4, b1, b2, b3 = (
-        ctx.zero_s if s.zero[row] else ctx.unit(int(s.val[row]), s.coeffs[row].tolist())
-        for s in d[:3] + d[4:])
+    x, y, z, lam, a1, a2, a3, a4, b1, b2, b3 = (
+        ctx.zero_s if zero else ctx.unit(val, cs) for zero, val, cs in
+        zip(d.zero[row].tolist(), d.val[row].tolist(), d.coeffs[row].tolist()))
     depth = int(d.lam_depth[row])
     if depth:
         lam = ctx.one_s + ctx.pi(depth) * lam
-    return (s_lower(ctx, sx, sy, sz) @ levi(ctx, a1, a2, a3, a4, lam)
+    return (s_lower(ctx, x, y, z) @ levi(ctx, a1, a2, a3, a4, lam)
             @ s_upper(ctx, b1, b2, b3))
 
 
@@ -872,10 +874,11 @@ class RgKernel:
     An element of o is one integer: its coefficients packed in slots of B
     bits (Kronecker substitution), so entries multiply and add as integers;
     draw scalars are reduced modulo p^prec first, which keeps every slot
-    non-negative and below 2^B.  The element type is np.uint64 when f = 1,
-    p = 2 and p^prec <= 2^32, where arithmetic modulo 2^64 is exact modulo
-    every p^k read; otherwise Python ints in object arrays, through the
-    same code.
+    non-negative and below 2^B.  The element type, ``ctx.dtype``, is
+    np.uint64 when f = 1, p = 2 and p^prec <= 2^32, where arithmetic modulo
+    2^64 is exact modulo every p^k read; otherwise Python ints in object
+    arrays, through the same code.  A kernel keeps only its coset's data;
+    the tables that depend on (p, f, prec) alone are the context's.
 
     The similitude lam (a1 a4 - a2 a3) of h = g s g^-1 is known to p^prec,
     so a draw whose similitude is not a unit is rejected first.  The
@@ -898,47 +901,44 @@ class RgKernel:
     def __init__(self, g: GSp4Elem, gi: GSp4Elem):
         self.g, self.gi = g, gi
         ctx = self.ctx = g.ctx
-        p, f, prec = ctx.p, ctx.f, ctx.prec
-        self.P = p ** prec
+        p, f, dtype = ctx.p, ctx.f, ctx.dtype
         (sa, dg, G), (sb, dgi, Gi) = _fixed_point(ctx, g.m), _fixed_point(ctx, gi.m)
         s = self.shift = sa + sb
-        digits = self.digits = min(dg, prec, dgi)
+        digits = self.digits = min(dg, ctx.prec, dgi)
         self.PN = p ** digits
-        self.dtype = np.uint64 if (p, f) == (2, 1) and prec <= 32 else object
         G, Gi = ([[[c % self.PN for c in e] for e in row] for row in M] for M in (G, Gi))
         # an entry of G S Gi sums 16 products of three polynomials, with
         # the coefficients of S below 5 f^2 (P + 1)^3
         top = max(c for M in (G, Gi) for row in M for e in row for c in e)
-        self.B = (80 * f ** 4 * top ** 2 * (self.P + 1) ** 3).bit_length() + 1
+        self.B = (80 * f ** 4 * top ** 2 * (ctx.P + 1) ** 3).bit_length() + 1
         self.G, self.Gi = (np.array([[self._pack(e) for e in row] for row in M],
-                                    dtype=self.dtype) for M in (G, Gi))
-        self.pw = np.array([p ** v for v in range(prec)], dtype=self.dtype)
+                                    dtype=dtype) for M in (G, Gi))
         # per entry of h the floor digit k = floor - (sa + sb) of the shifted
         # entry: it must vanish modulo p^max(k, 0), and a read entry's
         # residue is its digit k (0 when k < 0)
-        self.tests = [[_K_FLOOR[r][c] - s for c in range(4)] for r in range(4)]
-        reads = [self.tests[r][c] for r, c in _K_READS]
-        self.low, self.read_div = ((p ** np.maximum(np.array(ks, object), 0))
-                                   .astype(self.dtype)[..., None]
-                                   for ks in (self.tests, reads))
+        tests = [[_K_FLOOR[r][c] - s for c in range(4)] for r in range(4)]
+        reads = [tests[r][c] for r, c in _K_READS]
+        self.low = np.array([[[p ** max(k, 0)] for k in row] for row in tests], dtype)
+        self.read_div = np.array([[p ** max(k, 0)] for k in reads], dtype)
         self.read_live = np.array(reads) >= 0
-        self.decides = digits - max(max(map(max, self.tests)), max(reads) + 1) >= GUARD
-        # residue code of each coefficient tuple over [0, p), by its base-p value
-        self.radix = p ** np.arange(f)
-        self.code_of = np.zeros(ctx.q, np.uint8)
-        for cs, code in ctx._encode.items():
-            self.code_of[np.dot(cs, self.radix)] = code
+        self.decides = digits - max(max(map(max, tests)), max(reads) + 1) >= GUARD
 
     def _pack(self, cs):
         """Coefficients, ints or arrays, low to high, packed in B-bit slots."""
         return sum(c << self.B * i for i, c in enumerate(cs))
 
-    def _lift(self, s: Draws, neg: bool = False, depth=0) -> np.ndarray:
-        """A draw scalar times (-1 if neg) pi^depth, packed, modulo p^prec."""
-        v = s.val + depth
-        live = ~s.zero & (v < len(self.pw))
-        c = self.pw[np.where(live, v, 0)] * live * s.coeffs.T.astype(self.dtype) % self.P
-        return self._pack((self.P - c) % self.P if neg else c)
+    def _scalars(self, d: SiDraws) -> np.ndarray:
+        """The batch's x, y, z, lam, a1, a2, a3, a4, b1, b2, b3, -a2, -a3,
+        packed and reduced modulo p^prec, as an array (13, rows)."""
+        ctx = self.ctx
+        val = d.val.copy()
+        val[:, 3] += d.lam_depth
+        live = ~d.zero & (val < ctx.prec)
+        c = ctx.pw[np.where(live, val, 0)] * live
+        c = (c[..., None] * d.coeffs.astype(ctx.dtype) % ctx.P).transpose(2, 1, 0)
+        v = self._pack(np.concatenate([c, (ctx.P - c[:, [5, 6]]) % ctx.P], 1))
+        v[3] += (d.lam_depth > 0).astype(ctx.dtype)
+        return v
 
     def _coeffs(self, V: np.ndarray, modulus: int) -> np.ndarray:
         """The coefficients (..., f) of packed V, reduced modulo m and modulus."""
@@ -951,23 +951,14 @@ class RgKernel:
                 slots[top - f + k] = slots[top - f + k] - slots[top] * m[k]
         return np.stack(slots[:f], -1) % modulus
 
-    def _scalars(self, d: SiDraws) -> tuple:
-        """The batch's scalars x, y, z, lam, a1, a2, a3, a4, -a2, -a3, b1,
-        b2, b3, packed and reduced modulo p^prec."""
-        lift = self._lift
-        lam = lift(d.lam, depth=d.lam_depth) + (d.lam_depth > 0).astype(self.dtype)
-        return (lift(d.x), lift(d.y), lift(d.z), lam, lift(d.a1), lift(d.a2),
-                lift(d.a3), lift(d.a4), lift(d.a2, True), lift(d.a3, True),
-                lift(d.b1), lift(d.b2), lift(d.b3))
-
     def _mu(self, v) -> np.ndarray:
         """The similitude lam (a1 a4 - a2 a3) of g s g^-1, (rows, f) mod p^prec."""
-        lam, a1, a3, a4, n2 = v[3], v[4], v[6], v[7], v[8]
-        return self._coeffs(lam * (a1 * a4 + n2 * a3), self.P)
+        lam, a1, a3, a4, n2 = v[3], v[4], v[6], v[7], v[11]
+        return self._coeffs(lam * (a1 * a4 + n2 * a3), self.ctx.P)
 
     def _matrix(self, v) -> np.ndarray:
         """g s g^-1 as p^shift H, H as (rows, 4, 4, f) coefficients mod p^digits."""
-        x, y, z, lam, a1, a2, a3, a4, n2, n3, b1, b2, b3 = v
+        x, y, z, lam, a1, a2, a3, a4, b1, b2, b3, n2, n3 = v
         # s = [[A, A B], [X A, X A B + lam A*]] for the blocks of build_Si
         xa00, xa01 = x * a1 + y * a3, x * a2 + y * a4
         xa10, xa11 = z * a1 + x * a3, z * a2 + x * a4
@@ -991,10 +982,10 @@ class RgKernel:
         codes = np.zeros((len(unit), 8), np.uint8)
         if not self.decides:
             return verdict, codes
-        H = self._matrix([e[unit] for e in v])
+        H = self._matrix(v[:, unit])
         floor = (H % self.low == 0).all((1, 2, 3))
         digit = (H[:, _READ_R, _READ_C] // self.read_div % p).astype(np.intp)
-        res = (self.code_of[digit @ self.radix] * self.read_live).astype(np.uint8)
+        res = (ctx.code_of[digit @ ctx.radix] * self.read_live).astype(np.uint8)
         det1, det2 = (gl2_classes(ctx.fq, res[:, k:k + 4]) // 2 % ctx.q for k in (0, 4))
         verdict[unit] = np.where(floor & (det1 != 0) & (det1 == det2), ACCEPT, REJECT)
         codes[unit] = res

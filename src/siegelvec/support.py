@@ -7,7 +7,7 @@ parameter and possibly a residue parameter, and contributes through the
 fixed space of a standard subgroup of GL22(q).  ``STRATA`` is the one
 table of these facts, and every function below reads them from it.  This
 module lists the cosets of a level by lattice block (``support_blocks``,
-one block per stratum and i, the one statement of the lattice bounds) and
+one block per stratum and i, below the one lattice bound ``jmax``) and
 one by one (``enumerate_support``, the blocks expanded), gives closed
 counting formulas, implements the pairing induced by the level involution,
 and assembles dimension and signed trace totals.  The assembly forms what
@@ -97,10 +97,16 @@ def total_count(q: int, n: int) -> int:
     return sum(stratum_count(tag, q, n) for tag in COSET_TAGS)
 
 
+def jmax(n: int, i: int) -> int:
+    """The lattice bound: the highest j of a coset (tag, i, j) at level n,
+    the same for every stratum."""
+    return n - 2 - 2 * i
+
+
 def support_blocks(fq: FqCtx, n: int) -> Iterator[tuple[str, int, range, tuple]]:
     """The double cosets at level n by lattice block, in a fixed order: per
     stratum populated at q and per i, (tag, i, js, codes), where js is the
-    range of j, jmin <= j <= n - 2 - 2i, and codes are the stratum's residue
+    range of j, jmin <= j <= jmax(n, i), and codes are the stratum's residue
     codes.  The block holds the cosets (tag, i, j, u) for j in js and u in
     codes."""
     for tag in COSET_TAGS:
@@ -108,9 +114,10 @@ def support_blocks(fq: FqCtx, n: int) -> Iterator[tuple[str, int, range, tuple]]
         if row is None:
             continue
         codes = _residue_codes(fq, row.residues)
-        # i runs while jmin <= n-2-2i; a negative bound leaves it empty
-        for i in range((n - 2 - row.jmin) // 2 + 1):
-            yield tag, i, range(row.jmin, n - 1 - 2 * i), codes
+        i = 0
+        while (top := jmax(n, i)) >= row.jmin:
+            yield tag, i, range(row.jmin, top + 1), codes
+            i += 1
 
 
 def enumerate_support(fq: FqCtx, n: int) -> list[CosetParam]:

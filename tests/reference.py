@@ -35,7 +35,7 @@ from siegelvec.finitegrp import (GL2Elem, GL22Elem, gl2_det, gl22_identity,
 from siegelvec.models import _gl22_generators, _nullspace, cuspidal_model
 from siegelvec.numerics import (FqCtx, UnsupportedSize, _find_primitive_poly,
                                 _is_prime, root_of_unity)
-from siegelvec.padic import (_K_READS, GUARD, UNDECIDED, PadicScalar,
+from siegelvec.padic import (_K_FLOOR, _K_READS, GUARD, UNDECIDED, PadicScalar,
                              PrecisionExhausted, RgKernel)
 from siegelvec.support import STRATA, CosetParam, al_partner
 
@@ -145,15 +145,18 @@ def cuspidal_char(ctx, k: int, g: GL2Elem) -> complex:
 class ScalarRgKernel(RgKernel):
     """RgKernel's evaluation one draw at a time in Python ints, as
     ``compute_Rg`` ran before draws came in batches: the slow reference for
-    the batched arrays, with the same G, Gi, slot width and floor digits."""
+    the batched arrays, with the same G, Gi and slot width, and its own
+    floor digits from _K_FLOOR."""
 
-    def _lift_row(self, s, row, neg=False, depth=0) -> int:
-        """One row of a draw scalar times (-1 if neg) pi^depth, packed."""
-        v = int(s.val[row]) + depth
-        if s.zero[row] or v >= self.ctx.prec:
+    def _lift_row(self, d, row, k, neg=False, depth=0) -> int:
+        """Draw scalar k of one row (column k of the batch) times (-1 if
+        neg) pi^depth, packed."""
+        v = int(d.val[row, k]) + depth
+        if d.zero[row, k] or v >= self.ctx.prec:
             return 0
         t = -self.ctx.p ** v if neg else self.ctx.p ** v
-        return self._pack([t * int(c) % self.P for c in s.coeffs[row]])
+        P = self.ctx.p ** self.ctx.prec
+        return self._pack([t * int(c) % P for c in d.coeffs[row, k]])
 
     def _unpack(self, v: int, modulus: int) -> tuple:
         if self.ctx.f == 1:
@@ -167,12 +170,13 @@ class ScalarRgKernel(RgKernel):
         g s g^-1 is certainly not in K, or UNDECIDED."""
         ctx, p = self.ctx, self.ctx.p
         x, y, z, lam, a1, a2, a3, a4, b1, b2, b3 = (
-            self._lift_row(s, row) for s in d[:3] + d[4:])
-        n2, n3 = self._lift_row(d.a2, row, True), self._lift_row(d.a3, row, True)
+            self._lift_row(d, row, k) for k in range(11))
+        n2, n3 = self._lift_row(d, row, 5, True), self._lift_row(d, row, 6, True)
         depth = int(d.lam_depth[row])
         if depth:
-            lam = 1 + self._lift_row(d.lam, row, depth=depth)
-        if not any(c % p for c in self._unpack(lam * (a1 * a4 + n2 * a3), self.P)):
+            lam = 1 + self._lift_row(d, row, 3, depth=depth)
+        if not any(c % p for c in self._unpack(lam * (a1 * a4 + n2 * a3),
+                                               p ** ctx.prec)):
             return None
         if not self.decides:
             return UNDECIDED
@@ -190,7 +194,7 @@ class ScalarRgKernel(RgKernel):
             for c in range(4):
                 h = self._unpack(sum(G[r][k] * S[k][l] * Gi[l][c]
                                      for k in range(4) for l in range(4)), self.PN)
-                k = self.tests[r][c]
+                k = _K_FLOOR[r][c] - self.shift
                 if any(e % p ** max(k, 0) for e in h):
                     return None
                 if (r, c) in _K_READS and k >= 0:

@@ -70,7 +70,7 @@ def sigma_char(ctx, sigma, x, oracle=None):
         return full / 2.0
     if oracle is None:
         raise OracleRequired("constituent character off the diagonal needs the oracle")
-    return complex(oracle.char(x))
+    return complex(np.trace(oracle.mat(x)))
 
 
 # -- cuspidal labels and characters ----------------------------------------

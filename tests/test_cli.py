@@ -238,6 +238,35 @@ def test_rg_rows_and_checks_do_not_depend_on_the_seed():
     assert all(run == runs[0] for run in runs[1:])
 
 
+def test_off_support_triples_move_with_the_lattice_bound(monkeypatch):
+    # rg's off-support triples start past support.jmax, so a change to that
+    # one bound moves the stratum-I support and the off-support triples
+    # together; the change is simulated on the function's code, which every
+    # caller shares
+    fq = build_field(2, 1)
+
+    def regions():
+        on = {(n, p.i, p.j) for n in range(3, 7)
+              for p in support.enumerate_support(fq, n) if p.tag == "I"}
+        off = list(cli._off_support(6))
+        top = {}
+        for n, i, j in on:
+            top[n, i] = max(j, top.get((n, i), j))
+        past = {}
+        for n, i, j in off:
+            past.setdefault((n, i), []).append(j)
+        assert len(off) == 20 and not on & set(off)
+        # each off-support run is the first (up to) three j past the support
+        runs = [(js, top[key]) for key, js in past.items() if key in top]
+        assert runs and all(js == [t + 1, t + 2, t + 3][:len(js)] for js, t in runs)
+        return on, off
+
+    before = regions()
+    monkeypatch.setattr(support.jmax, "__code__", (lambda n, i: n - 3 - 2 * i).__code__)
+    after = regions()
+    assert after[0] < before[0] and after[1] != before[1]
+
+
 def test_text_format_reports_checks(capsys):
     rc, out = run(capsys, ["verify", "--suite", "counts", "--q", "2"])
     assert rc == 0

@@ -632,27 +632,60 @@ def test_draw_stream_scalars_have_their_documented_ranges(p, f, prec):
         # five standard deviations of a share over `rows` draws
         return abs(share - want) < 5 * math.sqrt(want * (1 - want) / rows)
 
-    for s, vmin, zero_p in [(d.x, n, 0.15), (d.y, n, 0.15), (d.z, n, 0.15),
-                            (d.a1, 0, 0), (d.a2, 0, 0.25), (d.a3, 0, 0.25),
-                            (d.a4, 0, 0), (d.b1, 0, 0.25), (d.b2, 0, 0.25),
-                            (d.b3, 0, 0.25)]:
-        assert s.zero.shape == s.val.shape == (rows,) and s.coeffs.shape == (rows, f)
-        assert (s.val[~s.zero] >= vmin).all()
-        assert near(s.zero.mean(), zero_p) if zero_p else not s.zero.any()
+    assert d.zero.shape == d.val.shape == (rows, 11)
+    assert d.coeffs.shape == (rows, 11, f) and d.lam_depth.shape == (rows,)
+    names = ("x", "y", "z", "lam", "a1", "a2", "a3", "a4", "b1", "b2", "b3")
+    zero, val, coeffs = ({s: a[:, k] for k, s in enumerate(names)}
+                         for a in (d.zero, d.val, d.coeffs))
+    for s, vmin, zero_p in [("x", n, 0.15), ("y", n, 0.15), ("z", n, 0.15),
+                            ("a1", 0, 0), ("a2", 0, 0.25), ("a3", 0, 0.25),
+                            ("a4", 0, 0), ("b1", 0, 0.25), ("b2", 0, 0.25),
+                            ("b3", 0, 0.25)]:
+        assert (val[s][~zero[s]] >= vmin).all()
+        assert near(zero[s].mean(), zero_p) if zero_p else not zero[s].any()
         if not zero_p:
-            assert (s.val == 0).all()
-        for cs in s.coeffs[:200].tolist():
+            assert (val[s] == 0).all()
+        for cs in coeffs[s][:200].tolist():
             assert all(0 <= c < p ** prec for c in cs)
             assert ctx.res_code(cs) in ctx.fq.fq_units
     # geometric(0.5) above vmin has mean 1, geometric(0.45) mean 1/0.45 - 1
-    assert abs(d.b1.val[~d.b1.zero].mean() - 1) < 0.1
-    assert abs(d.a2.val[~d.a2.zero].mean() - (1 / 0.45 - 1)) < 0.12
+    assert abs(val["b1"][~zero["b1"]].mean() - 1) < 0.1
+    assert abs(val["a2"][~zero["a2"]].mean() - (1 / 0.45 - 1)) < 0.12
     depth = d.lam_depth
     assert set(depth.tolist()) == {0, 1, 2}
     assert near((depth == 0).mean(), 0.4) and near((depth == 1).mean(), 0.3)
     unit = depth == 0
-    assert not d.lam.zero[unit].any() and (d.lam.val[unit] == 0).all()
-    assert abs(d.lam.zero[~unit].mean() - 0.2) < 5 * math.sqrt(0.16 / (~unit).sum())
+    assert not zero["lam"][unit].any() and (val["lam"][unit] == 0).all()
+    assert (val["lam"][~zero["lam"]] >= 0).all()
+    assert all(ctx.res_code(cs) in ctx.fq.fq_units for cs in coeffs["lam"][:200].tolist())
+    assert abs(zero["lam"][~unit].mean() - 0.2) < 5 * math.sqrt(0.16 / (~unit).sum())
+
+
+@pytest.mark.parametrize("p,f,prec", [(2, 1, 32), (3, 1, 48), (2, 2, 80)])
+def test_draw_Si_draws_a_batch_in_a_few_generator_calls(p, f, prec):
+    # the zero masks, the valuations, the lam depths, the residues and one
+    # call per digit chunk, whatever the number of rows
+    ctx = PadicCtx(p, f, prec=prec)
+
+    class Counting:
+        calls = 0
+
+        def __init__(self, rng):
+            self.rng = rng
+
+        def __getattr__(self, name):
+            method = getattr(self.rng, name)
+
+            def counted(*args, **kwargs):
+                Counting.calls += 1
+                return method(*args, **kwargs)
+            return counted
+
+    rng = Counting(np.random.default_rng(0))
+    for rows in (1, 256):
+        Counting.calls = 0
+        draw_Si(ctx, rng, 3, rows)
+        assert Counting.calls <= 4 + len(ctx._digit_bounds)
 
 
 def test_kernel_element_type_is_uint64_only_where_exact():
@@ -660,7 +693,9 @@ def test_kernel_element_type_is_uint64_only_where_exact():
                                ((2, 2, 16), object), ((3, 1, 16), object)]:
         ctx = PadicCtx(p, f, prec=prec)
         g = coset_rep(ctx, "I", 0, 2)
-        assert RgKernel(g, g.inv()).dtype is want
+        assert ctx.dtype is want
+        kernel = RgKernel(g, g.inv())
+        assert kernel.G.dtype == kernel.Gi.dtype == kernel.low.dtype == want
 
 
 # -- the fixed-point kernel against the exact path ----------------------------
@@ -822,13 +857,13 @@ def test_off_anti_diagonal_floors_decide_draws_the_others_pass():
     # which it misses by two digits, keep it out of K
     ctx = PadicCtx(2, 1)
     g = coset_rep(ctx, "I", 0, 4)
-    def one(val=None):
-        """A one-row draw scalar: p^val, or an exact zero for None."""
-        return padic.Draws(np.array([val is None]), np.array([val or 0]),
-                           np.ones((1, 1), np.int64))
-    d = padic.SiDraws(x=one(3), y=one(), z=one(), lam_depth=np.zeros(1, np.int64),
-                      lam=one(0), a1=one(0), a2=one(), a3=one(), a4=one(0),
-                      b1=one(), b2=one(), b3=one())
+    # one row: x = p^3, lam = a1 = a4 = 1, the other scalars exact zeros
+    # (None), in the columns x, y, z, lam, a1, a2, a3, a4, b1, b2, b3
+    vals = [3, None, None, 0, 0, None, None, 0, None, None, None]
+    d = padic.SiDraws(zero=np.array([[v is None for v in vals]]),
+                      val=np.array([[v or 0 for v in vals]]),
+                      coeffs=np.ones((1, 11, 1), np.int64),
+                      lam_depth=np.zeros(1, np.int64))
     s = build_Si(ctx, d, 0)
     assert in_Si(s, 3)
     with pytest.raises(NotInK):

@@ -23,7 +23,7 @@ from siegelvec.support import (
     support_blocks,
     total_count,
 )
-from siegelvec import chars, cli, finitegrp
+from siegelvec import chars, cli, finitegrp, support
 from siegelvec.support import STRATA, _coset_values
 
 from reference import enumerate_support_ref
@@ -69,6 +69,17 @@ def test_enumeration_expands_the_blocks_in_the_frozen_order(q):
         blocks = list(support_blocks(fq, n))
         assert len({(tag, i) for tag, i, *_ in blocks}) == len(blocks)
         assert all(js and codes for *_, js, codes in blocks)
+
+
+@pytest.mark.parametrize("q", sorted(cli.FIELDS))
+def test_residue_counts_are_the_sizes_of_the_residue_sets(q):
+    # the closed count states each size without a field, so `counts`
+    # compares two independent sides; this ties the two statements
+    fq = build_field(*cli.FIELDS[q])
+    sets = ("zero", "one", "units", "all")
+    assert {row.residues for row in STRATA.values()} <= set(sets)
+    for r in sets:
+        assert support._residue_count(r, q) == len(support._residue_codes(fq, r))
 
 
 @pytest.mark.parametrize("q", sorted(cli.FIELDS))
