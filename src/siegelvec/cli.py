@@ -6,7 +6,7 @@ check suite and reports pass/fail per check.  Output formats are text,
 json (stable key order) and csv.  Exit status: 0 all checks pass, 2 a
 check failed, 3 any ``numerics.Refusal``, 4 usage error.  A refusal is an
 unusable configuration (among them more than MAX_ROWS cosets or rows,
-MAX_RG_COSETS cost-weighted cosets to sample, MAX_PRECISION digits or
+MAX_RG_COSETS cosets to sample, MAX_PRECISION digits or
 MAX_IDENTITY_DRAWS draws per identity), a numerical result that cannot be
 certified or needs the matrix-model oracle, a p-adic element outside K, or
 a p-adic precision or sampling budget too small to decide.
@@ -51,14 +51,10 @@ class ConfigError(Refusal):
 # `support` 1.5 s and 170 MB.
 MAX_ROWS = 300_000
 
-# The most cosets the `rg` suite may sample: each takes about 6 ms at q=2
-# (8,032 cosets, levels 3..28, in 49 s on a 2-vCPU x86-64 host), so this
-# is about a minute.  A coset whose representative RgKernel cannot decide
-# at the working precision reduces every draw exactly, at 65-75 ms, and
-# weighs EXACT_PATH_WEIGHT cosets (default-precision runs have none below
-# level 29).
+# The most cosets the `rg` suite may sample: each takes about 4 ms at q=2
+# (9,023 cosets, levels 3..29, in 34-36 s on a 2-vCPU x86-64 host, at
+# precision 16 or 32), so this is under a minute.
 MAX_RG_COSETS = 10_000
-EXACT_PATH_WEIGHT = 12
 
 # The highest p-adic working precision: `rg --q 2 --n-max 3` takes 1.3 s at
 # 1,000, 3.3 s at 2,000 and 10 s at 4,000 on the same host.
@@ -447,30 +443,19 @@ def suite_rg(q: int, seed: int, n_max: int, precision: int,
     _at_most(precision, MAX_PRECISION, "digits of precision")
     import numpy as np
     from .finitegrp import conjugate_subgroups, subgroup_R
-    from .padic import (PadicCtx, RgKernel, coset_rep, witness_Rg, compute_Rg,
+    from .padic import (PadicCtx, rg_kernel, witness_Rg, compute_Rg,
                         radical_obstruction)
     fq = _field(q)
     pctx = PadicCtx(fq.p, fq.f, prec=precision)
-
-    def kernel(tag, i, j, u=None):  # built once for the gate and the sampling
-        g = coset_rep(pctx, tag, i, j, u)
-        return RgKernel(g, g.inv())
-
-    cosets = [(n, prm, kernel(*prm)) for n in range(3, n_max + 1)
-              for prm in enumerate_support(fq, n)]
-    exact = sum(not k.decides for *_, k in cosets)
-    _at_most(len(cosets) + (EXACT_PATH_WEIGHT - 1) * exact, MAX_RG_COSETS,
-             f"cost-weighted cosets to sample at levels 3..{n_max}, precision "
-             f"{precision} ({exact} on the exact path, each weighing "
-             f"{EXACT_PATH_WEIGHT})")
+    cosets = ((n, prm) for n in range(3, n_max + 1) for prm in enumerate_support(fq, n))
     rows = []
     ok_w = ok_s = True
-    for n, prm, k in cosets:
+    for n, prm in cosets:
         wit = witness_Rg(pctx, prm.tag, prm.i, prm.j, n, prm.u).group
         table = subgroup_R(coset_R_type(prm.tag), fq)
         conj = (len(wit) == len(table)
                 and conjugate_subgroups(wit, table, fq) is not None)
-        samp = compute_Rg(k, n, seed=seed).group
+        samp = compute_Rg(rg_kernel(pctx, *prm), n, seed=seed).group
         same = np.array_equal(samp.keys, wit.keys)
         rows.append({"tag": prm.tag, "i": prm.i, "j": prm.j, "n": n,
                      "witness_order": len(wit), "sampled_order": len(samp),
@@ -480,7 +465,7 @@ def suite_rg(q: int, seed: int, n_max: int, precision: int,
     ok_off = True
     count_off = 0
     for n, i, j in _off_support(n_max):
-        grp = compute_Rg(kernel("I", i, j), n, seed=seed).group
+        grp = compute_Rg(rg_kernel(pctx, "I", i, j), n, seed=seed).group
         ok_off &= radical_obstruction(fq, grp)
         count_off += 1
     checks: list = []

@@ -19,6 +19,7 @@ a bound cannot be certified at the working precision.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cache
 from itertools import chain, product
 from typing import NamedTuple, Optional
 
@@ -44,6 +45,7 @@ from .finitegrp import (
 
 class PrecisionExhausted(ArithmeticError, Refusal):
     """The working precision cannot decide the requested predicate."""
+    short = 0  # the digits of margin a refused RgKernel lacks
 
 
 class NotSymplectic(ValueError):
@@ -800,7 +802,8 @@ _SI_LAW = ((0.15, 0.5, 1), (0.15, 0.5, 1), (0.15, 0.5, 1),  # x, y, z
 # a4, b1, b2, b3 a zero mask and a valuation (rows, 11), the unit
 # coefficients below p^prec (rows, 11, f), and lam_depth (rows,): the
 # similitude unit of a row is lam itself where lam_depth is 0, else
-# 1 + pi^lam_depth * lam.
+# 1 + pi^lam_depth * lam.  A row names the element s of Si(n)
+# s_lower(x, y, z) levi(a1, a2, a3, a4, lam) s_upper(b1, b2, b3).
 SiDraws = namedtuple("SiDraws", "zero val coeffs lam_depth")
 
 
@@ -829,28 +832,12 @@ def draw_Si(ctx: PadicCtx, rng: np.random.Generator, n: int, rows: int) -> SiDra
     return SiDraws(zero, val, coeffs, depth)
 
 
-def build_Si(ctx: PadicCtx, d: SiDraws, row: int) -> GSp4Elem:
-    """The element s_lower(x, y, z) levi(a1, a2, a3, a4, lam) s_upper(b1, b2, b3)
-    of Si(n) named by one row of a batch."""
-    x, y, z, lam, a1, a2, a3, a4, b1, b2, b3 = (
-        ctx.zero_s if zero else ctx.unit(val, cs) for zero, val, cs in
-        zip(d.zero[row].tolist(), d.val[row].tolist(), d.coeffs[row].tolist()))
-    depth = int(d.lam_depth[row])
-    if depth:
-        lam = ctx.one_s + ctx.pi(depth) * lam
-    return (s_lower(ctx, x, y, z) @ levi(ctx, a1, a2, a3, a4, lam)
-            @ s_upper(ctx, b1, b2, b3))
-
-
 # -- fixed-point conjugation kernel --------------------------------------------
 
 # The entries reduce_K reads, in the order of its two residue factors; each
 # is read at the digit of its _K_FLOOR valuation.
 _K_READS = ((0, 0), (0, 3), (3, 0), (3, 3), (1, 1), (1, 2), (2, 1), (2, 2))
 _READ_R, _READ_C = zip(*_K_READS)
-
-# RgKernel.reduce's verdicts: not in K, in K, left to the exact path
-REJECT, ACCEPT, UNDECIDED = 0, 1, 2
 
 
 def _fixed_point(ctx: PadicCtx, m):
@@ -882,13 +869,13 @@ class RgKernel:
 
     The similitude lam (a1 a4 - a2 a3) of h = g s g^-1 is known to p^prec,
     so a draw whose similitude is not a unit is rejected first.  The
-    entries of h are known modulo p^(sa+sb+digits), uniformly, and the
-    exact path knows each at least that well (its sums and products keep
-    the least absolute precision of their terms, and every term carries
-    p^(sa+sb+digits)), so every decision of the kernel is one the exact
-    path makes the same way.  The margin past the deepest digit reduce_K
-    reads is fixed per representative; below GUARD every draw with a unit
-    similitude is UNDECIDED.
+    entries of h are known modulo p^(sa+sb+digits), uniformly, and
+    reduce_K on PadicScalars knows each at least that well (its sums and
+    products keep the least absolute precision of their terms, and every
+    term carries p^(sa+sb+digits)), so every decision of the kernel is one
+    reduce_K makes the same way.  The margin past the deepest floor or read
+    digit is fixed per representative; below GUARD the kernel is not built
+    and raises PrecisionExhausted, with ``short`` the missing digits.
 
     All 16 floor tests are needed: the anti-diagonal ones, symplecticity and
     the determinant check pass draws only the other 12 reject (see
@@ -899,12 +886,21 @@ class RgKernel:
     """
 
     def __init__(self, g: GSp4Elem, gi: GSp4Elem):
-        self.g, self.gi = g, gi
         ctx = self.ctx = g.ctx
         p, f, dtype = ctx.p, ctx.f, ctx.dtype
         (sa, dg, G), (sb, dgi, Gi) = _fixed_point(ctx, g.m), _fixed_point(ctx, gi.m)
         s = self.shift = sa + sb
         digits = self.digits = min(dg, ctx.prec, dgi)
+        # per entry of h the floor digit k = floor - (sa + sb) of the shifted
+        # entry: it must vanish modulo p^max(k, 0), and a read entry's
+        # residue is its digit k (0 when k < 0)
+        tests = [[_K_FLOOR[r][c] - s for c in range(4)] for r in range(4)]
+        reads = [tests[r][c] for r, c in _K_READS]
+        short = GUARD - digits + max(max(map(max, tests)), max(reads) + 1)
+        if short > 0:
+            exc = PrecisionExhausted(f"kernel margin {GUARD - short} below GUARD")
+            exc.short = short
+            raise exc
         self.PN = p ** digits
         G, Gi = ([[[c % self.PN for c in e] for e in row] for row in M] for M in (G, Gi))
         # an entry of G S Gi sums 16 products of three polynomials, with
@@ -913,15 +909,9 @@ class RgKernel:
         self.B = (80 * f ** 4 * top ** 2 * (ctx.P + 1) ** 3).bit_length() + 1
         self.G, self.Gi = (np.array([[self._pack(e) for e in row] for row in M],
                                     dtype=dtype) for M in (G, Gi))
-        # per entry of h the floor digit k = floor - (sa + sb) of the shifted
-        # entry: it must vanish modulo p^max(k, 0), and a read entry's
-        # residue is its digit k (0 when k < 0)
-        tests = [[_K_FLOOR[r][c] - s for c in range(4)] for r in range(4)]
-        reads = [tests[r][c] for r, c in _K_READS]
         self.low = np.array([[[p ** max(k, 0)] for k in row] for row in tests], dtype)
         self.read_div = np.array([[p ** max(k, 0)] for k in reads], dtype)
         self.read_live = np.array(reads) >= 0
-        self.decides = digits - max(max(map(max, tests)), max(reads) + 1) >= GUARD
 
     def _pack(self, cs):
         """Coefficients, ints or arrays, low to high, packed in B-bit slots."""
@@ -959,7 +949,8 @@ class RgKernel:
     def _matrix(self, v) -> np.ndarray:
         """g s g^-1 as p^shift H, H as (rows, 4, 4, f) coefficients mod p^digits."""
         x, y, z, lam, a1, a2, a3, a4, b1, b2, b3, n2, n3 = v
-        # s = [[A, A B], [X A, X A B + lam A*]] for the blocks of build_Si
+        # s = [[A, A B], [X A, X A B + lam A*]] for the blocks of s_lower,
+        # levi and s_upper
         xa00, xa01 = x * a1 + y * a3, x * a2 + y * a4
         xa10, xa11 = z * a1 + x * a3, z * a2 + x * a4
         S = ((a1, a2, a1 * b1 + a2 * b3, a1 * b2 + a2 * b1),
@@ -972,24 +963,38 @@ class RgKernel:
         return self._coeffs(self.G @ S @ self.Gi, self.PN)
 
     def reduce(self, d: SiDraws):
-        """reduce_K(g s g^-1) for s = build_Si(d, row) on every row: the
-        verdicts (REJECT, ACCEPT or UNDECIDED) and an (rows, 8) code array
-        that holds the images on the ACCEPT rows."""
+        """reduce_K(g s g^-1) for the element s of every row of d: a
+        boolean (rows,) array, whether g s g^-1 lies in K, and an (rows, 8)
+        code array that holds the images on those rows."""
         ctx, p = self.ctx, self.ctx.p
         v = self._scalars(d)
         unit = (self._mu(v) % p != 0).any(-1)
-        verdict = np.where(unit, UNDECIDED, REJECT)
+        in_k = unit.copy()
         codes = np.zeros((len(unit), 8), np.uint8)
-        if not self.decides:
-            return verdict, codes
         H = self._matrix(v[:, unit])
         floor = (H % self.low == 0).all((1, 2, 3))
         digit = (H[:, _READ_R, _READ_C] // self.read_div % p).astype(np.intp)
         res = (ctx.code_of[digit @ ctx.radix] * self.read_live).astype(np.uint8)
         det1, det2 = (gl2_classes(ctx.fq, res[:, k:k + 4]) // 2 % ctx.q for k in (0, 4))
-        verdict[unit] = np.where(floor & (det1 != 0) & (det1 == det2), ACCEPT, REJECT)
+        in_k[unit] = floor & (det1 != 0) & (det1 == det2)
         codes[unit] = res
-        return verdict, codes
+        return in_k, codes
+
+
+_ctx_at = cache(PadicCtx)  # one context per precision rg_kernel builds at
+
+
+def rg_kernel(ctx: PadicCtx, tag: str, i: int, j: int,
+              u: Optional[int] = None) -> RgKernel:
+    """The RgKernel of coset_rep(ctx, tag, i, j, u), at the least precision
+    from ctx.prec up that leaves it GUARD digits of margin: the
+    representative is exact, so its digits grow one for one with prec."""
+    g = coset_rep(ctx, tag, i, j, u)
+    try:
+        return RgKernel(g, g.inv())
+    except PrecisionExhausted as exc:
+        g = coset_rep(_ctx_at(ctx.p, ctx.f, ctx.prec + exc.short), tag, i, j, u)
+    return RgKernel(g, g.inv())
 
 
 # -- the finite subgroup attached to a representative -------------------------
@@ -998,7 +1003,6 @@ class RgResult(NamedTuple):
     group: SubgroupR
     draws: int
     accepted: int
-    fallbacks: int = 0
 
 
 STABLE_WINDOW, MAX_DRAWS = 200, 60000
@@ -1010,39 +1014,31 @@ def compute_Rg(kernel: RgKernel, n: int, seed: int = 0) -> RgResult:
     """Sampled reduction image of g Si(n) g^-1 cap K, closed as a subgroup,
     for the kernel's representative g.
 
-    Draws come in batches of BATCH through the kernel and are consumed in
-    order; a draw it leaves undecided is rebuilt as PadicScalars and reduced
-    exactly, and counted in ``fallbacks``.  Stops once STABLE_WINDOW
-    consecutive accepted draws produce no new element, counting only the
-    draws consumed; raises StabilizationFailure when MAX_DRAWS runs out
-    first.  A new element is closed with the group's kept generators.
+    Draws come from the kernel's context in batches of BATCH, every one
+    decided by the kernel, and are consumed in order.  Stops once
+    STABLE_WINDOW consecutive accepted draws produce no new element,
+    counting only the draws consumed; raises StabilizationFailure when
+    MAX_DRAWS runs out first.  A new element is closed with the group's
+    kept generators.
     """
-    g, gi, ctx = kernel.g, kernel.gi, kernel.ctx
+    ctx = kernel.ctx
     fq = ctx.fq
     rng = np.random.default_rng(seed)
     grp = subgroup_closure(fq, [])
-    draws = accepted = since_growth = fallbacks = 0
+    draws = accepted = since_growth = 0
     while draws < MAX_DRAWS:
         batch = draw_Si(ctx, rng, n, min(BATCH, MAX_DRAWS - draws))
-        verdict, codes = kernel.reduce(batch)
+        in_k, codes = kernel.reduce(batch)
         known = grp.contains(codes)
-        for row, v in enumerate(verdict.tolist()):
+        for row, ok in enumerate(in_k.tolist()):
             draws += 1
-            if v == UNDECIDED:
-                fallbacks += 1
-                try:
-                    r = reduce_K(g @ build_Si(ctx, batch, row) @ gi)
-                except (NotInK, PrecisionExhausted):
-                    continue
-                codes[row:row + 1] = gl22_rows([r])
-                known[row] = r in grp
-            elif v != ACCEPT:
+            if not ok:
                 continue
             accepted += 1
             if known[row]:
                 since_growth += 1
                 if since_growth >= STABLE_WINDOW:
-                    return RgResult(grp, draws, accepted, fallbacks)
+                    return RgResult(grp, draws, accepted)
             else:
                 grp = subgroup_closure(fq, np.vstack([grp.gens, codes[row]]))
                 known = grp.contains(codes)

@@ -6,7 +6,8 @@ as one kernel over all its generators.
 The package computes the first three in batches on integer code arrays
 (``finitegrp.conjugates_into``, ``chars.char_values`` with
 ``SubgroupR.class_pairs``) and on arrays of
-draws (``padic.RgKernel``), and ``padic.mat_mul`` skips exact zeros where
+draws (``padic.RgKernel``, against ``build_Si``'s PadicScalar reading of
+one draw), and ``padic.mat_mul`` skips exact zeros where
 ``dense_mat_mul`` multiplies all 64 pairs; the tests compare the fast
 paths with these, and ``chars.sigma_key`` writes the orbit that
 ``sigma_key_search`` walks in closed form, and ``models.commutant_dim``
@@ -35,8 +36,8 @@ from siegelvec.finitegrp import (GL2Elem, GL22Elem, gl2_det, gl22_identity,
 from siegelvec.models import _gl22_generators, _nullspace, cuspidal_model
 from siegelvec.numerics import (FqCtx, UnsupportedSize, _find_primitive_poly,
                                 _is_prime, root_of_unity)
-from siegelvec.padic import (_K_FLOOR, _K_READS, GUARD, UNDECIDED, PadicScalar,
-                             PrecisionExhausted, RgKernel)
+from siegelvec.padic import (_K_FLOOR, _K_READS, GUARD, PadicScalar,
+                             PrecisionExhausted, RgKernel, levi, s_lower, s_upper)
 from siegelvec.support import STRATA, CosetParam, al_partner
 
 
@@ -142,6 +143,20 @@ def cuspidal_char(ctx, k: int, g: GL2Elem) -> complex:
     return cuspidal_char_reference(ctx, k, *classify_gl2(ctx, g))
 
 
+def build_Si(ctx, d, row):
+    """The element s_lower(x, y, z) levi(a1, a2, a3, a4, lam) s_upper(b1, b2, b3)
+    of Si(n) named by one row of a batch of ``padic.draw_Si``, built from
+    PadicScalars: the reference for the rows ``padic.RgKernel`` packs."""
+    x, y, z, lam, a1, a2, a3, a4, b1, b2, b3 = (
+        ctx.zero_s if zero else ctx.unit(val, cs) for zero, val, cs in
+        zip(d.zero[row].tolist(), d.val[row].tolist(), d.coeffs[row].tolist()))
+    depth = int(d.lam_depth[row])
+    if depth:
+        lam = ctx.one_s + ctx.pi(depth) * lam
+    return (s_lower(ctx, x, y, z) @ levi(ctx, a1, a2, a3, a4, lam)
+            @ s_upper(ctx, b1, b2, b3))
+
+
 class ScalarRgKernel(RgKernel):
     """RgKernel's evaluation one draw at a time in Python ints, as
     ``compute_Rg`` ran before draws came in batches: the slow reference for
@@ -166,8 +181,8 @@ class ScalarRgKernel(RgKernel):
         return poly_mul_mod(slots, (1,), self.ctx.mpoly, modulus)
 
     def reduce_row(self, d, row):
-        """reduce_K(g s g^-1) for s = build_Si(d, row): a GL22Elem, None when
-        g s g^-1 is certainly not in K, or UNDECIDED."""
+        """reduce_K(g s g^-1) for s = build_Si(d, row): a GL22Elem, or None
+        when g s g^-1 is not in K."""
         ctx, p = self.ctx, self.ctx.p
         x, y, z, lam, a1, a2, a3, a4, b1, b2, b3 = (
             self._lift_row(d, row, k) for k in range(11))
@@ -178,8 +193,6 @@ class ScalarRgKernel(RgKernel):
         if not any(c % p for c in self._unpack(lam * (a1 * a4 + n2 * a3),
                                                p ** ctx.prec)):
             return None
-        if not self.decides:
-            return UNDECIDED
         xa00, xa01 = x * a1 + y * a3, x * a2 + y * a4
         xa10, xa11 = z * a1 + x * a3, z * a2 + x * a4
         S = ((a1, a2, a1 * b1 + a2 * b3, a1 * b2 + a2 * b1),

@@ -144,7 +144,7 @@ def test_criterion_10_reduction_coherence():
 
 def test_first_artin_stratum_level7():
     # the q-residue stratum opens at level 7; both residues give the same kind
-    from siegelvec.padic import PadicCtx, RgKernel, coset_rep, witness_Rg, compute_Rg
+    from siegelvec.padic import PadicCtx, rg_kernel, witness_Rg, compute_Rg
     assert stratum_count("IIIb", 2, 6) == 0
     assert stratum_count("IIIb", 2, 7) == 2
     pctx = PadicCtx(2, 1, prec=32)
@@ -154,6 +154,5 @@ def test_first_artin_stratum_level7():
         wit = witness_Rg(pctx, "IIIb", 0, 5, 7, u=u).group
         assert len(wit) == len(table)
         assert conjugate_subgroups(wit, table, fq) is not None
-        g = coset_rep(pctx, "IIIb", 0, 5, u=u)
-        samp = compute_Rg(RgKernel(g, g.inv()), 7, seed=0).group
+        samp = compute_Rg(rg_kernel(pctx, "IIIb", 0, 5, u=u), 7, seed=0).group
         assert set(samp) == set(wit)

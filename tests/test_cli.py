@@ -528,31 +528,24 @@ def _stop_at_sampling(monkeypatch):
     return Sampling
 
 
-def test_rg_weighs_exact_path_cosets_before_sampling(capsys, monkeypatch):
-    # at precision 16, 6,660 of the 9,023 cosets of levels 3..29 have a
-    # representative RgKernel cannot decide, each some 70 ms on the exact
-    # path: about 8 minutes, refused before the first draw
-    _stop_at_sampling(monkeypatch)
-    rc = main(["verify", "--suite", "rg", "--q", "2", "--n-max", "29",
-               "--precision", "16"])
-    captured = capsys.readouterr()
-    assert rc == 3 and captured.out == ""
-    assert captured.err == (
-        "siegel: more than 10000 cost-weighted cosets to sample at levels 3..29,"
-        " precision 16 (6660 on the exact path, each weighing 12)\n")
-
-
-def test_rg_admits_every_default_precision_run_below_the_coset_cap(monkeypatch):
-    # levels 3..28 hold 8,032 cosets and none on the exact path
+@pytest.mark.parametrize("precision", [8, 16, 32])
+def test_rg_admits_every_run_below_the_coset_cap(monkeypatch, precision):
+    # levels 3..29 hold 9,023 cosets, at any precision; level 30 takes them
+    # past MAX_RG_COSETS
     sampling = _stop_at_sampling(monkeypatch)
     with pytest.raises(sampling):
-        cli.suite_rg(q=2, seed=0, n_max=28, precision=32)
+        cli.suite_rg(q=2, seed=0, n_max=29, precision=precision)
 
 
-def test_rg_passes_at_low_precision_on_the_exact_path():
-    # 14 of the 24 cosets of levels 3..6 reduce every draw exactly
-    rows, checks = cli.suite_rg(q=2, seed=0, n_max=6, precision=8)
-    assert len(rows) == 24 and all(c["ok"] for c in checks)
+@pytest.mark.parametrize("precision", [8, 16])
+def test_rg_passes_at_low_precision(precision):
+    # at precision 8, 14 of the 24 cosets of levels 3..6 need more digits
+    # and are built at the precision each needs; at either precision the
+    # rows are those of the default precision
+    rows, checks = cli.suite_rg(q=2, seed=0, n_max=6, precision=precision)
+    with open(os.path.join(os.path.dirname(__file__), "golden", "rg-q2.json")) as fh:
+        assert rows == json.load(fh)["rows"]
+    assert all(c["ok"] for c in checks)
 
 
 NEGATIVE_SEED_RG = ["verify", "--suite", "rg", "--q", "2", "--n-max", "3",
@@ -798,9 +791,11 @@ def test_closed_count_commands_never_import_numpy(argv):
     ["support", "--q", "9", "--n", "100000"],
     ["verify", "--suite", "rg", "--q", "3"],
     ["verify", "--suite", "rg", "--q", "2", "--precision", str(cli.MAX_PRECISION + 1)],
+    ["verify", "--suite", "rg", "--q", "2", "--n-max", "30", "--precision", "16"],
     ["verify", "--suite", "identities", "--q", "2",
      "--draws", str(cli.MAX_IDENTITY_DRAWS + 1)],
-], ids=["table-field", "support-budget", "rg-field", "rg-precision", "identities-draws"])
+], ids=["table-field", "support-budget", "rg-field", "rg-precision", "rg-cosets",
+        "identities-draws"])
 def test_refusals_decided_from_the_arguments_never_import_numpy(argv):
     assert "numpy" not in _loaded_modules(argv, code=3)
 

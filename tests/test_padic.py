@@ -20,11 +20,10 @@ from siegelvec.finitegrp import (
     subgroup_R,
 )
 from siegelvec.padic import (
-    ACCEPT,
+    _K_FLOOR,
+    _K_READS,
     GUARD,
     IDENTITY_TAGS,
-    REJECT,
-    UNDECIDED,
     GSp4Elem,
     NotInK,
     NotSymplectic,
@@ -32,7 +31,6 @@ from siegelvec.padic import (
     PrecisionExhausted,
     RgKernel,
     StabilizationFailure,
-    build_Si,
     compute_Rg,
     coset_rep,
     draw_Si,
@@ -47,6 +45,7 @@ from siegelvec.padic import (
     rand_K,
     rand_unit,
     reduce_K,
+    rg_kernel,
     run_identity,
     s2_elem,
     s_lower,
@@ -59,8 +58,8 @@ from siegelvec.padic import (
 )
 from siegelvec.support import COSET_TAGS, enumerate_support
 
-from reference import (ScalarRgKernel, dense_mat_mul, ref_add, ref_decide, ref_inv,
-                       ref_mul, ref_neg, ref_normalize, subgroup_closure_ref)
+from reference import (ScalarRgKernel, build_Si, dense_mat_mul, ref_add, ref_decide,
+                       ref_inv, ref_mul, ref_neg, ref_normalize, subgroup_closure_ref)
 
 
 def s1_elem(ctx):
@@ -528,8 +527,7 @@ def test_witness_families_land_on_table_subgroups(tag, i, j, n, kind):
 @pytest.mark.parametrize("tag,i,j,n,kind", WITNESS_CASES[:4])
 def test_sampled_subgroups_match_witnesses(tag, i, j, n, kind):
     ctx = PadicCtx(2, 1)
-    g = coset_rep(ctx, tag, i, j)
-    res = compute_Rg(RgKernel(g, g.inv()), n, seed=5)
+    res = compute_Rg(rg_kernel(ctx, tag, i, j), n, seed=5)
     table = subgroup_R(kind, ctx.fq)
     assert conjugate_subgroups(res.group, table, ctx.fq) is not None
     assert res.accepted >= 200
@@ -538,8 +536,7 @@ def test_sampled_subgroups_match_witnesses(tag, i, j, n, kind):
 def test_deeper_strata_sampled_against_witnesses():
     ctx = PadicCtx(2, 1)
     for tag, i, j, n, kind in WITNESS_CASES[4:]:
-        g = coset_rep(ctx, tag, i, j)
-        samp = compute_Rg(RgKernel(g, g.inv()), n, seed=5)
+        samp = compute_Rg(rg_kernel(ctx, tag, i, j), n, seed=5)
         wit = witness_Rg(ctx, tag, i, j, n)
         assert set(samp.group) == set(wit.group)
 
@@ -560,8 +557,7 @@ def test_swap_torus_image_of_corner_stratum_when_q_is_four():
     ctx = PadicCtx(2, 2)
     fq = ctx.fq
     wit = witness_Rg(ctx, "II", 0, 2, 4)
-    g = coset_rep(ctx, "II", 0, 2)
-    samp = compute_Rg(RgKernel(g, g.inv()), 4, seed=7)
+    samp = compute_Rg(rg_kernel(ctx, "II", 0, 2), 4, seed=7)
     swap = {GL22Elem(GL2Elem(a, 0, 0, d), GL2Elem(d, 0, 0, a))
             for a in fq.fq_units for d in fq.fq_units}
     assert set(wit.group) == swap
@@ -582,8 +578,7 @@ def test_sampled_subgroups_equal_witnesses_on_the_q4_level5_support():
     assert params
     for prm in params:
         wit = witness_Rg(ctx, prm.tag, prm.i, prm.j, 5, prm.u).group
-        g = coset_rep(ctx, prm.tag, prm.i, prm.j, prm.u)
-        samp = compute_Rg(RgKernel(g, g.inv()), 5).group
+        samp = compute_Rg(rg_kernel(ctx, *prm), 5).group
         assert np.array_equal(samp.rows, wit.rows), prm
 
 
@@ -591,8 +586,7 @@ def test_out_of_range_parameters_trigger_radical_obstruction():
     ctx = PadicCtx(2, 1)
     fq = ctx.fq
     for (i, j, n) in [(0, 2, 3), (0, 3, 3), (1, 1, 4), (0, 4, 4)]:
-        g = coset_rep(ctx, "I", i, j)
-        grp = compute_Rg(RgKernel(g, g.inv()), n, seed=3).group
+        grp = compute_Rg(rg_kernel(ctx, "I", i, j), n, seed=3).group
         assert radical_obstruction(fq, grp)
     # in-range groups carry no obstruction
     assert not radical_obstruction(fq, subgroup_R("Torus", fq))
@@ -613,9 +607,8 @@ def test_sampler_budget_failure_is_reported(monkeypatch):
 
     monkeypatch.setattr(padic, "draw_Si", spy)
     ctx = PadicCtx(2, 1)
-    g = coset_rep(ctx, "I", 0, 1)
     with pytest.raises(StabilizationFailure, match="after 5 draws"):
-        compute_Rg(RgKernel(g, g.inv()), 3, seed=0)
+        compute_Rg(rg_kernel(ctx, "I", 0, 1), 3, seed=0)
     assert asked == [5]
 
 
@@ -692,20 +685,21 @@ def test_kernel_element_type_is_uint64_only_where_exact():
     for (p, f, prec), want in [((2, 1, 32), np.uint64), ((2, 1, 33), object),
                                ((2, 2, 16), object), ((3, 1, 16), object)]:
         ctx = PadicCtx(p, f, prec=prec)
-        g = coset_rep(ctx, "I", 0, 2)
         assert ctx.dtype is want
-        kernel = RgKernel(g, g.inv())
+        kernel = rg_kernel(ctx, "I", 0, 2)
+        assert kernel.ctx is ctx
         assert kernel.G.dtype == kernel.Gi.dtype == kernel.low.dtype == want
 
 
-# -- the fixed-point kernel against the exact path ----------------------------
+# -- the fixed-point kernel against reduce_K on PadicScalars --------------------
 
 
 def reference_Rg(g, n, seed=0):
     """The sampling loop on PadicScalars alone: the batches of draw_Si, every
     row built by build_Si, g s g^-1 and reduce_K, with no kernel, and the
     tuple closure.  Returns (elements, draws, accepted), or the
-    StabilizationFailure text."""
+    StabilizationFailure text.  Only NotInK rejects a draw: a draw reduce_K
+    cannot decide fails the test."""
     ctx, fq = g.ctx, g.ctx.fq
     rng = np.random.default_rng(seed)
     gi = g.inv()
@@ -718,7 +712,7 @@ def reference_Rg(g, n, seed=0):
             draws += 1
             try:
                 r = reduce_K(g @ build_Si(ctx, batch, row) @ gi)
-            except (NotInK, PrecisionExhausted):
+            except NotInK:
                 continue
             accepted += 1
             if r in grp:
@@ -731,13 +725,13 @@ def reference_Rg(g, n, seed=0):
     return f"no stable window after {padic.MAX_DRAWS} draws ({accepted} accepted)"
 
 
-def kernel_Rg(g, n, seed=0):
-    """compute_Rg in the shape of reference_Rg, plus its fallback count."""
+def kernel_Rg(kernel, n, seed=0):
+    """compute_Rg in the shape of reference_Rg."""
     try:
-        res = compute_Rg(RgKernel(g, g.inv()), n, seed=seed)
+        res = compute_Rg(kernel, n, seed=seed)
     except StabilizationFailure as exc:
-        return str(exc), None
-    return (set(res.group), res.draws, res.accepted), res.fallbacks
+        return str(exc)
+    return set(res.group), res.draws, res.accepted
 
 
 ON_SUPPORT = [(prm.tag, prm.i, prm.j, prm.u, n) for n in range(3, 6)
@@ -751,32 +745,38 @@ OFF_SUPPORT = [("I", i, j, None, n) for n, i, j in
 @pytest.mark.parametrize("tag,i,j,u,n", ON_SUPPORT + OFF_SUPPORT)
 def test_compute_Rg_equals_the_reference_loop(tag, i, j, u, n, seed):
     ctx = PadicCtx(2, 1)
+    kernel = rg_kernel(ctx, tag, i, j, u)
+    assert kernel.ctx is ctx
     g = coset_rep(ctx, tag, i, j, u)
-    got, fallbacks = kernel_Rg(g, n, seed)
-    assert got == reference_Rg(g, n, seed)
-    assert fallbacks == 0
+    assert kernel_Rg(kernel, n, seed) == reference_Rg(g, n, seed)
 
 
 def test_compute_Rg_equals_the_reference_loop_at_q4():
     ctx = PadicCtx(2, 2)
+    kernel = rg_kernel(ctx, "II", 0, 2)
+    assert kernel.ctx is ctx
     g = coset_rep(ctx, "II", 0, 2)
-    got, fallbacks = kernel_Rg(g, 4, seed=7)
-    assert got == reference_Rg(g, 4, seed=7)
-    assert fallbacks == 0
+    assert kernel_Rg(kernel, 4, seed=7) == reference_Rg(g, 4, seed=7)
 
 
-def test_short_margin_falls_back_to_the_exact_path(monkeypatch):
+def test_short_margin_kernel_is_built_at_the_precision_it_needs(monkeypatch):
     # t(1, 1) has shift -3 on g^-1: at precision 8 the deepest digit read,
-    # p^1 of g41, leaves 3 < GUARD digits of margin, so every draw whose
-    # similitude is a unit goes through the exact path; a smaller budget
-    # keeps a failure of both loops quick
+    # p^1 of g41, leaves 3 < GUARD digits of margin, so RgKernel refuses
+    # the representative and rg_kernel builds it at precision 9, the least
+    # that leaves GUARD; a smaller budget keeps a failure of both loops quick
     monkeypatch.setattr(padic, "MAX_DRAWS", 3000)
     ctx = PadicCtx(2, 1, prec=8)
     g = coset_rep(ctx, "I", 1, 1)
-    assert not RgKernel(g, g.inv()).decides
-    got, fallbacks = kernel_Rg(g, 5, seed=0)
-    assert got == reference_Rg(g, 5, seed=0)
-    assert 0 < fallbacks < got[1]
+    with pytest.raises(PrecisionExhausted) as exc:
+        RgKernel(g, g.inv())
+    assert exc.value.short == 1
+    kernel = rg_kernel(ctx, "I", 1, 1)
+    assert kernel.ctx.prec == 9
+    # one context per precision, whatever the precision a coset starts from
+    assert rg_kernel(PadicCtx(2, 1, prec=6), "I", 1, 1).ctx is kernel.ctx
+    got = kernel_Rg(kernel, 5, seed=0)
+    assert got == reference_Rg(coset_rep(kernel.ctx, "I", 1, 1), 5, seed=0)
+    assert got[2] > 0
 
 
 def _coset_params(data, fq):
@@ -787,6 +787,20 @@ def _coset_params(data, fq):
     elif tag == "IIIb":
         u = data.draw(st.sampled_from(fq.fq_elements))
     return tag, data.draw(st.integers(0, 2)), data.draw(st.integers(1, 5)), u
+
+
+def _kernel_margin(g, gi):
+    """The digits to which g s g^-1 is known past the deepest digit
+    reduce_K tests or reads: g and g^-1 are known to their least absolute
+    precision, shifted by their least unit valuation, and to prec."""
+    shift, digits = 0, g.ctx.prec
+    for m in (g.m, gi.m):
+        entries = [e for row in m for e in row if e.kind != "zero"]
+        low = min(e.val for e in entries if e.kind == "unit")
+        known = min(e.val + e.rel if e.kind == "unit" else e.aprec for e in entries)
+        shift, digits = shift + low, min(digits, known - low)
+    deepest = max(max(map(max, _K_FLOOR)), max(_K_FLOOR[r][c] + 1 for r, c in _K_READS))
+    return digits - (deepest - shift)
 
 
 @settings(max_examples=150, deadline=None)
@@ -805,32 +819,33 @@ def test_kernel_matches_exact_product_and_reduction(data):
         # so that every residue reduce_K reads, p g14 included, varies
         g = rand_K(ctx, rng) @ g
     gi = g.inv()
+    short = GUARD - _kernel_margin(g, gi)
+    if short > 0:
+        with pytest.raises(PrecisionExhausted) as exc:
+            RgKernel(g, gi)
+        assert exc.value.short == short
+        return
     kernel = RgKernel(g, gi)
     n = data.draw(st.integers(1, 7))
     d = draw_Si(ctx, rng, n, 8)
     v = kernel._scalars(d)
     mu = kernel._mu(v)
-    H = kernel._matrix(v) if kernel.decides else None
-    verdict, codes = kernel.reduce(d)
+    H = kernel._matrix(v)
+    in_k, codes = kernel.reduce(d)
+    top = kernel.shift + kernel.digits
     for row in range(8):
         h = g @ build_Si(ctx, d, row) @ gi
         assert (h.mu - ctx.unit(0, mu[row].tolist())).val_ge(prec)
-        if kernel.decides:
-            top = kernel.shift + kernel.digits
-            for hrow, krow in zip(h.m, H[row]):
-                for e, cs in zip(hrow, krow):
-                    assert (e - ctx.unit(kernel.shift, cs.tolist(),
-                                         rel=kernel.digits)).val_ge(top)
+        for hrow, krow in zip(h.m, H[row]):
+            for e, cs in zip(hrow, krow):
+                assert (e - ctx.unit(kernel.shift, cs.tolist(),
+                                     rel=kernel.digits)).val_ge(top)
         try:
             want = reduce_K(h)
         except (NotInK, PrecisionExhausted):
             want = None
-        if verdict[row] == UNDECIDED:
-            # only a short margin defers a draw, never one mu already rejects
-            assert not kernel.decides and h.mu.kind == "unit" and h.mu.val == 0
-        else:
-            got = gl22_elems(codes[row:row + 1])[0] if verdict[row] == ACCEPT else None
-            assert got == want
+        got = gl22_elems(codes[row:row + 1])[0] if in_k[row] else None
+        assert got == want
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -839,13 +854,13 @@ def test_batched_kernel_matches_the_per_draw_reference(n):
     rng = np.random.default_rng(n)
     hits = 0
     for prm in enumerate_support(ctx.fq, n):
-        g = coset_rep(ctx, prm.tag, prm.i, prm.j, prm.u)
-        kernel, slow = RgKernel(g, g.inv()), ScalarRgKernel(g, g.inv())
+        g = coset_rep(ctx, *prm)
+        kernel, slow = rg_kernel(ctx, *prm), ScalarRgKernel(g, g.inv())
         d = draw_Si(ctx, rng, n, 384)
-        verdict, codes = kernel.reduce(d)
-        for row, (v, code) in enumerate(zip(verdict, gl22_elems(codes))):
+        in_k, codes = kernel.reduce(d)
+        for row, (ok, code) in enumerate(zip(in_k, gl22_elems(codes))):
             want = slow.reduce_row(d, row)
-            assert (code if v == ACCEPT else None) == want
+            assert (code if ok else None) == want
             hits += want is not None
     assert hits > 0
 
@@ -868,17 +883,14 @@ def test_off_anti_diagonal_floors_decide_draws_the_others_pass():
     assert in_Si(s, 3)
     with pytest.raises(NotInK):
         reduce_K(g @ s @ g.inv())
-    kernel = RgKernel(g, g.inv())
-    assert kernel.reduce(d)[0].tolist() == [REJECT]
+    assert rg_kernel(ctx, "I", 0, 4).reduce(d)[0].tolist() == [False]
     others = [(r, c) for r in range(4) for c in range(4) if r + c != 3]
     for keep in ([], [(2, 0)], [(3, 1)]):
-        kernel = RgKernel(g, g.inv())
+        kernel = rg_kernel(ctx, "I", 0, 4)
         for r, c in others:
             if (r, c) not in keep:
                 kernel.low[r, c] = 1
-        verdict, codes = kernel.reduce(d)
-        if keep:
-            assert verdict.tolist() == [REJECT]
-        else:
-            assert verdict.tolist() == [ACCEPT]
+        in_k, codes = kernel.reduce(d)
+        assert in_k.tolist() == [not keep]
+        if not keep:
             assert gl22_elems(codes) == [gl22_identity(ctx.fq)]
