@@ -451,7 +451,7 @@ def suite_rg(q: int, seed: int, n_max: int, precision: int,
     rows = []
     ok_w = ok_s = True
     for n, prm in cosets:
-        wit = witness_Rg(pctx, prm.tag, prm.i, prm.j, n, prm.u).group
+        wit = witness_Rg(pctx, prm.tag, prm.i, prm.j, n, prm.u)
         table = subgroup_R(coset_R_type(prm.tag), fq)
         conj = (len(wit) == len(table)
                 and conjugate_subgroups(wit, table, fq) is not None)

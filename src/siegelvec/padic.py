@@ -644,35 +644,57 @@ def s2_elem(ctx: PadicCtx) -> GSp4Elem:
     return GSp4Elem(ctx, ((o, z, z, z), (z, z, o, z), (z, m, z, z), (z, z, z, o)), o)
 
 
-def _residue_unit(ctx: PadicCtx, tag: str, u: Optional[int]) -> PadicScalar:
-    """The unit named by a coset's residue parameter u: the lift of u
-    (default 1) for IIIa and IV, and 1 + u*pi (default u = 0) for IIIb."""
-    if tag == "IIIb":
-        return ctx.one_s + ctx.lift(u) * ctx.pi(1) if u else ctx.one_s
-    return ctx.lift(ctx.fq.one if u is None else u)
+# -- coset forms ---------------------------------------------------------------
+
+def _one_plus_pi(ctx: PadicCtx, c: int) -> PadicScalar:
+    return ctx.one_s + ctx.lift(c, 1)
+
+
+def _units(ctx: PadicCtx) -> list:
+    return [ctx.lift(c) for c in ctx.fq.fq_units]
+
+
+def _one_plus_pi_w(ctx: PadicCtx) -> list:
+    """1 + pi w over the residues w, for strata that exist at even q only."""
+    if ctx.p != 2:
+        raise ValueError("stratum needs even residue characteristic")
+    return [_one_plus_pi(ctx, w) for w in ctx.fq.fq_elements]
+
+
+# The strata of double cosets as the brute force reads them, never filled
+# from support.STRATA, which it is checked against.  Per tag: the exponents
+# (a, b, c) of pi^(a i + b j + c) for the x, y and z of the representative
+# t(i, j) s_lower(x, y, z), None for 0; the unit unit(ctx, u) by which a
+# residue code u multiplies y; and the similitudes sims(ctx) of the witness
+# family (None: 1 alone).
+COSET_FORMS = {
+    "I": ((None, None, None), None, _units),
+    "II": (((1, 1, 0), None, None), None, None),
+    "IIIa": ((None, (0, 1, -1), (2, 1, 0)), PadicCtx.lift, None),
+    "IIIb": ((None, (0, 1, -2), (2, 1, -1)), _one_plus_pi, _one_plus_pi_w),
+    "IV": (((1, 1, -1), (0, 1, -1), (2, 1, 0)), PadicCtx.lift, _one_plus_pi_w),
+}
+
+
+def _coset_form(ctx: PadicCtx, tag: str, i: int, j: int, u: Optional[int]):
+    """The x, y, z of the coset's representative and its tag's sims."""
+    form = COSET_FORMS.get(tag)
+    if form is None:
+        raise ValueError(f"unknown coset tag {tag!r}")
+    exps, unit, sims = form
+    x, y, z = (ctx.zero_s if e is None else ctx.pi(e[0] * i + e[1] * j + e[2])
+               for e in exps)
+    if unit and u is not None:
+        y = unit(ctx, u) * y
+    return x, y, z, sims
 
 
 def coset_rep(ctx: PadicCtx, tag: str, i: int, j: int,
               u: Optional[int] = None) -> GSp4Elem:
-    """Canonical double-coset representative for the given stratum.
-
-    u is the residue code of ``support.CosetParam.u``: the unit parameter
-    of IIIa and IV, the depth-one refinement c of 1 + c*pi for IIIb; I and
-    II ignore it.
-    """
-    t = t_elem(ctx, i, j)
-    if tag == "I":
-        return t
-    if tag == "II":
-        return t @ s_lower(ctx, ctx.pi(i + j), 0, 0)
-    y = _residue_unit(ctx, tag, u)
-    if tag == "IIIa":
-        return t @ s_lower(ctx, 0, y * ctx.pi(j - 1), ctx.pi(2 * i + j))
-    if tag == "IIIb":
-        return t @ s_lower(ctx, 0, y * ctx.pi(j - 2), ctx.pi(2 * i + j - 1))
-    if tag == "IV":
-        return t @ s_lower(ctx, ctx.pi(i + j - 1), y * ctx.pi(j - 1), ctx.pi(2 * i + j))
-    raise ValueError(f"unknown coset tag {tag!r}")
+    """Canonical double-coset representative for the given stratum, with u
+    the residue code of ``support.CosetParam.u`` (None: the unit 1)."""
+    x, y, z, _ = _coset_form(ctx, tag, i, j, u)
+    return t_elem(ctx, i, j) @ s_lower(ctx, x, y, z)
 
 
 # -- membership and reduction -------------------------------------------------
@@ -1048,59 +1070,36 @@ def compute_Rg(kernel: RgKernel, n: int, seed: int = 0) -> RgResult:
 
 
 def witness_Rg(ctx: PadicCtx, tag: str, i: int, j: int, n: int,
-               u: Optional[int] = None) -> RgResult:
+               u: Optional[int] = None) -> SubgroupR:
     """Exhaustive residue-parameterized witness family for one stratum.
 
-    u is the residue parameter of ``coset_rep``.  Every family member is
-    checked to lie in Si(n) and to conjugate into K; the returned subgroup
-    is generated by the verified reductions.
+    u is the residue parameter of ``coset_rep`` and lam runs over the
+    stratum's similitudes.  With y = 0 the family is levi(a1, 0, 0, a4,
+    lam) over units a1, a4.  Otherwise it is the Levi element of the
+    ``levi-xyz`` identity solved for g levi g^-1 in K, over units a1,
+    residues t, and residues a2 where x != 0 (else a2 = 0):
+        a3 = -(x a1 (1 - lam) + z lam a2) / y,
+        a4 = lam a1 + (pi^j t - x a2 (1 + lam)) / y.
+    Every family member is checked to lie in Si(n) and to conjugate into K;
+    the returned subgroup is generated by the verified reductions.
     """
-    fq = ctx.fq
+    x, y, z, sims = _coset_form(ctx, tag, i, j, u)
     g = coset_rep(ctx, tag, i, j, u)
-    gi = g.inv()
-    units = fq.fq_units
-    allres = fq.fq_elements
-    members = []
-    if tag in ("I", "II"):
-        lams = units if tag == "I" else [fq.one]
-        for a1, a4, lam in product(units, units, lams):
-            members.append(levi(ctx, ctx.lift(a1), 0, 0, ctx.lift(a4), ctx.lift(lam)))
-    elif tag == "IIIa":
-        yi = (_residue_unit(ctx, tag, u) * ctx.pi(j - 1)).inv()
-        for a1c, uc in product(units, allres):
-            a1 = ctx.lift(a1c)
-            a4 = a1 + ctx.lift(uc) * ctx.pi(j) * yi
-            members.append(levi(ctx, a1, 0, 0, a4, 1))
-    elif tag == "IIIb":
-        if ctx.p != 2:
-            raise ValueError("stratum needs even residue characteristic")
-        ui = _residue_unit(ctx, tag, u).inv()
-        for a1c, tc, wc in product(units, allres, allres):
-            a1 = ctx.lift(a1c)
-            lam = ctx.one_s + ctx.pi(1) * ctx.lift(wc)
-            a4 = lam * a1 + ui * ctx.lift(tc) * ctx.pi(2)
-            members.append(levi(ctx, a1, 0, 0, a4, lam))
-    elif tag == "IV":
-        if ctx.p != 2:
-            raise ValueError("stratum needs even residue characteristic")
-        x = ctx.pi(i + j - 1)
-        z = ctx.pi(2 * i + j)
-        yi = (_residue_unit(ctx, tag, u) * ctx.pi(j - 1)).inv()
-        for a1c, a2c, wc, uc in product(units, allres, allres, allres):
-            a1, a2 = ctx.lift(a1c), ctx.lift(a2c)
-            lam = ctx.one_s + ctx.pi(1) * ctx.lift(wc)
-            ut = ctx.lift(uc)
-            a4 = lam * a1 + (ctx.pi(j) * ut - x * a2 * (ctx.one_s + lam)) * yi
-            a3 = -(x * a1 * (ctx.one_s - lam) + z * lam * a2) * yi
-            members.append(levi(ctx, a1, a2, a3, a4, lam))
+    units, lams = _units(ctx), (sims(ctx) if sims else [ctx.one_s])
+    if y.kind == "zero":
+        members = [levi(ctx, a1, 0, 0, a4, lam)
+                   for a1, a4, lam in product(units, units, lams)]
     else:
-        raise ValueError(f"unknown coset tag {tag!r}")
-    reds = []
-    for s in members:
-        if not in_Si(s, n):
-            raise NotInK(f"witness family left Si({n}) for stratum {tag}")
-        reds.append(reduce_K(g @ s @ gi))
-    return RgResult(subgroup_closure(fq, gl22_rows(reds)), len(members), len(members))
+        one, yi, pj = ctx.one_s, y.inv(), ctx.pi(j)
+        res = [ctx.lift(c) for c in ctx.fq.fq_elements]
+        a2s = [ctx.zero_s] if x.kind == "zero" else res
+        members = [levi(ctx, a1, a2, -(x * a1 * (one - lam) + z * lam * a2) * yi,
+                        lam * a1 + (pj * t - x * a2 * (one + lam)) * yi, lam)
+                   for a1, a2, lam, t in product(units, a2s, lams, res)]
+    if not all(in_Si(s, n) for s in members):
+        raise NotInK(f"witness family left Si({n}) for stratum {tag}")
+    gi = g.inv()
+    return subgroup_closure(ctx.fq, gl22_rows([reduce_K(g @ s @ gi) for s in members]))
 
 
 def radical_obstruction(fq: FqCtx, grp: SubgroupR) -> bool:

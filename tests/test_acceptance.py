@@ -151,7 +151,7 @@ def test_first_artin_stratum_level7():
     fq = build_field(2, 1)
     table = subgroup_R(coset_R_type("IIIb"), fq)
     for u in (0, 1):
-        wit = witness_Rg(pctx, "IIIb", 0, 5, 7, u=u).group
+        wit = witness_Rg(pctx, "IIIb", 0, 5, 7, u=u)
         assert len(wit) == len(table)
         assert conjugate_subgroups(wit, table, fq) is not None
         samp = compute_Rg(rg_kernel(pctx, "IIIb", 0, 5, u=u), 7, seed=0).group

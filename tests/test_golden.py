@@ -37,6 +37,13 @@ core took its one-coefficient and matrix-product shortcuts: every
 precision exit names its tag and draw, so a change to the order or the
 precision of the exact arithmetic moves it.
 
+``rg-witness-groups.json`` holds, one JSON line per coset, the sorted
+keys of ``padic.witness_Rg``'s group on every on-support coset at q = 2
+(levels 3..8), q = 3 (levels 3..6) and q = 4 (levels 3..7), where IV
+opens at level 6 and IIIb at level 7; it was captured before the
+representatives and witness families became rows of one table,
+``padic.COSET_FORMS``.
+
 To recapture after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 Every golden is compared byte for byte, so a full recapture rewrites
@@ -54,6 +61,8 @@ import sys
 import pytest
 
 from siegelvec.cli import main
+from siegelvec.padic import PadicCtx, witness_Rg
+from siegelvec.support import enumerate_support
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 QS = (2, 3, 4, 5)
@@ -107,6 +116,24 @@ def _exit(argv: list) -> dict:
     return {"exit": rc, "stderr": err.getvalue()}
 
 
+# levels of the witness-group golden per (p, f): q = 2, 3 and 4; q = 8 is
+# left out because its level-6 IV families take seconds
+WITNESS_LEVELS = {(2, 1): range(3, 9), (3, 1): range(3, 7), (2, 2): range(3, 8)}
+
+
+def _witness_groups() -> str:
+    """One JSON line per on-support coset of WITNESS_LEVELS: q, n, tag, i,
+    j, u and the sorted keys of the coset's witness group."""
+    lines = []
+    for (p, f), levels in WITNESS_LEVELS.items():
+        ctx = PadicCtx(p, f)
+        for n in levels:
+            for prm in enumerate_support(ctx.fq, n):
+                grp = witness_Rg(ctx, prm.tag, prm.i, prm.j, n, prm.u)
+                lines.append(json.dumps([ctx.q, n, *prm, grp.keys.tolist()]))
+    return "[\n" + ",\n".join(lines) + "\n]\n"
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_json_output_matches_golden(name):
     want = (GOLDEN / f"{name}.json").read_text()
@@ -120,6 +147,10 @@ def test_identity_exits_match_golden():
         assert _exit(argv) == want[name], name
 
 
+def test_witness_groups_match_golden():
+    assert _witness_groups() == (GOLDEN / "rg-witness-groups.json").read_text()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in sorted(CASES.items()):
@@ -128,3 +159,4 @@ if __name__ == "__main__":
     exits = {name: _exit(argv) for name, argv in sorted(EXIT_CASES.items())}
     (GOLDEN / "identities-exits.json").write_text(
         json.dumps(exits, indent=1, sort_keys=True) + "\n")
+    (GOLDEN / "rg-witness-groups.json").write_text(_witness_groups())

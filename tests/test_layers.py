@@ -46,6 +46,21 @@ def test_no_private_name_is_imported(name):
         assert not private, f"{name} line {node.lineno} imports {private}"
 
 
+def test_coset_tags_appear_in_padic_only_in_its_coset_form_table():
+    # padic states each stratum's representative and witness family once,
+    # in COSET_FORMS: no other padic code names a coset tag
+    tags = {"I", "II", "IIIa", "IIIb", "IV"}
+    tree = ast.parse((PACKAGE / "padic.py").read_text())
+    table = [node.value for node in tree.body if isinstance(node, ast.Assign)
+             and any(getattr(t, "id", None) == "COSET_FORMS" for t in node.targets)]
+    assert len(table) == 1, "padic has no one COSET_FORMS table"
+    assert {key.value for key in table[0].keys} == tags
+    inside = {id(node) for node in ast.walk(table[0])}
+    stray = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Constant)
+             and node.value in tags and id(node) not in inside]
+    assert not stray, f"padic names a coset tag outside COSET_FORMS on lines {stray}"
+
+
 def _blas_child(value):
     """OPENBLAS_NUM_THREADS and the thread count seen by a fresh child that
     imports the package and then numpy, started with the variable unset

@@ -519,9 +519,9 @@ WITNESS_CASES = [
 @pytest.mark.parametrize("tag,i,j,n,kind", WITNESS_CASES)
 def test_witness_families_land_on_table_subgroups(tag, i, j, n, kind):
     ctx = PadicCtx(2, 1)
-    res = witness_Rg(ctx, tag, i, j, n)
+    wit = witness_Rg(ctx, tag, i, j, n)
     table = subgroup_R(kind, ctx.fq)
-    assert conjugate_subgroups(res.group, table, ctx.fq) is not None
+    assert conjugate_subgroups(wit, table, ctx.fq) is not None
 
 
 @pytest.mark.parametrize("tag,i,j,n,kind", WITNESS_CASES[:4])
@@ -538,7 +538,7 @@ def test_deeper_strata_sampled_against_witnesses():
     for tag, i, j, n, kind in WITNESS_CASES[4:]:
         samp = compute_Rg(rg_kernel(ctx, tag, i, j), n, seed=5)
         wit = witness_Rg(ctx, tag, i, j, n)
-        assert set(samp.group) == set(wit.group)
+        assert set(samp.group) == set(wit)
 
 
 def test_depth_one_refinement_classes_share_a_subgroup():
@@ -547,7 +547,21 @@ def test_depth_one_refinement_classes_share_a_subgroup():
     ctx = PadicCtx(2, 1)
     base = witness_Rg(ctx, "IIIb", 0, 5, 7, u=0)
     refined = witness_Rg(ctx, "IIIb", 0, 5, 7, u=ctx.fq.one)
-    assert set(base.group) == set(refined.group)
+    assert set(base) == set(refined)
+
+
+def test_unknown_coset_tag_is_refused():
+    ctx = PadicCtx(2, 1)
+    with pytest.raises(ValueError, match="unknown coset tag 'V'"):
+        coset_rep(ctx, "V", 0, 2)
+    with pytest.raises(ValueError, match="unknown coset tag 'V'"):
+        witness_Rg(ctx, "V", 0, 2, 4)
+
+
+@pytest.mark.parametrize("tag,i,j,n", [("IIIb", 0, 5, 7), ("IV", 0, 4, 6)])
+def test_even_q_witness_families_refuse_odd_residue_characteristic(tag, i, j, n):
+    with pytest.raises(ValueError, match="needs even residue characteristic"):
+        witness_Rg(PadicCtx(3, 1), tag, i, j, n)
 
 
 def test_swap_torus_image_of_corner_stratum_when_q_is_four():
@@ -560,14 +574,14 @@ def test_swap_torus_image_of_corner_stratum_when_q_is_four():
     samp = compute_Rg(rg_kernel(ctx, "II", 0, 2), 4, seed=7)
     swap = {GL22Elem(GL2Elem(a, 0, 0, d), GL2Elem(d, 0, 0, a))
             for a in fq.fq_units for d in fq.fq_units}
-    assert set(wit.group) == swap
+    assert set(wit) == swap
     assert set(samp.group) == swap
 
 
 def test_unipotent_stratum_at_q_four():
     ctx = PadicCtx(2, 2)
     wit = witness_Rg(ctx, "IIIa", 0, 3, 5)
-    assert set(wit.group) == set(subgroup_R("Unip", ctx.fq))
+    assert set(wit) == set(subgroup_R("Unip", ctx.fq))
 
 
 def test_sampled_subgroups_equal_witnesses_on_the_q4_level5_support():
@@ -577,7 +591,7 @@ def test_sampled_subgroups_equal_witnesses_on_the_q4_level5_support():
     params = enumerate_support(ctx.fq, 5)
     assert params
     for prm in params:
-        wit = witness_Rg(ctx, prm.tag, prm.i, prm.j, 5, prm.u).group
+        wit = witness_Rg(ctx, prm.tag, prm.i, prm.j, 5, prm.u)
         samp = compute_Rg(rg_kernel(ctx, *prm), 5).group
         assert np.array_equal(samp.rows, wit.rows), prm
 
